@@ -77,6 +77,13 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _number(value, kind, where: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+
+
 def parse_space(spec: dict, where: str = "space"):
     kind = _require(spec, "kind", where)
     if kind == "euclidean":
@@ -168,10 +175,13 @@ def parse_twist(space, data: dict, where: str = "twist"):
 def _parse_problem(space, pdata: dict):
     _take(pdata, {"cells", "edges", "base_point", "init", "cover"}, "problem")
     cells = _require(pdata, "cells", "problem")
-    ids = tuple(c["id"] for c in cells)
-    weights = tuple(float(c["weight"]) for c in cells)
     for c in cells:
         _take(c, {"id", "weight"}, "problem.cells[]")
+    ids = tuple(_require(c, "id", "problem.cells[]") for c in cells)
+    weights = tuple(
+        _number(_require(c, "weight", "problem.cells[]"), float, "problem.cells[].weight")
+        for c in cells
+    )
     model = MeasureModel(ids, weights)
     edges = []
     for i, e in enumerate(_require(pdata, "edges", "problem")):
@@ -250,9 +260,15 @@ class RunConfig:
         self.method = sdata.get("method", "bcd")
         if self.method not in ("bcd", "norm-minimal", "lexicographic", "commensurability"):
             raise ConfigError(f"solver.method: unknown method {self.method!r}")
-        self.tol = float(sdata.get("tol", 1e-9))
-        self.max_sweeps = int(sdata.get("max_sweeps", 500))
+        self.tol = _number(sdata.get("tol", 1e-9), float, "solver.tol")
+        if not self.tol > 0.0:
+            raise ConfigError(f"solver.tol: must be > 0, got {self.tol!r}")
+        self.max_sweeps = _number(sdata.get("max_sweeps", 500), int, "solver.max_sweeps")
+        if self.max_sweeps < 1:
+            raise ConfigError(f"solver.max_sweeps: must be >= 1, got {self.max_sweeps}")
         self.mode = sdata.get("mode", "gauss-seidel")
+        if self.mode not in ("gauss-seidel", "jacobi"):
+            raise ConfigError(f"solver.mode: unknown mode {self.mode!r}")
         self.schedule = sdata.get("schedule")
         self.class_order = sdata.get("class_order")
         self.norm_minimal = bool(sdata.get("norm_minimal", False))

@@ -177,83 +177,124 @@ def _sphere_points(theta: np.ndarray, mu: float, nu: float, p: float):
 
 
 def two_atom_modulus_search(
-    p: float, eps: float, grid: int = 128, mu_values: Sequence[float] = (0.5, 0.35, 0.2, 0.08)
-) -> float:
+    p: float,
+    eps: float | np.ndarray,
+    grid: int = 128,
+    mu_values: Sequence[float] = (0.5, 0.35, 0.2, 0.08),
+) -> float | np.ndarray:
     """Modulus of convexity of L_p computed directly: minimize 1 - |(f+g)/2|
     over unit-sphere pairs f, g of a two-atom weighted L_p space subject to
     |f - g| >= eps.
 
-    The constraint is active at the optimum, so for every direction of f the
-    search bisects onto the manifold |f - g| = eps and minimizes along it,
-    then zooms the f-direction around the best root.  Deterministic; uses no
-    closed forms.
+    ``eps`` is a number (the result is a float) or an array of separations
+    (the result is an array of the same shape); a scalar is a one-node batch.
+    For each atom weight mu the sphere points of the fixed g-direction grid
+    are computed once, and the first f-direction grid, which does not depend
+    on eps, is shared by every node.  The constraint is active at the optimum,
+    so along each grid row the search brackets the roots of |f - g| = eps and
+    bisects them, every node's roots in one vector bisection with a per-root
+    eps; each node then zooms its f-direction window around its best root.
+    Where no pair reaches separation eps (eps >= 2), 0 is returned, the
+    trivial lower estimate.  Deterministic; uses no closed forms.
     """
-    if eps <= 0.0:
-        return 0.0
-    eps = min(eps, 2.0)
+    eps = np.minimum(np.asarray(eps, dtype=float), 2.0)
+    flat = eps.reshape(-1)
+    best = np.full(flat.shape, math.inf)
+    live = np.flatnonzero(flat > 0.0)
+    for mu in mu_values:
+        best[live] = np.minimum(best[live], _two_atom_search_mu(p, float(mu), flat[live], grid))
+    out = np.where(np.isfinite(best), np.maximum(0.0, best), 0.0).reshape(eps.shape)
+    return float(out) if out.ndim == 0 else out
 
-    def inner(mu: float) -> float:
-        nu = 1.0 - mu
 
-        def norm(u, v):
-            return (mu * np.abs(u) ** p + nu * np.abs(v) ** p) ** (1.0 / p)
+_ROW_BLOCK = 8  # grid rows per evaluation block, to keep temporaries small
 
-        def pair(th1, th2):
-            u1, v1 = _sphere_points(th1, mu, nu, p)
-            u2, v2 = _sphere_points(th2, mu, nu, p)
-            return norm(u1 - u2, v1 - v2), 1.0 - norm(0.5 * (u1 + u2), 0.5 * (v1 + v2))
 
-        best = math.inf
-        lo1, hi1 = 0.0, 2.0 * math.pi
-        n1 = grid
-        for _ in range(5):
-            t1 = np.linspace(lo1, hi1, n1)
-            t2 = np.linspace(0.0, 2.0 * math.pi, 4 * grid)
-            sep = np.empty((len(t1), len(t2)))
-            obj = np.empty_like(sep)
-            for i, th in enumerate(t1):
-                sep[i], obj[i] = pair(np.full_like(t2, th), t2)
+def _two_atom_search_mu(p: float, mu: float, eps: np.ndarray, grid: int) -> np.ndarray:
+    """Per-node minimum of the two-atom search at atom weight mu (inf where
+    no pair reaches the node's separation)."""
+    nu = 1.0 - mu
+
+    def norm(u, v):
+        return (mu * np.abs(u) ** p + nu * np.abs(v) ** p) ** (1.0 / p)
+
+    t2 = np.linspace(0.0, 2.0 * math.pi, 4 * grid)
+    u2, v2 = _sphere_points(t2, mu, nu, p)
+
+    def rows_grid(t1):
+        u1, v1 = _sphere_points(t1, mu, nu, p)
+        sep = np.empty((len(t1), len(t2)))
+        obj = np.empty_like(sep)
+        for i in range(0, len(t1), _ROW_BLOCK):
+            bu = u1[i : i + _ROW_BLOCK, None]
+            bv = v1[i : i + _ROW_BLOCK, None]
+            sep[i : i + _ROW_BLOCK] = norm(bu - u2, bv - v2)
+            obj[i : i + _ROW_BLOCK] = 1.0 - norm(0.5 * (bu + u2), 0.5 * (bv + v2))
+        return sep, obj
+
+    n = len(eps)
+    best = np.full(n, math.inf)
+    lo = [0.0] * n
+    hi = [2.0 * math.pi] * n
+    n1 = grid
+    t1 = np.linspace(0.0, 2.0 * math.pi, n1)
+    shared = rows_grid(t1)  # the first window is the same for every node
+    alive = list(range(n))
+    for level in range(5):
+        nodes, th1, a, b, sa = [], [], [], [], []
+        for k in alive:
+            if level:
+                t1 = np.linspace(lo[k], hi[k], n1)
+                sep, obj = rows_grid(t1)
+            else:
+                sep, obj = shared
+            e = eps[k]
             # interior-feasible grid minimum (safety net)
-            masked = np.where(sep >= eps, obj, np.inf)
-            k = int(np.argmin(masked))
-            gbest = float(masked.flat[k]) if math.isfinite(masked.flat[k]) else math.inf
-            # roots of sep == eps along each row, found by vector bisection
-            sign = np.sign(sep - eps)
+            best[k] = min(best[k], np.where(sep >= e, obj, np.inf).min())
+            # brackets of the roots of sep == eps along each row
+            sign = np.sign(sep - e)
             rows, cols = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
             if rows.size:
-                a = t2[cols]
-                b = t2[cols + 1]
-                th1v = t1[rows]
-                sa = sep[rows, cols] - eps
-                for _ in range(60):
-                    m = 0.5 * (a + b)
-                    sm, _ = pair(th1v, m)
-                    left = (sm - eps) * sa > 0
-                    a = np.where(left, m, a)
-                    b = np.where(left, b, m)
-                    sa = np.where(left, sm - eps, sa)
-                _, vals = pair(th1v, 0.5 * (a + b))
-                j = int(np.argmin(vals))
-                rbest = float(vals[j])
-                best_t1 = float(th1v[j])
-            else:
-                rbest, best_t1 = math.inf, None
-            cur = min(gbest, rbest)
-            best = min(best, cur)
-            if best_t1 is None or not math.isfinite(best):
-                break
-            w = (hi1 - lo1) / (n1 - 1)
-            lo1, hi1 = best_t1 - 2.0 * w, best_t1 + 2.0 * w
-            n1 = 33
-        return best
+                nodes.append(k)
+                th1.append(t1[rows])
+                a.append(t2[cols])
+                b.append(t2[cols + 1])
+                sa.append(sep[rows, cols] - e)
+        if not nodes:
+            break
+        counts = [len(t) for t in th1]
+        bounds = np.cumsum([0] + counts)
+        ev = np.repeat(eps[nodes], counts)  # each root's own eps
+        th1v, a, b, sa = (np.concatenate(x) for x in (th1, a, b, sa))
+        u1, v1 = _sphere_points(th1v, mu, nu, p)
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            um, vm = _sphere_points(m, mu, nu, p)
+            sm = norm(u1 - um, v1 - vm)
+            left = (sm - ev) * sa > 0
+            a = np.where(left, m, a)
+            b = np.where(left, b, m)
+            sa = np.where(left, sm - ev, sa)
+        um, vm = _sphere_points(0.5 * (a + b), mu, nu, p)
+        vals = 1.0 - norm(0.5 * (u1 + um), 0.5 * (v1 + vm))
+        # each node zooms its f-direction window around its best root
+        for k, s0, s1 in zip(nodes, bounds[:-1], bounds[1:]):
+            j = s0 + int(np.argmin(vals[s0:s1]))
+            best[k] = min(best[k], vals[j])
+            wk = (hi[k] - lo[k]) / (n1 - 1)
+            lo[k], hi[k] = float(th1v[j]) - 2.0 * wk, float(th1v[j]) + 2.0 * wk
+        alive = nodes
+        n1 = 33
+    return best
 
-    return max(0.0, min(inner(float(m)) for m in mu_values))
 
-
-# Lazily-built per-exponent curves for the L_p modulus; lookups step down to
-# the node below, and below the smallest node extrapolate with the known
-# small-eps power max(2, p), with a 1/2 safety factor.  Both choices only
-# ever under-estimate the modulus, which keeps the certified rate valid.
+# Lazily-built per-exponent curves for the L_p modulus, each built by one
+# batched two-atom search over all its nodes.  Lookups step down to the node
+# below, and below the smallest node extrapolate with the known small-eps
+# power max(2, p), with a 1/2 safety factor.  Both choices are meant to
+# under-estimate the modulus, which keeps the certified rate valid; at the
+# smallest nodes the grid search itself still over-estimates it for p != 2
+# (a known defect, pinned by a strict xfail test against Hanner's forms).
 _MODULUS_NODES = 32
 _modulus_curves: dict = {}
 
@@ -262,12 +303,7 @@ def _modulus_curve(p: float):
     key = round(p, 12)
     if key not in _modulus_curves:
         grid = np.geomspace(1e-3, 2.0, _MODULUS_NODES)
-        vals = np.array(
-            [
-                two_atom_modulus_search(p, float(e), grid=64, mu_values=(0.5, 0.3, 0.12))
-                for e in grid
-            ]
-        )
+        vals = two_atom_modulus_search(p, grid, grid=64, mu_values=(0.5, 0.3, 0.12))
         vals = np.maximum.accumulate(vals)  # enforce monotonicity against noise
         _modulus_curves[key] = (grid, vals)
     return _modulus_curves[key]

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from busemann.cli import main
 
 
@@ -82,6 +84,35 @@ def test_solve_nonconvergence_exit_3(tmp_path):
         solver={"method": "bcd", "tol": 1e-12, "max_sweeps": 1},
     )
     assert main(["solve", str(path)]) == 3
+
+
+def test_solve_non_numeric_cell_weight_exit_2(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        space={"kind": "euclidean", "dim": 1},
+        problem={"cells": [{"id": "a", "weight": "x"}], "edges": [], "base_point": [0.0]},
+    )
+    assert main(["solve", str(path)]) == 2
+    assert "problem.cells[].weight" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["tol", "max_sweeps"])
+def test_solve_non_numeric_solver_setting_exit_2(tmp_path, capsys, field):
+    path = write_config(tmp_path, solver={"method": "bcd", field: "x"})
+    assert main(["solve", str(path)]) == 2
+    assert f"solver.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value", [("tol", -1.0), ("tol", 0.0), ("max_sweeps", 0), ("mode", "red-black")]
+)
+def test_solve_invalid_solver_setting_exit_2(tmp_path, capsys, field, value):
+    # rejected at parse time, before any sweep runs (and before exit 3)
+    path = write_config(tmp_path, solver={"method": "bcd", field: value})
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"solver.{field}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_determinism_byte_identical(tmp_path):
