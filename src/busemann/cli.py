@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -80,31 +81,58 @@ def _require(obj: dict, key: str, where: str):
 def _number(value, kind, where: str):
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+
+
+def _real(value, where: str) -> float:
+    x = _number(value, float, where)
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return x
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list")
+    return value
+
+
+def _reals(values, where: str) -> tuple:
+    return tuple(_real(v, f"{where}[{i}]") for i, v in enumerate(_list(values, where)))
+
+
+def _ints(values, where: str) -> tuple:
+    return tuple(_number(v, int, f"{where}[{i}]") for i, v in enumerate(_list(values, where)))
 
 
 def parse_space(spec: dict, where: str = "space"):
     kind = _require(spec, "kind", where)
     if kind == "euclidean":
         _take(spec, {"kind", "dim"}, where)
-        return Euclidean(int(_require(spec, "dim", where)))
+        return Euclidean(_number(_require(spec, "dim", where), int, f"{where}.dim"))
     if kind == "lp":
         _take(spec, {"kind", "dim", "p"}, where)
-        return LpVector(int(_require(spec, "dim", where)), float(_require(spec, "p", where)))
+        return LpVector(
+            _number(_require(spec, "dim", where), int, f"{where}.dim"),
+            _real(_require(spec, "p", where), f"{where}.p"),
+        )
     if kind == "tree":
         _take(spec, {"kind", "vertices", "edges"}, where)
-        edges = tuple(
-            (e[0], e[1], float(e[2])) for e in _require(spec, "edges", where)
-        )
-        return MetricTree(tuple(_require(spec, "vertices", where)), edges)
+        edges = []
+        for i, e in enumerate(_list(_require(spec, "edges", where), f"{where}.edges")):
+            if not isinstance(e, list) or len(e) != 3:
+                raise ConfigError(f"{where}.edges[{i}]: expected [u, v, length]")
+            edges.append((e[0], e[1], _real(e[2], f"{where}.edges[{i}][2]")))
+        vertices = _list(_require(spec, "vertices", where), f"{where}.vertices")
+        return MetricTree(tuple(vertices), tuple(edges))
     if kind == "product":
         _take(spec, {"kind", "q", "factors"}, where)
         factors = tuple(
             parse_space(f, f"{where}.factors[{i}]")
-            for i, f in enumerate(_require(spec, "factors", where))
+            for i, f in enumerate(_list(_require(spec, "factors", where), f"{where}.factors"))
         )
-        return Product(factors, float(spec.get("q", 2.0)))
+        return Product(factors, _real(spec.get("q", 2.0), f"{where}.q"))
     raise ConfigError(f"{where}: unknown space kind {kind!r}")
 
 
@@ -112,14 +140,17 @@ def parse_point(space, data, where: str = "point"):
     if isinstance(space, (Euclidean, LpVector)):
         if not isinstance(data, list) or len(data) != space.dim:
             raise ConfigError(f"{where}: expected a list of {space.dim} numbers")
-        return tuple(float(c) for c in data)
+        return _reals(data, where)
     if isinstance(space, MetricTree):
         if not isinstance(data, dict):
             raise ConfigError(f"{where}: expected a tree point object")
         _take(data, {"vertex", "edge", "offset"}, where)
         if "vertex" in data:
             return space.vertex_point(data["vertex"])
-        return space.point(int(_require(data, "edge", where)), float(_require(data, "offset", where)))
+        return space.point(
+            _number(_require(data, "edge", where), int, f"{where}.edge"),
+            _real(_require(data, "offset", where), f"{where}.offset"),
+        )
     if isinstance(space, Product):
         if not isinstance(data, list) or len(data) != len(space.factors):
             raise ConfigError(f"{where}: expected one entry per product factor")
@@ -137,28 +168,32 @@ def parse_twist(space, data: dict, where: str = "twist"):
         return identity_isometry(space)
     if kind == "translation":
         _take(data, {"kind", "by"}, where)
-        return translation(space, [float(c) for c in _require(data, "by", where)])
+        return translation(space, _reals(_require(data, "by", where), f"{where}.by"))
     if kind == "point-reflection":
         _take(data, {"kind", "center"}, where)
-        return point_reflection(space, [float(c) for c in _require(data, "center", where)])
+        return point_reflection(space, _reals(_require(data, "center", where), f"{where}.center"))
     if kind == "linear":
         _take(data, {"kind", "matrix", "shift"}, where)
+        rows = _list(_require(data, "matrix", where), f"{where}.matrix")
         return EuclideanIsometry(
-            tuple(tuple(float(x) for x in row) for row in _require(data, "matrix", where)),
-            tuple(float(x) for x in _require(data, "shift", where)),
+            tuple(_reals(row, f"{where}.matrix[{i}]") for i, row in enumerate(rows)),
+            _reals(_require(data, "shift", where), f"{where}.shift"),
         )
     if kind == "signed-perm":
         _take(data, {"kind", "perm", "signs", "shift"}, where)
         return SignedPermIsometry(
-            tuple(int(i) for i in _require(data, "perm", where)),
-            tuple(int(s) for s in _require(data, "signs", where)),
-            tuple(float(x) for x in _require(data, "shift", where)),
+            _ints(_require(data, "perm", where), f"{where}.perm"),
+            _ints(_require(data, "signs", where), f"{where}.signs"),
+            _reals(_require(data, "shift", where), f"{where}.shift"),
         )
     if kind == "tree":
         _take(data, {"kind", "vertex_map"}, where)
         if not isinstance(space, MetricTree):
             raise ConfigError(f"{where}: tree twist on a non-tree space")
-        return TreeIsometry(space, dict(_require(data, "vertex_map", where)))
+        vertex_map = _require(data, "vertex_map", where)
+        if not isinstance(vertex_map, dict):
+            raise ConfigError(f"{where}.vertex_map: expected an object")
+        return TreeIsometry(space, dict(vertex_map))
     if kind == "product":
         _take(data, {"kind", "parts"}, where)
         if not isinstance(space, Product):
@@ -166,7 +201,7 @@ def parse_twist(space, data: dict, where: str = "twist"):
         return ProductIsometry(
             tuple(
                 parse_twist(f, d, f"{where}.parts[{i}]")
-                for i, (f, d) in enumerate(zip(space.factors, _require(data, "parts", where)))
+                for i, (f, d) in enumerate(zip(space.factors, _list(_require(data, "parts", where), f"{where}.parts")))
             )
         )
     raise ConfigError(f"{where}: unknown twist kind {kind!r}")
@@ -174,7 +209,7 @@ def parse_twist(space, data: dict, where: str = "twist"):
 
 def _parse_problem(space, pdata: dict):
     _take(pdata, {"cells", "edges", "base_point", "init", "cover"}, "problem")
-    cells = _require(pdata, "cells", "problem")
+    cells = _list(_require(pdata, "cells", "problem"), "problem.cells")
     for c in cells:
         _take(c, {"id", "weight"}, "problem.cells[]")
     ids = tuple(_require(c, "id", "problem.cells[]") for c in cells)
@@ -184,15 +219,15 @@ def _parse_problem(space, pdata: dict):
     )
     model = MeasureModel(ids, weights)
     edges = []
-    for i, e in enumerate(_require(pdata, "edges", "problem")):
+    for i, e in enumerate(_list(_require(pdata, "edges", "problem"), "problem.edges")):
         _take(e, {"src", "dst", "weight", "class", "twist"}, f"problem.edges[{i}]")
         edges.append(
             Edge(
                 _require(e, "src", f"problem.edges[{i}]"),
                 _require(e, "dst", f"problem.edges[{i}]"),
-                float(_require(e, "weight", f"problem.edges[{i}]")),
+                _real(_require(e, "weight", f"problem.edges[{i}]"), f"problem.edges[{i}].weight"),
                 parse_twist(space, _require(e, "twist", f"problem.edges[{i}]"), f"problem.edges[{i}].twist"),
-                int(e.get("class", 1)),
+                _number(e.get("class", 1), int, f"problem.edges[{i}].class"),
             )
         )
     base = parse_point(space, _require(pdata, "base_point", "problem"), "problem.base_point")
@@ -200,24 +235,30 @@ def _parse_problem(space, pdata: dict):
     init = None
     if "init" in pdata:
         vals = tuple(
-            parse_point(space, v, f"problem.init[{i}]") for i, v in enumerate(pdata["init"])
+            parse_point(space, v, f"problem.init[{i}]")
+            for i, v in enumerate(_list(pdata["init"], "problem.init"))
         )
         init = EquivariantMap(model, space, vals)
     return prob, init
 
 
 def _parse_cover(prob, cdata: dict) -> CoverSpec:
-    _take(cdata, {"index", "generators", "permutations", "coset_reps"}, "problem.cover")
+    where = "problem.cover"
+    _take(cdata, {"index", "generators", "permutations", "coset_reps"}, where)
     gens = tuple(
-        parse_twist(prob.target, g, f"problem.cover.generators[{i}]")
-        for i, g in enumerate(_require(cdata, "generators", "problem.cover"))
+        parse_twist(prob.target, g, f"{where}.generators[{i}]")
+        for i, g in enumerate(_list(_require(cdata, "generators", where), f"{where}.generators"))
     )
-    perms = tuple(tuple(int(j) for j in p) for p in _require(cdata, "permutations", "problem.cover"))
+    perms = tuple(
+        _ints(p, f"{where}.permutations[{i}]")
+        for i, p in enumerate(_list(_require(cdata, "permutations", where), f"{where}.permutations"))
+    )
     reps = tuple(
-        parse_twist(prob.target, g, f"problem.cover.coset_reps[{i}]")
-        for i, g in enumerate(_require(cdata, "coset_reps", "problem.cover"))
+        parse_twist(prob.target, g, f"{where}.coset_reps[{i}]")
+        for i, g in enumerate(_list(_require(cdata, "coset_reps", where), f"{where}.coset_reps"))
     )
-    return CoverSpec(prob, int(_require(cdata, "index", "problem.cover")), gens, perms, reps)
+    index = _number(_require(cdata, "index", where), int, f"{where}.index")
+    return CoverSpec(prob, index, gens, perms, reps)
 
 
 class RunConfig:
@@ -225,9 +266,9 @@ class RunConfig:
 
     def __init__(self, data: dict, path: str):
         _take(data, {"schema", "seed", "space", "problem", "solver", "output", "verify"}, path)
-        if int(_require(data, "schema", path)) != 1:
+        if _number(_require(data, "schema", path), int, f"{path}: schema") != 1:
             raise ConfigError(f"{path}: unsupported schema version")
-        self.seed = int(_require(data, "seed", path))
+        self.seed = _number(_require(data, "seed", path), int, f"{path}: seed")
         pdata = _require(data, "problem", path)
         self.cover_spec = None
         self.init = None

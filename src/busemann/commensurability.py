@@ -17,12 +17,20 @@ tail of h is negligible.  Minimizers are computed by the same block
 coordinate descent as the edge energy; uniqueness is probed by restart
 agreement and is expected exactly when no sampled point pair is parallel
 under every generator.
+
+On Euclidean targets the descent runs on arrays: each model is compiled once
+(:attr:`CommEnergyModel.arrays`) into flat term arrays and per-cell plans,
+and every sweep evaluates transports, local objectives and energies with
+numpy in the same floating-point order as the scalar loop, so both paths
+return the same numbers.  Other targets use the scalar loop, which stays the
+general path and the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,6 +42,7 @@ from busemann.harmonic import (
     SolveReport,
     TraceRow,
     _local_objective,
+    _require_finite,
     _solve_local,
 )
 from busemann.mapspace import (
@@ -44,6 +53,8 @@ from busemann.mapspace import (
 )
 from busemann.spaces import (
     DomainError,
+    Euclidean,
+    EuclideanIsometry,
     SolverError,
     SpaceMismatchError,
     ValidationError,
@@ -167,21 +178,27 @@ def build_cover(spec: CoverSpec) -> EquivariantProblem:
     )
 
 
+def _cover_cosets(spec: CoverSpec, cover_prob: EquivariantProblem) -> list:
+    """(base cell index, coset) of every cover cell: :func:`build_cover` lists
+    base cell i of coset j at position j * n_base + i."""
+    n = len(spec.base.model.cells)
+    if spec.index > 1 and len(cover_prob.model.cells) != spec.index * n:
+        raise SpaceMismatchError("problem is not the cover built from this spec")
+    return [(pos % n, pos // n) for pos in range(len(cover_prob.model.cells))]
+
+
 def lift_map(spec: CoverSpec, phi: EquivariantMap, cover_prob: Optional[EquivariantProblem] = None) -> EquivariantMap:
     """Lift a base map to the cover: the copy of cell c in coset j takes the
     value rep_j(phi(c))."""
     if phi.model != spec.base.model:
         raise SpaceMismatchError("map does not live over the cover's base model")
     cover_prob = cover_prob if cover_prob is not None else build_cover(spec)
-    base_idx = {c: i for i, c in enumerate(spec.base.model.cells)}
-    values = []
-    for cell in cover_prob.model.cells:
-        if spec.index == 1:
-            values.append(phi.values[base_idx[cell]])
-            continue
-        name, j = cell.rsplit("@", 1)
-        values.append(spec.coset_reps[int(j)].apply(phi.values[base_idx[name]]))
-    return EquivariantMap(cover_prob.model, spec.base.target, tuple(values))
+    if spec.index == 1:
+        return EquivariantMap(cover_prob.model, spec.base.target, phi.values)
+    values = tuple(
+        spec.coset_reps[j].apply(phi.values[i]) for i, j in _cover_cosets(spec, cover_prob)
+    )
+    return EquivariantMap(cover_prob.model, spec.base.target, values)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +257,84 @@ class CommEnergyModel:
     generators: tuple
     word_radius: int
     truncation_residual: float
+
+    @cached_property
+    def arrays(self) -> Optional["KernelArrays"]:
+        """The terms compiled for the array sweeps (None unless the target is
+        Euclidean and every transport a :class:`EuclideanIsometry`); built on
+        first use and dropped with the model."""
+        return _compile_kernel(self)
+
+
+@dataclass(frozen=True)
+class CellPlan:
+    """How the kernel terms enter one cell's local subproblem, in the order
+    of the scalar plan: point terms transport another cell's value into this
+    cell (by the term's transport or its inverse); loops are the terms from
+    the cell to itself, with their normal-equation pieces (w a^T) a and
+    -(w a^T) b for a = M - I precomputed."""
+
+    src: np.ndarray
+    weight: np.ndarray
+    matrix: np.ndarray
+    shift: np.ndarray
+    loop_weight: np.ndarray
+    loop_matrix: np.ndarray
+    loop_shift: np.ndarray
+    loop_normal: np.ndarray
+    loop_rhs: np.ndarray
+
+
+@dataclass(frozen=True)
+class KernelArrays:
+    """Kernel terms as flat arrays: term t contributes
+    weight[t] * d(phi(c1[t]), matrix[t] phi(c2[t]) + shift[t])^2."""
+
+    c1: np.ndarray
+    c2: np.ndarray
+    weight: np.ndarray
+    matrix: np.ndarray
+    shift: np.ndarray
+    cells: tuple
+
+
+def _compile_kernel(m: CommEnergyModel) -> Optional[KernelArrays]:
+    if not isinstance(m.target, Euclidean) or not all(
+        isinstance(kt.transport, EuclideanIsometry) for kt in m.terms
+    ):
+        return None
+    d = m.target.dim
+    n_terms = len(m.terms)
+    c1 = np.array([kt.c1 for kt in m.terms], dtype=np.intp)
+    c2 = np.array([kt.c2 for kt in m.terms], dtype=np.intp)
+    weight = np.array([kt.weight for kt in m.terms], dtype=float)
+    matrix = np.array([kt.transport.matrix for kt in m.terms], dtype=float).reshape(n_terms, d, d)
+    shift = np.array([kt.transport.shift for kt in m.terms], dtype=float).reshape(n_terms, d)
+    # inverse transports, computed as EuclideanIsometry.invert computes them
+    inv_matrix = matrix.transpose(0, 2, 1)
+    inv_shift = -(inv_matrix @ shift[:, :, None])[:, :, 0]
+    is_loop = c1 == c2
+    cells = []
+    for ci in range(len(m.model.cells)):
+        pts = np.flatnonzero(~is_loop & ((c1 == ci) | (c2 == ci)))
+        forward = c1[pts] == ci
+        loops = np.flatnonzero(is_loop & (c1 == ci))
+        a = matrix[loops] - np.eye(d)
+        wa_t = weight[loops, None, None] * a.transpose(0, 2, 1)
+        cells.append(
+            CellPlan(
+                src=np.where(forward, c2[pts], c1[pts]),
+                weight=weight[pts],
+                matrix=np.where(forward[:, None, None], matrix[pts], inv_matrix[pts]),
+                shift=np.where(forward[:, None], shift[pts], inv_shift[pts]),
+                loop_weight=weight[loops],
+                loop_matrix=matrix[loops],
+                loop_shift=shift[loops],
+                loop_normal=wa_t @ a,
+                loop_rhs=-(wa_t @ shift[loops, :, None])[:, :, 0],
+            )
+        )
+    return KernelArrays(c1, c2, weight, matrix, shift, tuple(cells))
 
 
 def comm_energy_model(
@@ -326,10 +421,10 @@ def cover_comm_energy_model(
     cover_prob = cover_prob if cover_prob is not None else build_cover(spec)
     if spec.index == 1:
         return comm_energy_model(cover_prob, cutoff, max_radius)
-    positions = {}
-    for cell in cover_prob.model.cells:
-        _, j = cell.rsplit("@", 1)
-        positions[cell] = spec.coset_reps[int(j)]
+    positions = {
+        cell: spec.coset_reps[j]
+        for cell, (_, j) in zip(cover_prob.model.cells, _cover_cosets(spec, cover_prob))
+    }
     return comm_energy_model(
         cover_prob,
         cutoff,
@@ -371,21 +466,28 @@ def _comm_plans(m: CommEnergyModel):
 
 
 def _comm_sweeps(m, values, tol, max_sweeps, anchor_weights=None, anchor_point=None):
+    """Gauss-Seidel sweeps on the kernel energy plus the optional anchor term
+    sum_c aw_c d(phi(c), anchor_point)^2.  Returns (values, objective, sweeps,
+    converged, trace).  Compiled Euclidean models run on arrays, all others
+    on the scalar loop; the results agree bit for bit in one dimension and to
+rounding in more."""
+    run = _comm_sweeps_arrays if m.arrays is not None else _comm_sweeps_scalar
+    return run(m, values, tol, max_sweeps, anchor_weights, anchor_point)
+
+
+def _comm_sweeps_scalar(m, values, tol, max_sweeps, anchor_weights=None, anchor_point=None):
     space = m.target
     plans = _comm_plans(m)
 
-    def base_energy(vs):
-        phi = EquivariantMap(m.model, space, tuple(vs))
-        return commensurability_energy(m, phi)
-
-    def total(vs):
-        e = base_energy(vs)
-        if anchor_weights is not None:
-            e += math.fsum(
-                aw * space.distance(v, anchor_point) ** 2
-                for aw, v in zip(anchor_weights, vs)
-            )
-        return e
+    def energies(vs):
+        """(kernel energy, objective)"""
+        e = commensurability_energy(m, EquivariantMap(m.model, space, tuple(vs)))
+        if anchor_weights is None:
+            return e, e
+        return e, e + math.fsum(
+            aw * space.distance(v, anchor_point) ** 2
+            for aw, v in zip(anchor_weights, vs)
+        )
 
     def norm_of(vs):
         return math.fsum(
@@ -393,8 +495,9 @@ def _comm_sweeps(m, values, tol, max_sweeps, anchor_weights=None, anchor_point=N
             for w, v in zip(m.model.weights, vs)
         ) ** 0.5
 
-    obj = total(values)
-    trace = [TraceRow(0, base_energy(values), (base_energy(values),), norm_of(values), 0.0, obj)]
+    e_base, obj = energies(values)
+    _require_finite(obj, 0, values)
+    trace = [TraceRow(0, e_base, (e_base,), norm_of(values), 0.0, obj)]
     converged = False
     sweeps = 0
     for sweep in range(1, max_sweeps + 1):
@@ -418,15 +521,106 @@ def _comm_sweeps(m, values, tol, max_sweeps, anchor_weights=None, anchor_point=N
             ):
                 max_move = max(max_move, space.distance(values[ci], znew))
                 values[ci] = znew
-        new_obj = total(values)
+        e_base, new_obj = energies(values)
+        _require_finite(new_obj, sweep, values)
         decrease = obj - new_obj
         obj = new_obj
-        e_base = base_energy(values)
         trace.append(TraceRow(sweep, e_base, (e_base,), norm_of(values), max_move, obj))
         if decrease < tol * (1.0 + abs(obj)) and max_move < tol:
             converged = True
             break
     return values, obj, sweeps, converged, tuple(trace)
+
+
+def _apply_rows(matrix, shift, x):
+    """Row t of x moved by x -> matrix[t] x + shift[t], summed in the order of
+    :meth:`EuclideanIsometry.apply` ((0.0 + M_i0 x_0) + M_i1 x_1 ...) + b_i."""
+    out = 0.0 + matrix[:, :, 0] * x[:, None, 0]
+    for j in range(1, x.shape[1]):
+        out = out + matrix[:, :, j] * x[:, None, j]
+    return out + shift
+
+
+def _weighted_sq_dist(weight, x, y) -> float:
+    """fsum of weight_t * d(x_t, y_t)^2 over rows (broadcast), each square
+    rounded as ``math.dist(x_t, y_t) ** 2`` rounds it (libm pow); in one
+    dimension every term is bit-identical to the scalar one."""
+    diff = x - y
+    if diff.shape[1] == 1:
+        dist = np.abs(diff[:, 0])
+    else:
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return math.fsum((weight * np.float_power(dist, 2.0)).tolist())
+
+
+def _comm_sweeps_arrays(m, values, tol, max_sweeps, anchor_weights=None, anchor_point=None):
+    """The scalar sweeps on the compiled arrays.  Every sum that decides a
+    value is taken in the scalar order (np.cumsum adds in sequence, fsum is
+    exactly rounded), and the local solve is the same lstsq call, so in one
+    dimension the results are bit-identical to :func:`_comm_sweeps_scalar`."""
+    k = m.arrays
+    d = m.target.dim
+    x = np.array(values, dtype=float)
+    mu = np.asarray(m.model.weights, dtype=float)
+    base = np.asarray(m.base_point, dtype=float)
+    anchored = anchor_weights is not None
+    if anchored:
+        aw = np.asarray(anchor_weights, dtype=float)
+        anchor = np.asarray(anchor_point, dtype=float)[None, :]
+    eye = np.eye(d)
+    zero_row = np.zeros((1, d))
+    # per cell: point-term weights (anchor last) and the normal matrix, summed
+    # as _solve_local_euclidean sums them: zero, point terms, anchor, loops
+    weights, normals = [], []
+    for ci, cell in enumerate(k.cells):
+        w = np.append(cell.weight, aw[ci]) if anchored else cell.weight
+        weights.append(w)
+        parts = (np.zeros((1, d, d)), w[:, None, None] * eye, cell.loop_normal)
+        normals.append(np.cumsum(np.concatenate(parts), axis=0)[-1])
+
+    def energies(x):
+        """(kernel energy, objective)"""
+        u = _apply_rows(k.matrix, k.shift, x[k.c2])
+        e = _weighted_sq_dist(k.weight, x[k.c1], u) / m.normalization
+        return e, (e + _weighted_sq_dist(aw, x, anchor)) if anchored else e
+
+    def local_objective(cell, w, u, z):
+        zt = z[None, :]
+        moved = _apply_rows(cell.loop_matrix, cell.loop_shift, zt)
+        return _weighted_sq_dist(w, zt, u) + _weighted_sq_dist(cell.loop_weight, moved, zt)
+
+    e_base, obj = energies(x)
+    _require_finite(obj, 0, values)
+    trace = [TraceRow(0, e_base, (e_base,), _weighted_sq_dist(mu, x, base) ** 0.5, 0.0, obj)]
+    converged = False
+    sweeps = 0
+    for sweep in range(1, max_sweeps + 1):
+        sweeps = sweep
+        max_move = 0.0
+        for ci, cell in enumerate(k.cells):
+            w = weights[ci]
+            if not len(w) and not len(cell.loop_weight):
+                continue
+            u = _apply_rows(cell.matrix, cell.shift, x[cell.src])
+            if anchored:
+                u = np.concatenate((u, anchor))
+            rhs = np.cumsum(np.concatenate((zero_row, w[:, None] * u, cell.loop_rhs)), axis=0)[-1]
+            z0 = x[ci].copy()
+            delta, *_ = np.linalg.lstsq(normals[ci], rhs - normals[ci] @ z0, rcond=None)
+            znew = z0 + delta
+            if local_objective(cell, w, u, znew) <= local_objective(cell, w, u, z0):
+                max_move = max(max_move, math.dist(z0.tolist(), znew.tolist()))
+                x[ci] = znew
+        e_base, new_obj = energies(x)
+        _require_finite(new_obj, sweep, [tuple(v) for v in x.tolist()])
+        decrease = obj - new_obj
+        obj = new_obj
+        norm = _weighted_sq_dist(mu, x, base) ** 0.5
+        trace.append(TraceRow(sweep, e_base, (e_base,), norm, max_move, obj))
+        if decrease < tol * (1.0 + abs(obj)) and max_move < tol:
+            converged = True
+            break
+    return [tuple(v) for v in x.tolist()], obj, sweeps, converged, tuple(trace)
 
 
 def subgroup_harmonic(
@@ -490,10 +684,11 @@ def subgroup_harmonic(
             "restarts disagree although no parallel orbits were found", best=vals
         )
     phi = EquivariantMap(m.model, space, tuple(vals))
+    energy_total = commensurability_energy(m, phi)
     return SolveReport(
         solution=phi,
-        energy_total=commensurability_energy(m, phi),
-        energy_per_class={1: commensurability_energy(m, phi)},
+        energy_total=energy_total,
+        energy_per_class={1: energy_total},
         norm=map_norm(2.0, phi, m.base_point),
         iterations=sweeps,
         trace=trace,

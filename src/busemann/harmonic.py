@@ -327,6 +327,12 @@ class SolveReport:
     extras: dict = field(default_factory=dict)
 
 
+def _require_finite(objective: float, sweep: int, best) -> None:
+    """Stop a descent at once when its objective is NaN or infinite."""
+    if not math.isfinite(objective):
+        raise SolverError(f"non-finite objective {objective} at sweep {sweep}", best=best)
+
+
 def _cell_plans(prob: EquivariantProblem, class_weights: Optional[dict]):
     """Per-cell lists describing how each edge enters the local subproblem."""
     idx = {c: i for i, c in enumerate(prob.model.cells)}
@@ -413,6 +419,7 @@ def minimize_energy(
     values = list(phi.values)
     cur = EquivariantMap(prob.model, space, tuple(values))
     obj = objective(cur)
+    _require_finite(obj, 0, cur)
     trace = [
         TraceRow(
             0,
@@ -463,6 +470,7 @@ def minimize_energy(
                 space.distance(a, b) for a, b in zip(cur.values, nxt.values)
             )
             values = list(nxt.values)
+        _require_finite(obj_new, sweep, nxt)
         decrease = obj - obj_new
         cur, obj = nxt, obj_new
         trace.append(
@@ -502,7 +510,7 @@ def norm_minimal_minimizer(
     """Near-minimizer of the energy with (approximately) minimal norm.
 
     Runs the vanishing-penalty homotopy: minimize E(phi) + lam * rho(phi,
-    x0)^p for a decreasing schedule of lam (default 2^-n, n = 1..20), warm
+    x0)^p for a decreasing schedule of lam (default 2^-n, n = 1..40), warm
     starting each stage at the previous solution.  The returned report's
     extras carry the stage gaps rho(phi_k, phi_{k-1}); the homotopy must be
     Cauchy (final gap below tol), otherwise a :class:`SolverError` signals

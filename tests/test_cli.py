@@ -283,3 +283,68 @@ def test_cli_subprocess_entry(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sub" / "summary.json").exists()
+
+
+def explicit_problem(**changes):
+    problem = {
+        "cells": [{"id": "a", "weight": 0.5}, {"id": "b", "weight": 0.5}],
+        "edges": [
+            {"src": "a", "dst": "b", "weight": 1.0, "twist": {"kind": "identity"}},
+            {"src": "b", "dst": "a", "weight": 1.0, "twist": {"kind": "translation", "by": [1.0]}},
+        ],
+        "base_point": [0.0],
+    }
+    problem.update(changes)
+    return problem
+
+
+def twist_edge(twist, **fields):
+    return {"src": "a", "dst": "a", "weight": 1.0, "twist": twist, **fields}
+
+
+MALFORMED = [
+    # (case, space, problem changes, solver method)
+    ("dim-not-a-number", {"kind": "euclidean", "dim": "x"}, {}, "bcd"),
+    ("dim-infinite", {"kind": "euclidean", "dim": float("inf")}, {}, "bcd"),
+    ("coordinate-not-a-number", None, {"base_point": ["y"]}, "bcd"),
+    # a NaN base point used to run 500 sweeps of NaN energy, then exit 3
+    ("coordinate-nan", None, {"base_point": [float("nan")]}, "bcd"),
+    ("coordinate-nan", None, {"base_point": [float("nan")]}, "commensurability"),
+    ("coordinate-inf", None, {"base_point": [float("-inf")]}, "bcd"),
+    ("init-nan", None, {"init": [[0.0], [float("nan")]]}, "bcd"),
+    ("translation-not-a-number", None, {"edges": [twist_edge({"kind": "translation", "by": ["z"]})]}, "bcd"),
+    ("translation-nan", None, {"edges": [twist_edge({"kind": "translation", "by": [float("nan")]})]}, "bcd"),
+    ("reflection-not-a-list", None, {"edges": [twist_edge({"kind": "point-reflection", "center": 1.0})]}, "bcd"),
+    ("edge-weight", None, {"edges": [twist_edge({"kind": "identity"}, weight="w")]}, "bcd"),
+    ("edge-class", None, {"edges": [twist_edge({"kind": "identity"}, **{"class": "c"})]}, "bcd"),
+    (
+        "cover-index",
+        None,
+        {"cover": {"index": "two", "generators": [], "permutations": [], "coset_reps": []}},
+        "commensurability",
+    ),
+    (
+        "cover-permutation",
+        None,
+        {"cover": {"index": 1, "generators": [{"kind": "identity"}], "permutations": [["p"]],
+                   "coset_reps": [{"kind": "identity"}]}},
+        "commensurability",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "space, changes, method", [pytest.param(*case[1:], id=f"{case[0]}-{case[3]}") for case in MALFORMED]
+)
+def test_solve_malformed_number_exit_2_without_traceback(tmp_path, capsys, space, changes, method):
+    path = write_config(
+        tmp_path,
+        space=space or {"kind": "euclidean", "dim": 1},
+        problem=explicit_problem(**changes),
+        solver={"method": method},
+    )
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -5,6 +5,8 @@ import pytest
 
 from busemann.commensurability import (
     CoverSpec,
+    _comm_sweeps_arrays,
+    _comm_sweeps_scalar,
     build_cover,
     coercivity_fit,
     comm_energy_model,
@@ -24,10 +26,13 @@ from busemann.models import (
     dihedral_line_problem,
     translation_cover_spec,
     translation_loop_model,
+    tree_leafswap_model,
 )
 from busemann.spaces import (
     DomainError,
     Euclidean,
+    EuclideanIsometry,
+    SolverError,
     ValidationError,
     identity_isometry,
     point_reflection,
@@ -379,3 +384,138 @@ def test_coercivity_fit_positive_on_dihedral():
     m, _ = base_harmonic()
     c = coercivity_fit(m, n_samples=1000, seed=0)
     assert c > 0.0
+
+
+# ---------------------------------------------------------------------------
+# covers over cells that are not strings
+# ---------------------------------------------------------------------------
+
+
+def test_cover_with_integer_cell_ids_lifts_and_folds():
+    # cells keep their (cell, coset) structure by position, not by parsing
+    # the "cell@coset" names (which failed with KeyError '0' for int ids)
+    named = base_problem()
+    ids = {c: i for i, c in enumerate(named.model.cells)}
+    base = EquivariantProblem(
+        MeasureModel(tuple(ids.values()), named.model.weights),
+        E1,
+        named.base_point,
+        tuple(Edge(ids[e.src], ids[e.dst], e.weight, e.twist, e.cls) for e in named.edges),
+    )
+    spec = CoverSpec(base, 2, (IDENT, T1, R0), ((0, 1), (1, 0), (0, 1)), (IDENT, T1))
+    cov = build_cover(spec)
+    assert cov.model.cells == ("0@0", "1@0", "2@0", "0@1", "1@1", "2@1")
+    phi = EquivariantMap(base.model, E1, ((0.25,), (-0.5,), (1.5,)))
+    lifted = lift_map(spec, phi, cov)
+    assert lifted.values == ((0.25,), (-0.5,), (1.5,), (1.25,), (0.5,), (2.5,))
+    assert energy(cov, lifted) == pytest.approx(energy(base, phi), rel=1e-12)
+    m_base = comm_energy_model(base)
+    m_cov = cover_comm_energy_model(spec, cov)
+    assert commensurability_energy(m_cov, lifted) == pytest.approx(
+        commensurability_energy(m_base, phi) / 2.0, rel=1e-12
+    )
+
+
+# ---------------------------------------------------------------------------
+# array sweeps against the scalar sweeps
+# ---------------------------------------------------------------------------
+
+
+def both_sweeps(m, start, **anchor):
+    return [
+        sweeps(m, list(start), 1e-9, 500, **anchor)
+        for sweeps in (_comm_sweeps_arrays, _comm_sweeps_scalar)
+    ]
+
+
+def random_start(m, seed):
+    rng = np.random.default_rng(seed)
+    return [tuple(float(c) for c in rng.normal(0.0, 1.0, m.target.dim)) for _ in m.model.cells]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        lambda: comm_energy_model(dihedral_line_problem(3)),
+        lambda: comm_energy_model(dihedral_line_problem(6)),
+        lambda: cover_comm_energy_model(dihedral_cover_model(2).cover_spec),
+    ],
+    ids=["dihedral-3", "dihedral-6", "dihedral-cover-2"],
+)
+def test_array_sweeps_bit_identical_to_scalar_in_one_dimension(model):
+    m = model()
+    assert m.arrays is not None
+    from_random = both_sweeps(m, random_start(m, 4))
+    assert from_random[0][2] > 10
+    for arrays, scalar in (from_random, both_sweeps(m, [m.base_point] * len(m.model.cells))):
+        assert repr(arrays) == repr(scalar)  # repr tells -0.0 from 0.0
+
+
+def test_array_sweeps_bit_identical_on_anchored_stage():
+    # one stage of the norm-minimal homotopy: the anchor term enters the
+    # local sums last among the point terms
+    m = comm_energy_model(dihedral_line_problem(3))
+    anchor = dict(anchor_weights=[2.0 ** -3 * w for w in m.model.weights], anchor_point=(0.5,))
+    arrays, scalar = both_sweeps(m, random_start(m, 5), **anchor)
+    assert arrays[2] > 10
+    assert repr(arrays) == repr(scalar)
+
+
+def test_weighted_squares_round_like_scalar_terms():
+    # d ** 2 is libm pow, which differs from d * d in about 0.1% of cases
+    from busemann.commensurability import _weighted_sq_dist
+
+    rng = np.random.default_rng(8)
+    x, y = rng.normal(0.0, 3.0, (2, 20000, 1))
+    w = rng.uniform(0.0, 1.0, 20000)
+    for wt, a, b in zip(w, x, y):
+        assert _weighted_sq_dist(wt, a[None, :], b[None, :]) == wt * E1.distance(tuple(a), tuple(b)) ** 2
+
+
+def plane_model():
+    e2 = Euclidean(2)
+    ident = identity_isometry(e2)
+    # quarter turn about (1, 0) and the mirror in the line y = 0.25
+    turn = EuclideanIsometry(((0.0, -1.0), (1.0, 0.0)), (1.0, -1.0))
+    mirror = EuclideanIsometry(((1.0, 0.0), (0.0, -1.0)), (0.0, 0.5))
+    cells = MeasureModel(("a", "b", "c"), (0.5, 0.25, 0.25))
+    prob = EquivariantProblem(
+        cells,
+        e2,
+        (0.0, 0.0),
+        (Edge("a", "b", 1.0, ident), Edge("b", "c", 1.0, turn), Edge("c", "a", 1.0, mirror)),
+    )
+    return comm_energy_model(prob, cutoff=1e-6)
+
+
+def test_array_sweeps_match_scalar_in_two_dimensions():
+    # math.dist and a numpy norm may round differently in the last bit
+    m = plane_model()
+    assert m.arrays is not None
+    for anchor in ({}, dict(anchor_weights=[0.25 * w for w in m.model.weights], anchor_point=(1.0, 2.0))):
+        arrays, scalar = both_sweeps(m, random_start(m, 6), **anchor)
+        assert arrays[2] > 10
+        assert arrays[2:4] == scalar[2:4]
+        np.testing.assert_allclose(arrays[0], scalar[0], rtol=0.0, atol=1e-12)
+        assert arrays[1] == pytest.approx(scalar[1], rel=1e-12)
+        for ra, rs in zip(arrays[4], scalar[4]):
+            assert ra.sweep == rs.sweep
+            for field in ("energy_total", "norm", "max_move", "objective"):
+                assert getattr(ra, field) == pytest.approx(getattr(rs, field), rel=1e-12, abs=1e-12)
+
+
+def test_array_path_only_for_euclidean_targets():
+    assert comm_energy_model(tree_leafswap_model().problem).arrays is None
+    m = comm_energy_model(base_problem())
+    assert m.arrays is m.arrays  # compiled once per model
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("sweeps", [_comm_sweeps_arrays, _comm_sweeps_scalar])
+def test_sweeps_fail_fast_on_non_finite_start(sweeps):
+    m = comm_energy_model(base_problem())
+    start = [(0.0,), (math.nan,), (0.0,)]
+    with pytest.raises(SolverError, match="non-finite objective nan at sweep 0"):
+        sweeps(m, start, 1e-9, 500)
+    with pytest.raises(SolverError, match="non-finite"):
+        sweeps(m, [(math.inf,)] * 3, 1e-9, 500)

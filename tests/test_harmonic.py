@@ -28,6 +28,7 @@ from busemann.oracles import grid_minimum_energy
 from busemann.spaces import (
     DomainError,
     Euclidean,
+    SolverError,
     identity_isometry,
     point_reflection,
     star_tree,
@@ -188,6 +189,15 @@ def test_max_sweeps_reports_unconverged():
     gm = dihedral_line_model(3)
     rep = minimize_energy(gm.problem, gm.init, tol=1e-12, max_sweeps=1)
     assert not rep.converged
+
+
+@pytest.mark.parametrize("mode", ["gauss-seidel", "jacobi"])
+def test_non_finite_start_fails_at_once(mode):
+    # used to run all 500 sweeps on NaN energy before reporting non-convergence
+    gm = dihedral_line_model(3)
+    phi = emap(gm.problem.model, [0.0, float("nan"), 0.0])
+    with pytest.raises(SolverError, match="non-finite objective nan at sweep 0"):
+        minimize_energy(gm.problem, phi, max_sweeps=500, mode=mode)
 
 
 def test_energy_convex_along_map_geodesics(rng):
