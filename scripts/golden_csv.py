@@ -6,8 +6,11 @@
 Every generator in ``busemann.models.GENERATORS`` is solved with its default
 parameters under every solver method (``bcd``, ``norm-minimal``,
 ``lexicographic``, ``commensurability``) at a fixed seed (``--seed``, default
-7, stored in ``DIR/seed``).  Each run leaves ``DIR/<generator>/<method>/``
-holding ``trace.csv``, ``solution.csv``, ``summary.json`` without its
+7, stored in ``DIR/seed``).  Beside them ``bcd`` runs an explicit consensus
+chain (``DIR/consensus-chain-20/bcd/``): 20 cells with identity twists both
+ways, started from the ramp i + noise(seed), ``max_sweeps`` 5000, the
+slow-mixing case that dominates Euclidean solve time.  Each run leaves
+``DIR/<generator>/<method>/`` holding ``trace.csv``, ``solution.csv``, ``summary.json`` without its
 ``wall_time_s`` entry, and ``exit_code`` (a run that stops with a solver
 error writes only the exit code).  ``--check`` reruns everything at the
 stored seed in a temporary directory and compares the files byte for byte:
@@ -22,10 +25,49 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from busemann.cli import main as busemann_main
 from busemann.models import GENERATORS
 
 METHODS = ("bcd", "norm-minimal", "lexicographic", "commensurability")
+RUNS = len(GENERATORS) * len(METHODS) + 1
+
+
+def consensus_chain(seed: int, cells: int = 20) -> dict:
+    """Config of the explicit consensus chain run by ``bcd``."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(cells - 1):
+        for src, dst in ((i, i + 1), (i + 1, i)):
+            edges.append({"src": f"c{src}", "dst": f"c{dst}", "weight": 1.0, "twist": {"kind": "identity"}})
+    return {
+        "schema": 1,
+        "seed": seed,
+        "space": {"kind": "euclidean", "dim": 1},
+        "problem": {
+            "cells": [{"id": f"c{i}", "weight": 1.0 / cells} for i in range(cells)],
+            "edges": edges,
+            "base_point": [0.0],
+            "init": [[i + float(rng.uniform(-0.1, 0.1))] for i in range(cells)],
+        },
+        "solver": {"method": "bcd", "max_sweeps": 5000},
+    }
+
+
+def solve(out: Path, config: dict) -> None:
+    out.mkdir(parents=True)
+    path = out / "config.json"
+    path.write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = busemann_main(["solve", str(path), "--out", str(out)])
+    path.unlink()
+    (out / "exit_code").write_text(f"{code}\n")
+    summary = out / "summary.json"
+    if summary.exists():
+        data = json.loads(summary.read_text())
+        del data["wall_time_s"]
+        summary.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def run_all(root: Path, seed: int) -> None:
@@ -33,24 +75,13 @@ def run_all(root: Path, seed: int) -> None:
     (root / "seed").write_text(f"{seed}\n")
     for generator in sorted(GENERATORS):
         for method in METHODS:
-            out = root / generator / method
-            out.mkdir(parents=True)
-            config = out / "config.json"
-            config.write_text(json.dumps({
+            solve(root / generator / method, {
                 "schema": 1,
                 "seed": seed,
                 "problem": {"generator": generator},
                 "solver": {"method": method},
-            }))
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = busemann_main(["solve", str(config), "--out", str(out)])
-            config.unlink()
-            (out / "exit_code").write_text(f"{code}\n")
-            summary = out / "summary.json"
-            if summary.exists():
-                data = json.loads(summary.read_text())
-                del data["wall_time_s"]
-                summary.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+            })
+    solve(root / "consensus-chain-20" / "bcd", consensus_chain(seed))
 
 
 def differences(expected: Path, actual: Path) -> list:
@@ -75,7 +106,7 @@ def main() -> int:
     args = ap.parse_args()
     if args.write:
         run_all(Path(args.write), args.seed)
-        print(f"wrote {len(GENERATORS) * len(METHODS)} runs to {args.write}")
+        print(f"wrote {RUNS} runs to {args.write}")
         return 0
     expected = Path(args.check)
     with tempfile.TemporaryDirectory() as tmp:
@@ -84,7 +115,7 @@ def main() -> int:
         diffs = differences(expected, actual)
     for line in diffs:
         print(line)
-    print(f"{len(diffs)} differences in {len(GENERATORS) * len(METHODS)} runs")
+    print(f"{len(diffs)} differences in {RUNS} runs")
     return 1 if diffs else 0
 
 

@@ -78,15 +78,25 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _number(value, kind, where: str):
+def _number(value, where: str) -> float:
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
 
 
+def _integer(value, where: str) -> int:
+    """An integral config number: 3 or 3.0, not 2.5, NaN, infinity or a bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    x = math.nan if isinstance(value, bool) else _number(value, where)
+    if not (math.isfinite(x) and x.is_integer()):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(x)
+
+
 def _real(value, where: str) -> float:
-    x = _number(value, float, where)
+    x = _number(value, where)
     if not math.isfinite(x):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return x
@@ -103,18 +113,18 @@ def _reals(values, where: str) -> tuple:
 
 
 def _ints(values, where: str) -> tuple:
-    return tuple(_number(v, int, f"{where}[{i}]") for i, v in enumerate(_list(values, where)))
+    return tuple(_integer(v, f"{where}[{i}]") for i, v in enumerate(_list(values, where)))
 
 
 def parse_space(spec: dict, where: str = "space"):
     kind = _require(spec, "kind", where)
     if kind == "euclidean":
         _take(spec, {"kind", "dim"}, where)
-        return Euclidean(_number(_require(spec, "dim", where), int, f"{where}.dim"))
+        return Euclidean(_integer(_require(spec, "dim", where), f"{where}.dim"))
     if kind == "lp":
         _take(spec, {"kind", "dim", "p"}, where)
         return LpVector(
-            _number(_require(spec, "dim", where), int, f"{where}.dim"),
+            _integer(_require(spec, "dim", where), f"{where}.dim"),
             _real(_require(spec, "p", where), f"{where}.p"),
         )
     if kind == "tree":
@@ -148,7 +158,7 @@ def parse_point(space, data, where: str = "point"):
         if "vertex" in data:
             return space.vertex_point(data["vertex"])
         return space.point(
-            _number(_require(data, "edge", where), int, f"{where}.edge"),
+            _integer(_require(data, "edge", where), f"{where}.edge"),
             _real(_require(data, "offset", where), f"{where}.offset"),
         )
     if isinstance(space, Product):
@@ -214,7 +224,7 @@ def _parse_problem(space, pdata: dict):
         _take(c, {"id", "weight"}, "problem.cells[]")
     ids = tuple(_require(c, "id", "problem.cells[]") for c in cells)
     weights = tuple(
-        _number(_require(c, "weight", "problem.cells[]"), float, "problem.cells[].weight")
+        _number(_require(c, "weight", "problem.cells[]"), "problem.cells[].weight")
         for c in cells
     )
     model = MeasureModel(ids, weights)
@@ -227,7 +237,7 @@ def _parse_problem(space, pdata: dict):
                 _require(e, "dst", f"problem.edges[{i}]"),
                 _real(_require(e, "weight", f"problem.edges[{i}]"), f"problem.edges[{i}].weight"),
                 parse_twist(space, _require(e, "twist", f"problem.edges[{i}]"), f"problem.edges[{i}].twist"),
-                _number(e.get("class", 1), int, f"problem.edges[{i}].class"),
+                _integer(e.get("class", 1), f"problem.edges[{i}].class"),
             )
         )
     base = parse_point(space, _require(pdata, "base_point", "problem"), "problem.base_point")
@@ -257,7 +267,7 @@ def _parse_cover(prob, cdata: dict) -> CoverSpec:
         parse_twist(prob.target, g, f"{where}.coset_reps[{i}]")
         for i, g in enumerate(_list(_require(cdata, "coset_reps", where), f"{where}.coset_reps"))
     )
-    index = _number(_require(cdata, "index", where), int, f"{where}.index")
+    index = _integer(_require(cdata, "index", where), f"{where}.index")
     return CoverSpec(prob, index, gens, perms, reps)
 
 
@@ -266,9 +276,9 @@ class RunConfig:
 
     def __init__(self, data: dict, path: str):
         _take(data, {"schema", "seed", "space", "problem", "solver", "output", "verify"}, path)
-        if _number(_require(data, "schema", path), int, f"{path}: schema") != 1:
+        if _integer(_require(data, "schema", path), f"{path}: schema") != 1:
             raise ConfigError(f"{path}: unsupported schema version")
-        self.seed = _number(_require(data, "seed", path), int, f"{path}: seed")
+        self.seed = _integer(_require(data, "seed", path), f"{path}: seed")
         pdata = _require(data, "problem", path)
         self.cover_spec = None
         self.init = None
@@ -301,10 +311,10 @@ class RunConfig:
         self.method = sdata.get("method", "bcd")
         if self.method not in ("bcd", "norm-minimal", "lexicographic", "commensurability"):
             raise ConfigError(f"solver.method: unknown method {self.method!r}")
-        self.tol = _number(sdata.get("tol", 1e-9), float, "solver.tol")
+        self.tol = _number(sdata.get("tol", 1e-9), "solver.tol")
         if not self.tol > 0.0:
             raise ConfigError(f"solver.tol: must be > 0, got {self.tol!r}")
-        self.max_sweeps = _number(sdata.get("max_sweeps", 500), int, "solver.max_sweeps")
+        self.max_sweeps = _integer(sdata.get("max_sweeps", 500), "solver.max_sweeps")
         if self.max_sweeps < 1:
             raise ConfigError(f"solver.max_sweeps: must be >= 1, got {self.max_sweeps}")
         self.mode = sdata.get("mode", "gauss-seidel")

@@ -13,6 +13,17 @@ neighbors (self-loops contribute displacement terms d(T z, z)^p, handled
 exactly inside the local subproblem).  On Euclidean targets with p = 2 the
 local subproblem is a linear solve, so energy decrease is exact.
 
+There are two sweep engines.  The scalar engine works on any target and is
+the reference.  The compiled engine runs Gauss-Seidel sweeps on numpy arrays
+and applies when the target is :class:`Euclidean`, p = 2 and every twist is
+a :class:`EuclideanIsometry`: the problem is compiled once
+(:attr:`EquivariantProblem.arrays`) into flat term arrays and per-cell plans
+(:func:`compile_terms`), and each sweep sums in the scalar engine's order, so
+both engines give the same numbers, bit for bit in one dimension and to
+rounding in more.  The commensurability solver runs its kernel energy on the
+same compiled engine.  Trees, l_p and product targets, p != 2 and Jacobi
+sweeps use the scalar engine.
+
 Besides the plain minimizer this module provides the norm-minimal selection
 (vanishing-penalty homotopy toward the base point), lexicographic
 minimization across edge classes, and report-style checks of the structure
@@ -30,6 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,6 +59,7 @@ from busemann.mapspace import (
 from busemann.spaces import (
     DomainError,
     Euclidean,
+    EuclideanIsometry,
     MetricTree,
     Product,
     ProductIsometry,
@@ -147,6 +160,32 @@ class EquivariantProblem:
 
     def initial_map(self) -> EquivariantMap:
         return const_map(self.model, self.target, self.base_point)
+
+    @cached_property
+    def arrays(self) -> Optional["KernelArrays"]:
+        """The edges compiled for the compiled engine, or None when it does
+        not apply (it needs a Euclidean target, p = 2 and only
+        :class:`EuclideanIsometry` twists).  Edge src -> dst with twist T
+        is the term c1 = dst, c2 = src, transport T, weighted mu(src) * w.
+        Built on first use and shared by every solve of the problem."""
+        if not (
+            isinstance(self.target, Euclidean)
+            and self.p == 2.0
+            and all(isinstance(e.twist, EuclideanIsometry) for e in self.edges)
+        ):
+            return None
+        idx = {c: i for i, c in enumerate(self.model.cells)}
+        mu = self.model.weights
+        src = [idx[e.src] for e in self.edges]
+        return compile_terms(
+            len(mu),
+            self.target.dim,
+            [idx[e.dst] for e in self.edges],
+            src,
+            [mu[si] * e.weight for si, e in zip(src, self.edges)],
+            [e.twist.matrix for e in self.edges],
+            [e.twist.shift for e in self.edges],
+        )
 
 
 def _sampled_identity(space, T, samples: int = 6) -> bool:
@@ -327,45 +366,295 @@ class SolveReport:
     extras: dict = field(default_factory=dict)
 
 
-def _require_finite(objective: float, sweep: int, best) -> None:
-    """Stop a descent at once when its objective is NaN or infinite."""
-    if not math.isfinite(objective):
-        raise SolverError(f"non-finite objective {objective} at sweep {sweep}", best=best)
+def _stop_reason(converged: bool) -> str:
+    return "converged" if converged else "max_sweeps"
 
 
-def _cell_plans(prob: EquivariantProblem, class_weights: Optional[dict]):
-    """Per-cell lists describing how each edge enters the local subproblem."""
-    idx = {c: i for i, c in enumerate(prob.model.cells)}
-    mu = prob.model.weights
-    plans = [[] for _ in prob.model.cells]
-    for e in prob.edges:
-        scale = 1.0 if class_weights is None else float(class_weights.get(e.cls, 0.0))
-        if scale == 0.0:
-            continue
-        si, di = idx[e.src], idx[e.dst]
-        w = scale * mu[si] * e.weight
-        if si == di:
-            plans[si].append(("loop", w, e.twist))
+def _descend(sweep_once, evaluate, best, tol: float, max_sweeps: int):
+    """The outer loop shared by every sweep engine.
+
+    ``evaluate(sweep, max_move)`` returns the trace row of the current map,
+    ``sweep_once()`` runs one sweep in place and returns the largest cell
+    move, and ``best()`` gives the current map for the :class:`SolverError`
+    raised at the first non-finite objective.  Stops when the decrease of
+    the objective over a sweep falls below tol * (1 + |objective|) and no
+    cell moved more than tol.  Returns (objective, sweeps, converged, trace).
+    """
+
+    def checked(sweep, max_move):
+        row = evaluate(sweep, max_move)
+        if not math.isfinite(row.objective):
+            raise SolverError(f"non-finite objective {row.objective} at sweep {sweep}", best=best())
+        return row
+
+    row = checked(0, 0.0)
+    trace = [row]
+    converged = False
+    sweeps = 0
+    for sweep in range(1, max_sweeps + 1):
+        sweeps = sweep
+        max_move = sweep_once()
+        obj = row.objective
+        row = checked(sweep, max_move)
+        trace.append(row)
+        if obj - row.objective < tol * (1.0 + abs(row.objective)) and max_move < tol:
+            converged = True
+            break
+    return row.objective, sweeps, converged, tuple(trace)
+
+
+def _term_plans(terms, n_cells: int):
+    """Per-cell point terms (weight, source cell, transport) and loops
+    (weight, transport) of the local subproblems.  A term (c1, c2, w, T)
+    stands for w * d(phi(c1), T phi(c2))^p: it moves phi(c2) into cell c1
+    by T and phi(c1) into cell c2 by T^-1, or is a loop when c1 = c2."""
+    points = [[] for _ in range(n_cells)]
+    loops = [[] for _ in range(n_cells)]
+    for c1, c2, w, t in terms:
+        if c1 == c2:
+            loops[c1].append((w, t))
         else:
-            plans[si].append(("out", w, di, e.twist.invert()))
-            plans[di].append(("in", w, si, e.twist))
-    return plans
+            points[c2].append((w, c1, t.invert()))
+            points[c1].append((w, c2, t))
+    return points, loops
 
 
-def _local_terms(plan, values, anchor):
-    point_terms = []
-    loop_terms = []
-    for item in plan:
-        kind = item[0]
-        if kind == "loop":
-            loop_terms.append((item[1], item[2]))
-        elif kind == "out":
-            point_terms.append((item[1], item[3].apply(values[item[2]])))
-        else:
-            point_terms.append((item[1], item[3].apply(values[item[2]])))
+def _local_terms(points, values, anchor):
+    pts = [(w, t.apply(values[src])) for w, src, t in points]
     if anchor is not None:
-        point_terms.append(anchor)
-    return point_terms, loop_terms
+        pts.append(anchor)
+    return pts
+
+
+def _scalar_sweep(space, p, points, loops, values, anchors, tol, seed) -> float:
+    """One Gauss-Seidel sweep of the scalar engine, in place: each cell moves
+    to the minimizer of its local subproblem unless that raises the local
+    objective.  Returns the largest move."""
+    max_move = 0.0
+    for ci in range(len(values)):
+        pts = _local_terms(points[ci], values, anchors[ci] if anchors else None)
+        if not pts and not loops[ci]:
+            continue
+        znew = _solve_local(space, p, pts, loops[ci], values[ci], tol, seed)
+        if _local_objective(space, p, pts, loops[ci], znew) <= _local_objective(
+            space, p, pts, loops[ci], values[ci]
+        ):
+            max_move = max(max_move, space.distance(values[ci], znew))
+            values[ci] = znew
+    return max_move
+
+
+# ---------------------------------------------------------------------------
+# The compiled engine: Euclidean targets, p = 2
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CellPlan:
+    """How the terms enter one cell's local subproblem, in the order of the
+    scalar plan: point terms transport another cell's value into this cell
+    (by the term's transport or its inverse); loops are the terms from the
+    cell to itself, with their normal-equation pieces (w a^T) a and
+    -(w a^T) b for a = M - I precomputed."""
+
+    src: np.ndarray
+    weight: np.ndarray
+    matrix: np.ndarray
+    shift: np.ndarray
+    loop_weight: np.ndarray
+    loop_matrix: np.ndarray
+    loop_shift: np.ndarray
+    loop_normal: np.ndarray
+    loop_rhs: np.ndarray
+
+
+@dataclass(frozen=True)
+class KernelArrays:
+    """Terms as flat arrays: term t contributes
+    weight[t] * d(phi(c1[t]), matrix[t] phi(c2[t]) + shift[t])^2."""
+
+    c1: np.ndarray
+    c2: np.ndarray
+    weight: np.ndarray
+    matrix: np.ndarray
+    shift: np.ndarray
+    cells: tuple
+
+
+def compile_terms(n_cells: int, dim: int, c1, c2, weight, matrix, shift) -> KernelArrays:
+    """Flat term arrays plus one :class:`CellPlan` per cell.
+
+    Shifts are stored plus 0.0 (so -0.0 becomes 0.0): then a transport
+    summed as (M_i0 x_0 + M_i1 x_1 ...) + b_i rounds exactly as
+    :meth:`EuclideanIsometry.apply`, whose sum starts from 0.0.  Inverse
+    transports are computed as :meth:`EuclideanIsometry.invert` computes
+    them, M^T and -(M^T b).
+    """
+    c1 = np.asarray(c1, dtype=np.intp)
+    c2 = np.asarray(c2, dtype=np.intp)
+    weight = np.asarray(weight, dtype=float)
+    n_terms = len(c1)
+    matrix = np.asarray(matrix, dtype=float).reshape(n_terms, dim, dim)
+    shift = np.asarray(shift, dtype=float).reshape(n_terms, dim) + 0.0
+    inv_matrix = matrix.transpose(0, 2, 1)
+    inv_shift = -(inv_matrix @ shift[:, :, None])[:, :, 0] + 0.0
+    is_loop = c1 == c2
+    cells = []
+    for ci in range(n_cells):
+        pts = np.flatnonzero(~is_loop & ((c1 == ci) | (c2 == ci)))
+        forward = c1[pts] == ci
+        loops = np.flatnonzero(is_loop & (c1 == ci))
+        a = matrix[loops] - np.eye(dim)
+        wa_t = weight[loops, None, None] * a.transpose(0, 2, 1)
+        cells.append(
+            CellPlan(
+                src=np.where(forward, c2[pts], c1[pts]),
+                weight=weight[pts],
+                matrix=np.where(forward[:, None, None], matrix[pts], inv_matrix[pts]),
+                shift=np.where(forward[:, None], shift[pts], inv_shift[pts]),
+                loop_weight=weight[loops],
+                loop_matrix=matrix[loops],
+                loop_shift=shift[loops],
+                loop_normal=wa_t @ a,
+                loop_rhs=-(wa_t @ shift[loops, :, None])[:, :, 0],
+            )
+        )
+    return KernelArrays(c1, c2, weight, matrix, shift, tuple(cells))
+
+
+def _apply_rows(matrix, shift, x):
+    """x moved by the transports x -> matrix[t] x + shift[t], broadcasting
+    x[..., :] against the term axis and summing in the order of
+    :meth:`EuclideanIsometry.apply` (shifts as stored by :func:`compile_terms`)."""
+    out = matrix[..., 0] * x[..., None, 0]
+    for j in range(1, x.shape[-1]):
+        out = out + matrix[..., j] * x[..., None, j]
+    return out + shift
+
+
+def _sq_terms(weight, diff):
+    """weight * |diff|^2 over the last axis of the differences diff = x - y,
+    each square rounded as ``math.dist(x, y) ** 2`` rounds it (libm pow); in
+    one dimension every term is bit-identical to the scalar one."""
+    if diff.shape[-1] == 1:
+        dist = np.abs(diff[..., 0])
+    else:
+        dist = np.sqrt(np.einsum("...i,...i->...", diff, diff))
+    return weight * np.float_power(dist, 2.0)
+
+
+def _weighted_sq_dist(weight, x, y) -> float:
+    """fsum of weight_t * d(x_t, y_t)^2 over rows (broadcast), see :func:`_sq_terms`."""
+    return math.fsum(_sq_terms(weight, x - y).tolist())
+
+
+# gelsd rescales a matrix or right-hand side whose largest entry lies
+# outside [2^-970, 2^970] before solving
+_RECIPROCAL_RANGE = (2.0 ** -969, 2.0 ** 969)
+
+
+def _solve_1d(n: float, r: float) -> float:
+    """The z that ``np.linalg.lstsq([[n]], [r])`` returns, mostly without
+    LAPACK: gelsd scales r by the reciprocal of n (dlascl multiplies by
+    1 / n), so z = r * (1 / n), and z = 0 when n == 0; r / n differs from it
+    in about a quarter of all cases."""
+    lo, hi = _RECIPROCAL_RANGE
+    if n == 0.0:
+        return 0.0
+    if lo <= abs(n) <= hi and (r == 0.0 or lo <= abs(r) <= hi):
+        return r * (1.0 / n)
+    return np.linalg.lstsq(np.array([[n]]), np.array([r]), rcond=None)[0][0]
+
+
+def _cell_steps(plan: KernelArrays, anchor_weights, anchor_row: int) -> list:
+    """Per-cell data of the compiled sweep, for the cells that have terms."""
+    d = plan.shift.shape[1]
+    eye = np.eye(d)
+    steps = []
+    for ci, cell in enumerate(plan.cells):
+        src, weight, matrix, shift = cell.src, cell.weight, cell.matrix, cell.shift
+        if anchor_weights is not None:
+            # the anchor is the last point term: the identity applied to the
+            # row of x that holds the anchor point
+            src = np.append(src, anchor_row)
+            weight = np.append(weight, anchor_weights[ci])
+            matrix = np.concatenate((matrix, eye[None]))
+            shift = np.concatenate((shift, np.zeros((1, d))))
+        k = len(weight)
+        if not k and not len(cell.loop_weight):
+            continue
+        # the normal matrix and right-hand side are summed as
+        # _solve_local_euclidean sums them: zero, point terms, loops
+        parts = (np.zeros((1, d, d)), weight[:, None, None] * eye, cell.loop_normal)
+        normal = np.cumsum(np.concatenate(parts), axis=0)[-1]
+        rhs = np.concatenate((np.zeros((1, d)), np.empty((k, d)), cell.loop_rhs))
+        diff = np.empty((2, k + len(cell.loop_weight), d))
+        steps.append((
+            ci, src, matrix, shift, weight[:, None], rhs, rhs[1 : k + 1], normal,
+            float(normal[0, 0]) if d == 1 else None,
+            cell.loop_matrix if len(cell.loop_weight) else None, cell.loop_shift,
+            np.concatenate((weight, cell.loop_weight)), k, diff, diff[:, :k], diff[:, k:],
+        ))
+    return steps
+
+
+def _compiled_sweeps(plan: KernelArrays, values, tol, max_sweeps, evaluate, anchor_weights=None, anchor_point=None):
+    """Gauss-Seidel sweeps of the scalar engine on compiled terms.
+
+    ``plan`` supplies the local subproblems (its weights are the plan
+    weights); ``anchor_weights``/``anchor_point`` add the point term
+    aw_c * d(phi(c), anchor_point)^2 to the subproblem of every cell c; and
+    ``evaluate(x, sweep, max_move)`` returns the trace row of the map held
+    in the n x d array x, whose objective decides convergence.  Every sum
+    that decides a value is taken in the order of the scalar engine
+    (np.cumsum adds in sequence, fsum is exactly rounded), the 1 x 1 local
+    solve is :func:`_solve_1d` and larger ones the same lstsq call, and the
+    local objectives at the old and new value are compared with the same
+    ``<=``, so in one dimension the results are bit-identical to the scalar
+    engine.  Returns (values, objective, sweeps, converged, trace).
+    """
+    n = len(plan.cells)
+    d = plan.shift.shape[1]
+    x = np.zeros((n + 1, d))
+    x[:n] = values
+    if anchor_point is not None:
+        x[n] = anchor_point
+    steps = _cell_steps(plan, anchor_weights, n)
+    pair = np.empty((2, d))  # old and new value of the cell being solved
+    z0, z1 = pair
+    zb = pair[:, None, :]
+    one_dim = d == 1
+
+    def sweep_once():
+        max_move = 0.0
+        for (ci, src, matrix, shift, wcol, rhs, slot, normal, n1, loop_matrix, loop_shift,
+             weight, k, diff, diff_points, diff_loops) in steps:
+            u = _apply_rows(matrix, shift, x[src])
+            np.multiply(wcol, u, out=slot)
+            z0[...] = x[ci]
+            r = rhs.cumsum(axis=0)[-1] - normal @ z0
+            np.add(z0, _solve_1d(n1, r[0]) if one_dim else np.linalg.lstsq(normal, r, rcond=None)[0], out=z1)
+            # both local objectives in one pass, each summed as _local_objective sums it
+            np.subtract(zb, u, out=diff_points)
+            if loop_matrix is not None:
+                np.subtract(_apply_rows(loop_matrix, loop_shift, zb), zb, out=diff_loops)
+            f0, f1 = _sq_terms(weight, diff).tolist()
+            if math.fsum(f1[:k]) + math.fsum(f1[k:]) <= math.fsum(f0[:k]) + math.fsum(f0[k:]):
+                max_move = max(max_move, math.dist(*pair.tolist()))
+                x[ci] = z1
+        return max_move
+
+    cells = x[:n]
+    rows = lambda: [tuple(v) for v in cells.tolist()]
+    obj, sweeps, converged, trace = _descend(
+        sweep_once, lambda sweep, move: evaluate(cells, sweep, move), rows, tol, max_sweeps
+    )
+    return rows(), obj, sweeps, converged, trace
+
+
+# ---------------------------------------------------------------------------
+# Minimizers
+# ---------------------------------------------------------------------------
 
 
 def minimize_energy(
@@ -389,6 +678,13 @@ def minimize_energy(
     updates) or "jacobi" (all updates computed from a frozen snapshot, then
     applied along the map-space geodesic with a backtracked step, which keeps
     the descent monotone and is safe to parallelize).
+
+    Gauss-Seidel sweeps run on the compiled engine when the problem compiles
+    (:attr:`EquivariantProblem.arrays`: Euclidean target, p = 2, Euclidean
+    twists), with the scalar engine's numbers (bit for bit in one
+    dimension), and on the scalar engine otherwise.  ``extras`` records the
+    ``engine`` ("compiled" or "scalar") and the ``stop_reason``
+    ("converged" or "max_sweeps").
     """
     if mode not in ("gauss-seidel", "jacobi"):
         raise DomainError(f"unknown sweep mode {mode!r}")
@@ -397,107 +693,123 @@ def minimize_energy(
         raise SpaceMismatchError("initial map does not match the problem")
     space = prob.target
     p = prob.p
-    plans = _cell_plans(prob, class_weights)
     mu = prob.model.weights
-    anchors = None
-    if anchor is not None:
-        lam, x0 = anchor
-        anchors = [(lam * m, x0) for m in mu]
+    classes = prob.classes
+    scales = None if class_weights is None else [float(class_weights.get(c, 0.0)) for c in classes]
+    # the edges of classes with a nonzero weight and their plan weights
+    # (class weight) * mu(src) * w, which only the local subproblems use
+    idx = {c: i for i, c in enumerate(prob.model.cells)}
+    kept, plan_weight = [], []
+    for i, e in enumerate(prob.edges):
+        scale = 1.0 if scales is None else scales[classes.index(e.cls)]
+        if scale != 0.0:
+            kept.append(i)
+            plan_weight.append(scale * mu[idx[e.src]] * e.weight)
+    anchor_weights = None if anchor is None else [anchor[0] * m for m in mu]
+    # in the norm-minimal homotopy the anchor is the base point: reuse the norm
+    anchor_is_base = anchor is not None and anchor[1] is prob.base_point
 
-    def objective(m: EquivariantMap) -> float:
-        if class_weights is None:
-            base = energy(prob, m)
-        else:
-            base = math.fsum(
-                float(class_weights.get(c, 0.0)) * energy(prob, m, classes={c})
-                for c in prob.classes
-            )
+    def row(sweep, max_move, e_total, per_class, norm, anchor_norm) -> TraceRow:
+        obj = e_total if scales is None else math.fsum(s * e for s, e in zip(scales, per_class))
         if anchor is not None:
-            base += anchor[0] * map_norm(p, m, anchor[1]) ** p
-        return base
+            obj += anchor[0] * anchor_norm ** p
+        return TraceRow(sweep, e_total, per_class, norm, max_move, obj)
 
-    values = list(phi.values)
-    cur = EquivariantMap(prob.model, space, tuple(values))
-    obj = objective(cur)
-    _require_finite(obj, 0, cur)
-    trace = [
-        TraceRow(
-            0,
-            energy(prob, cur),
-            tuple(energy(prob, cur, classes={c}) for c in prob.classes),
-            map_norm(p, cur, prob.base_point),
-            0.0,
-            obj,
-        )
-    ]
-    converged = False
-    sweeps = 0
-    for sweep in range(1, max_sweeps + 1):
-        sweeps = sweep
-        max_move = 0.0
-        if mode == "gauss-seidel":
-            for ci in range(len(values)):
-                pts, loops = _local_terms(plans[ci], values, anchors[ci] if anchors else None)
-                if not pts and not loops:
-                    continue
-                znew = _solve_local(space, p, pts, loops, values[ci], tol, seed)
-                if _local_objective(space, p, pts, loops, znew) <= _local_objective(
-                    space, p, pts, loops, values[ci]
-                ):
-                    max_move = max(max_move, space.distance(values[ci], znew))
-                    values[ci] = znew
-            nxt = EquivariantMap(prob.model, space, tuple(values))
-            obj_new = objective(nxt)
+    def scalar_row(values, sweep=0, max_move=0.0) -> TraceRow:
+        cur = EquivariantMap(prob.model, space, tuple(values))
+        e_total = energy(prob, cur)
+        if len(classes) == 1:
+            per_class = (e_total,)
         else:
+            per_class = tuple(energy(prob, cur, classes={c}) for c in classes)
+        norm = map_norm(p, cur, prob.base_point)
+        anchor_norm = None
+        if anchor is not None:
+            anchor_norm = norm if anchor_is_base else map_norm(p, cur, anchor[1])
+        return row(sweep, max_move, e_total, per_class, norm, anchor_norm)
+
+    k = prob.arrays if mode == "gauss-seidel" else None
+    if k is not None:
+        engine = "compiled"
+        plan = k
+        if class_weights is not None:
+            plan = compile_terms(
+                len(mu), space.dim, k.c1[kept], k.c2[kept], plan_weight, k.matrix[kept], k.shift[kept]
+            )
+        edge_class = np.array([e.cls for e in prob.edges])
+        masks = [edge_class == c for c in classes] if len(classes) != 1 else None
+        mu_arr = np.array(mu)
+        base = np.array(prob.base_point, dtype=float)
+        x0 = None if anchor is None else np.array(anchor[1], dtype=float)
+
+        def compiled_row(x, sweep, max_move) -> TraceRow:
+            terms = _sq_terms(k.weight, x[k.c1] - _apply_rows(k.matrix, k.shift, x[k.c2]))
+            e_total = math.fsum(terms.tolist())
+            if masks is None:
+                per_class = (e_total,)
+            else:
+                per_class = tuple(math.fsum(terms[m].tolist()) for m in masks)
+            norm = _weighted_sq_dist(mu_arr, x, base) ** (1.0 / p)
+            anchor_norm = None
+            if anchor is not None:
+                anchor_norm = norm if anchor_is_base else _weighted_sq_dist(mu_arr, x, x0) ** (1.0 / p)
+            return row(sweep, max_move, e_total, per_class, norm, anchor_norm)
+
+        values, obj, sweeps, converged, trace = _compiled_sweeps(
+            plan, phi.values, tol, max_sweeps, compiled_row, anchor_weights,
+            None if anchor is None else anchor[1],
+        )
+    else:
+        engine = "scalar"
+        edges = [prob.edges[i] for i in kept]
+        terms = [(idx[e.dst], idx[e.src], w, e.twist) for e, w in zip(edges, plan_weight)]
+        points, loops = _term_plans(terms, len(mu))
+        anchors = None if anchor is None else [(w, anchor[1]) for w in anchor_weights]
+        values = list(phi.values)
+
+        def gauss_seidel_sweep() -> float:
+            return _scalar_sweep(space, p, points, loops, values, anchors, tol, seed)
+
+        def jacobi_sweep() -> float:
+            cur = EquivariantMap(prob.model, space, tuple(values))
+            obj = scalar_row(values).objective
             proposals = []
             for ci in range(len(values)):
-                pts, loops = _local_terms(plans[ci], values, anchors[ci] if anchors else None)
-                if not pts and not loops:
+                pts = _local_terms(points[ci], values, anchors[ci] if anchors else None)
+                if not pts and not loops[ci]:
                     proposals.append(values[ci])
-                    continue
-                proposals.append(_solve_local(space, p, pts, loops, values[ci], tol, seed))
+                else:
+                    proposals.append(_solve_local(space, p, pts, loops[ci], values[ci], tol, seed))
             prop = EquivariantMap(prob.model, space, tuple(proposals))
             lam_step = 1.0
-            nxt, obj_new = cur, obj
+            nxt = cur
             for _ in range(40):
                 candidate = map_geodesic(cur, prop, lam_step)
-                oc = objective(candidate)
-                if oc < obj:
-                    nxt, obj_new = candidate, oc
+                if scalar_row(candidate.values).objective < obj:
+                    nxt = candidate
                     break
                 lam_step *= 0.5
-            max_move = max(
-                space.distance(a, b) for a, b in zip(cur.values, nxt.values)
-            )
-            values = list(nxt.values)
-        _require_finite(obj_new, sweep, nxt)
-        decrease = obj - obj_new
-        cur, obj = nxt, obj_new
-        trace.append(
-            TraceRow(
-                sweep,
-                energy(prob, cur),
-                tuple(energy(prob, cur, classes={c}) for c in prob.classes),
-                map_norm(p, cur, prob.base_point),
-                max_move,
-                obj,
-            )
+            values[:] = nxt.values
+            return max(space.distance(a, b) for a, b in zip(cur.values, nxt.values))
+
+        obj, sweeps, converged, trace = _descend(
+            gauss_seidel_sweep if mode == "gauss-seidel" else jacobi_sweep,
+            lambda sweep, move: scalar_row(values, sweep, move),
+            lambda: EquivariantMap(prob.model, space, tuple(values)),
+            tol,
+            max_sweeps,
         )
-        if decrease < tol * (1.0 + abs(obj)) and max_move < tol:
-            converged = True
-            break
-    e_total = energy(prob, cur)
-    report = SolveReport(
-        solution=cur,
-        energy_total=e_total,
-        energy_per_class=energy_by_class(prob, cur),
-        norm=map_norm(p, cur, prob.base_point),
+    last = trace[-1]
+    return SolveReport(
+        solution=EquivariantMap(prob.model, space, tuple(values)),
+        energy_total=last.energy_total,
+        energy_per_class=dict(zip(classes, last.energy_per_class)),
+        norm=last.norm,
         iterations=sweeps,
-        trace=tuple(trace),
+        trace=trace,
         converged=converged,
-        extras={"objective": obj},
+        extras={"objective": obj, "engine": engine, "stop_reason": _stop_reason(converged)},
     )
-    return report
 
 
 def norm_minimal_minimizer(
@@ -559,6 +871,8 @@ def norm_minimal_minimizer(
             "stage_gaps": tuple(gaps),
             "stages": tuple(stage_reports),
             "norm_check": _norm_minimality_probe(prob, sol, e_total, tol, seed),
+            "engine": final.extras["engine"],
+            "stop_reason": final.extras["stop_reason"],
         },
     )
     return rep
@@ -638,7 +952,11 @@ def lexicographic_minimize(
         iterations=len(order),
         trace=rep.trace,
         converged=rep.converged,
-        extras={"stage_minima": dict(minima)},
+        extras={
+            "stage_minima": dict(minima),
+            "engine": rep.extras["engine"],
+            "stop_reason": rep.extras["stop_reason"],
+        },
     )
 
 

@@ -348,3 +348,87 @@ def test_solve_malformed_number_exit_2_without_traceback(tmp_path, capsys, space
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+STAR3 = {"kind": "tree", "vertices": ["c", "l1", "l2", "l3"], "edges": [["c", "l1", 1.0], ["c", "l2", 1.0], ["c", "l3", 1.0]]}
+LP2 = {"kind": "lp", "dim": 2, "p": 3.0}
+
+
+def signed_perm_problem(perm, signs):
+    twist = {"kind": "signed-perm", "perm": perm, "signs": signs, "shift": [0.0, 0.0]}
+    return explicit_problem(
+        edges=[twist_edge({"kind": "identity"}), twist_edge(twist)], base_point=[0.0, 0.0]
+    )
+
+
+NON_INTEGRAL = [
+    # (case, space, problem, solver, top-level changes); these used to be truncated silently
+    ("dim-fractional", {"kind": "euclidean", "dim": 1.9}, explicit_problem(), {}, {}),
+    ("dim-bool", {"kind": "euclidean", "dim": True}, explicit_problem(), {}, {}),
+    ("lp-dim-fractional", {**LP2, "dim": 2.5}, signed_perm_problem([1, 0], [1, 1]), {}, {}),
+    ("max-sweeps-fractional", None, explicit_problem(), {"max_sweeps": 20.7}, {}),
+    ("max-sweeps-nan", None, explicit_problem(), {"max_sweeps": float("nan")}, {}),
+    ("max-sweeps-inf", None, explicit_problem(), {"max_sweeps": float("inf")}, {}),
+    ("seed-fractional", None, explicit_problem(), {}, {"seed": 7.5}),
+    ("seed-bool", None, explicit_problem(), {}, {"seed": False}),
+    ("schema-fractional", None, explicit_problem(), {}, {"schema": 1.5}),
+    ("edge-class-fractional", None, explicit_problem(edges=[twist_edge({"kind": "identity"}, **{"class": 1.5})]), {}, {}),
+    (
+        "tree-edge-fractional",
+        STAR3,
+        {"cells": [{"id": "a", "weight": 1.0}], "edges": [twist_edge({"kind": "identity"})],
+         "base_point": {"edge": 0.5, "offset": 0.2}},
+        {},
+        {},
+    ),
+    ("perm-fractional", LP2, signed_perm_problem([1.5, 0], [1, 1]), {}, {}),
+    ("signs-bool", LP2, signed_perm_problem([1, 0], [True, 1]), {}, {}),
+    (
+        "cover-index-fractional",
+        None,
+        explicit_problem(cover={"index": 1.5, "generators": [{"kind": "identity"}], "permutations": [[0]],
+                                "coset_reps": [{"kind": "identity"}]}),
+        {"method": "commensurability"},
+        {},
+    ),
+    (
+        "cover-permutation-fractional",
+        None,
+        explicit_problem(cover={"index": 1, "generators": [{"kind": "identity"}], "permutations": [[0.5]],
+                                "coset_reps": [{"kind": "identity"}]}),
+        {"method": "commensurability"},
+        {},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "space, problem, solver, top", [pytest.param(*case[1:], id=case[0]) for case in NON_INTEGRAL]
+)
+def test_solve_non_integral_integer_field_exit_2_without_traceback(tmp_path, capsys, space, problem, solver, top):
+    path = write_config(
+        tmp_path,
+        space=space or {"kind": "euclidean", "dim": 1},
+        problem=problem,
+        solver={"method": "bcd", **solver},
+        **top,
+    )
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "integer" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_accepts_integral_floats_for_integer_fields(tmp_path):
+    path = write_config(
+        tmp_path,
+        space={"kind": "euclidean", "dim": 1.0},
+        problem=explicit_problem(edges=[twist_edge({"kind": "identity"}, **{"class": 1.0})]),
+        solver={"method": "bcd", "max_sweeps": 20.0},
+        seed=7.0,
+    )
+    assert main(["solve", str(path)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["seed"] == 7 and isinstance(summary["seed"], int)

@@ -1,8 +1,13 @@
+import dataclasses
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from busemann.commensurability import comm_energy_model, subgroup_harmonic
 from busemann.harmonic import (
     Edge,
     EquivariantProblem,
@@ -16,10 +21,14 @@ from busemann.harmonic import (
     minimize_energy,
     norm_minimal_minimizer,
     orbit_diameter_heuristic,
+    _solve_1d,
 )
 from busemann.mapspace import EquivariantMap, MeasureModel, map_distance, map_midpoint
 from busemann.models import (
+    consensus_model,
+    dihedral_cover_model,
     dihedral_line_model,
+    generate,
     product_two_class_model,
     translation_loop_model,
     tree_leafswap_model,
@@ -28,6 +37,7 @@ from busemann.oracles import grid_minimum_energy
 from busemann.spaces import (
     DomainError,
     Euclidean,
+    EuclideanIsometry,
     SolverError,
     identity_isometry,
     point_reflection,
@@ -393,3 +403,173 @@ def test_orbit_diameter_heuristic_reported():
     prob_refl = loop_problem(R0)
     d_refl = orbit_diameter_heuristic(prob_refl, (1.0,), word_length=5)
     assert d_refl == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# compiled engine against the scalar engine
+# ---------------------------------------------------------------------------
+
+
+def scalar_copy(prob):
+    """The same problem with the compiled engine switched off (``arrays`` is a
+    cached property, so presetting it to None keeps minimize_energy scalar)."""
+    copy = dataclasses.replace(prob)
+    copy.__dict__["arrays"] = None
+    return copy
+
+
+def both_engines(prob, **kwargs):
+    compiled = minimize_energy(prob, **kwargs)
+    scalar = minimize_energy(scalar_copy(prob), **kwargs)
+    assert compiled.extras["engine"] == "compiled"
+    assert scalar.extras["engine"] == "scalar"
+    return compiled, scalar
+
+
+def outcome(rep):
+    return repr((rep.trace, rep.solution.values, rep.iterations, rep.converged,
+                 rep.energy_total, rep.energy_per_class, rep.norm, rep.extras))
+
+
+def assert_same_run(prob, **kwargs):
+    compiled, scalar = both_engines(prob, **kwargs)
+    scalar.extras["engine"] = "compiled"
+    assert outcome(compiled) == outcome(scalar)  # repr tells -0.0 from 0.0
+    return compiled
+
+
+def random_map(prob, seed):
+    rng = np.random.default_rng(seed)
+    return EquivariantMap(prob.model, prob.target, tuple(prob.target.sample(rng, 2.0) for _ in prob.model.cells))
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("consensus", {"cells": 6}), ("dihedral-line", {"cells": 7}), ("dihedral-cover", {"k": 2}), ("translation-loop", {})],
+)
+def test_compiled_engine_bit_identical_to_scalar(name, params):
+    gm = generate(name, params)
+    for start in (gm.init, None, random_map(gm.problem, 3)):
+        rep = assert_same_run(gm.problem, phi_init=start, tol=1e-10, max_sweeps=2000)
+        assert rep.converged
+
+
+@pytest.mark.parametrize("lam", [2.0 ** -1, 2.0 ** -20, 2.0 ** -40])
+def test_compiled_engine_bit_identical_on_anchored_stages(lam):
+    prob = dihedral_cover_model(2).problem
+    start = random_map(prob, 4)
+    for point in (prob.base_point, (0.5,)):
+        rep = assert_same_run(prob, phi_init=start, tol=1e-11, anchor=(lam, point))
+        assert rep.iterations > 5
+
+
+def two_class_problem():
+    """dihedral-line(4) with its self-loops moved to edge class 2."""
+    base = dihedral_line_model(4).problem
+    edges = tuple(Edge(e.src, e.dst, e.weight, e.twist, 2 if e.src == e.dst else 1) for e in base.edges)
+    return EquivariantProblem(base.model, base.target, base.base_point, edges)
+
+
+@pytest.mark.parametrize("class_weights", [{1: 1.0, 2: 1.0e4}, {1: 0.3, 2: 2.5}, {2: 1.0}, {1: 1.0}])
+def test_compiled_engine_bit_identical_with_class_weights(class_weights):
+    prob = two_class_problem()
+    rep = assert_same_run(prob, phi_init=random_map(prob, 5), tol=1e-11, class_weights=class_weights)
+    assert len(rep.trace[-1].energy_per_class) == 2
+
+
+def test_compiled_engine_bit_identical_when_cut_off():
+    gm = consensus_model(8)
+    rep = assert_same_run(gm.problem, phi_init=gm.init, max_sweeps=7)
+    assert rep.iterations == 7
+    assert not rep.converged
+    assert rep.extras["stop_reason"] == "max_sweeps"
+
+
+def plane_problem():
+    e2 = Euclidean(2)
+    # quarter turn about (1, 0) and the mirror in the line y = 0.25
+    turn = EuclideanIsometry(((0.0, -1.0), (1.0, 0.0)), (1.0, -1.0))
+    mirror = EuclideanIsometry(((1.0, 0.0), (0.0, -1.0)), (0.0, 0.5))
+    cells = MeasureModel(("a", "b", "c"), (0.5, 0.25, 0.25))
+    edges = (
+        Edge("a", "b", 1.0, identity_isometry(e2)),
+        Edge("b", "c", 1.0, turn),
+        Edge("c", "a", 2.0, mirror),
+        Edge("b", "b", 0.5, turn),
+    )
+    return EquivariantProblem(cells, e2, (0.0, 0.0), edges)
+
+
+def test_compiled_engine_matches_scalar_in_two_dimensions():
+    # math.dist and a numpy norm may round differently in the last bit.  Near
+    # the minimum a move of 1e-9 changes a local objective by about 1e-18,
+    # below its rounding, so at tolerances much tighter than 1e-8 the two
+    # engines may accept different last moves and agree only to ~1e-9.
+    prob = plane_problem()
+    for anchor, seed in itertools.product((None, (0.25, prob.base_point)), (6, 7, 8)):
+        compiled, scalar = both_engines(prob, phi_init=random_map(prob, seed), tol=1e-8, anchor=anchor)
+        assert compiled.iterations == scalar.iterations > 5
+        assert compiled.converged and scalar.converged
+        np.testing.assert_allclose(compiled.solution.values, scalar.solution.values, rtol=0.0, atol=1e-12)
+        for rc, rs in zip(compiled.trace, scalar.trace, strict=True):
+            assert rc.sweep == rs.sweep
+            for name in ("energy_total", "norm", "max_move", "objective"):
+                assert getattr(rc, name) == pytest.approx(getattr(rs, name), rel=1e-12, abs=1e-12)
+
+
+def test_compiled_engine_only_where_it_applies():
+    assert consensus_model(3).problem.arrays is not None
+    prob = dihedral_line_model(3).problem
+    assert prob.arrays is prob.arrays  # compiled once per problem
+    assert tree_leafswap_model().problem.arrays is None
+    assert product_two_class_model().problem.arrays is None
+    gm = dihedral_line_model(3)
+    p3 = EquivariantProblem(gm.problem.model, E1, (0.0,), gm.problem.edges, p=3.0)
+    assert p3.arrays is None
+    jacobi = minimize_energy(gm.problem, gm.init, mode="jacobi")
+    assert jacobi.extras["engine"] == "scalar"
+
+
+@settings(max_examples=2000)
+@given(
+    st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+@example(0.0, -1.5)
+@example(0.0, 0.0)
+@example(3.0, -0.0)
+@example(2.0 ** -969, 2.0 ** 969)
+@example(2.0 ** -971, 1.0)
+@example(1.0, 2.0 ** 971)
+@example(1.0, 5e-324)
+def test_solve_1d_equals_lstsq(n, r):
+    with np.errstate(all="ignore"):
+        z, *_ = np.linalg.lstsq(np.array([[n]]), np.array([r]), rcond=None)
+        assert repr(float(_solve_1d(n, r))) == repr(float(z[0]))
+
+
+def test_telemetry_in_every_report():
+    def keys(rep):
+        return rep.extras["engine"], rep.extras["stop_reason"]
+
+    gm = dihedral_line_model(3)
+    tree = tree_leafswap_model()
+    runs = {
+        "compiled": lambda: minimize_energy(gm.problem, gm.init),
+        "scalar": lambda: minimize_energy(tree.problem, tree.init),
+        "cut off": lambda: minimize_energy(gm.problem, gm.init, tol=1e-14, max_sweeps=2),
+        "norm-minimal": lambda: norm_minimal_minimizer(gm.problem),
+        "lexicographic": lambda: lexicographic_minimize(product_two_class_model().problem, [1, 2]),
+        "commensurability": lambda: subgroup_harmonic(comm_energy_model(gm.problem)),
+    }
+    expected = {
+        "compiled": ("compiled", "converged"),
+        "scalar": ("scalar", "converged"),
+        "cut off": ("compiled", "max_sweeps"),
+        "norm-minimal": ("compiled", "converged"),
+        "lexicographic": ("scalar", "converged"),
+        "commensurability": ("compiled", "converged"),
+    }
+    for name, run in runs.items():
+        first, second = run(), run()
+        assert keys(first) == keys(second) == expected[name], name
