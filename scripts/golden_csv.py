@@ -5,8 +5,9 @@
 
 Every generator in ``busemann.models.GENERATORS`` is solved with its default
 parameters under every solver method (``bcd``, ``norm-minimal``,
-``lexicographic``, ``commensurability``) at a fixed seed (``--seed``, default
-7, stored in ``DIR/seed``).  Beside them ``bcd`` runs an explicit consensus
+``lexicographic``, ``commensurability``, and ``commensurability`` with
+``norm_minimal`` as ``commensurability-norm-minimal``) at a fixed seed
+(``--seed``, default 7, stored in ``DIR/seed``).  Beside them ``bcd`` runs an explicit consensus
 chain (``DIR/consensus-chain-20/bcd/``): 20 cells with identity twists both
 ways, started from the ramp i + noise(seed), ``max_sweeps`` 5000, the
 slow-mixing case that dominates Euclidean solve time.  Each run leaves
@@ -30,7 +31,14 @@ import numpy as np
 from busemann.cli import main as busemann_main
 from busemann.models import GENERATORS
 
-METHODS = ("bcd", "norm-minimal", "lexicographic", "commensurability")
+# run directory -> solver config
+METHODS = {
+    "bcd": {"method": "bcd"},
+    "norm-minimal": {"method": "norm-minimal"},
+    "lexicographic": {"method": "lexicographic"},
+    "commensurability": {"method": "commensurability"},
+    "commensurability-norm-minimal": {"method": "commensurability", "norm_minimal": True},
+}
 RUNS = len(GENERATORS) * len(METHODS) + 1
 
 
@@ -74,12 +82,12 @@ def run_all(root: Path, seed: int) -> None:
     root.mkdir(parents=True)
     (root / "seed").write_text(f"{seed}\n")
     for generator in sorted(GENERATORS):
-        for method in METHODS:
-            solve(root / generator / method, {
+        for run, solver in METHODS.items():
+            solve(root / generator / run, {
                 "schema": 1,
                 "seed": seed,
                 "problem": {"generator": generator},
-                "solver": {"method": method},
+                "solver": solver,
             })
     solve(root / "consensus-chain-20" / "bcd", consensus_chain(seed))
 

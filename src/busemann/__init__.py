@@ -10,7 +10,6 @@ from busemann.spaces import (
     MetricTree,
     Product,
     TreePoint,
-    distance,
     geodesic_point,
     midpoint,
     star_tree,
@@ -26,7 +25,6 @@ __all__ = [
     "MetricTree",
     "Product",
     "TreePoint",
-    "distance",
     "energy",
     "geodesic_point",
     "map_distance",

@@ -2,7 +2,7 @@
 JSON files, run solvers, and run the verification suites.
 
 Usage:
-    busemann solve <config.json> [--out DIR] [--seed N] [--threads N]
+    busemann solve <config.json> [--out DIR] [--seed N]
     busemann verify <config.json> --suite NAME [--out DIR] [--seed N]
 
 Exit codes: 0 success; 1 verification found a failing check; 2 config
@@ -367,7 +367,9 @@ def _point_columns(space, value):
 def _write_artifacts(out_dir: Path, cfg: RunConfig, report, wall: float):
     out_dir.mkdir(parents=True, exist_ok=True)
     prob = cfg.problem
-    classes = prob.classes
+    # the classes of the solved energy: the kernel energy of a
+    # commensurability solve has one, whatever the problem's edges have
+    classes = report.energy_per_class
     header = ["sweep", "energy_total"] + [f"energy_class_{c}" for c in classes] + [
         "norm",
         "max_move",
@@ -505,7 +507,6 @@ def main(argv=None) -> int:
     for p in (p_solve, p_verify):
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", default=None, type=int, help="seed (overrides config)")
-        p.add_argument("--threads", default=1, type=int, help="worker threads (results are identical for any value)")
     args = parser.parse_args(argv)
     if args.command == "solve":
         return solve_command(args.config, args.out, args.seed)

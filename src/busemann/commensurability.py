@@ -8,30 +8,24 @@ routed by the coset permutations, twists conjugated into the subgroup).
 
 The commensurability energy is the kernel-weighted all-pairs sum
 
-    I(phi) = (1/norm) * sum_{c1, c2} sum_gamma  mu_1 mu_2 h(|gamma|)
-             * d(phi(c1), gamma phi(c2))^2,
+    I(phi) = sum_{c1, c2} sum_gamma  mu_1 mu_2 h(|gamma|)
+             * d(gamma phi(c2), phi(c1))^2,
 
 where gamma runs over the word ball of the twist group, |gamma| is the word
 norm and h(n) = exp(-n^2 + 1); the ball radius is chosen so the truncated
-tail of h is negligible.  Minimizers are computed by the same block
-coordinate descent as the edge energy; uniqueness is probed by restart
-agreement and is expected exactly when no sampled point pair is parallel
-under every generator.
-
-On Euclidean targets the descent runs on the compiled engine of
-:mod:`busemann.harmonic`: each model is compiled once
-(:attr:`CommEnergyModel.arrays`) into flat term arrays and per-cell plans,
-and every sweep evaluates transports, local objectives and energies with
-numpy in the same floating-point order as the scalar loop, so both paths
-return the same numbers.  Other targets use the scalar loop, which stays the
-general path and the reference.
+tail of h is negligible.  A :class:`CommEnergyModel` holds this sum as the
+same term list as the edge energy (one :class:`~busemann.harmonic.Term` per
+cell pair and gamma, p = 2, one class), so :func:`energy` and
+:func:`minimize_energy` of :mod:`busemann.harmonic` evaluate and minimize
+it, on the compiled engine for Euclidean targets and on the scalar engine
+otherwise.  Uniqueness is probed by restart agreement and is expected
+exactly when no sampled point pair is parallel under every generator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,17 +34,12 @@ from busemann.convexity import parallel_check
 from busemann.harmonic import (
     EquivariantProblem,
     Edge,
-    KernelArrays,
     SolveReport,
-    TraceRow,
-    _apply_rows,
-    _compiled_sweeps,
-    _descend,
-    _scalar_sweep,
+    Term,
+    TermEnergy,
     _stop_reason,
-    _term_plans,
-    _weighted_sq_dist,
-    compile_terms,
+    energy,
+    minimize_energy,
 )
 from busemann.mapspace import (
     EquivariantMap,
@@ -60,19 +49,15 @@ from busemann.mapspace import (
 )
 from busemann.spaces import (
     DomainError,
-    Euclidean,
-    EuclideanIsometry,
     SolverError,
     SpaceMismatchError,
     ValidationError,
     identity_isometry,
-    sample_point,
 )
 
 __all__ = [
     "CoverSpec",
     "CommEnergyModel",
-    "KernelTerm",
     "build_cover",
     "cover_cell",
     "lift_map",
@@ -245,48 +230,19 @@ def _kernel(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class KernelTerm:
-    c1: int  # cell indices into the model
-    c2: int
-    weight: float
-    transport: object
-
-
-@dataclass(frozen=True)
-class CommEnergyModel:
-    """All-pairs kernel model: cells, kernel terms, and normalization."""
+class CommEnergyModel(TermEnergy):
+    """All-pairs kernel model: cells and kernel terms (p = 2, one class)."""
 
     model: MeasureModel
     target: object
     base_point: object
     terms: tuple
-    normalization: float
     generators: tuple
     word_radius: int
     truncation_residual: float
 
-    @cached_property
-    def arrays(self) -> Optional["KernelArrays"]:
-        """The terms compiled for the array sweeps (None unless the target is
-        Euclidean and every transport a :class:`EuclideanIsometry`); built on
-        first use and dropped with the model."""
-        return _compile_kernel(self)
-
-
-def _compile_kernel(m: CommEnergyModel) -> Optional[KernelArrays]:
-    if not isinstance(m.target, Euclidean) or not all(
-        isinstance(kt.transport, EuclideanIsometry) for kt in m.terms
-    ):
-        return None
-    return compile_terms(
-        len(m.model.cells),
-        m.target.dim,
-        [kt.c1 for kt in m.terms],
-        [kt.c2 for kt in m.terms],
-        [kt.weight for kt in m.terms],
-        [kt.transport.matrix for kt in m.terms],
-        [kt.transport.shift for kt in m.terms],
-    )
+    p = 2.0
+    classes = (1,)
 
 
 def comm_energy_model(
@@ -330,7 +286,7 @@ def comm_energy_model(
                 for t, n in norm_ball:
                     if i == j and n == 0:
                         continue  # zero distance term
-                    terms.append(KernelTerm(i, j, mu[i] * mu[j] * _kernel(n), t))
+                    terms.append(Term(i, j, mu[i] * mu[j] * _kernel(n), t))
     else:
         # group elements available in the model: words in the problem's own
         # twists (generous radius, so membership below is not truncated)
@@ -344,7 +300,7 @@ def comm_energy_model(
                         continue
                     if i == j and gamma.key() == ident_key:
                         continue
-                    terms.append(KernelTerm(i, j, mu[i] * mu[j] * _kernel(n), gamma))
+                    terms.append(Term(i, j, mu[i] * mu[j] * _kernel(n), gamma))
     # superexponential decay of h against at-most-exponential word growth
     b = max(2 * len(norm_gens), 2)
     tail = math.fsum(_kernel(n) * b ** n for n in range(radius + 1, radius + 30))
@@ -354,7 +310,6 @@ def comm_energy_model(
         target=prob.target,
         base_point=prob.base_point,
         terms=tuple(terms),
-        normalization=1.0,
         generators=tuple(gens),
         word_radius=radius,
         truncation_residual=tail / mass,
@@ -387,18 +342,8 @@ def cover_comm_energy_model(
 
 
 def commensurability_energy(m: CommEnergyModel, phi: EquivariantMap) -> float:
-    """Normalized all-pairs kernel energy of a map."""
-    if phi.model != m.model or phi.target != m.target:
-        raise SpaceMismatchError("map does not live over the kernel model")
-    t = m.target
-    vals = phi.values
-    return (
-        math.fsum(
-            kt.weight * t.distance(vals[kt.c1], kt.transport.apply(vals[kt.c2])) ** 2
-            for kt in m.terms
-        )
-        / m.normalization
-    )
+    """All-pairs kernel energy of a map."""
+    return energy(m, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -406,60 +351,14 @@ def commensurability_energy(m: CommEnergyModel, phi: EquivariantMap) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _comm_sweeps(m, values, tol, max_sweeps, anchor_weights=None, anchor_point=None):
-    """Gauss-Seidel sweeps on the kernel energy plus the optional anchor term
-    sum_c aw_c d(phi(c), anchor_point)^2.  Returns (values, objective, sweeps,
-    converged, trace).  Compiled Euclidean models run on the compiled engine,
-    all others on the scalar loop; the results agree bit for bit in one
-    dimension and to rounding in more."""
-    run = _comm_sweeps_arrays if m.arrays is not None else _comm_sweeps_scalar
-    return run(m, values, tol, max_sweeps, anchor_weights, anchor_point)
-
-
-def _comm_sweeps_scalar(m, values, tol, max_sweeps, anchor_weights=None, anchor_point=None):
-    space = m.target
-    terms = ((kt.c1, kt.c2, kt.weight, kt.transport) for kt in m.terms)
-    points, loops = _term_plans(terms, len(m.model.cells))
-    anchors = None if anchor_weights is None else [(aw, anchor_point) for aw in anchor_weights]
-
-    def evaluate(sweep, max_move):
-        e = commensurability_energy(m, EquivariantMap(m.model, space, tuple(values)))
-        obj = e
-        if anchor_weights is not None:
-            obj = e + math.fsum(
-                aw * space.distance(v, anchor_point) ** 2 for aw, v in zip(anchor_weights, values)
-            )
-        norm = math.fsum(
-            w * space.distance(v, m.base_point) ** 2 for w, v in zip(m.model.weights, values)
-        ) ** 0.5
-        return TraceRow(sweep, e, (e,), norm, max_move, obj)
-
-    obj, sweeps, converged, trace = _descend(
-        lambda: _scalar_sweep(space, 2.0, points, loops, values, anchors, tol, 0),
-        evaluate,
-        lambda: values,
-        tol,
-        max_sweeps,
+def _comm_sweeps(m, values, tol, max_sweeps, anchor=None):
+    """Gauss-Seidel sweeps of :func:`minimize_energy` on the kernel energy
+    from ``values``, with its optional ``anchor`` (lam, x0).  Returns
+    (values, objective, sweeps, converged, trace)."""
+    rep = minimize_energy(
+        m, EquivariantMap(m.model, m.target, tuple(values)), tol, max_sweeps, anchor=anchor
     )
-    return values, obj, sweeps, converged, trace
-
-
-def _comm_sweeps_arrays(m, values, tol, max_sweeps, anchor_weights=None, anchor_point=None):
-    """The kernel energy on the compiled engine; bit-identical to
-    :func:`_comm_sweeps_scalar` in one dimension."""
-    k = m.arrays
-    mu = np.asarray(m.model.weights, dtype=float)
-    base = np.asarray(m.base_point, dtype=float)
-    if anchor_weights is not None:
-        aw = np.asarray(anchor_weights, dtype=float)
-        anchor = np.asarray(anchor_point, dtype=float)
-
-    def evaluate(x, sweep, max_move):
-        e = _weighted_sq_dist(k.weight, x[k.c1], _apply_rows(k.matrix, k.shift, x[k.c2])) / m.normalization
-        obj = e if anchor_weights is None else e + _weighted_sq_dist(aw, x, anchor)
-        return TraceRow(sweep, e, (e,), _weighted_sq_dist(mu, x, base) ** 0.5, max_move, obj)
-
-    return _compiled_sweeps(k, values, tol, max_sweeps, evaluate, anchor_weights, anchor_point)
+    return list(rep.solution.values), rep.extras["objective"], rep.iterations, rep.converged, rep.trace
 
 
 def subgroup_harmonic(
@@ -485,25 +384,19 @@ def subgroup_harmonic(
     """
     space = m.target
     rng = np.random.default_rng(seed)
-    mu = m.model.weights
 
     def solve_from(values):
         if norm_minimal:
-            vals = list(values)
             for lam in tuple(2.0 ** (-n) for n in range(1, 21)):
-                aw = [lam * w for w in mu]
-                vals, obj, sweeps, conv, trace = _comm_sweeps(
-                    m, vals, tol, max_sweeps, anchor_weights=aw, anchor_point=m.base_point
-                )
-            return _comm_sweeps(m, vals, tol, max_sweeps)
-        return _comm_sweeps(m, list(values), tol, max_sweeps)
+                values = _comm_sweeps(m, values, tol, max_sweeps, anchor=(lam, m.base_point))[0]
+        return _comm_sweeps(m, values, tol, max_sweeps)
 
     results = []
     for k in range(max(1, restarts)):
         if k == 0:
             init = [m.base_point] * len(m.model.cells)
         else:
-            init = [sample_point(space, rng, 1.0) for _ in m.model.cells]
+            init = [space.sample(rng, 1.0) for _ in m.model.cells]
         results.append(solve_from(init))
     vals, obj, sweeps, conv, trace = min(results, key=lambda r: r[1])
     gap = 0.0
@@ -576,20 +469,19 @@ def conjugate_comm_model(m: CommEnergyModel, lam, relabel: dict) -> CommEnergyMo
         weights[idx[c]] = m.model.weights[idx[relabel[c]]]
     lam_inv = lam.invert()
     terms = tuple(
-        KernelTerm(
-            inv_of[kt.c1],
-            inv_of[kt.c2],
-            kt.weight,
-            lam_inv.compose(kt.transport).compose(lam),
+        Term(
+            inv_of[t.c1],
+            inv_of[t.c2],
+            t.weight,
+            lam_inv.compose(t.transport).compose(lam),
         )
-        for kt in m.terms
+        for t in m.terms
     )
     return CommEnergyModel(
         model=MeasureModel(cells, tuple(weights)),
         target=m.target,
         base_point=lam_inv.apply(m.base_point),
         terms=terms,
-        normalization=m.normalization,
         generators=tuple(lam_inv.compose(g).compose(lam) for g in m.generators),
         word_radius=m.word_radius,
         truncation_residual=m.truncation_residual,
@@ -610,8 +502,8 @@ def parallel_orbits_check(
     """
     rng = np.random.default_rng(seed)
     for _ in range(sample_pairs):
-        x = sample_point(space, rng, 2.0)
-        y = sample_point(space, rng, 2.0)
+        x = space.sample(rng, 2.0)
+        y = space.sample(rng, 2.0)
         if space.distance(x, y) <= tol:
             continue
         if all(

@@ -26,10 +26,10 @@ from busemann.spaces import (
     SolverError,
     ValidationError,
     identity_isometry,
+    is_identity,
     isometry_defect,
     midpoint,
     perturb,
-    sample_point,
     step_toward,
 )
 
@@ -142,18 +142,10 @@ class FiniteGroupAction:
         for g in gens:
             if isometry_defect(self.space, g, rng, samples=16) > 1e-7:
                 raise ValidationError("generator fails the isometry check")
-        if not any(_is_identity(self.space, g) for g in gens):
+        if not any(is_identity(self.space, g, np.random.default_rng(7)) for g in gens):
             warnings.warn("generating set does not contain the identity; adding it")
             gens = gens + (identity_isometry(self.space),)
         object.__setattr__(self, "generators", gens)
-
-
-def _is_identity(space, g, samples: int = 8) -> bool:
-    rng = np.random.default_rng(7)
-    return all(
-        space.distance(g.apply(x), x) <= 1e-12
-        for x in (space.sample(rng) for _ in range(samples))
-    )
 
 
 def sampled_convexity_defect(
@@ -167,8 +159,8 @@ def sampled_convexity_defect(
     worst = -math.inf
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     for _ in range(samples):
-        x = sample_point(space, rng)
-        y = sample_point(space, rng)
+        x = space.sample(rng)
+        y = space.sample(rng)
         vals = [float(f(space.geodesic(x, y, t))) for t in grid]
         scale = 1.0 + max(abs(v) for v in vals)
         for i in range(1, len(grid) - 1):
@@ -317,8 +309,8 @@ def modulus_estimate(space, x, eps: float, r: float, budget: int = 10_000, seed:
             # chord pair: a boundary-ish point and its partner at the exact
             # chord distance along the geodesic toward a second boundary
             # point (in trees this walks through branch points)
-            z = sample_point(space, rng, 4.0 * r)
-            w = sample_point(space, rng, 4.0 * r)
+            z = space.sample(rng, 4.0 * r)
+            w = space.sample(rng, 4.0 * r)
             if space.distance(x, z) == 0.0 or space.distance(x, w) == 0.0:
                 continue
             y1 = clip(_radial_boundary(space, x, z, r))
@@ -844,7 +836,7 @@ def clifford_check(
     per = max(1, samples // len(scales))
     for s in scales:
         for _ in range(per):
-            pts.append(sample_point(space, rng, s))
+            pts.append(space.sample(rng, s))
     disps = [space.distance(x, T.apply(x)) for x in pts]
     c = math.fsum(disps) / len(disps)
     spread = max(disps) - min(disps)

@@ -1,28 +1,34 @@
 """Discrete equivariant energy minimization.
 
-An :class:`EquivariantProblem` is a finite weighted quotient graph: cells of
-a probability model mapped into a target space, with isometry-labeled edges.
-The energy of a map phi is
+Every energy here is one list of terms (:class:`Term`) over the cells of a
+probability model mapped into a target space:
+
+    E(phi) = sum_t  w_t * d(T_t phi(c2_t), phi(c1_t))^p.
+
+An :class:`EquivariantProblem` is a finite weighted quotient graph with
+isometry-labeled edges; its edge src -> dst with weight w and twist T is the
+term c1 = dst, c2 = src, weight mu(src) * w, so its energy is
 
     E(phi) = sum_e  mu(src_e) * w_e * d(T_e phi(src_e), phi(dst_e))^p,
 
 which is convex along geodesics of the map space when the target is BNPC.
-Minimizers ("harmonic maps") are computed by cyclic block-coordinate descent:
-each cell moves to the weighted Frechet mean of its twist-transported
-neighbors (self-loops contribute displacement terms d(T z, z)^p, handled
-exactly inside the local subproblem).  On Euclidean targets with p = 2 the
-local subproblem is a linear solve, so energy decrease is exact.
+The all-pairs kernel energy of :mod:`busemann.commensurability` is another
+term list.  :func:`minimize_energy` is the one minimizer of both: it computes
+minimizers ("harmonic maps") by cyclic block-coordinate descent, where each
+cell moves to the weighted Frechet mean of its transported neighbors
+(self-loops contribute displacement terms d(T z, z)^p, handled exactly inside
+the local subproblem).  On Euclidean targets with p = 2 the local
+subproblem is a linear solve, so energy decrease is exact.
 
 There are two sweep engines.  The scalar engine works on any target and is
 the reference.  The compiled engine runs Gauss-Seidel sweeps on numpy arrays
-and applies when the target is :class:`Euclidean`, p = 2 and every twist is
-a :class:`EuclideanIsometry`: the problem is compiled once
-(:attr:`EquivariantProblem.arrays`) into flat term arrays and per-cell plans
+and applies when the target is :class:`Euclidean`, p = 2 and every transport
+is a :class:`EuclideanIsometry`: the terms are compiled once
+(:attr:`TermEnergy.arrays`) into flat term arrays and per-cell plans
 (:func:`compile_terms`), and each sweep sums in the scalar engine's order, so
 both engines give the same numbers, bit for bit in one dimension and to
-rounding in more.  The commensurability solver runs its kernel energy on the
-same compiled engine.  Trees, l_p and product targets, p != 2 and Jacobi
-sweeps use the scalar engine.
+rounding in more.  Trees, l_p and product targets, p != 2 and Jacobi sweeps
+use the scalar engine.
 
 Besides the plain minimizer this module provides the norm-minimal selection
 (vanishing-penalty homotopy toward the base point), lexicographic
@@ -42,7 +48,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -66,12 +72,15 @@ from busemann.spaces import (
     SolverError,
     SpaceMismatchError,
     ValidationError,
+    is_identity,
     isometry_defect,
     perturb,
 )
 
 __all__ = [
     "Edge",
+    "Term",
+    "TermEnergy",
     "EquivariantProblem",
     "TraceRow",
     "SolveReport",
@@ -102,8 +111,61 @@ class Edge:
     cls: int = 1
 
 
+class Term(NamedTuple):
+    """The energy term weight * d(T phi(c2), phi(c1))^p, where c1 and c2 are
+    cell indices into the model and T is the transport.  A named tuple, as
+    kernel models build thousands of terms and a tuple is cheap to build."""
+
+    c1: int
+    c2: int
+    weight: float
+    transport: object
+    cls: int = 1
+
+
+class TermEnergy:
+    """An energy given as a term list.  Subclasses provide ``model``,
+    ``target``, ``base_point``, ``p``, ``classes`` and ``terms``; the forms
+    below are built on first use and shared by every solve of the energy."""
+
+    @cached_property
+    def arrays(self) -> Optional["KernelArrays"]:
+        """The terms compiled for the compiled engine, or None when it does
+        not apply (it needs a Euclidean target, p = 2 and only
+        :class:`EuclideanIsometry` transports)."""
+        terms = self.terms
+        if not (
+            isinstance(self.target, Euclidean)
+            and self.p == 2.0
+            and all(isinstance(t.transport, EuclideanIsometry) for t in terms)
+        ):
+            return None
+        return compile_terms(
+            len(self.model.cells),
+            self.target.dim,
+            [t.c1 for t in terms],
+            [t.c2 for t in terms],
+            [t.weight for t in terms],
+            [t.transport.matrix for t in terms],
+            [t.transport.shift for t in terms],
+        )
+
+    @cached_property
+    def class_masks(self) -> Optional[list]:
+        """Per class, the mask of its terms (None when there is one class)."""
+        if len(self.classes) == 1:
+            return None
+        term_class = np.array([t.cls for t in self.terms])
+        return [term_class == c for c in self.classes]
+
+    @cached_property
+    def plans(self) -> tuple:
+        """The local subproblems of the scalar engine (:func:`_term_plans`)."""
+        return _term_plans(self.terms, len(self.model.cells))
+
+
 @dataclass(frozen=True)
-class EquivariantProblem:
+class EquivariantProblem(TermEnergy):
     """Finite weighted quotient graph with isometry-labeled edges.
 
     ``symmetry`` optionally declares a cell bijection (dict) under which the
@@ -147,7 +209,7 @@ class EquivariantProblem:
         if classes and classes != set(range(1, max(classes) + 1)):
             raise ValidationError("edge class indices must be contiguous 1..k")
         if edges and not any(
-            _sampled_identity(self.target, e.twist) for e in edges
+            is_identity(self.target, e.twist, np.random.default_rng(5), samples=6) for e in edges
         ):
             warnings.warn(
                 "edge twist set does not contain the identity isometry",
@@ -162,38 +224,15 @@ class EquivariantProblem:
         return const_map(self.model, self.target, self.base_point)
 
     @cached_property
-    def arrays(self) -> Optional["KernelArrays"]:
-        """The edges compiled for the compiled engine, or None when it does
-        not apply (it needs a Euclidean target, p = 2 and only
-        :class:`EuclideanIsometry` twists).  Edge src -> dst with twist T
-        is the term c1 = dst, c2 = src, transport T, weighted mu(src) * w.
-        Built on first use and shared by every solve of the problem."""
-        if not (
-            isinstance(self.target, Euclidean)
-            and self.p == 2.0
-            and all(isinstance(e.twist, EuclideanIsometry) for e in self.edges)
-        ):
-            return None
+    def terms(self) -> tuple:
+        """The edges as terms: edge src -> dst with weight w and twist T is
+        the term c1 = dst, c2 = src, weight mu(src) * w, transport T."""
         idx = {c: i for i, c in enumerate(self.model.cells)}
         mu = self.model.weights
-        src = [idx[e.src] for e in self.edges]
-        return compile_terms(
-            len(mu),
-            self.target.dim,
-            [idx[e.dst] for e in self.edges],
-            src,
-            [mu[si] * e.weight for si, e in zip(src, self.edges)],
-            [e.twist.matrix for e in self.edges],
-            [e.twist.shift for e in self.edges],
+        return tuple(
+            Term(idx[e.dst], idx[e.src], mu[idx[e.src]] * e.weight, e.twist, e.cls)
+            for e in self.edges
         )
-
-
-def _sampled_identity(space, T, samples: int = 6) -> bool:
-    rng = np.random.default_rng(5)
-    return all(
-        space.distance(T.apply(x), x) <= 1e-12
-        for x in (space.sample(rng) for _ in range(samples))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +240,18 @@ def _sampled_identity(space, T, samples: int = 6) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def energy(prob: EquivariantProblem, phi: EquivariantMap, classes: Optional[set] = None) -> float:
-    """Weighted edge energy of a map (optionally restricted to edge classes)."""
+def energy(prob: TermEnergy, phi: EquivariantMap, classes: Optional[set] = None) -> float:
+    """The term energy of a map (optionally restricted to term classes)."""
     if phi.model != prob.model or phi.target != prob.target:
         raise SpaceMismatchError("map does not live over the problem's model/target")
     t = prob.target
-    idx = {c: i for i, c in enumerate(prob.model.cells)}
-    mu = prob.model.weights
+    p = prob.p
     vals = phi.values
-    terms = []
-    for e in prob.edges:
-        if classes is not None and e.cls not in classes:
-            continue
-        si, di = idx[e.src], idx[e.dst]
-        terms.append(mu[si] * e.weight * t.distance(e.twist.apply(vals[si]), vals[di]) ** prob.p)
-    return math.fsum(terms)
+    terms = prob.terms if classes is None else [term for term in prob.terms if term.cls in classes]
+    return math.fsum(
+        term.weight * t.distance(term.transport.apply(vals[term.c2]), vals[term.c1]) ** p
+        for term in terms
+    )
 
 
 def energy_by_class(prob: EquivariantProblem, phi: EquivariantMap) -> dict:
@@ -405,12 +441,12 @@ def _descend(sweep_once, evaluate, best, tol: float, max_sweeps: int):
 
 def _term_plans(terms, n_cells: int):
     """Per-cell point terms (weight, source cell, transport) and loops
-    (weight, transport) of the local subproblems.  A term (c1, c2, w, T)
-    stands for w * d(phi(c1), T phi(c2))^p: it moves phi(c2) into cell c1
-    by T and phi(c1) into cell c2 by T^-1, or is a loop when c1 = c2."""
+    (weight, transport) of the local subproblems.  A :class:`Term` moves
+    phi(c2) into cell c1 by its transport T and phi(c1) into cell c2 by
+    T^-1, or is a loop when c1 = c2."""
     points = [[] for _ in range(n_cells)]
     loops = [[] for _ in range(n_cells)]
-    for c1, c2, w, t in terms:
+    for c1, c2, w, t, _ in terms:
         if c1 == c2:
             loops[c1].append((w, t))
         else:
@@ -658,7 +694,7 @@ def _compiled_sweeps(plan: KernelArrays, values, tol, max_sweeps, evaluate, anch
 
 
 def minimize_energy(
-    prob: EquivariantProblem,
+    prob: TermEnergy,
     phi_init: Optional[EquivariantMap] = None,
     tol: float = 1e-9,
     max_sweeps: int = 500,
@@ -667,52 +703,50 @@ def minimize_energy(
     anchor: Optional[tuple] = None,
     class_weights: Optional[dict] = None,
 ) -> SolveReport:
-    """Cyclic block-coordinate descent on the edge energy.
+    """Cyclic block-coordinate descent on a term energy: the edge energy of
+    an :class:`EquivariantProblem` or a commensurability kernel model.
 
     Each sweep revisits every cell and moves it to the minimizer of its local
     subproblem; the objective never increases.  Stops when the sweep decrease
     falls below tol * (1 + |E|) and no cell moved more than tol.  ``anchor``
-    is an optional pair (lam, x0) adding lam * rho(phi, x0)^p to the
-    objective; ``class_weights`` rescales edge weights per class (classes
-    missing from the dict are dropped).  ``mode`` is "gauss-seidel" (in-place
-    updates) or "jacobi" (all updates computed from a frozen snapshot, then
-    applied along the map-space geodesic with a backtracked step, which keeps
-    the descent monotone and is safe to parallelize).
+    is an optional pair (lam, x0) adding sum_c lam * mu_c * d(phi(c), x0)^p
+    to the objective; ``class_weights`` rescales term weights per class
+    (classes missing from the dict are dropped).  ``mode`` is "gauss-seidel"
+    (in-place updates) or "jacobi" (all updates computed from a frozen
+    snapshot, then applied along the map-space geodesic with a backtracked
+    step, which keeps the descent monotone and is safe to parallelize).
 
-    Gauss-Seidel sweeps run on the compiled engine when the problem compiles
-    (:attr:`EquivariantProblem.arrays`: Euclidean target, p = 2, Euclidean
-    twists), with the scalar engine's numbers (bit for bit in one
+    Gauss-Seidel sweeps run on the compiled engine when the terms compile
+    (:attr:`TermEnergy.arrays`: Euclidean target, p = 2, Euclidean
+    transports), with the scalar engine's numbers (bit for bit in one
     dimension), and on the scalar engine otherwise.  ``extras`` records the
-    ``engine`` ("compiled" or "scalar") and the ``stop_reason``
-    ("converged" or "max_sweeps").
+    ``objective``, the ``engine`` ("compiled" or "scalar") and the
+    ``stop_reason`` ("converged" or "max_sweeps").
     """
     if mode not in ("gauss-seidel", "jacobi"):
         raise DomainError(f"unknown sweep mode {mode!r}")
-    phi = phi_init if phi_init is not None else prob.initial_map()
+    phi = phi_init if phi_init is not None else const_map(prob.model, prob.target, prob.base_point)
     if phi.model != prob.model or phi.target != prob.target:
         raise SpaceMismatchError("initial map does not match the problem")
     space = prob.target
     p = prob.p
     mu = prob.model.weights
     classes = prob.classes
-    scales = None if class_weights is None else [float(class_weights.get(c, 0.0)) for c in classes]
-    # the edges of classes with a nonzero weight and their plan weights
-    # (class weight) * mu(src) * w, which only the local subproblems use
-    idx = {c: i for i, c in enumerate(prob.model.cells)}
-    kept, plan_weight = [], []
-    for i, e in enumerate(prob.edges):
-        scale = 1.0 if scales is None else scales[classes.index(e.cls)]
-        if scale != 0.0:
-            kept.append(i)
-            plan_weight.append(scale * mu[idx[e.src]] * e.weight)
+    terms = prob.terms
+    scales = kept = None
+    if class_weights is not None:
+        # the terms of classes with a nonzero weight and their plan weights
+        # (class weight) * w, which only the local subproblems use
+        scales = [float(class_weights.get(c, 0.0)) for c in classes]
+        scale_of = dict(zip(classes, scales))
+        kept = [i for i, t in enumerate(terms) if scale_of[t.cls] != 0.0]
+        plan_weight = [scale_of[terms[i].cls] * terms[i].weight for i in kept]
     anchor_weights = None if anchor is None else [anchor[0] * m for m in mu]
-    # in the norm-minimal homotopy the anchor is the base point: reuse the norm
-    anchor_is_base = anchor is not None and anchor[1] is prob.base_point
 
-    def row(sweep, max_move, e_total, per_class, norm, anchor_norm) -> TraceRow:
+    def row(sweep, max_move, e_total, per_class, norm, anchor_energy) -> TraceRow:
         obj = e_total if scales is None else math.fsum(s * e for s, e in zip(scales, per_class))
         if anchor is not None:
-            obj += anchor[0] * anchor_norm ** p
+            obj += anchor_energy
         return TraceRow(sweep, e_total, per_class, norm, max_move, obj)
 
     def scalar_row(values, sweep=0, max_move=0.0) -> TraceRow:
@@ -722,38 +756,38 @@ def minimize_energy(
             per_class = (e_total,)
         else:
             per_class = tuple(energy(prob, cur, classes={c}) for c in classes)
-        norm = map_norm(p, cur, prob.base_point)
-        anchor_norm = None
+        anchor_energy = None
         if anchor is not None:
-            anchor_norm = norm if anchor_is_base else map_norm(p, cur, anchor[1])
-        return row(sweep, max_move, e_total, per_class, norm, anchor_norm)
+            anchor_energy = math.fsum(
+                w * space.distance(v, anchor[1]) ** p for w, v in zip(anchor_weights, values)
+            )
+        return row(sweep, max_move, e_total, per_class, map_norm(p, cur, prob.base_point), anchor_energy)
 
     k = prob.arrays if mode == "gauss-seidel" else None
     if k is not None:
         engine = "compiled"
         plan = k
-        if class_weights is not None:
+        if kept is not None:
             plan = compile_terms(
                 len(mu), space.dim, k.c1[kept], k.c2[kept], plan_weight, k.matrix[kept], k.shift[kept]
             )
-        edge_class = np.array([e.cls for e in prob.edges])
-        masks = [edge_class == c for c in classes] if len(classes) != 1 else None
+        masks = prob.class_masks
         mu_arr = np.array(mu)
         base = np.array(prob.base_point, dtype=float)
-        x0 = None if anchor is None else np.array(anchor[1], dtype=float)
+        if anchor is not None:
+            aw = np.array(anchor_weights)
+            x0 = np.array(anchor[1], dtype=float)
 
         def compiled_row(x, sweep, max_move) -> TraceRow:
-            terms = _sq_terms(k.weight, x[k.c1] - _apply_rows(k.matrix, k.shift, x[k.c2]))
-            e_total = math.fsum(terms.tolist())
+            sq = _sq_terms(k.weight, x[k.c1] - _apply_rows(k.matrix, k.shift, x[k.c2]))
+            e_total = math.fsum(sq.tolist())
             if masks is None:
                 per_class = (e_total,)
             else:
-                per_class = tuple(math.fsum(terms[m].tolist()) for m in masks)
+                per_class = tuple(math.fsum(sq[m].tolist()) for m in masks)
             norm = _weighted_sq_dist(mu_arr, x, base) ** (1.0 / p)
-            anchor_norm = None
-            if anchor is not None:
-                anchor_norm = norm if anchor_is_base else _weighted_sq_dist(mu_arr, x, x0) ** (1.0 / p)
-            return row(sweep, max_move, e_total, per_class, norm, anchor_norm)
+            anchor_energy = None if anchor is None else _weighted_sq_dist(aw, x, x0)
+            return row(sweep, max_move, e_total, per_class, norm, anchor_energy)
 
         values, obj, sweeps, converged, trace = _compiled_sweeps(
             plan, phi.values, tol, max_sweeps, compiled_row, anchor_weights,
@@ -761,9 +795,12 @@ def minimize_energy(
         )
     else:
         engine = "scalar"
-        edges = [prob.edges[i] for i in kept]
-        terms = [(idx[e.dst], idx[e.src], w, e.twist) for e, w in zip(edges, plan_weight)]
-        points, loops = _term_plans(terms, len(mu))
+        if kept is None:
+            points, loops = prob.plans
+        else:
+            points, loops = _term_plans(
+                [terms[i]._replace(weight=w) for i, w in zip(kept, plan_weight)], len(mu)
+            )
         anchors = None if anchor is None else [(w, anchor[1]) for w in anchor_weights]
         values = list(phi.values)
 

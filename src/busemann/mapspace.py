@@ -34,7 +34,6 @@ from busemann.spaces import (
     SpaceMismatchError,
     ValidationError,
     midpoint,
-    sample_point,
 )
 
 __all__ = [
@@ -118,7 +117,7 @@ def const_map(model: MeasureModel, target, x0) -> EquivariantMap:
 
 def sample_map(model: MeasureModel, target, rng: np.random.Generator, scale: float = 1.0) -> EquivariantMap:
     return EquivariantMap(
-        model, target, tuple(sample_point(target, rng, scale) for _ in model.cells)
+        model, target, tuple(target.sample(rng, scale) for _ in model.cells)
     )
 
 

@@ -637,10 +637,6 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def distance(space, x, y) -> float:
-    return space.distance(x, y)
-
-
 def geodesic_point(space, x, y, t: float):
     """The point z on the geodesic [x, y] with d(x, z) = t * d(x, y)."""
     return space.geodesic(x, y, t)
@@ -648,23 +644,6 @@ def geodesic_point(space, x, y, t: float):
 
 def midpoint(space, x, y):
     return space.geodesic(x, y, 0.5)
-
-
-def apply_isometry(T, x):
-    return T.apply(x)
-
-
-def compose_isometry(T, S):
-    """The isometry acting as T after S."""
-    return T.compose(S)
-
-
-def invert_isometry(T):
-    return T.invert()
-
-
-def sample_point(space, rng: np.random.Generator, scale: float = 1.0):
-    return space.sample(rng, scale)
 
 
 def step_toward(space, x, y, dist: float):
@@ -701,6 +680,14 @@ def isometry_defect(space, T, rng: np.random.Generator, samples: int = 32, scale
         y = space.sample(rng, scale)
         worst = max(worst, abs(space.distance(T.apply(x), T.apply(y)) - space.distance(x, y)))
     return worst
+
+
+def is_identity(space, T, rng: np.random.Generator, samples: int = 8) -> bool:
+    """True when T moves none of ``samples`` sampled points by more than 1e-12."""
+    return all(
+        space.distance(T.apply(x), x) <= 1e-12
+        for x in (space.sample(rng) for _ in range(samples))
+    )
 
 
 def star_tree(leaves: int = 3, edge_length: float = 1.0) -> MetricTree:

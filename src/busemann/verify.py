@@ -64,7 +64,6 @@ from busemann.spaces import (
     random_orthogonal,
     random_tree,
     rotation_2d,
-    sample_point,
     star_tree,
     translation,
 )
@@ -101,11 +100,11 @@ def _space_roster():
 def _quadruple(space, rng):
     mode = rng.uniform()
     if mode < 0.55:
-        return tuple(sample_point(space, rng, 2.0) for _ in range(4))
-    z1 = sample_point(space, rng, 2.0)
-    z2 = sample_point(space, rng, 2.0)
+        return tuple(space.sample(rng, 2.0) for _ in range(4))
+    z1 = space.sample(rng, 2.0)
+    z2 = space.sample(rng, 2.0)
     if space.distance(z1, z2) == 0.0:
-        return tuple(sample_point(space, rng, 2.0) for _ in range(4))
+        return tuple(space.sample(rng, 2.0) for _ in range(4))
     # two sub-segments of a common geodesic, shifted copies of each other
     h = float(rng.uniform(0.05, 0.4))
     u1 = float(rng.uniform(0.0, 1.0 - h))
@@ -519,7 +518,7 @@ def suite_circumcenter(euclid_instances: int = 200, tree_instances: int = 100, s
     worst = 0.0
     for k in range(tree_instances):
         tree = random_tree(int(rng.integers(3, 8)), rng)
-        pts = [sample_point(tree, rng) for _ in range(int(rng.integers(2, 6)))]
+        pts = [tree.sample(rng) for _ in range(int(rng.integers(2, 6)))]
         _, r_oracle = tree_one_center(tree, pts)
         _, r_iter = circumcenter(tree, pts, tol=1e-8, seed=int(rng.integers(1 << 30)))
         worst = max(worst, abs(r_oracle - r_iter))

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from busemann.cli import main
+from busemann.models import GENERATORS
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -178,6 +179,26 @@ def test_all_named_generators_solve(tmp_path):
         assert (tmp_path / name / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["bcd", "norm-minimal", "lexicographic", "commensurability"])
+def test_trace_rows_match_header_for_every_generator(tmp_path, method):
+    # a commensurability solve reports one energy class, whatever the edge
+    # classes of the problem, and the trace columns must follow the report
+    for name in sorted(GENERATORS):
+        out = tmp_path / name
+        path = write_config(
+            tmp_path,
+            name=f"{name}.json",
+            problem={"generator": name},
+            solver={"method": method},
+            output={"dir": str(out)},
+        )
+        assert main(["solve", str(path)]) == 0, name
+        header, *rows = (out / "trace.csv").read_text().splitlines()
+        assert rows, name
+        for row in rows:
+            assert len(row.split(",")) == len(header.split(",")), (name, header, row)
+
+
 def test_explicit_lp_and_product_configs(tmp_path):
     # l_p space with a signed-permutation twist
     path = write_config(
@@ -277,7 +298,7 @@ def test_verify_unknown_suite_exit_2(tmp_path):
 def test_cli_subprocess_entry(tmp_path):
     path = write_config(tmp_path, output={"dir": str(tmp_path / "sub")})
     proc = subprocess.run(
-        [sys.executable, "-m", "busemann.cli", "solve", str(path), "--threads", "2"],
+        [sys.executable, "-m", "busemann.cli", "solve", str(path)],
         capture_output=True,
         text=True,
     )

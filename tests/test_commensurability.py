@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from busemann.commensurability import (
+    CommEnergyModel,
     CoverSpec,
-    _comm_sweeps_arrays,
-    _comm_sweeps_scalar,
+    _comm_sweeps,
     build_cover,
     coercivity_fit,
     comm_energy_model,
@@ -19,7 +20,7 @@ from busemann.commensurability import (
     subgroup_harmonic,
     word_ball,
 )
-from busemann.harmonic import Edge, EquivariantProblem, energy
+from busemann.harmonic import Edge, EquivariantProblem, Term, _weighted_sq_dist, energy
 from busemann.mapspace import EquivariantMap, MeasureModel
 from busemann.models import (
     dihedral_cover_model,
@@ -110,14 +111,11 @@ def test_i_energy_linear_in_kernel():
     m, rep = base_harmonic()
     phi = rep.solution
     base_val = commensurability_energy(m, phi)
-    from busemann.commensurability import CommEnergyModel, KernelTerm
-
     scaled = CommEnergyModel(
         model=m.model,
         target=m.target,
         base_point=m.base_point,
-        terms=tuple(KernelTerm(t.c1, t.c2, 3.0 * t.weight, t.transport) for t in m.terms),
-        normalization=m.normalization,
+        terms=tuple(Term(t.c1, t.c2, 3.0 * t.weight, t.transport) for t in m.terms),
         generators=m.generators,
         word_radius=m.word_radius,
         truncation_residual=m.truncation_residual,
@@ -417,15 +415,21 @@ def test_cover_with_integer_cell_ids_lifts_and_folds():
 
 
 # ---------------------------------------------------------------------------
-# array sweeps against the scalar sweeps
+# the compiled engine against the scalar engine on kernel models
 # ---------------------------------------------------------------------------
 
 
-def both_sweeps(m, start, **anchor):
-    return [
-        sweeps(m, list(start), 1e-9, 500, **anchor)
-        for sweeps in (_comm_sweeps_arrays, _comm_sweeps_scalar)
-    ]
+def scalar_copy(m):
+    """The same model with the compiled engine switched off (``arrays`` is a
+    cached property, so presetting it to None keeps minimize_energy scalar)."""
+    copy = dataclasses.replace(m)
+    copy.__dict__["arrays"] = None
+    return copy
+
+
+def both_sweeps(m, start, anchor=None):
+    """The kernel sweeps from ``start`` on the compiled and on the scalar engine."""
+    return [_comm_sweeps(model, start, 1e-9, 500, anchor) for model in (m, scalar_copy(m))]
 
 
 def random_start(m, seed):
@@ -455,16 +459,13 @@ def test_array_sweeps_bit_identical_on_anchored_stage():
     # one stage of the norm-minimal homotopy: the anchor term enters the
     # local sums last among the point terms
     m = comm_energy_model(dihedral_line_problem(3))
-    anchor = dict(anchor_weights=[2.0 ** -3 * w for w in m.model.weights], anchor_point=(0.5,))
-    arrays, scalar = both_sweeps(m, random_start(m, 5), **anchor)
+    arrays, scalar = both_sweeps(m, random_start(m, 5), anchor=(2.0 ** -3, (0.5,)))
     assert arrays[2] > 10
     assert repr(arrays) == repr(scalar)
 
 
 def test_weighted_squares_round_like_scalar_terms():
     # d ** 2 is libm pow, which differs from d * d in about 0.1% of cases
-    from busemann.commensurability import _weighted_sq_dist
-
     rng = np.random.default_rng(8)
     x, y = rng.normal(0.0, 3.0, (2, 20000, 1))
     w = rng.uniform(0.0, 1.0, 20000)
@@ -492,8 +493,8 @@ def test_array_sweeps_match_scalar_in_two_dimensions():
     # math.dist and a numpy norm may round differently in the last bit
     m = plane_model()
     assert m.arrays is not None
-    for anchor in ({}, dict(anchor_weights=[0.25 * w for w in m.model.weights], anchor_point=(1.0, 2.0))):
-        arrays, scalar = both_sweeps(m, random_start(m, 6), **anchor)
+    for anchor in (None, (0.25, (1.0, 2.0))):
+        arrays, scalar = both_sweeps(m, random_start(m, 6), anchor)
         assert arrays[2] > 10
         assert arrays[2:4] == scalar[2:4]
         np.testing.assert_allclose(arrays[0], scalar[0], rtol=0.0, atol=1e-12)
@@ -511,11 +512,11 @@ def test_array_path_only_for_euclidean_targets():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("sweeps", [_comm_sweeps_arrays, _comm_sweeps_scalar])
-def test_sweeps_fail_fast_on_non_finite_start(sweeps):
-    m = comm_energy_model(base_problem())
+@pytest.mark.parametrize("engine", [lambda m: m, scalar_copy], ids=["compiled", "scalar"])
+def test_sweeps_fail_fast_on_non_finite_start(engine):
+    m = engine(comm_energy_model(base_problem()))
     start = [(0.0,), (math.nan,), (0.0,)]
     with pytest.raises(SolverError, match="non-finite objective nan at sweep 0"):
-        sweeps(m, start, 1e-9, 500)
+        _comm_sweeps(m, start, 1e-9, 500)
     with pytest.raises(SolverError, match="non-finite"):
-        sweeps(m, [(math.inf,)] * 3, 1e-9, 500)
+        _comm_sweeps(m, [(math.inf,)] * 3, 1e-9, 500)

@@ -32,14 +32,11 @@ from busemann.spaces import (
     Euclidean,
     LpVector,
     Product,
-    compose_isometry,
-    distance,
     geodesic_point,
     identity_isometry,
     midpoint,
     point_reflection,
     rotation_2d,
-    sample_point,
     star_tree,
     translation,
 )
@@ -91,8 +88,8 @@ def test_modulus_star_tree_matches_exhaustive_oracle():
     best = 0.0
     for i, y1 in enumerate(grid):
         for y2 in grid[i:]:
-            if distance(STAR, y1, y2) >= eps * r:
-                best = max(best, distance(STAR, c, midpoint(STAR, y1, y2)))
+            if STAR.distance(y1, y2) >= eps * r:
+                best = max(best, STAR.distance(c, midpoint(STAR, y1, y2)))
     oracle = r - best
     assert oracle == pytest.approx(0.5, abs=0.02)
     est = modulus_estimate(STAR, c, eps, r, budget=10_000, seed=2)
@@ -156,18 +153,18 @@ def test_project_optimality_sampled(rng):
     x = (5.0, 1.0)
     p = project(E2, x, ball)
     for _ in range(1000):
-        y = sample_point(E2, rng, 3.0)
-        d = distance(E2, y, (0.0, 0.0))
+        y = E2.sample(rng, 3.0)
+        d = E2.distance(y, (0.0, 0.0))
         if d > 2.0:
             y = geodesic_point(E2, (0.0, 0.0), y, 2.0 / d)
-        assert distance(E2, x, p) <= distance(E2, x, y) + 1e-9
+        assert E2.distance(x, p) <= E2.distance(x, y) + 1e-9
     sub = Subtree({"c", "l2"})
     xq = STAR.point(0, 0.8)
     pq = project(STAR, xq, sub)
     for _ in range(1000):
         t = rng.uniform(0.0, 1.0)
         y = STAR.point(1, float(t)) if rng.uniform() < 0.5 else STAR.vertex_point("c")
-        assert distance(STAR, xq, pq) <= distance(STAR, xq, y) + 1e-9
+        assert STAR.distance(xq, pq) <= STAR.distance(xq, y) + 1e-9
 
 
 def test_project_hull_membership():
@@ -206,7 +203,7 @@ def test_circumcenter_star_tree_vs_oracle():
     c_o, r_o = tree_one_center(STAR, pts)
     assert r_o == pytest.approx(1.0, abs=1e-12)
     c, r = circumcenter(STAR, pts, tol=1e-9)
-    assert distance(STAR, c, STAR.vertex_point("c")) <= 1e-6
+    assert STAR.distance(c, STAR.vertex_point("c")) <= 1e-6
     assert r == pytest.approx(1.0, abs=1e-8)
 
 
@@ -272,7 +269,7 @@ def test_sampled_convexity_certificate(rng):
 
     f = ConvexFunction(lambda z: math.dist(z, (1.0, 2.0)) ** 2, "sampled")
     assert sampled_convexity_defect(E2, f, rng) <= 1e-9
-    g = ConvexFunction(lambda z: distance(STAR, z, STAR.vertex_point("l1")), "sampled")
+    g = ConvexFunction(lambda z: STAR.distance(z, STAR.vertex_point("l1")), "sampled")
     assert sampled_convexity_defect(STAR, g, rng) <= 1e-9
     bad = ConvexFunction(lambda z: -math.dist(z, (0.0, 0.0)) ** 2, "sampled")
     assert sampled_convexity_defect(E2, bad, rng) > 1e-3
@@ -282,13 +279,13 @@ def test_membership_closed_under_midpoints(rng):
     ball = Ball((0.0, 0.0), 1.5)
     sub = Subtree({"c", "l1", "l3"})
     for _ in range(200):
-        x, y = sample_point(E2, rng), sample_point(E2, rng)
+        x, y = E2.sample(rng), E2.sample(rng)
         x = project(E2, x, ball)
         y = project(E2, y, ball)
         assert member(E2, midpoint(E2, x, y), ball)
     for _ in range(200):
-        x = project(STAR, sample_point(STAR, rng), sub)
-        y = project(STAR, sample_point(STAR, rng), sub)
+        x = project(STAR, STAR.sample(rng), sub)
+        y = project(STAR, STAR.sample(rng), sub)
         assert member(STAR, midpoint(STAR, x, y), sub)
 
 
@@ -307,7 +304,7 @@ def test_minimize_convex_absolute_value():
 def test_minimize_convex_tree_vs_grid_oracle():
     l1, l2 = STAR.vertex_point("l1"), STAR.vertex_point("l2")
     f = ConvexFunction(
-        lambda z: distance(STAR, z, l1) ** 2 + distance(STAR, z, l2) ** 2
+        lambda z: STAR.distance(z, l1) ** 2 + STAR.distance(z, l2) ** 2
     )
     x = minimize_convex(STAR, f, STAR.vertex_point("l3"), tol=1e-8)
     # dense grid over all edges
@@ -317,7 +314,7 @@ def test_minimize_convex_tree_vs_grid_oracle():
         for t in np.linspace(1e-9, 1.0, 500)
     )
     assert f(x) <= best + 1e-6
-    assert distance(STAR, x, STAR.vertex_point("c")) <= 1e-4
+    assert STAR.distance(x, STAR.vertex_point("c")) <= 1e-4
 
 
 def test_minimize_convex_minimax_vs_grid_oracle():
@@ -395,7 +392,7 @@ def test_displacement_convex_along_geodesics(rng):
     )
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
     for _ in range(200):
-        x, y = sample_point(E1, rng, 4.0), sample_point(E1, rng, 4.0)
+        x, y = E1.sample(rng, 4.0), E1.sample(rng, 4.0)
         vals = [displacement(act, geodesic_point(E1, x, y, t)) for t in grid]
         for i in range(1, len(grid) - 1):
             assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-9 * (1 + max(vals))
@@ -434,11 +431,11 @@ def test_clifford_rejects_reflection_and_rotation():
 def test_clifford_composition_commutes(rng):
     s = translation(E2, (1.0, 2.0))
     t = translation(E2, (-0.5, 0.25))
-    both = compose_isometry(s, t)
+    both = s.compose(t)
     rep = clifford_check(E2, both)
     assert rep.is_clifford
     assert rep.displacement <= clifford_check(E2, s).displacement + clifford_check(E2, t).displacement + 1e-9
-    other = compose_isometry(t, s)
+    other = t.compose(s)
     for _ in range(50):
-        x = sample_point(E2, rng, 5.0)
-        assert distance(E2, both.apply(x), other.apply(x)) <= 1e-9
+        x = E2.sample(rng, 5.0)
+        assert E2.distance(both.apply(x), other.apply(x)) <= 1e-9

@@ -13,15 +13,11 @@ from busemann.spaces import (
     SpaceMismatchError,
     TreeIsometry,
     ValidationError,
-    compose_isometry,
-    distance,
     geodesic_point,
-    invert_isometry,
     isometry_defect,
     midpoint,
     point_reflection,
     rotation_2d,
-    sample_point,
     star_tree,
     translation,
 )
@@ -43,26 +39,26 @@ def coords(dim, bound=8.0):
 
 
 def test_distance_euclidean_pythagoras():
-    assert distance(E2, (0.0, 0.0), (3.0, 4.0)) == 5.0
+    assert E2.distance((0.0, 0.0), (3.0, 4.0)) == 5.0
 
 
 def test_distance_lp_norm():
     lp = LpVector(2, 3.0)
-    assert distance(lp, (0.0, 0.0), (1.0, 1.0)) == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-15)
+    assert lp.distance((0.0, 0.0), (1.0, 1.0)) == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-15)
 
 
 def test_distance_star_tree_leaf_to_leaf():
     l1, l2 = STAR.vertex_point("l1"), STAR.vertex_point("l2")
-    d = distance(STAR, l1, l2)
+    d = STAR.distance(l1, l2)
     assert d == 2.0
     assert d == tree_distance_graph_oracle(STAR, l1, l2)
 
 
 def test_distance_mismatch_raises():
     with pytest.raises(SpaceMismatchError):
-        distance(E2, (0.0, 0.0), (1.0, 2.0, 3.0))
+        E2.distance((0.0, 0.0), (1.0, 2.0, 3.0))
     with pytest.raises(SpaceMismatchError):
-        distance(E2, (0.0, 0.0), STAR.vertex_point("c"))
+        E2.distance((0.0, 0.0), STAR.vertex_point("c"))
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +89,10 @@ def test_geodesic_param_out_of_range():
 @given(coords(2), coords(2), st.floats(0, 1), st.floats(0, 1))
 def test_geodesic_consistency_euclidean(x, y, t1, t2):
     t1, t2 = min(t1, t2), max(t1, t2)
-    d = distance(E2, x, y)
+    d = E2.distance(x, y)
     z1 = geodesic_point(E2, x, y, t1)
     z2 = geodesic_point(E2, x, y, t2)
-    assert distance(E2, z1, z2) == pytest.approx((t2 - t1) * d, abs=1e-9 * (1 + d))
+    assert E2.distance(z1, z2) == pytest.approx((t2 - t1) * d, abs=1e-9 * (1 + d))
 
 
 def test_geodesic_consistency_sampled_all_spaces(rng):
@@ -109,12 +105,12 @@ def test_geodesic_consistency_sampled_all_spaces(rng):
     ]
     for space in spaces:
         for _ in range(200):
-            x, y = sample_point(space, rng), sample_point(space, rng)
-            d = distance(space, x, y)
+            x, y = space.sample(rng), space.sample(rng)
+            d = space.distance(x, y)
             t1, t2 = sorted(rng.uniform(0, 1, 2))
             z1 = geodesic_point(space, x, y, float(t1))
             z2 = geodesic_point(space, x, y, float(t2))
-            assert distance(space, z1, z2) == pytest.approx(
+            assert space.distance(z1, z2) == pytest.approx(
                 (t2 - t1) * d, abs=1e-9 * (1 + d)
             )
 
@@ -125,7 +121,7 @@ def test_random_tree_metric_and_geodesics_vs_graph_oracle(rng):
     for _ in range(30):
         tree = random_tree(int(rng.integers(4, 12)), rng)
         for _ in range(30):
-            x, y = sample_point(tree, rng), sample_point(tree, rng)
+            x, y = tree.sample(rng), tree.sample(rng)
             d = tree.distance(x, y)
             assert d == pytest.approx(tree_distance_graph_oracle(tree, x, y), abs=1e-12)
             t = float(rng.uniform(0, 1))
@@ -140,11 +136,9 @@ def test_busemann_convexity_sampled(rng):
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
     for space in spaces:
         for _ in range(150):
-            x, y, u, v = (sample_point(space, rng) for _ in range(4))
+            x, y, u, v = (space.sample(rng) for _ in range(4))
             vals = [
-                distance(
-                    space, geodesic_point(space, x, y, t), geodesic_point(space, u, v, t)
-                )
+                space.distance(geodesic_point(space, x, y, t), geodesic_point(space, u, v, t))
                 for t in grid
             ]
             scale = 1.0 + max(vals)
@@ -156,31 +150,31 @@ def test_strict_convexity_sampled(rng):
     spaces = [E2, LpVector(2, 3.0), LpVector(3, 1.5), STAR, Product((E1, E1), 3.0)]
     for space in spaces:
         for _ in range(150):
-            x = sample_point(space, rng)
-            y1 = sample_point(space, rng)
-            y2 = sample_point(space, rng)
-            if distance(space, y1, y2) < 0.5:
+            x = space.sample(rng)
+            y1 = space.sample(rng)
+            y2 = space.sample(rng)
+            if space.distance(y1, y2) < 0.5:
                 continue
             m = midpoint(space, y1, y2)
-            dmax = max(distance(space, x, y1), distance(space, x, y2))
+            dmax = max(space.distance(x, y1), space.distance(x, y2))
             if dmax == 0.0:
                 continue
-            assert distance(space, x, m) < dmax
-            if distance(space, x, y1) <= 3.0 and distance(space, x, y2) <= 3.0:
-                assert distance(space, x, m) <= dmax - 1e-6 * dmax
+            assert space.distance(x, m) < dmax
+            if space.distance(x, y1) <= 3.0 and space.distance(x, y2) <= 3.0:
+                assert space.distance(x, m) <= dmax - 1e-6 * dmax
 
 
 def test_product_metric_exact_cases():
     pr = Product((E1, E1), 2.0)
-    assert distance(pr, ((0.0,), (0.0,)), ((3.0,), (4.0,))) == 5.0
+    assert pr.distance(((0.0,), (0.0,)), ((3.0,), (4.0,))) == 5.0
     pr3 = Product((E1, E1), 3.0)
-    assert distance(pr3, ((0.0,), (0.0,)), ((1.0,), (1.0,))) == pytest.approx(
+    assert pr3.distance(((0.0,), (0.0,)), ((1.0,), (1.0,))) == pytest.approx(
         2.0 ** (1.0 / 3.0), abs=1e-15
     )
     prt = Product((E1, STAR), 2.0)
     a = ((0.0,), STAR.vertex_point("l1"))
     b = ((3.0,), STAR.vertex_point("l2"))
-    assert distance(prt, a, b) ** 2 == pytest.approx(9.0 + 4.0, abs=1e-12)
+    assert prt.distance(a, b) ** 2 == pytest.approx(9.0 + 4.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +222,8 @@ def test_tree_automorphism_moves_midpoint():
     # distance preservation against the independent path-metric oracle
     rng = np.random.default_rng(0)
     for _ in range(100):
-        x, y = sample_point(STAR, rng), sample_point(STAR, rng)
-        assert distance(STAR, a.apply(x), a.apply(y)) == pytest.approx(
+        x, y = STAR.sample(rng), STAR.sample(rng)
+        assert STAR.distance(a.apply(x), a.apply(y)) == pytest.approx(
             tree_distance_graph_oracle(STAR, x, y), abs=1e-12
         )
 
@@ -245,15 +239,15 @@ def test_tree_automorphism_validation():
 def test_compose_translations():
     t1 = translation(E1, (1.0,))
     t2 = translation(E1, (2.0,))
-    assert compose_isometry(t1, t2).apply((0.0,)) == (3.0,)
+    assert t1.compose(t2).apply((0.0,)) == (3.0,)
 
 
 def test_reflection_involution_and_order():
     r = point_reflection(E1, (0.0,))
     t = translation(E1, (1.0,))
-    assert compose_isometry(r, r).apply((5.0,)) == (5.0,)
+    assert r.compose(r).apply((5.0,)) == (5.0,)
     # reflect after translate: x -> -(x + 1)
-    assert compose_isometry(r, t).apply((0.0,)) == (-1.0,)
+    assert r.compose(t).apply((0.0,)) == (-1.0,)
 
 
 def test_invert_roundtrip_all_kinds(rng):
@@ -267,11 +261,11 @@ def test_invert_roundtrip_all_kinds(rng):
     pr = Product((E1, E1), 2.0)
     cases.append((pr, ProductIsometry((translation(E1, (1.0,)), point_reflection(E1, (0.5,))))))
     for space, iso in cases:
-        inv = invert_isometry(iso)
-        both = compose_isometry(iso, inv)
+        inv = iso.invert()
+        both = iso.compose(inv)
         for _ in range(50):
-            x = sample_point(space, rng)
-            assert distance(space, both.apply(x), x) <= 1e-12
+            x = space.sample(rng)
+            assert space.distance(both.apply(x), x) <= 1e-12
         assert isometry_defect(space, iso, rng, samples=40) <= 1e-9
 
 
@@ -283,7 +277,7 @@ def test_signed_perm_composition(rng):
     b = SignedPermIsometry((2, 0, 1), (-1, 1, -1), (1.0, 2.0, 3.0))
     comp = a.compose(b)
     for _ in range(50):
-        x = sample_point(lp, rng)
+        x = lp.sample(rng)
         assert max(
             abs(u - v) for u, v in zip(comp.apply(x), a.apply(b.apply(x)))
         ) <= 1e-12
@@ -292,7 +286,7 @@ def test_signed_perm_composition(rng):
 
 def test_compose_mismatch_raises():
     with pytest.raises(SpaceMismatchError):
-        compose_isometry(translation(E1, (1.0,)), translation(E2, (1.0, 0.0)))
+        translation(E1, (1.0,)).compose(translation(E2, (1.0, 0.0)))
 
 
 def test_orthogonality_validated():
