@@ -5,15 +5,11 @@ the known closed forms.
 """
 
 import argparse
-import math
 
-from busemann.oracles import euclidean_modulus_1d, hanner_modulus_ge2
 from busemann.convexity import modulus_estimate
+from busemann.mapspace import banach_lp_modulus, hilbert_modulus
+from busemann.oracles import euclidean_modulus_1d
 from busemann.spaces import Euclidean, LpVector, star_tree
-
-
-def hilbert(eps):
-    return 1.0 - math.sqrt(1.0 - eps * eps / 4.0)
 
 
 def main():
@@ -25,9 +21,9 @@ def main():
     tree = star_tree(3)
     rows = [
         ("euclidean(1)", Euclidean(1), (0.0,), euclidean_modulus_1d),
-        ("euclidean(2)", Euclidean(2), (0.0, 0.0), hilbert),
-        ("euclidean(5)", Euclidean(5), (0.0,) * 5, hilbert),
-        ("lp(3, p=3)", LpVector(3, 3.0), (0.0,) * 3, lambda e: hanner_modulus_ge2(3.0, e)),
+        ("euclidean(2)", Euclidean(2), (0.0, 0.0), hilbert_modulus),
+        ("euclidean(5)", Euclidean(5), (0.0,) * 5, hilbert_modulus),
+        ("lp(3, p=3)", LpVector(3, 3.0), (0.0,) * 3, lambda e: banach_lp_modulus(3.0, e)),
         ("star tree", tree, tree.vertex_point("c"), lambda e: e / 2.0),
     ]
     print(f"{'space':14s} {'eps':>5s} {'estimate':>12s} {'reference':>12s} {'rel gap':>10s}")

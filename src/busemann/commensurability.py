@@ -416,7 +416,7 @@ def subgroup_harmonic(
             "restarts disagree although no parallel orbits were found", best=vals
         )
     phi = EquivariantMap(m.model, space, tuple(vals))
-    energy_total = commensurability_energy(m, phi)
+    energy_total = trace[-1].energy_total  # the winning restart's final energy
     return SolveReport(
         solution=phi,
         energy_total=energy_total,

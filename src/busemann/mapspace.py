@@ -11,14 +11,15 @@ is complete and Busemann non-positively curved whenever the target is, and
 is uniformly convex with an explicit rate: the midpoint of two maps within
 distance r of a third, separated by eps * r, is at distance at most
 r * (1 - tau(eps)) from it, where tau(eps) = beta_p(delta(eps/4)^4),
-beta_p the modulus of convexity of the scalar L_p space and delta a linear
-modulus lower bound of the target.  ``uc_witness_check`` certifies this
-numerically; ``mazur_map`` implements the sphere-preserving map between
-scalar L_p and L_q fields.
+beta_p Hanner's modulus of convexity of the scalar L_p space
+(``banach_lp_modulus``) and delta a linear modulus lower bound of the
+target.  ``uc_witness_check`` certifies this numerically; ``mazur_map``
+implements the sphere-preserving map between scalar L_p and L_q fields.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -47,7 +48,6 @@ __all__ = [
     "map_midpoint",
     "map_geodesic",
     "banach_lp_modulus",
-    "two_atom_modulus_search",
     "hilbert_modulus",
     "linear_modulus_bound",
     "UCWitnessReport",
@@ -75,6 +75,8 @@ class MeasureModel:
             raise ValidationError("cells/weights length mismatch or empty model")
         if len(set(cells)) != len(cells):
             raise ValidationError("duplicate cell ids")
+        if not all(math.isfinite(w) for w in weights):
+            raise ValidationError("cell weights must be finite")
         if any(w <= 0.0 for w in weights):
             raise ValidationError("cell weights must be positive")
         if abs(math.fsum(weights) - 1.0) > 1e-12:
@@ -161,166 +163,63 @@ def map_geodesic(phi: EquivariantMap, psi: EquivariantMap, s: float) -> Equivari
 
 
 def hilbert_modulus(eps: float) -> float:
-    """Modulus of convexity of a Hilbert space, 1 - sqrt(1 - eps^2/4)."""
-    if eps <= 0.0:
-        return 0.0
-    e = min(eps, 2.0)
-    return 1.0 - math.sqrt(max(0.0, 1.0 - e * e / 4.0))
-
-
-def _sphere_points(theta: np.ndarray, mu: float, nu: float, p: float):
-    c, s = np.cos(theta), np.sin(theta)
-    u = np.sign(c) * np.abs(c) ** (2.0 / p) / mu ** (1.0 / p)
-    v = np.sign(s) * np.abs(s) ** (2.0 / p) / nu ** (1.0 / p)
-    return u, v
-
-
-def two_atom_modulus_search(
-    p: float,
-    eps: float | np.ndarray,
-    grid: int = 128,
-    mu_values: Sequence[float] = (0.5, 0.35, 0.2, 0.08),
-) -> float | np.ndarray:
-    """Modulus of convexity of L_p computed directly: minimize 1 - |(f+g)/2|
-    over unit-sphere pairs f, g of a two-atom weighted L_p space subject to
-    |f - g| >= eps.
-
-    ``eps`` is a number (the result is a float) or an array of separations
-    (the result is an array of the same shape); a scalar is a one-node batch.
-    For each atom weight mu the sphere points of the fixed g-direction grid
-    are computed once, and the first f-direction grid, which does not depend
-    on eps, is shared by every node.  The constraint is active at the optimum,
-    so along each grid row the search brackets the roots of |f - g| = eps and
-    bisects them, every node's roots in one vector bisection with a per-root
-    eps; each node then zooms its f-direction window around its best root.
-    Where no pair reaches separation eps (eps >= 2), 0 is returned, the
-    trivial lower estimate.  Deterministic; uses no closed forms.
-    """
-    eps = np.minimum(np.asarray(eps, dtype=float), 2.0)
-    flat = eps.reshape(-1)
-    best = np.full(flat.shape, math.inf)
-    live = np.flatnonzero(flat > 0.0)
-    for mu in mu_values:
-        best[live] = np.minimum(best[live], _two_atom_search_mu(p, float(mu), flat[live], grid))
-    out = np.where(np.isfinite(best), np.maximum(0.0, best), 0.0).reshape(eps.shape)
-    return float(out) if out.ndim == 0 else out
-
-
-_ROW_BLOCK = 8  # grid rows per evaluation block, to keep temporaries small
-
-
-def _two_atom_search_mu(p: float, mu: float, eps: np.ndarray, grid: int) -> np.ndarray:
-    """Per-node minimum of the two-atom search at atom weight mu (inf where
-    no pair reaches the node's separation)."""
-    nu = 1.0 - mu
-
-    def norm(u, v):
-        return (mu * np.abs(u) ** p + nu * np.abs(v) ** p) ** (1.0 / p)
-
-    t2 = np.linspace(0.0, 2.0 * math.pi, 4 * grid)
-    u2, v2 = _sphere_points(t2, mu, nu, p)
-
-    def rows_grid(t1):
-        u1, v1 = _sphere_points(t1, mu, nu, p)
-        sep = np.empty((len(t1), len(t2)))
-        obj = np.empty_like(sep)
-        for i in range(0, len(t1), _ROW_BLOCK):
-            bu = u1[i : i + _ROW_BLOCK, None]
-            bv = v1[i : i + _ROW_BLOCK, None]
-            sep[i : i + _ROW_BLOCK] = norm(bu - u2, bv - v2)
-            obj[i : i + _ROW_BLOCK] = 1.0 - norm(0.5 * (bu + u2), 0.5 * (bv + v2))
-        return sep, obj
-
-    n = len(eps)
-    best = np.full(n, math.inf)
-    lo = [0.0] * n
-    hi = [2.0 * math.pi] * n
-    n1 = grid
-    t1 = np.linspace(0.0, 2.0 * math.pi, n1)
-    shared = rows_grid(t1)  # the first window is the same for every node
-    alive = list(range(n))
-    for level in range(5):
-        nodes, th1, a, b, sa = [], [], [], [], []
-        for k in alive:
-            if level:
-                t1 = np.linspace(lo[k], hi[k], n1)
-                sep, obj = rows_grid(t1)
-            else:
-                sep, obj = shared
-            e = eps[k]
-            # interior-feasible grid minimum (safety net)
-            best[k] = min(best[k], np.where(sep >= e, obj, np.inf).min())
-            # brackets of the roots of sep == eps along each row
-            sign = np.sign(sep - e)
-            rows, cols = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
-            if rows.size:
-                nodes.append(k)
-                th1.append(t1[rows])
-                a.append(t2[cols])
-                b.append(t2[cols + 1])
-                sa.append(sep[rows, cols] - e)
-        if not nodes:
-            break
-        counts = [len(t) for t in th1]
-        bounds = np.cumsum([0] + counts)
-        ev = np.repeat(eps[nodes], counts)  # each root's own eps
-        th1v, a, b, sa = (np.concatenate(x) for x in (th1, a, b, sa))
-        u1, v1 = _sphere_points(th1v, mu, nu, p)
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            um, vm = _sphere_points(m, mu, nu, p)
-            sm = norm(u1 - um, v1 - vm)
-            left = (sm - ev) * sa > 0
-            a = np.where(left, m, a)
-            b = np.where(left, b, m)
-            sa = np.where(left, sm - ev, sa)
-        um, vm = _sphere_points(0.5 * (a + b), mu, nu, p)
-        vals = 1.0 - norm(0.5 * (u1 + um), 0.5 * (v1 + vm))
-        # each node zooms its f-direction window around its best root
-        for k, s0, s1 in zip(nodes, bounds[:-1], bounds[1:]):
-            j = s0 + int(np.argmin(vals[s0:s1]))
-            best[k] = min(best[k], vals[j])
-            wk = (hi[k] - lo[k]) / (n1 - 1)
-            lo[k], hi[k] = float(th1v[j]) - 2.0 * wk, float(th1v[j]) + 2.0 * wk
-        alive = nodes
-        n1 = 33
-    return best
-
-
-# Lazily-built per-exponent curves for the L_p modulus, each built by one
-# batched two-atom search over all its nodes.  Lookups step down to the node
-# below, and below the smallest node extrapolate with the known small-eps
-# power max(2, p), with a 1/2 safety factor.  Both choices are meant to
-# under-estimate the modulus, which keeps the certified rate valid; at the
-# smallest nodes the grid search itself still over-estimates it for p != 2
-# (a known defect, pinned by a strict xfail test against Hanner's forms).
-_MODULUS_NODES = 32
-_modulus_curves: dict = {}
-
-
-def _modulus_curve(p: float):
-    key = round(p, 12)
-    if key not in _modulus_curves:
-        grid = np.geomspace(1e-3, 2.0, _MODULUS_NODES)
-        vals = two_atom_modulus_search(p, grid, grid=64, mu_values=(0.5, 0.3, 0.12))
-        vals = np.maximum.accumulate(vals)  # enforce monotonicity against noise
-        _modulus_curves[key] = (grid, vals)
-    return _modulus_curves[key]
+    """Modulus of convexity of a Hilbert space, 1 - sqrt(1 - eps^2/4): the
+    p = 2 case of :func:`banach_lp_modulus`."""
+    return banach_lp_modulus(2.0, eps)
 
 
 def banach_lp_modulus(p: float, eps: float) -> float:
-    """Lower estimate of the modulus of convexity of the scalar L_p space."""
+    """Modulus of convexity of the scalar L_p space (Hanner, 1956).
+
+    For p >= 2 the closed form 1 - (1 - (eps/2)^p)^(1/p), evaluated as
+    -expm1(log1p(-(eps/2)^p) / p) so that it does not cancel at small eps.
+    For 1 < p < 2 the root delta of
+
+        F(delta) = (1 - delta + eps/2)^p + |1 - delta - eps/2|^p - 2 = 0
+
+    inside the bracket [0, hilbert_modulus(eps)].  F is convex and
+    decreasing, so Newton steps from delta = 0 rise monotonically to the
+    root and never pass it: each iterate is the lower end of a bracket, and
+    the last one is returned.  F is evaluated as 2 expm1(p log(1 - delta) +
+    log Phi(t)) with t = (eps/2) / (1 - delta) and Phi(t) = ((1 + t)^p +
+    |1 - t|^p) / 2, whose excess over 1 is summed as a series at small t.
+    """
     if not (1.0 < p < math.inf):
         raise DomainError("exponent p must lie in (1, inf)")
     if eps <= 0.0:
         return 0.0
-    eps = min(eps, 2.0)
-    grid, vals = _modulus_curve(p)
-    if eps < grid[0]:
-        s = max(2.0, p)
-        return 0.5 * float(vals[0]) * (eps / float(grid[0])) ** s
-    i = int(np.searchsorted(grid, eps, side="right")) - 1
-    return float(vals[i])
+    if eps >= 2.0:
+        return 1.0
+    if p >= 2.0:
+        return -math.expm1(math.log1p(-((eps / 2.0) ** p)) / p)
+    a = eps / 2.0
+    hi = hilbert_modulus(eps)
+    d = 0.0
+    for _ in range(64):
+        s = 1.0 - d
+        half_f = math.expm1(p * math.log1p(-d) + math.log1p(_half_sum_excess(p, a / s)))
+        half_slope = 0.5 * p * ((s + a) ** (p - 1.0) + math.copysign(abs(s - a) ** (p - 1.0), s - a))
+        nxt = d + half_f / half_slope
+        if not d < nxt < hi:
+            break
+        d = nxt
+    return d
+
+
+def _half_sum_excess(p: float, t: float) -> float:
+    """((1 + t)^p + |1 - t|^p) / 2 - 1 for 1 < p < 2 and t > 0.  Below
+    t = 1/4 it is summed as its binomial series sum_k C(p, 2k) t^(2k), whose
+    terms are all positive, so nothing cancels."""
+    if t >= 0.25:
+        return 0.5 * ((1.0 + t) ** p + abs(1.0 - t) ** p) - 1.0
+    t2 = t * t
+    total, term, k = 0.0, 1.0, 0
+    while True:
+        term *= (p - k) * (p - k - 1.0) / ((k + 1.0) * (k + 2.0)) * t2
+        k += 2
+        if total + term == total:
+            return total
+        total += term
 
 
 def linear_modulus_bound(space) -> Callable[[float], float]:
@@ -331,12 +230,7 @@ def linear_modulus_bound(space) -> Callable[[float], float]:
     if isinstance(space, LpVector):
         p = space.p
         if p >= 2.0:
-            def hanner(eps: float) -> float:
-                if eps <= 0.0:
-                    return 0.0
-                e = min(eps, 2.0)
-                return 1.0 - (1.0 - (e / 2.0) ** p) ** (1.0 / p)
-            return hanner
+            return functools.partial(banach_lp_modulus, p)
         def two_uniform(eps: float) -> float:
             if eps <= 0.0:
                 return 0.0

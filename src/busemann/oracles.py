@@ -4,7 +4,8 @@ Everything here deliberately avoids the iterative algorithms it is used to
 check: smallest enclosing balls by support-set enumeration, tree centers by
 exact per-edge piecewise-linear minimization, path metrics by graph search
 on a vertex-augmented graph, energy minima by exhaustive product grids with
-zooming, and the classical closed forms for moduli of convexity.
+zooming, the L_p modulus of convexity by a direct search over unit-sphere
+pairs of a two-atom space, and the modulus of the real line.
 """
 
 from __future__ import annotations
@@ -261,32 +262,127 @@ def grid_minimum_scalar(f, lo: float, hi: float, n: int = 2001) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for moduli of convexity (validation oracles)
+# Moduli of convexity: a direct two-atom search and the real line
 # ---------------------------------------------------------------------------
 
 
-def hanner_modulus_ge2(p: float, eps: float) -> float:
-    """Modulus of convexity of L_p for p >= 2: 1 - (1 - (eps/2)^p)^(1/p)."""
-    if eps <= 0.0:
-        return 0.0
-    e = min(eps, 2.0)
-    return 1.0 - (1.0 - (e / 2.0) ** p) ** (1.0 / p)
+def _sphere_points(theta: np.ndarray, mu: float, nu: float, p: float):
+    c, s = np.cos(theta), np.sin(theta)
+    u = np.sign(c) * np.abs(c) ** (2.0 / p) / mu ** (1.0 / p)
+    v = np.sign(s) * np.abs(s) ** (2.0 / p) / nu ** (1.0 / p)
+    return u, v
 
 
-def hanner_modulus_le2(p: float, eps: float) -> float:
-    """Modulus of convexity of L_p for 1 < p <= 2: the delta solving
-    (1 - delta + eps/2)^p + |1 - delta - eps/2|^p = 2."""
-    if eps <= 0.0:
-        return 0.0
-    e = min(eps, 2.0)
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        d = 0.5 * (lo + hi)
-        if (1.0 - d + e / 2.0) ** p + abs(1.0 - d - e / 2.0) ** p > 2.0:
-            lo = d
-        else:
-            hi = d
-    return 0.5 * (lo + hi)
+def two_atom_modulus_search(
+    p: float,
+    eps: float | np.ndarray,
+    grid: int = 128,
+    mu_values: Sequence[float] = (0.5, 0.35, 0.2, 0.08),
+) -> float | np.ndarray:
+    """Modulus of convexity of L_p computed directly: minimize 1 - |(f+g)/2|
+    over unit-sphere pairs f, g of a two-atom weighted L_p space subject to
+    |f - g| >= eps.
+
+    ``eps`` is a number (the result is a float) or an array of separations
+    (the result is an array of the same shape); a scalar is a one-node batch.
+    For each atom weight mu the sphere points of the fixed g-direction grid
+    are computed once, and the first f-direction grid, which does not depend
+    on eps, is shared by every node.  The constraint is active at the optimum,
+    so along each grid row the search brackets the roots of |f - g| = eps and
+    bisects them, every node's roots in one vector bisection with a per-root
+    eps; each node then zooms its f-direction window around its best root.
+    Where no pair reaches separation eps (eps >= 2), 0 is returned, the
+    trivial lower estimate.  Deterministic; uses no closed forms.
+    """
+    eps = np.minimum(np.asarray(eps, dtype=float), 2.0)
+    flat = eps.reshape(-1)
+    best = np.full(flat.shape, math.inf)
+    live = np.flatnonzero(flat > 0.0)
+    for mu in mu_values:
+        best[live] = np.minimum(best[live], _two_atom_search_mu(p, float(mu), flat[live], grid))
+    out = np.where(np.isfinite(best), np.maximum(0.0, best), 0.0).reshape(eps.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+_ROW_BLOCK = 8  # grid rows per evaluation block, to keep temporaries small
+
+
+def _two_atom_search_mu(p: float, mu: float, eps: np.ndarray, grid: int) -> np.ndarray:
+    """Per-node minimum of the two-atom search at atom weight mu (inf where
+    no pair reaches the node's separation)."""
+    nu = 1.0 - mu
+
+    def norm(u, v):
+        return (mu * np.abs(u) ** p + nu * np.abs(v) ** p) ** (1.0 / p)
+
+    t2 = np.linspace(0.0, 2.0 * math.pi, 4 * grid)
+    u2, v2 = _sphere_points(t2, mu, nu, p)
+
+    def rows_grid(t1):
+        u1, v1 = _sphere_points(t1, mu, nu, p)
+        sep = np.empty((len(t1), len(t2)))
+        obj = np.empty_like(sep)
+        for i in range(0, len(t1), _ROW_BLOCK):
+            bu = u1[i : i + _ROW_BLOCK, None]
+            bv = v1[i : i + _ROW_BLOCK, None]
+            sep[i : i + _ROW_BLOCK] = norm(bu - u2, bv - v2)
+            obj[i : i + _ROW_BLOCK] = 1.0 - norm(0.5 * (bu + u2), 0.5 * (bv + v2))
+        return sep, obj
+
+    n = len(eps)
+    best = np.full(n, math.inf)
+    lo = [0.0] * n
+    hi = [2.0 * math.pi] * n
+    n1 = grid
+    t1 = np.linspace(0.0, 2.0 * math.pi, n1)
+    shared = rows_grid(t1)  # the first window is the same for every node
+    alive = list(range(n))
+    for level in range(5):
+        nodes, th1, a, b, sa = [], [], [], [], []
+        for k in alive:
+            if level:
+                t1 = np.linspace(lo[k], hi[k], n1)
+                sep, obj = rows_grid(t1)
+            else:
+                sep, obj = shared
+            e = eps[k]
+            # interior-feasible grid minimum (safety net)
+            best[k] = min(best[k], np.where(sep >= e, obj, np.inf).min())
+            # brackets of the roots of sep == eps along each row
+            sign = np.sign(sep - e)
+            rows, cols = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+            if rows.size:
+                nodes.append(k)
+                th1.append(t1[rows])
+                a.append(t2[cols])
+                b.append(t2[cols + 1])
+                sa.append(sep[rows, cols] - e)
+        if not nodes:
+            break
+        counts = [len(t) for t in th1]
+        bounds = np.cumsum([0] + counts)
+        ev = np.repeat(eps[nodes], counts)  # each root's own eps
+        th1v, a, b, sa = (np.concatenate(x) for x in (th1, a, b, sa))
+        u1, v1 = _sphere_points(th1v, mu, nu, p)
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            um, vm = _sphere_points(m, mu, nu, p)
+            sm = norm(u1 - um, v1 - vm)
+            left = (sm - ev) * sa > 0
+            a = np.where(left, m, a)
+            b = np.where(left, b, m)
+            sa = np.where(left, sm - ev, sa)
+        um, vm = _sphere_points(0.5 * (a + b), mu, nu, p)
+        vals = 1.0 - norm(0.5 * (u1 + um), 0.5 * (v1 + vm))
+        # each node zooms its f-direction window around its best root
+        for k, s0, s1 in zip(nodes, bounds[:-1], bounds[1:]):
+            j = s0 + int(np.argmin(vals[s0:s1]))
+            best[k] = min(best[k], vals[j])
+            wk = (hi[k] - lo[k]) / (n1 - 1)
+            lo[k], hi[k] = float(th1v[j]) - 2.0 * wk, float(th1v[j]) + 2.0 * wk
+        alive = nodes
+        n1 = 33
+    return best
 
 
 def euclidean_modulus_1d(eps: float, r: float = 1.0) -> float:
