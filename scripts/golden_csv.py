@@ -7,10 +7,19 @@ Every generator in ``busemann.models.GENERATORS`` is solved with its default
 parameters under every solver method (``bcd``, ``norm-minimal``,
 ``lexicographic``, ``commensurability``, and ``commensurability`` with
 ``norm_minimal`` as ``commensurability-norm-minimal``) at a fixed seed
-(``--seed``, default 7, stored in ``DIR/seed``).  Beside them ``bcd`` runs an explicit consensus
-chain (``DIR/consensus-chain-20/bcd/``): 20 cells with identity twists both
-ways, started from the ramp i + noise(seed), ``max_sweeps`` 5000, the
-slow-mixing case that dominates Euclidean solve time.  Each run leaves
+(``--seed``, default 7, stored in ``DIR/seed``).  Beside them ``bcd`` runs
+three explicit problems (``DIR/<name>/bcd/``):
+
+- ``consensus-chain-20``: 20 cells with identity twists both ways, started
+  from the ramp i + noise(seed), ``max_sweeps`` 5000, the slow-mixing case
+  that dominates Euclidean solve time;
+- ``star-tree-consensus-6``: 6 cells with identity twists both ways into the
+  unit tripod, cell i starting on leaf edge i mod 3 at a seeded offset (the
+  exact tree step);
+- ``lp23-translation-chain-4``: 4 cells in l_p(2, 3), a chain closed by a
+  seeded translation, from a seeded start (the Newton step).
+
+Each run leaves
 ``DIR/<generator>/<method>/`` holding ``trace.csv``, ``solution.csv``, ``summary.json`` without its
 ``wall_time_s`` entry, and ``exit_code`` (a run that stops with a solver
 error writes only the exit code).  ``--check`` reruns everything at the
@@ -39,16 +48,22 @@ METHODS = {
     "commensurability": {"method": "commensurability"},
     "commensurability-norm-minimal": {"method": "commensurability", "norm_minimal": True},
 }
-RUNS = len(GENERATORS) * len(METHODS) + 1
+IDENTITY = {"kind": "identity"}
+
+
+def chain_edges(cells: int) -> list:
+    """Identity edges c_i <-> c_{i+1}, both ways."""
+    return [
+        {"src": f"c{src}", "dst": f"c{dst}", "weight": 1.0, "twist": IDENTITY}
+        for i in range(cells - 1)
+        for src, dst in ((i, i + 1), (i + 1, i))
+    ]
 
 
 def consensus_chain(seed: int, cells: int = 20) -> dict:
     """Config of the explicit consensus chain run by ``bcd``."""
     rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(cells - 1):
-        for src, dst in ((i, i + 1), (i + 1, i)):
-            edges.append({"src": f"c{src}", "dst": f"c{dst}", "weight": 1.0, "twist": {"kind": "identity"}})
+    edges = chain_edges(cells)
     return {
         "schema": 1,
         "seed": seed,
@@ -61,6 +76,57 @@ def consensus_chain(seed: int, cells: int = 20) -> dict:
         },
         "solver": {"method": "bcd", "max_sweeps": 5000},
     }
+
+
+def star_tree_consensus(seed: int, cells: int = 6) -> dict:
+    """Config of the explicit star-tree consensus run by ``bcd``."""
+    rng = np.random.default_rng([seed, 1])
+    tripod = {
+        "kind": "tree",
+        "vertices": ["c", "l1", "l2", "l3"],
+        "edges": [["c", f"l{i}", 1.0] for i in (1, 2, 3)],
+    }
+    return {
+        "schema": 1,
+        "seed": seed,
+        "space": tripod,
+        "problem": {
+            "cells": [{"id": f"c{i}", "weight": 1.0 / cells} for i in range(cells)],
+            "edges": chain_edges(cells),
+            "base_point": {"vertex": "c"},
+            "init": [{"edge": i % 3, "offset": float(rng.uniform(0.7, 0.8))} for i in range(cells)],
+        },
+        "solver": {"method": "bcd"},
+    }
+
+
+def lp_translation_chain(seed: int, cells: int = 4) -> dict:
+    """Config of the explicit l_p(2, 3) translation chain run by ``bcd``."""
+    rng = np.random.default_rng([seed, 2])
+    edges = [e for e in chain_edges(cells) if e["src"] < e["dst"]]
+    shift = [float(c) for c in rng.uniform(-0.6, 0.6, 2)]
+    edges.append({"src": f"c{cells - 1}", "dst": "c0", "weight": 1.0, "twist": {"kind": "translation", "by": shift}})
+    return {
+        "schema": 1,
+        "seed": seed,
+        "space": {"kind": "lp", "dim": 2, "p": 3.0},
+        "problem": {
+            "cells": [{"id": f"c{i}", "weight": 1.0 / cells} for i in range(cells)],
+            "edges": edges,
+            "base_point": [0.0, 0.0],
+            "init": [[float(c) for c in rng.uniform(-0.5, 0.5, 2)] for _ in range(cells)],
+        },
+        "solver": {"method": "bcd"},
+    }
+
+
+# explicit problems solved by ``bcd``: run directory -> config builder
+EXPLICIT = {
+    "consensus-chain-20": consensus_chain,
+    "star-tree-consensus-6": star_tree_consensus,
+    "lp23-translation-chain-4": lp_translation_chain,
+}
+RUNS = len(GENERATORS) * len(METHODS) + len(EXPLICIT)
 
 
 def solve(out: Path, config: dict) -> None:
@@ -89,7 +155,8 @@ def run_all(root: Path, seed: int) -> None:
                 "problem": {"generator": generator},
                 "solver": solver,
             })
-    solve(root / "consensus-chain-20" / "bcd", consensus_chain(seed))
+    for name, config in EXPLICIT.items():
+        solve(root / name / "bcd", config(seed))
 
 
 def differences(expected: Path, actual: Path) -> list:

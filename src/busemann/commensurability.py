@@ -37,6 +37,7 @@ from busemann.harmonic import (
     SolveReport,
     Term,
     TermEnergy,
+    LOCAL_PATHS,
     _stop_reason,
     energy,
     minimize_energy,
@@ -354,11 +355,14 @@ def commensurability_energy(m: CommEnergyModel, phi: EquivariantMap) -> float:
 def _comm_sweeps(m, values, tol, max_sweeps, anchor=None):
     """Gauss-Seidel sweeps of :func:`minimize_energy` on the kernel energy
     from ``values``, with its optional ``anchor`` (lam, x0).  Returns
-    (values, objective, sweeps, converged, trace)."""
+    (values, objective, sweeps, converged, trace, local_solves)."""
     rep = minimize_energy(
         m, EquivariantMap(m.model, m.target, tuple(values)), tol, max_sweeps, anchor=anchor
     )
-    return list(rep.solution.values), rep.extras["objective"], rep.iterations, rep.converged, rep.trace
+    return (
+        list(rep.solution.values), rep.extras["objective"], rep.iterations, rep.converged,
+        rep.trace, rep.extras["local_solves"],
+    )
 
 
 def subgroup_harmonic(
@@ -386,10 +390,15 @@ def subgroup_harmonic(
     rng = np.random.default_rng(seed)
 
     def solve_from(values):
-        if norm_minimal:
-            for lam in tuple(2.0 ** (-n) for n in range(1, 21)):
-                values = _comm_sweeps(m, values, tol, max_sweeps, anchor=(lam, m.base_point))[0]
-        return _comm_sweeps(m, values, tol, max_sweeps)
+        # the anchored homotopy stages, then the free solve; the local
+        # solves of all of them are counted
+        anchors = [(2.0 ** (-n), m.base_point) for n in range(1, 21)] if norm_minimal else []
+        solves = dict.fromkeys(LOCAL_PATHS, 0)
+        for anchor in anchors + [None]:
+            values, obj, sweeps, conv, trace, counts = _comm_sweeps(m, values, tol, max_sweeps, anchor)
+            for path, n in counts.items():
+                solves[path] += n
+        return values, obj, sweeps, conv, trace, solves
 
     results = []
     for k in range(max(1, restarts)):
@@ -398,7 +407,7 @@ def subgroup_harmonic(
         else:
             init = [space.sample(rng, 1.0) for _ in m.model.cells]
         results.append(solve_from(init))
-    vals, obj, sweeps, conv, trace = min(results, key=lambda r: r[1])
+    vals, obj, sweeps, conv, trace, solves = min(results, key=lambda r: r[1])
     gap = 0.0
     for other in results[1:]:
         gap = max(
@@ -432,6 +441,7 @@ def subgroup_harmonic(
             "norm_minimal": norm_minimal,
             "engine": "compiled" if m.arrays is not None else "scalar",
             "stop_reason": _stop_reason(conv),
+            "local_solves": solves,
         },
     )
 

@@ -17,8 +17,12 @@ term list.  :func:`minimize_energy` is the one minimizer of both: it computes
 minimizers ("harmonic maps") by cyclic block-coordinate descent, where each
 cell moves to the weighted Frechet mean of its transported neighbors
 (self-loops contribute displacement terms d(T z, z)^p, handled exactly inside
-the local subproblem).  On Euclidean targets with p = 2 the local
-subproblem is a linear solve, so energy decrease is exact.
+the local subproblem).  At p = 2 most local subproblems are solved exactly
+or by a convergent method: a linear solve on Euclidean targets, a closed
+form on each tree edge for cells without self-loops, and damped Newton steps
+on l_p targets and l_q products of Euclidean and l_p factors.
+:func:`_solve_local` lists every path and its fallbacks, and each report
+counts the local solves by path (``extras["local_solves"]``).
 
 There are two sweep engines.  The scalar engine works on any target and is
 the reference.  The compiled engine runs Gauss-Seidel sweeps on numpy arrays
@@ -66,6 +70,7 @@ from busemann.spaces import (
     DomainError,
     Euclidean,
     EuclideanIsometry,
+    LpVector,
     MetricTree,
     Product,
     ProductIsometry,
@@ -269,21 +274,47 @@ def _local_objective(space, p, point_terms, loop_terms, z) -> float:
     )
 
 
-def _solve_local(space, p, point_terms, loop_terms, current, tol: float, seed: int = 0):
+# The local-solve paths, the keys of the ``local_solves`` counter
+LOCAL_PATHS = ("linear", "tree-exact", "golden", "newton", "pattern")
+
+
+def _solve_local(space, p, point_terms, loop_terms, current, tol: float, seed: int = 0, counts=None):
     """Minimize sum w_i d(z, u_i)^p + sum w_j d(T_j z, z)^p over z.
 
-    Exact linear algebra for Euclidean targets with p = 2 (among minimizers,
-    the one nearest the current value is returned, which freezes flat
-    directions); per-edge search for trees; factorwise recursion for l_2
-    products of such targets with p = 2; derivative-free search otherwise.
+    The path depends only on the space kind, p and the loop transports:
+
+    - ``linear``: Euclidean targets at p = 2, exact linear algebra (among
+      minimizers, the one nearest the current value is returned, which
+      freezes flat directions);
+    - ``tree-exact``: trees at p = 2 without loop terms, where the
+      objective on each edge is a quadratic in the offset
+      (:func:`_solve_local_tree_exact`);
+    - ``golden``: the other tree cells (loop terms, p != 2), golden-section
+      search on each edge plus a vertex scan;
+    - l_2 products at p = 2 with factorwise loop transports split into one
+      solve per factor, each counted under its own path;
+    - ``newton``: :class:`LpVector` targets, and l_q products whose factors
+      are all :class:`Euclidean` or :class:`LpVector`, at p = 2: damped
+      Newton steps (:func:`_newton_local`);
+    - ``pattern``: everything else, and the fallback of the Newton path when
+      it gives up (a term not twice differentiable at an iterate, a step
+      that is not a descent direction, a non-finite value): the
+      derivative-free search :func:`minimize_convex`.
+
+    ``counts``, when given, is a dict keyed by :data:`LOCAL_PATHS`; the path
+    that produced the result is incremented.
     """
     if not point_terms and not loop_terms:
         return current
+    path = z = None
     if isinstance(space, Euclidean) and p == 2.0:
-        return _solve_local_euclidean(space, point_terms, loop_terms, current)
-    if isinstance(space, MetricTree):
-        return _solve_local_tree(space, p, point_terms, loop_terms, current, tol)
-    if (
+        path, z = "linear", _solve_local_euclidean(space, point_terms, loop_terms, current)
+    elif isinstance(space, MetricTree):
+        if p == 2.0 and not loop_terms:
+            path, z = "tree-exact", _solve_local_tree_exact(space, point_terms)
+        else:
+            path, z = "golden", _solve_local_tree(space, p, point_terms, loop_terms, current, tol)
+    elif (
         isinstance(space, Product)
         and space.q == 2.0
         and p == 2.0
@@ -293,14 +324,23 @@ def _solve_local(space, p, point_terms, loop_terms, current, tol: float, seed: i
         for i, f in enumerate(space.factors):
             pts = [(w, u[i]) for w, u in point_terms]
             loops = [(w, T.parts[i]) for w, T in loop_terms]
-            parts.append(_solve_local(f, p, pts, loops, current[i], tol, seed))
+            parts.append(_solve_local(f, p, pts, loops, current[i], tol, seed, counts))
         return tuple(parts)
-    f = lambda z: _local_objective(space, p, point_terms, loop_terms, z)
-    radius = 1.0 + max((space.distance(current, u) for _, u in point_terms), default=1.0)
-    z = minimize_convex(
-        space, f, current, tol=max(tol * 1e-2, 1e-12), seed=seed, radius0=radius
-    )
-    return z if f(z) < f(current) else current
+    else:
+        f = lambda z: _local_objective(space, p, point_terms, loop_terms, z)
+        blocks = _norm_blocks(space) if p == 2.0 else None
+        if blocks is not None:
+            path, z = "newton", _newton_local(space, blocks, point_terms, loop_terms, current, f, tol)
+        if z is None:
+            radius = 1.0 + max((space.distance(current, u) for _, u in point_terms), default=1.0)
+            path, z = "pattern", minimize_convex(
+                space, f, current, tol=max(tol * 1e-2, 1e-12), seed=seed, radius0=radius
+            )
+        if not f(z) < f(current):
+            z = current
+    if counts is not None:
+        counts[path] += 1
+    return z
 
 
 def _solve_local_euclidean(space, point_terms, loop_terms, current):
@@ -358,6 +398,204 @@ def _solve_local_tree(tree: MetricTree, p, point_terms, loop_terms, current, tol
     return best
 
 
+def _solve_local_tree_exact(tree: MetricTree, point_terms):
+    """Minimize sum w d(z, u)^2 over a tree, edge by edge, in closed form.
+
+    With z at offset s on edge (a, b, L), each point u sits at a signed
+    position x: its offset when it lies on the same edge, -d(a, u) when the
+    path to it leaves through a, and L + d(b, u) when it leaves through b.
+    Then d(z, u) = |s - x|, so the edge's minimizer is the weighted mean of
+    the positions clipped to [0, L] (the clip covers the vertices).  The
+    edge whose minimizer has the smallest objective wins.
+    """
+    vdist = tree._vdist
+    ports = [(w, u.edge, u.offset, tree._ports(u)) for w, u in point_terms]
+    total = math.fsum(w for w, *_ in ports)
+    best = fbest = None
+    for i, (a, b, L) in enumerate(tree.edges):
+        moments = []
+        for w, edge, offset, exits in ports:
+            if edge == i:
+                x = offset
+            else:
+                da = min(c + vdist[(a, v)] for v, c in exits)
+                db = min(c + vdist[(b, v)] for v, c in exits)
+                x = -da if da < db else L + db
+            moments.append(w * x)
+        z = tree.point(i, min(max(math.fsum(moments) / total, 0.0), L))
+        fz = _local_objective(tree, 2.0, point_terms, (), z)
+        if best is None or fz < fbest:
+            best, fbest = z, fz
+    return best
+
+
+def _norm_blocks(space):
+    """The norm of a target on the Newton path as (q, blocks): over the
+    flattened coordinates, ||y|| = (sum_i ||y[start_i:stop_i]||_{p_i}^q)^(1/q)
+    for blocks (start_i, stop_i, p_i); None off the path."""
+    if isinstance(space, LpVector):
+        return space.p, ((0, space.dim, space.p),)
+    if isinstance(space, Product) and all(isinstance(f, (Euclidean, LpVector)) for f in space.factors):
+        blocks, start = [], 0
+        for f in space.factors:
+            blocks.append((start, start + f.dim, getattr(f, "p", 2.0)))
+            start += f.dim
+        return space.q, tuple(blocks)
+    return None
+
+
+def _sq_norm_derivatives(q, blocks, y):
+    """Gradient and Hessian of N(y) = ||y||^2 for the norm of
+    :func:`_norm_blocks`, or None where N is not twice differentiable at y
+    (a zero coordinate of a block with p_i < 2, a zero block with q < 2, a
+    zero block with q = 2 and p_i != 2).  At y = 0 with q > 2 the Hessian
+    does not exist either; there both are returned as 0.
+
+    With S_i = sum_j |y_j|^p_i and R = sum_i S_i^(q/p_i), N = R^(2/q).
+    """
+    n = len(y)
+    grad_r = [0.0] * n
+    hess_r = [[0.0] * n for _ in range(n)]
+    r = 0.0
+    for start, stop, pb in blocks:
+        part = y[start:stop]
+        s = math.fsum(abs(c) ** pb for c in part)
+        if s == 0.0:
+            if q < 2.0 or pb < 2.0 or (q == 2.0 and pb != 2.0):
+                return None
+            if q == 2.0:
+                for j in range(start, stop):
+                    hess_r[j][j] = 2.0
+            continue
+        if pb < 2.0 and not all(part):
+            return None
+        a = q / pb
+        r += s ** a
+        g = [math.copysign(abs(c) ** (pb - 1.0), c) for c in part]
+        outer = q * (a - 1.0) * pb * s ** (a - 2.0)
+        diag = q * (pb - 1.0) * s ** (a - 1.0)
+        for j, (gj, cj) in enumerate(zip(g, part)):
+            grad_r[start + j] = q * s ** (a - 1.0) * gj
+            row = hess_r[start + j]
+            for k, gk in enumerate(g):
+                row[start + k] = outer * gj * gk
+            row[start + j] += diag * abs(cj) ** (pb - 2.0)
+    if r == 0.0:
+        return [0.0] * n, hess_r
+    c1 = 2.0 / q * r ** (2.0 / q - 1.0)
+    c2 = 2.0 / q * (2.0 / q - 1.0) * r ** (2.0 / q - 2.0)
+    grad = [c1 * g for g in grad_r]
+    hess = [
+        [c2 * gj * gk + c1 * h for gk, h in zip(grad_r, row)]
+        for gj, row in zip(grad_r, hess_r)
+    ]
+    return grad, hess
+
+
+def _solve_linear(m, rhs):
+    """Solution of the small system m x = rhs by Gaussian elimination with
+    partial pivoting, in plain Python; None when a pivot is 0."""
+    n = len(rhs)
+    rows = [list(row) + [v] for row, v in zip(m, rhs)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda i: abs(rows[i][col]))
+        if rows[piv][col] == 0.0:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot = rows[col]
+        for row in rows[col + 1 :]:
+            factor = row[col] / pivot[col]
+            for k in range(col, n + 1):
+                row[k] -= factor * pivot[k]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        x[i] = (row[n] - sum(row[k] * x[k] for k in range(i + 1, n))) / row[i]
+    return x
+
+
+def _newton_local(space, norm_blocks, point_terms, loop_terms, current, f, tol):
+    """Damped Newton steps on sum_t w_t N(A_t z + c_t), N = ||.||^2, over
+    the flattened coordinates of z; None when the path gives up.
+
+    Point terms have A = I and c = -u.  Every isometry of a normed space is
+    affine (Mazur-Ulam), so a loop's map z -> M z + b is read off its
+    ``apply`` at 0 and at the unit vectors, and A = M - I, c = b.  Each
+    step solves the Newton system in plain Python and backtracks on ``f``
+    (the local objective) until it decreases.  Stops when every displacement
+    is 0 (the gradient is then exactly 0), when the step falls below
+    max(tol * 1e-2, 1e-12) (the floor :func:`minimize_convex` is given), or
+    when no backtracked step decreases ``f``.  Gives up (None) when a term
+    is not twice differentiable at an iterate, the step is not a descent
+    direction, or a value is non-finite.  Takes at most 100 steps.
+    """
+    q, blocks = norm_blocks
+    n = blocks[-1][1]
+    if isinstance(space, Product):
+        flat = lambda x: [c for part in x for c in part]
+        unflat = lambda v: tuple(tuple(v[a:b]) for a, b, _ in blocks)
+    else:
+        flat = list
+        unflat = tuple
+    terms = [(w, None, [-c for c in flat(u)]) for w, u in point_terms]
+    for w, T in loop_terms:
+        b = flat(T.apply(unflat([0.0] * n)))
+        cols = [flat(T.apply(unflat([float(i == j) for i in range(n)]))) for j in range(n)]
+        a = [[cols[j][i] - b[i] - (i == j) for j in range(n)] for i in range(n)]
+        terms.append((w, a, b))
+    floor = max(tol * 1e-2, 1e-12)
+    z = flat(current)
+    fz = f(current)
+    if not math.isfinite(fz):
+        return None
+    for _ in range(100):
+        ys = [
+            [zi + ci for zi, ci in zip(z, c)] if a is None
+            else [math.fsum([ci] + [aij * zj for aij, zj in zip(row, z)]) for row, ci in zip(a, c)]
+            for _, a, c in terms
+        ]
+        if not any(map(any, ys)):
+            break
+        grad = [0.0] * n
+        hess = [[0.0] * n for _ in range(n)]
+        for (w, a, _), y in zip(terms, ys):
+            d = _sq_norm_derivatives(q, blocks, y)
+            if d is None:
+                return None
+            g, h = d
+            if a is not None:
+                # A^T g and A^T h A
+                g = [sum(a[k][i] * g[k] for k in range(n)) for i in range(n)]
+                ha = [[sum(h[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+                h = [[sum(a[k][i] * ha[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                grad[i] += w * g[i]
+                row, hrow = hess[i], h[i]
+                for j in range(n):
+                    row[j] += w * hrow[j]
+        if not any(grad):
+            break
+        step = _solve_linear(hess, [-g for g in grad])
+        if step is None or not all(map(math.isfinite, step)):
+            return None
+        if not math.fsum(g * s for g, s in zip(grad, step)) < 0.0:
+            return None
+        size = max(map(abs, step))
+        t = 1.0
+        while t * size >= floor:
+            cand = [zi + t * si for zi, si in zip(z, step)]
+            fc = f(unflat(cand))
+            if not math.isfinite(fc):
+                return None
+            if fc < fz:
+                break
+            t *= 0.5
+        else:
+            break  # no step above the floor decreases f
+        z, fz = cand, fc
+    return unflat(z)
+
+
 def frechet_mean(space, pts: Sequence, weights: Sequence[float], p: float = 2.0, tol: float = 1e-9, seed: int = 0):
     """Minimizer of sum_i w_i d(z, pt_i)^p.
 
@@ -406,13 +644,19 @@ def _stop_reason(converged: bool) -> str:
     return "converged" if converged else "max_sweeps"
 
 
+def _total_solves(reports) -> dict:
+    """The ``local_solves`` counters of several reports, summed by path."""
+    return {k: sum(r.extras["local_solves"][k] for r in reports) for k in LOCAL_PATHS}
+
+
 def _descend(sweep_once, evaluate, best, tol: float, max_sweeps: int):
     """The outer loop shared by every sweep engine.
 
     ``evaluate(sweep, max_move)`` returns the trace row of the current map,
     ``sweep_once()`` runs one sweep in place and returns the largest cell
     move, and ``best()`` gives the current map for the :class:`SolverError`
-    raised at the first non-finite objective.  Stops when the decrease of
+    raised at the first non-finite objective (its ``stop_reason`` is
+    "non-finite").  Stops when the decrease of
     the objective over a sweep falls below tol * (1 + |objective|) and no
     cell moved more than tol.  Returns (objective, sweeps, converged, trace).
     """
@@ -420,7 +664,11 @@ def _descend(sweep_once, evaluate, best, tol: float, max_sweeps: int):
     def checked(sweep, max_move):
         row = evaluate(sweep, max_move)
         if not math.isfinite(row.objective):
-            raise SolverError(f"non-finite objective {row.objective} at sweep {sweep}", best=best())
+            raise SolverError(
+                f"non-finite objective {row.objective} at sweep {sweep}",
+                best=best(),
+                stop_reason="non-finite",
+            )
         return row
 
     row = checked(0, 0.0)
@@ -462,16 +710,17 @@ def _local_terms(points, values, anchor):
     return pts
 
 
-def _scalar_sweep(space, p, points, loops, values, anchors, tol, seed) -> float:
+def _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts) -> float:
     """One Gauss-Seidel sweep of the scalar engine, in place: each cell moves
     to the minimizer of its local subproblem unless that raises the local
-    objective.  Returns the largest move."""
+    objective.  Local solves are counted by path in ``counts``.  Returns the
+    largest move."""
     max_move = 0.0
     for ci in range(len(values)):
         pts = _local_terms(points[ci], values, anchors[ci] if anchors else None)
         if not pts and not loops[ci]:
             continue
-        znew = _solve_local(space, p, pts, loops[ci], values[ci], tol, seed)
+        znew = _solve_local(space, p, pts, loops[ci], values[ci], tol, seed, counts)
         if _local_objective(space, p, pts, loops[ci], znew) <= _local_objective(
             space, p, pts, loops[ci], values[ci]
         ):
@@ -634,7 +883,7 @@ def _cell_steps(plan: KernelArrays, anchor_weights, anchor_row: int) -> list:
     return steps
 
 
-def _compiled_sweeps(plan: KernelArrays, values, tol, max_sweeps, evaluate, anchor_weights=None, anchor_point=None):
+def _compiled_sweeps(plan: KernelArrays, values, tol, max_sweeps, evaluate, counts, anchor_weights=None, anchor_point=None):
     """Gauss-Seidel sweeps of the scalar engine on compiled terms.
 
     ``plan`` supplies the local subproblems (its weights are the plan
@@ -647,7 +896,8 @@ def _compiled_sweeps(plan: KernelArrays, values, tol, max_sweeps, evaluate, anch
     solve is :func:`_solve_1d` and larger ones the same lstsq call, and the
     local objectives at the old and new value are compared with the same
     ``<=``, so in one dimension the results are bit-identical to the scalar
-    engine.  Returns (values, objective, sweeps, converged, trace).
+    engine.  Every cell step is a linear solve, counted in ``counts``.
+    Returns (values, objective, sweeps, converged, trace).
     """
     n = len(plan.cells)
     d = plan.shift.shape[1]
@@ -678,6 +928,7 @@ def _compiled_sweeps(plan: KernelArrays, values, tol, max_sweeps, evaluate, anch
             if math.fsum(f1[:k]) + math.fsum(f1[k:]) <= math.fsum(f0[:k]) + math.fsum(f0[k:]):
                 max_move = max(max_move, math.dist(*pair.tolist()))
                 x[ci] = z1
+        counts["linear"] += len(steps)
         return max_move
 
     cells = x[:n]
@@ -720,8 +971,10 @@ def minimize_energy(
     (:attr:`TermEnergy.arrays`: Euclidean target, p = 2, Euclidean
     transports), with the scalar engine's numbers (bit for bit in one
     dimension), and on the scalar engine otherwise.  ``extras`` records the
-    ``objective``, the ``engine`` ("compiled" or "scalar") and the
-    ``stop_reason`` ("converged" or "max_sweeps").
+    ``objective``, the ``engine`` ("compiled" or "scalar"), the
+    ``stop_reason`` ("converged" or "max_sweeps") and ``local_solves``, the
+    number of local solves by path (:data:`LOCAL_PATHS`, see
+    :func:`_solve_local`).
     """
     if mode not in ("gauss-seidel", "jacobi"):
         raise DomainError(f"unknown sweep mode {mode!r}")
@@ -742,6 +995,7 @@ def minimize_energy(
         kept = [i for i, t in enumerate(terms) if scale_of[t.cls] != 0.0]
         plan_weight = [scale_of[terms[i].cls] * terms[i].weight for i in kept]
     anchor_weights = None if anchor is None else [anchor[0] * m for m in mu]
+    counts = dict.fromkeys(LOCAL_PATHS, 0)
 
     def row(sweep, max_move, e_total, per_class, norm, anchor_energy) -> TraceRow:
         obj = e_total if scales is None else math.fsum(s * e for s, e in zip(scales, per_class))
@@ -790,7 +1044,7 @@ def minimize_energy(
             return row(sweep, max_move, e_total, per_class, norm, anchor_energy)
 
         values, obj, sweeps, converged, trace = _compiled_sweeps(
-            plan, phi.values, tol, max_sweeps, compiled_row, anchor_weights,
+            plan, phi.values, tol, max_sweeps, compiled_row, counts, anchor_weights,
             None if anchor is None else anchor[1],
         )
     else:
@@ -805,7 +1059,7 @@ def minimize_energy(
         values = list(phi.values)
 
         def gauss_seidel_sweep() -> float:
-            return _scalar_sweep(space, p, points, loops, values, anchors, tol, seed)
+            return _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts)
 
         def jacobi_sweep() -> float:
             cur = EquivariantMap(prob.model, space, tuple(values))
@@ -816,7 +1070,7 @@ def minimize_energy(
                 if not pts and not loops[ci]:
                     proposals.append(values[ci])
                 else:
-                    proposals.append(_solve_local(space, p, pts, loops[ci], values[ci], tol, seed))
+                    proposals.append(_solve_local(space, p, pts, loops[ci], values[ci], tol, seed, counts))
             prop = EquivariantMap(prob.model, space, tuple(proposals))
             lam_step = 1.0
             nxt = cur
@@ -845,7 +1099,12 @@ def minimize_energy(
         iterations=sweeps,
         trace=trace,
         converged=converged,
-        extras={"objective": obj, "engine": engine, "stop_reason": _stop_reason(converged)},
+        extras={
+            "objective": obj,
+            "engine": engine,
+            "stop_reason": _stop_reason(converged),
+            "local_solves": counts,
+        },
     )
 
 
@@ -872,6 +1131,7 @@ def norm_minimal_minimizer(
     phi = prob.initial_map()
     gaps = []
     stage_reports = []
+    reports = []
     for lam in lams:
         rep = minimize_energy(
             prob,
@@ -884,6 +1144,7 @@ def norm_minimal_minimizer(
         gaps.append(map_distance(prob.p, rep.solution, phi))
         phi = rep.solution
         stage_reports.append((lam, rep.energy_total, rep.norm))
+        reports.append(rep)
     # ignore the first gap: it measures the distance from the initial guess
     tail = gaps[1:] if len(gaps) > 1 else gaps
     if tail and tail[-1] >= tol:
@@ -910,6 +1171,7 @@ def norm_minimal_minimizer(
             "norm_check": _norm_minimality_probe(prob, sol, e_total, tol, seed),
             "engine": final.extras["engine"],
             "stop_reason": final.extras["stop_reason"],
+            "local_solves": _total_solves(reports + [final]),
         },
     )
     return rep
@@ -952,6 +1214,7 @@ def lexicographic_minimize(
         raise DomainError(f"class order {order} does not match classes {prob.classes}")
     phi = prob.initial_map()
     minima: dict = {}
+    reports = []
     for j, cls in enumerate(order):
         if j == 0:
             weights = {cls: 1.0}
@@ -959,6 +1222,7 @@ def lexicographic_minimize(
                 prob, phi_init=phi, tol=tol, max_sweeps=max_sweeps, seed=seed,
                 class_weights=weights,
             )
+            reports.append(rep)
             phi = rep.solution
         else:
             big = 1.0e4
@@ -969,6 +1233,7 @@ def lexicographic_minimize(
                     prob, phi_init=phi, tol=tol, max_sweeps=max_sweeps, seed=seed,
                     class_weights=weights,
                 )
+                reports.append(rep)
                 drift = max(
                     energy(prob, rep.solution, classes={c}) - minima[c] for c in order[:j]
                 )
@@ -993,6 +1258,7 @@ def lexicographic_minimize(
             "stage_minima": dict(minima),
             "engine": rep.extras["engine"],
             "stop_reason": rep.extras["stop_reason"],
+            "local_solves": _total_solves(reports),
         },
     )
 

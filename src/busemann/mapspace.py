@@ -104,7 +104,7 @@ class EquivariantMap:
         if len(values) != len(self.model.cells):
             raise ValidationError("one value per cell required")
         for v in values:
-            self.target.validate_point(v)
+            self.target.check_point(v)
 
     def value(self, cell):
         return self.values[self.model.index(cell)]

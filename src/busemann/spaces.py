@@ -9,6 +9,15 @@ is convex in the parameter); Euclidean spaces and trees are CAT(0).
 Points are plain tuples of floats for vector spaces, :class:`TreePoint`
 for trees, and tuples of factor points for products.  All values are
 immutable; every operation is a pure function.
+
+Every space has two point checks, both raising :class:`SpaceMismatchError`.
+``validate_point`` is the full check of data entering the library: for
+vector spaces, a tuple of the right length whose coordinates are all real,
+finite numbers.  ``check_point`` is the cheap check that every operation
+(``distance``, ``geodesic``) and every map runs on every call: for vector
+spaces only the length and the type of the first coordinate.  Inside, values
+are trusted; NaN and infinities pass, so a diverged solver iterate can still
+be carried, measured and reported.
 """
 
 from __future__ import annotations
@@ -46,11 +55,13 @@ class ValidationError(GeometryError, ValueError):
 
 
 class SolverError(GeometryError, RuntimeError):
-    """Iterative routine failed; carries the best iterate found so far."""
+    """Iterative routine failed; carries the best iterate found so far and,
+    when the routine names one, why it stopped (``stop_reason``)."""
 
-    def __init__(self, message: str, best=None):
+    def __init__(self, message: str, best=None, stop_reason=None):
         super().__init__(message)
         self.best = best
+        self.stop_reason = stop_reason
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +69,26 @@ class SolverError(GeometryError, RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+class _VectorSpace:
+    """The point checks of R^dim under any norm: a point is a tuple of
+    ``dim`` real, finite numbers."""
+
+    def validate_point(self, x) -> None:
+        self.check_point(x)
+        try:
+            if all(map(math.isfinite, x)):
+                return
+        except TypeError:  # a coordinate that is not a real number
+            pass
+        raise SpaceMismatchError(f"not a point of {self!r}, a coordinate is not a finite real: {x!r}")
+
+    def check_point(self, x) -> None:
+        if type(x) is not tuple or len(x) != self.dim or not isinstance(x[0], (float, int)):
+            raise SpaceMismatchError(f"not a point of {self!r}: {x!r}")
+
+
 @dataclass(frozen=True)
-class Euclidean:
+class Euclidean(_VectorSpace):
     """R^dim with the Euclidean metric."""
 
     dim: int
@@ -72,18 +101,14 @@ class Euclidean:
     def kind(self) -> str:
         return "euclidean"
 
-    def validate_point(self, x) -> None:
-        if type(x) is not tuple or len(x) != self.dim or not isinstance(x[0], (float, int)):
-            raise SpaceMismatchError(f"not a point of Euclidean({self.dim}): {x!r}")
-
     def distance(self, x, y) -> float:
-        self.validate_point(x)
-        self.validate_point(y)
+        self.check_point(x)
+        self.check_point(y)
         return math.dist(x, y)
 
     def geodesic(self, x, y, t: float):
-        self.validate_point(x)
-        self.validate_point(y)
+        self.check_point(x)
+        self.check_point(y)
         _check_param(t)
         return tuple((1.0 - t) * a + t * b for a, b in zip(x, y))
 
@@ -95,7 +120,7 @@ class Euclidean:
 
 
 @dataclass(frozen=True)
-class LpVector:
+class LpVector(_VectorSpace):
     """R^dim with the l_p norm, 1 < p < infinity (strictly convex, BNPC)."""
 
     dim: int
@@ -111,19 +136,15 @@ class LpVector:
     def kind(self) -> str:
         return "lp"
 
-    def validate_point(self, x) -> None:
-        if type(x) is not tuple or len(x) != self.dim or not isinstance(x[0], (float, int)):
-            raise SpaceMismatchError(f"not a point of LpVector({self.dim}, {self.p}): {x!r}")
-
     def distance(self, x, y) -> float:
-        self.validate_point(x)
-        self.validate_point(y)
+        self.check_point(x)
+        self.check_point(y)
         return math.fsum(abs(a - b) ** self.p for a, b in zip(x, y)) ** (1.0 / self.p)
 
     def geodesic(self, x, y, t: float):
         # Affine segments are the unique geodesics of a strictly convex norm.
-        self.validate_point(x)
-        self.validate_point(y)
+        self.check_point(x)
+        self.check_point(y)
         _check_param(t)
         return tuple((1.0 - t) * a + t * b for a, b in zip(x, y))
 
@@ -252,6 +273,8 @@ class MetricTree:
                     f"offset {x.offset} outside open edge (canonical form required)"
                 )
 
+    check_point = validate_point
+
     def _ports(self, x: TreePoint):
         """(vertex, cost-to-exit) pairs through which paths from x may leave."""
         if x.vertex is not None:
@@ -351,9 +374,15 @@ class Product:
         for f, part in zip(self.factors, x):
             f.validate_point(part)
 
+    def check_point(self, x) -> None:
+        if not isinstance(x, tuple) or len(x) != len(self.factors):
+            raise SpaceMismatchError(f"product point arity mismatch: {x!r}")
+        for f, part in zip(self.factors, x):
+            f.check_point(part)
+
     def distance(self, x, y) -> float:
-        self.validate_point(x)
-        self.validate_point(y)
+        self.check_point(x)
+        self.check_point(y)
         return math.fsum(
             f.distance(a, b) ** self.q for f, a, b in zip(self.factors, x, y)
         ) ** (1.0 / self.q)
@@ -361,8 +390,8 @@ class Product:
     def geodesic(self, x, y, t: float):
         # Factorwise geodesics at a common parameter are the geodesics of
         # the product (each factor moves at constant speed).
-        self.validate_point(x)
-        self.validate_point(y)
+        self.check_point(x)
+        self.check_point(y)
         _check_param(t)
         return tuple(f.geodesic(a, b, t) for f, a, b in zip(self.factors, x, y))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -21,8 +22,16 @@ from busemann.harmonic import (
     minimize_energy,
     norm_minimal_minimizer,
     orbit_diameter_heuristic,
+    LOCAL_PATHS,
+    _local_objective,
+    _newton_local,
+    _norm_blocks,
     _solve_1d,
+    _solve_local,
+    _solve_local_tree,
+    _solve_local_tree_exact,
 )
+from busemann.convexity import minimize_convex
 from busemann.mapspace import EquivariantMap, MeasureModel, map_distance, map_midpoint
 from busemann.models import (
     consensus_model,
@@ -38,8 +47,13 @@ from busemann.spaces import (
     DomainError,
     Euclidean,
     EuclideanIsometry,
+    LpVector,
+    Product,
+    ProductIsometry,
     SolverError,
+    SpaceMismatchError,
     identity_isometry,
+    random_tree,
     point_reflection,
     star_tree,
     translation,
@@ -206,8 +220,14 @@ def test_non_finite_start_fails_at_once(mode):
     # used to run all 500 sweeps on NaN energy before reporting non-convergence
     gm = dihedral_line_model(3)
     phi = emap(gm.problem.model, [0.0, float("nan"), 0.0])
-    with pytest.raises(SolverError, match="non-finite objective nan at sweep 0"):
+    with pytest.raises(SolverError, match="non-finite objective nan at sweep 0") as info:
         minimize_energy(gm.problem, phi, max_sweeps=500, mode=mode)
+    assert info.value.stop_reason == "non-finite"
+
+
+def test_problem_rejects_non_finite_base_point():
+    with pytest.raises(SpaceMismatchError):
+        EquivariantProblem(M1, E1, (float("inf"),), (Edge("a", "a", 1.0, IDENT),))
 
 
 def test_energy_convex_along_map_geodesics(rng):
@@ -573,3 +593,141 @@ def test_telemetry_in_every_report():
     for name, run in runs.items():
         first, second = run(), run()
         assert keys(first) == keys(second) == expected[name], name
+
+
+# ---------------------------------------------------------------------------
+# local solves: exact paths against their search references
+# ---------------------------------------------------------------------------
+
+
+def star_consensus_problem(cells=6):
+    """Identity chain of ``cells`` cells into the unit tripod, cell i
+    starting 3/4 along leaf edge i mod 3."""
+    model = MeasureModel(tuple(f"c{i}" for i in range(cells)), (1.0 / cells,) * cells)
+    ident = identity_isometry(STAR)
+    edges = []
+    for i in range(cells - 1):
+        edges += [Edge(f"c{i}", f"c{i + 1}", 1.0, ident), Edge(f"c{i + 1}", f"c{i}", 1.0, ident)]
+    prob = EquivariantProblem(model, STAR, STAR.vertex_point("c"), tuple(edges))
+    init = EquivariantMap(model, STAR, tuple(STAR.point(i % 3, 0.75) for i in range(cells)))
+    return prob, init
+
+
+def lp_translation_chain(cells=4):
+    """l_p(2, 3) chain of ``cells`` cells closed by a translation."""
+    lp = LpVector(2, 3.0)
+    model = MeasureModel(tuple(f"c{i}" for i in range(cells)), (1.0 / cells,) * cells)
+    ident = identity_isometry(lp)
+    edges = [Edge(f"c{i}", f"c{i + 1}", 1.0, ident) for i in range(cells - 1)]
+    edges.append(Edge(f"c{cells - 1}", "c0", 1.0, translation(lp, (0.6, -0.4))))
+    prob = EquivariantProblem(model, lp, (0.0, 0.0), tuple(edges))
+    rng = np.random.default_rng(11)
+    init = EquivariantMap(model, lp, tuple(tuple(rng.uniform(-0.5, 0.5, 2).tolist()) for _ in range(cells)))
+    return prob, init
+
+
+def test_local_solve_counters_deterministic_and_by_path():
+    for build, path in ((star_consensus_problem, "tree-exact"), (lp_translation_chain, "newton")):
+        prob, init = build()
+        r1 = minimize_energy(prob, init, tol=1e-9)
+        r2 = minimize_energy(prob, init, tol=1e-9)
+        assert r1.converged
+        counts = r1.extras["local_solves"]
+        assert counts == r2.extras["local_solves"]
+        assert set(counts) == set(LOCAL_PATHS)
+        assert counts[path] == len(prob.model.cells) * r1.iterations
+        assert counts["pattern"] == counts["golden"] == 0
+    # the compiled engine counts its linear solves; commensurability reports
+    # carry the winning restart's counter
+    gm = dihedral_line_model(3)
+    rep = minimize_energy(gm.problem, gm.init)
+    assert rep.extras["engine"] == "compiled"
+    assert rep.extras["local_solves"]["linear"] == 3 * rep.iterations
+    comm = subgroup_harmonic(comm_energy_model(gm.problem))
+    assert comm.extras["local_solves"]["linear"] == 3 * comm.iterations
+    assert norm_minimal_minimizer(gm.problem).extras["local_solves"]["linear"] > 0
+
+
+def random_tree_terms(rng):
+    tree = random_tree(int(rng.integers(6, 10)), rng)
+    k = int(rng.integers(1, 6))
+    pts = [(float(rng.uniform(0.1, 2.0)), tree.sample(rng)) for _ in range(k)]
+    if rng.random() < 0.3:  # a vertex term
+        pts.append((float(rng.uniform(0.1, 2.0)), tree.vertex_point(tree.vertices[int(rng.integers(len(tree.vertices)))])))
+    return tree, pts
+
+
+def test_tree_exact_step_matches_golden_section():
+    rng = np.random.default_rng(2024)
+    tol = 1e-9
+    for _ in range(60):
+        tree, pts = random_tree_terms(rng)
+        current = tree.sample(rng)
+        exact = _solve_local_tree_exact(tree, pts)
+        golden = _solve_local_tree(tree, 2.0, pts, [], current, tol)
+        f = lambda z: _local_objective(tree, 2.0, pts, [], z)
+        assert f(exact) <= f(golden) + 1e-12
+        # on each edge f is a quadratic in the offset: the minimizer of its
+        # fit through the values at both ends and the middle, on the best edge
+        fits = []
+        for i, (_, _, L) in enumerate(tree.edges):
+            f0, fm, f1 = f(tree.point(i, 0.0)), f(tree.point(i, L / 2)), f(tree.point(i, L))
+            a, b = 2.0 * (f0 - 2.0 * fm + f1) / L**2, (4.0 * fm - 3.0 * f0 - f1) / L
+            z = tree.point(i, min(max(-b / (2.0 * a), 0.0), L))
+            fits.append((f(z), tree.distance(z, exact)))
+        assert min(fits)[1] <= 1e-12
+        # golden section stops at xtol or where f stops resolving offsets:
+        # f - f_min = W (s - s_min)^2 falls below the rounding of f within
+        # about sqrt(eps f / W) of the minimizer
+        xtol = max(max(1e-13, min(tol, 1e-9) * L) for _, _, L in tree.edges)
+        resolution = 2.0 * math.sqrt(np.finfo(float).eps * f(exact) / sum(w for w, _ in pts))
+        assert tree.distance(exact, golden) <= xtol + resolution
+
+
+def lp_cases():
+    for p in (1.5, 3.0):
+        yield f"lp-{p}", LpVector(2, p), lambda c, p=p: point_reflection(LpVector(2, p), c[:2])
+    for q in (1.5, 3.0):
+        space = Product((Euclidean(1), LpVector(2, 3.0)), q)
+        mirror = lambda c: ProductIsometry(
+            (point_reflection(Euclidean(1), c[:1]), point_reflection(LpVector(2, 3.0), c[1:]))
+        )
+        yield f"product-q{q}", space, mirror
+
+
+def flat_point(space, values):
+    if isinstance(space, Product):
+        return ((values[0],), (values[1], values[2]))
+    return tuple(values[:2])
+
+
+@pytest.mark.parametrize("case", list(lp_cases()), ids=lambda c: c[0])
+@pytest.mark.parametrize("loop", [False, True], ids=["points", "mirror"])
+def test_newton_step_matches_pattern_search(case, loop):
+    _, space, mirror = case
+    rng = np.random.default_rng(7)
+    tol = 1e-9
+    for _ in range(8):
+        pts = [(float(rng.uniform(0.2, 1.5)), flat_point(space, rng.normal(0.0, 1.0, 3).tolist())) for _ in range(3)]
+        loops = [(float(rng.uniform(0.2, 1.5)), mirror(tuple(rng.normal(0.0, 1.0, 3).tolist())))] if loop else []
+        current = flat_point(space, rng.normal(0.0, 1.0, 3).tolist())
+        f = lambda z: _local_objective(space, 2.0, pts, loops, z)
+        z = _newton_local(space, _norm_blocks(space), pts, loops, current, f, tol)
+        assert z is not None
+        radius = 1.0 + max(space.distance(current, u) for _, u in pts)
+        ref = minimize_convex(space, f, current, tol=max(tol * 1e-2, 1e-12), radius0=radius)
+        assert f(z) <= f(ref) + 1e-12
+
+
+def test_newton_falls_back_on_zero_block_below_p2():
+    # at p = 1.5 the squared norm is not twice differentiable where a
+    # coordinate of a displacement is 0
+    space = LpVector(2, 1.5)
+    pts = [(1.0, (0.0, 1.0)), (1.0, (0.0, -1.0))]
+    current = (0.0, 0.5)
+    f = lambda z: _local_objective(space, 2.0, pts, [], z)
+    assert _newton_local(space, _norm_blocks(space), pts, [], current, f, 1e-9) is None
+    counts = dict.fromkeys(LOCAL_PATHS, 0)
+    z = _solve_local(space, 2.0, pts, [], current, 1e-9, counts=counts)
+    assert counts == {**dict.fromkeys(LOCAL_PATHS, 0), "pattern": 1}
+    assert f(z) < f(current)

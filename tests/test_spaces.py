@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -59,6 +61,42 @@ def test_distance_mismatch_raises():
         E2.distance((0.0, 0.0), (1.0, 2.0, 3.0))
     with pytest.raises(SpaceMismatchError):
         E2.distance((0.0, 0.0), STAR.vertex_point("c"))
+
+
+VECTOR_SPACES = [E2, LpVector(2, 3.0)]
+
+
+@pytest.mark.parametrize("space", VECTOR_SPACES, ids=["euclidean", "lp"])
+def test_validate_point_rejects_non_real_coordinate(space):
+    # only the first coordinate used to be type-checked
+    with pytest.raises(SpaceMismatchError):
+        space.validate_point((1.0, "x"))
+    with pytest.raises(SpaceMismatchError):
+        space.validate_point((float("inf"), "x"))
+
+
+@pytest.mark.parametrize("space", VECTOR_SPACES, ids=["euclidean", "lp"])
+def test_validate_point_rejects_infinite_coordinate(space):
+    with pytest.raises(SpaceMismatchError):
+        space.validate_point((float("inf"), 0.0))
+    with pytest.raises(SpaceMismatchError):
+        Product((E1, space)).validate_point(((0.0,), (float("-inf"), 0.0)))
+
+
+@pytest.mark.parametrize("space", VECTOR_SPACES, ids=["euclidean", "lp"])
+def test_validate_point_rejects_nan_coordinate(space):
+    with pytest.raises(SpaceMismatchError):
+        space.validate_point((float("nan"), 1.0))
+
+
+@pytest.mark.parametrize("space", VECTOR_SPACES, ids=["euclidean", "lp"])
+def test_operations_carry_non_finite_points(space):
+    # a diverged solver iterate can still be measured and reported
+    space.validate_point((1, 2.5))
+    space.check_point((float("nan"), 1.0))
+    with pytest.raises(SpaceMismatchError):
+        space.check_point((0.0,))
+    assert math.isnan(space.distance((float("nan"), 1.0), (0.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------
