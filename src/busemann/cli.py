@@ -18,6 +18,7 @@ summary.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -64,16 +65,20 @@ class ConfigError(ValueError):
     pass
 
 
-def _take(obj: dict, allowed: set, where: str) -> None:
+def _object(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
-    unknown = set(obj) - allowed
+    return obj
+
+
+def _take(obj: dict, allowed: set, where: str) -> None:
+    unknown = set(_object(obj, where)) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
 
 
 def _require(obj: dict, key: str, where: str):
-    if key not in obj:
+    if key not in _object(obj, where):
         raise ConfigError(f"{where}: missing required field '{key}'")
     return obj[key]
 
@@ -93,6 +98,20 @@ def _integer(value, where: str) -> int:
     if not (math.isfinite(x) and x.is_integer()):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return int(x)
+
+
+def _seed(value, where: str) -> int:
+    seed = _integer(value, where)
+    if seed < 0:
+        raise ConfigError(f"{where}: must be >= 0, got {seed}")
+    return seed
+
+
+def _label(value, where: str):
+    """A cell id or tree vertex name: a string or an integer."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{where}: expected a string or an integer, got {value!r}")
 
 
 def _real(value, where: str) -> float:
@@ -133,9 +152,17 @@ def parse_space(spec: dict, where: str = "space"):
         for i, e in enumerate(_list(_require(spec, "edges", where), f"{where}.edges")):
             if not isinstance(e, list) or len(e) != 3:
                 raise ConfigError(f"{where}.edges[{i}]: expected [u, v, length]")
-            edges.append((e[0], e[1], _real(e[2], f"{where}.edges[{i}][2]")))
+            edges.append(
+                (
+                    _label(e[0], f"{where}.edges[{i}][0]"),
+                    _label(e[1], f"{where}.edges[{i}][1]"),
+                    _real(e[2], f"{where}.edges[{i}][2]"),
+                )
+            )
         vertices = _list(_require(spec, "vertices", where), f"{where}.vertices")
-        return MetricTree(tuple(vertices), tuple(edges))
+        return MetricTree(
+            tuple(_label(v, f"{where}.vertices[{i}]") for i, v in enumerate(vertices)), tuple(edges)
+        )
     if kind == "product":
         _take(spec, {"kind", "q", "factors"}, where)
         factors = tuple(
@@ -156,7 +183,7 @@ def parse_point(space, data, where: str = "point"):
             raise ConfigError(f"{where}: expected a tree point object")
         _take(data, {"vertex", "edge", "offset"}, where)
         if "vertex" in data:
-            return space.vertex_point(data["vertex"])
+            return space.vertex_point(_label(data["vertex"], f"{where}.vertex"))
         return space.point(
             _integer(_require(data, "edge", where), f"{where}.edge"),
             _real(_require(data, "offset", where), f"{where}.offset"),
@@ -200,10 +227,10 @@ def parse_twist(space, data: dict, where: str = "twist"):
         _take(data, {"kind", "vertex_map"}, where)
         if not isinstance(space, MetricTree):
             raise ConfigError(f"{where}: tree twist on a non-tree space")
-        vertex_map = _require(data, "vertex_map", where)
-        if not isinstance(vertex_map, dict):
-            raise ConfigError(f"{where}.vertex_map: expected an object")
-        return TreeIsometry(space, dict(vertex_map))
+        vertex_map = _object(_require(data, "vertex_map", where), f"{where}.vertex_map")
+        return TreeIsometry(
+            space, {k: _label(v, f"{where}.vertex_map.{k}") for k, v in vertex_map.items()}
+        )
     if kind == "product":
         _take(data, {"kind", "parts"}, where)
         if not isinstance(space, Product):
@@ -222,7 +249,7 @@ def _parse_problem(space, pdata: dict):
     cells = _list(_require(pdata, "cells", "problem"), "problem.cells")
     for c in cells:
         _take(c, {"id", "weight"}, "problem.cells[]")
-    ids = tuple(_require(c, "id", "problem.cells[]") for c in cells)
+    ids = tuple(_label(_require(c, "id", "problem.cells[]"), "problem.cells[].id") for c in cells)
     weights = tuple(
         _number(_require(c, "weight", "problem.cells[]"), "problem.cells[].weight")
         for c in cells
@@ -233,8 +260,8 @@ def _parse_problem(space, pdata: dict):
         _take(e, {"src", "dst", "weight", "class", "twist"}, f"problem.edges[{i}]")
         edges.append(
             Edge(
-                _require(e, "src", f"problem.edges[{i}]"),
-                _require(e, "dst", f"problem.edges[{i}]"),
+                _label(_require(e, "src", f"problem.edges[{i}]"), f"problem.edges[{i}].src"),
+                _label(_require(e, "dst", f"problem.edges[{i}]"), f"problem.edges[{i}].dst"),
                 _real(_require(e, "weight", f"problem.edges[{i}]"), f"problem.edges[{i}].weight"),
                 parse_twist(space, _require(e, "twist", f"problem.edges[{i}]"), f"problem.edges[{i}].twist"),
                 _integer(e.get("class", 1), f"problem.edges[{i}].class"),
@@ -271,6 +298,16 @@ def _parse_cover(prob, cdata: dict) -> CoverSpec:
     return CoverSpec(prob, index, gens, perms, reps)
 
 
+def _generator_params(name: str, params) -> dict:
+    """The generator's keyword arguments, each coerced like its default."""
+    defaults = {k: p.default for k, p in inspect.signature(GENERATORS[name]).parameters.items()}
+    _take(params, set(defaults), "problem.params")
+    return {
+        k: (_integer if isinstance(defaults[k], int) else _real)(v, f"problem.params.{k}")
+        for k, v in params.items()
+    }
+
+
 class RunConfig:
     """Parsed run configuration (strict: unknown fields are rejected)."""
 
@@ -278,18 +315,18 @@ class RunConfig:
         _take(data, {"schema", "seed", "space", "problem", "solver", "output", "verify"}, path)
         if _integer(_require(data, "schema", path), f"{path}: schema") != 1:
             raise ConfigError(f"{path}: unsupported schema version")
-        self.seed = _integer(_require(data, "seed", path), f"{path}: seed")
-        pdata = _require(data, "problem", path)
+        self.seed = _seed(_require(data, "seed", path), f"{path}: seed")
+        pdata = _object(_require(data, "problem", path), "problem")
         self.cover_spec = None
         self.init = None
         if "generator" in pdata:
             _take(pdata, {"generator", "params"}, "problem")
             name = pdata["generator"]
-            if name not in GENERATORS:
+            if not isinstance(name, str) or name not in GENERATORS:
                 raise ConfigError(
                     f"problem.generator: unknown generator {name!r}; known: {sorted(GENERATORS)}"
                 )
-            gm = generate(name, pdata.get("params"))
+            gm = generate(name, _generator_params(name, pdata.get("params", {})))
             self.problem = gm.problem
             self.init = gm.init
             self.cover_spec = gm.cover_spec
@@ -320,29 +357,47 @@ class RunConfig:
         self.mode = sdata.get("mode", "gauss-seidel")
         if self.mode not in ("gauss-seidel", "jacobi"):
             raise ConfigError(f"solver.mode: unknown mode {self.mode!r}")
-        self.schedule = sdata.get("schedule")
-        self.class_order = sdata.get("class_order")
-        self.norm_minimal = bool(sdata.get("norm_minimal", False))
+        self.schedule = None
+        if "schedule" in sdata:
+            self.schedule = _reals(sdata["schedule"], "solver.schedule")
+            if not all(lam > 0.0 for lam in self.schedule):
+                raise ConfigError("solver.schedule: every entry must be > 0")
+        self.class_order = None
+        if "class_order" in sdata:
+            self.class_order = _ints(sdata["class_order"], "solver.class_order")
+        self.norm_minimal = sdata.get("norm_minimal", False)
+        if not isinstance(self.norm_minimal, bool):
+            raise ConfigError(f"solver.norm_minimal: expected true or false, got {self.norm_minimal!r}")
         odata = data.get("output", {})
         _take(odata, {"dir"}, "output")
         self.out_dir = odata.get("dir", "out")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"output.dir: expected a string, got {self.out_dir!r}")
         vdata = data.get("verify", {})
         _take(
             vdata,
             {"samples", "budget", "count", "euclid_instances", "tree_instances"},
             "verify",
         )
-        self.verify_budgets = dict(vdata)
+        self.verify_budgets = {}
+        for key, value in vdata.items():
+            n = _integer(value, f"verify.{key}")
+            if n < 1:
+                raise ConfigError(f"verify.{key}: must be >= 1, got {n}")
+            self.verify_budgets[key] = n
 
 
-def parse_config(path: str) -> RunConfig:
+def parse_config(path: str, seed_override=None) -> RunConfig:
     try:
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as ex:
         raise ConfigError(f"{path}: invalid JSON ({ex})")
-    return RunConfig(data, path)
+    cfg = RunConfig(data, path)
+    if seed_override is not None:
+        cfg.seed = _seed(seed_override, "--seed")
+    return cfg
 
 
 def _fmt(x: float) -> str:
@@ -404,12 +459,10 @@ def _write_artifacts(out_dir: Path, cfg: RunConfig, report, wall: float):
 
 def solve_command(config_path: str, out_override=None, seed_override=None) -> int:
     try:
-        cfg = parse_config(config_path)
+        cfg = parse_config(config_path, seed_override)
     except (ConfigError, GeometryError) as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return 2
-    if seed_override is not None:
-        cfg.seed = int(seed_override)
     if out_override is not None:
         cfg.out_dir = out_override
     t0 = time.perf_counter()
@@ -472,14 +525,12 @@ def solve_command(config_path: str, out_override=None, seed_override=None) -> in
 
 def verify_command(config_path: str, suite: str, out_override=None, seed_override=None) -> int:
     try:
-        cfg = parse_config(config_path)
+        cfg = parse_config(config_path, seed_override)
         if suite != "all" and suite not in SUITES:
             raise ConfigError(f"unknown suite {suite!r}; known: {sorted(SUITES) + ['all']}")
     except (ConfigError, GeometryError) as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return 2
-    if seed_override is not None:
-        cfg.seed = int(seed_override)
     budgets = dict(cfg.verify_budgets)
     budgets["seed"] = cfg.seed
     results = run_suite(suite, budgets)

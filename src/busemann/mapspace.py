@@ -15,6 +15,15 @@ beta_p Hanner's modulus of convexity of the scalar L_p space
 (``banach_lp_modulus``) and delta a linear modulus lower bound of the
 target.  ``uc_witness_check`` certifies this numerically; ``mazur_map``
 implements the sphere-preserving map between scalar L_p and L_q fields.
+
+The sampled verify suites run the array kernels beside them:
+``uc_witness_batch`` checks a block of triples and ``mazur_map_batch`` maps
+a block of fields in one pass over numpy arrays (map batches are point
+arrays with one row per sample, in the form the target's ``distance_batch``
+takes), with no object per sample.  On a tree the kernel never builds the
+midpoint map: in an R-tree d(z, mid(x, y)) = max(d(x, z), d(y, z)) -
+d(x, y)/2, so three distance batches give rho(mid, psi).  The scalar
+functions stay the reference the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -47,12 +56,15 @@ __all__ = [
     "map_norm",
     "map_midpoint",
     "map_geodesic",
+    "map_distance_batch",
     "banach_lp_modulus",
     "hilbert_modulus",
     "linear_modulus_bound",
     "UCWitnessReport",
     "uc_witness_check",
+    "uc_witness_batch",
     "mazur_map",
+    "mazur_map_batch",
     "scalar_norm",
     "scalar_distance",
     "permute_cells",
@@ -138,6 +150,20 @@ def map_distance(p: float, phi: EquivariantMap, psi: EquivariantMap) -> float:
         w * t.distance(a, b) ** p
         for w, a, b in zip(phi.model.weights, phi.values, psi.values)
     ) ** (1.0 / p)
+
+
+def map_distance_batch(p: float, target, weights, x, y) -> np.ndarray:
+    """``map_distance`` over a batch of map pairs: x and y hold one map per
+    sample, as point arrays of ``target`` with one column per cell."""
+    if not (1.0 < p < math.inf):
+        raise DomainError("exponent p must lie in (1, inf)")
+    return _p_mean(p, weights, target.distance_batch(x, y))
+
+
+def _p_mean(p: float, weights, d: np.ndarray) -> np.ndarray:
+    """(sum_w mu_w d_w^p)^(1/p) over the last axis of d (see ``map_distance``)."""
+    terms = np.asarray(weights, dtype=float) * np.float_power(d, p)
+    return np.float_power(np.sum(terms, axis=-1), 1.0 / p)
 
 
 def map_norm(p: float, phi: EquivariantMap, x0) -> float:
@@ -305,6 +331,60 @@ def uc_witness_check(
     return UCWitnessReport(eps, tau, bound, rho_mid, slack, slack >= -1e-12 * r, regime)
 
 
+def uc_witness_batch(
+    p: float,
+    delta: Callable[[float], float],
+    target,
+    weights,
+    psi,
+    phi1,
+    phi2,
+    r,
+) -> UCWitnessReport:
+    """``uc_witness_check`` on a batch of triples, one pass over arrays.
+
+    psi, phi1 and phi2 hold one map per sample (see ``map_distance_batch``)
+    into a Euclidean, l_p or tree target; r holds one radius per sample.
+    Returns a report whose fields are arrays with one entry per sample.
+    Raises when any triple violates the precondition rho(phi_i, psi) <= r.
+    """
+    if not (1.0 < p < math.inf):
+        raise DomainError("exponent p must lie in (1, inf)")
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise DomainError("radius r must be positive")
+    dist = target.distance_batch
+    d1, d2 = dist(phi1, psi), dist(phi2, psi)
+    tol = r * (1.0 + 1e-12)
+    if np.any(_p_mean(p, weights, d1) > tol) or np.any(_p_mean(p, weights, d2) > tol):
+        raise DomainError("precondition rho(phi_i, psi) <= r violated")
+    d12 = dist(phi1, phi2)
+    eps = _p_mean(p, weights, d12) / r
+    if isinstance(target, MetricTree):
+        # the R-tree midpoint identity; clipped, as rounding can leave it an
+        # ulp below 0, where its p-th power is NaN
+        d_mid = np.maximum(np.maximum(d1, d2) - 0.5 * d12, 0.0)
+    else:
+        # the affine geodesic at t = 0.5, written as in ``geodesic``
+        d_mid = dist((1.0 - 0.5) * np.asarray(phi1) + 0.5 * np.asarray(phi2), psi)
+    rho_mid = _p_mean(p, weights, d_mid)
+    d4 = _each(delta, eps / 4.0)
+    d4_2, d4_4 = np.float_power(d4, 2.0), np.float_power(d4, 4.0)
+    tau = np.where(eps > 0.0, _each(functools.partial(banach_lp_modulus, p), d4_4), 0.0)
+    bound = r * (1.0 - tau)
+    slack = bound - rho_mid
+    regime = (
+        2.0 * d4_2 + d4_4 <= eps * (1.0 - 2.0 ** (-p)) ** (1.0 / p) + 1e-15
+    ) & (np.float_power(1.0 - d4_2, 1.0 / p) <= 1.0 - d4_4 + 1e-15)
+    return UCWitnessReport(eps, tau, bound, rho_mid, slack, slack >= -1e-12 * r, regime)
+
+
+def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """fn at every entry of the 1-d array x.  The moduli are evaluated by
+    their scalar functions, so each has one implementation."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
+
+
 # ---------------------------------------------------------------------------
 # Scalar fields and the Mazur map
 # ---------------------------------------------------------------------------
@@ -356,6 +436,15 @@ def mazur_map(f: ScalarField, p: float, q: float) -> ScalarField:
     return ScalarField(
         f.model, tuple(math.copysign(abs(v) ** a, v) if v != 0.0 else 0.0 for v in f.values), q
     )
+
+
+def mazur_map_batch(values: np.ndarray, p: float, q: float) -> np.ndarray:
+    """``mazur_map`` over an array of field values (any shape): entrywise
+    |v|^(p/q) * sign(v), and 0 at 0."""
+    if not (1.0 < p < math.inf and 1.0 < q < math.inf):
+        raise DomainError("exponents p and q must lie in (1, inf)")
+    values = np.asarray(values, dtype=float)
+    return np.where(values == 0.0, 0.0, np.copysign(np.float_power(np.abs(values), p / q), values))
 
 
 def permute_cells(f: ScalarField, perm: Sequence[int]) -> ScalarField:

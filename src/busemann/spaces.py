@@ -18,10 +18,19 @@ finite numbers.  ``check_point`` is the cheap check that every operation
 spaces only the length and the type of the first coordinate.  Inside, values
 are trusted; NaN and infinities pass, so a diverged solver iterate can still
 be carried, measured and reported.
+
+Euclidean, l_p and tree spaces also measure arrays of point pairs at once
+with ``distance_batch``: vector points are coordinate arrays (coordinates
+on the last axis), tree points are the (edge index, offset) arrays of
+``MetricTree.point_batch``.  Its inputs are trusted like those of
+``distance`` after ``check_point``.  Array powers use ``np.float_power``,
+which calls the C library's pow like Python's ``**``, so each term equals
+the scalar one bit for bit; ``np.power`` rounds differently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
@@ -86,6 +95,13 @@ class _VectorSpace:
         if type(x) is not tuple or len(x) != self.dim or not isinstance(x[0], (float, int)):
             raise SpaceMismatchError(f"not a point of {self!r}: {x!r}")
 
+    def _check_batch(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.shape[-1:] != (self.dim,) or y.shape[-1:] != (self.dim,):
+            raise SpaceMismatchError(f"point arrays of {self!r} need a last axis of length {self.dim}")
+        return x, y
+
 
 @dataclass(frozen=True)
 class Euclidean(_VectorSpace):
@@ -105,6 +121,11 @@ class Euclidean(_VectorSpace):
         self.check_point(x)
         self.check_point(y)
         return math.dist(x, y)
+
+    def distance_batch(self, x, y) -> np.ndarray:
+        """``distance`` over arrays of points (coordinates on the last axis)."""
+        x, y = self._check_batch(x, y)
+        return np.linalg.norm(x - y, axis=-1)
 
     def geodesic(self, x, y, t: float):
         self.check_point(x)
@@ -140,6 +161,11 @@ class LpVector(_VectorSpace):
         self.check_point(x)
         self.check_point(y)
         return math.fsum(abs(a - b) ** self.p for a, b in zip(x, y)) ** (1.0 / self.p)
+
+    def distance_batch(self, x, y) -> np.ndarray:
+        """``distance`` over arrays of points (coordinates on the last axis)."""
+        x, y = self._check_batch(x, y)
+        return np.float_power(np.sum(np.float_power(np.abs(x - y), self.p), axis=-1), 1.0 / self.p)
 
     def geodesic(self, x, y, t: float):
         # Affine segments are the unique geodesics of a strictly convex norm.
@@ -259,6 +285,29 @@ class MetricTree:
             return TreePoint(None, 0.0, v)
         return TreePoint(edge, float(offset), None)
 
+    def point_batch(self, edge, offset):
+        """``point`` over arrays: the pair (edge indices, offsets), with each
+        offset within SNAP_TOL of an endpoint snapped to 0 or to the edge
+        length.  ``distance_batch`` takes points in this form."""
+        edge = np.asarray(edge, dtype=np.intp)
+        offset = np.asarray(offset, dtype=float)
+        length = self._batch_tables[2][edge]
+        if np.any(offset < -SNAP_TOL * length) or np.any(offset > length * (1.0 + SNAP_TOL)):
+            raise DomainError("offset outside its edge")
+        offset = np.where(offset <= SNAP_TOL * length, 0.0, offset)
+        offset = np.where(offset >= length * (1.0 - SNAP_TOL), length, offset)
+        return edge, offset
+
+    @functools.cached_property
+    def _batch_tables(self):
+        """Edge endpoint indices, edge lengths and the vertex-distance matrix."""
+        index = {w: k for k, w in enumerate(self.vertices)}
+        u = np.array([index[e[0]] for e in self.edges], dtype=np.intp)
+        v = np.array([index[e[1]] for e in self.edges], dtype=np.intp)
+        length = np.array([e[2] for e in self.edges])
+        vd = np.array([[self._vdist[(a, b)] for b in self.vertices] for a in self.vertices])
+        return u, v, length, vd
+
     def validate_point(self, x) -> None:
         if not isinstance(x, TreePoint):
             raise SpaceMismatchError(f"not a tree point: {x!r}")
@@ -292,6 +341,17 @@ class MetricTree:
             for a, cx in self._ports(x)
             for b, cy in self._ports(y)
         )
+
+    def distance_batch(self, x, y) -> np.ndarray:
+        """``distance`` over arrays of points given as ``point_batch`` pairs:
+        |offset difference| on a common edge, else the least of the four
+        port sums cx + d(a, b) + cy."""
+        (ex, ox), (ey, oy) = x, y
+        u, v, length, vd = self._batch_tables
+        ports_x = ((u[ex], ox), (v[ex], length[ex] - ox))
+        ports_y = ((u[ey], oy), (v[ey], length[ey] - oy))
+        d = np.minimum.reduce([cx + vd[a, b] + cy for a, cx in ports_x for b, cy in ports_y])
+        return np.where(ex == ey, np.abs(ox - oy), d)
 
     def _route(self, x: TreePoint, y: TreePoint):
         """Best exit/entry ports and the vertex path between them."""

@@ -8,6 +8,7 @@ the pinned budgets.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -29,15 +30,10 @@ from busemann.convexity import clifford_check, modulus_estimate, parallel_check
 from busemann.harmonic import minimize_energy
 from busemann.mapspace import (
     EquivariantMap,
-    MeasureModel,
-    ScalarField,
     linear_modulus_bound,
-    map_distance,
-    mazur_map,
-    permute_cells,
-    scalar_distance,
-    scalar_norm,
-    uc_witness_check,
+    map_distance_batch,
+    mazur_map_batch,
+    uc_witness_batch,
 )
 from busemann.models import (
     consensus_model,
@@ -70,6 +66,10 @@ from busemann.spaces import (
 from busemann.convexity import circumcenter
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
+
+# The sampled suites run their array kernels on blocks of this many samples,
+# so that memory stays flat whatever the budget.
+BLOCK = 250
 
 
 @dataclass
@@ -197,44 +197,31 @@ def _uc_targets():
     ]
 
 
-def _triple_batch(target, model, samples, rng):
-    """Pre-sampled (psi, phi1, phi2) map triples, batched for speed."""
-    n = len(model.cells)
+def _triple_blocks(target, n, samples, rng):
+    """(psi, phi1, phi2) map batches of at most BLOCK samples each.  The draws
+    are those of one (samples, 3, n) array: normal coordinates on vector
+    targets; on trees all edge indices, then all uniform offsets (a copy of
+    rng draws the indices while rng, moved past them, draws the offsets)."""
+    sizes = [min(BLOCK, samples - start) for start in range(0, samples, BLOCK)]
     if isinstance(target, (Euclidean, LpVector)):
-        dim = target.dim
-        arr = rng.normal(0.0, 1.0, (samples, 3, n, dim))
-        for k in range(samples):
-            block = arr[k]
-            yield tuple(
-                EquivariantMap(
-                    model,
-                    target,
-                    tuple(tuple(float(c) for c in block[m, i]) for i in range(n)),
-                )
-                for m in range(3)
-            )
-    else:
-        n_edges = len(target.edges)
-        idxs = rng.integers(0, n_edges, (samples, 3, n))
-        offs = rng.uniform(0.0, 1.0, (samples, 3, n))
-        lengths = [e[2] for e in target.edges]
-        for k in range(samples):
-            yield tuple(
-                EquivariantMap(
-                    model,
-                    target,
-                    tuple(
-                        target.point(int(idxs[k, m, i]), float(offs[k, m, i]) * lengths[int(idxs[k, m, i])])
-                        for i in range(n)
-                    ),
-                )
-                for m in range(3)
-            )
+        for size in sizes:
+            arr = rng.normal(0.0, 1.0, (size, 3, n, target.dim))
+            yield arr[:, 0], arr[:, 1], arr[:, 2]
+        return
+    n_edges = len(target.edges)
+    lengths = np.array([e[2] for e in target.edges])
+    edge_rng = copy.deepcopy(rng)
+    for size in sizes:
+        rng.integers(0, n_edges, (size, 3, n))
+    for size in sizes:
+        edge = edge_rng.integers(0, n_edges, (size, 3, n))
+        edge, offset = target.point_batch(edge, rng.uniform(0.0, 1.0, (size, 3, n)) * lengths[edge])
+        yield tuple((edge[:, m], offset[:, m]) for m in range(3))
 
 
 def suite_uc_witness(samples: int = 100_000, seed: int = 0, ps=(1.5, 2.0, 3.0)):
     out = []
-    model = MeasureModel(("a", "b", "c"), (0.5, 0.3, 0.2))
+    weights = (0.5, 0.3, 0.2)
     for tname, target in _uc_targets():
         delta = linear_modulus_bound(target)
         for p in ps:
@@ -242,16 +229,18 @@ def suite_uc_witness(samples: int = 100_000, seed: int = 0, ps=(1.5, 2.0, 3.0)):
             violations = 0
             min_slack = math.inf
             regime_fail = 0
-            for psi, phi1, phi2 in _triple_batch(target, model, samples, rng):
-                r = max(
-                    map_distance(p, phi1, psi), map_distance(p, phi2, psi), 1e-9
+            for psi, phi1, phi2 in _triple_blocks(target, len(weights), samples, rng):
+                r = np.maximum(
+                    np.maximum(
+                        map_distance_batch(p, target, weights, phi1, psi),
+                        map_distance_batch(p, target, weights, phi2, psi),
+                    ),
+                    1e-9,
                 )
-                rep = uc_witness_check(p, delta, psi, phi1, phi2, r)
-                if not rep.ok:
-                    violations += 1
-                if not rep.small_modulus_regime:
-                    regime_fail += 1
-                min_slack = min(min_slack, rep.slack)
+                rep = uc_witness_batch(p, delta, target, weights, psi, phi1, phi2, r)
+                violations += int(np.count_nonzero(~rep.ok))
+                regime_fail += int(np.count_nonzero(~rep.small_modulus_regime))
+                min_slack = min(min_slack, float(rep.slack.min()))
             out.append(
                 CheckResult(
                     f"uc-witness[{tname},p={p}]",
@@ -393,7 +382,7 @@ def suite_commensurability(seed: int = 0, tol: float = 1e-8):
 
 def suite_mazur(samples: int = 100_000, seed: int = 0, pairs=((2.0, 4.0), (3.0, 1.5))):
     out = []
-    model = MeasureModel(tuple(f"w{i}" for i in range(8)), (0.125,) * 8)
+    cells = 8
     for p, q in pairs:
         rng = np.random.default_rng(seed)
         worst_rt = 0.0
@@ -401,37 +390,36 @@ def suite_mazur(samples: int = 100_000, seed: int = 0, pairs=((2.0, 4.0), (3.0, 
         inter_ok = True
         cfit = 0.0
         exponent = min(1.0, p / q)
-        n_pairs = samples
-        for _ in range(n_pairs):
-            vals = rng.normal(0.0, 1.0, 8)
-            f = ScalarField(model, tuple(float(v) for v in vals), p)
-            nf = scalar_norm(f)
-            if nf == 0.0:
-                continue
-            f = ScalarField(model, tuple(v / nf for v in f.values), p)
-            g_vals = rng.normal(0.0, 1.0, 8)
-            g = ScalarField(model, tuple(float(v) for v in g_vals), p)
-            ng = scalar_norm(g)
-            if ng == 0.0:
-                continue
-            g = ScalarField(model, tuple(v / ng for v in g.values), p)
-            mf = mazur_map(f, p, q)
-            mg = mazur_map(g, p, q)
-            back = mazur_map(mf, q, p)
-            worst_rt = max(
-                worst_rt, max(abs(a - b) for a, b in zip(back.values, f.values))
+        for start in range(0, samples, BLOCK):
+            size = min(BLOCK, samples - start)
+            f = np.empty((size, cells))
+            g = np.empty((size, cells))
+            perm = np.empty((size, cells), dtype=np.intp)
+            for k in range(size):  # the draws interleave per sample
+                f[k] = rng.normal(0.0, 1.0, cells)
+                g[k] = rng.normal(0.0, 1.0, cells)
+                perm[k] = rng.permutation(cells)
+            f /= _field_norm(f, p)[:, None]  # normal draws are never all zero
+            g /= _field_norm(g, p)[:, None]
+            mf, mg = mazur_map_batch(f, p, q), mazur_map_batch(g, p, q)
+            back = mazur_map_batch(mf, q, p)
+            worst_rt = max(worst_rt, float(np.max(np.abs(back - f))))
+            worst_sphere = max(
+                worst_sphere,
+                float(np.max(np.abs(_field_norm(mf, q) - np.float_power(_field_norm(f, p), p / q)))),
             )
-            worst_sphere = max(worst_sphere, abs(scalar_norm(mf) - scalar_norm(f) ** (p / q)))
-            df = scalar_distance(f, g)
-            if df > 1e-12:
-                dq = scalar_distance(mf, mg)
-                cfit = max(cfit, dq / df ** exponent)
-            perm = tuple(rng.permutation(8))
-            if mazur_map(permute_cells(f, perm), p, q).values != permute_cells(mf, perm).values:
+            df = _field_norm(f - g, p)
+            far = df > 1e-12
+            if np.any(far):
+                cfit = max(cfit, float(np.max(_field_norm(mf - mg, q)[far] / np.float_power(df[far], exponent))))
+            if not np.array_equal(
+                mazur_map_batch(np.take_along_axis(f, perm, axis=1), p, q),
+                np.take_along_axis(mf, perm, axis=1),
+            ):
                 inter_ok = False
         out.append(
             CheckResult(
-                f"mazur-roundtrip[p={p},q={q}]", worst_rt <= 1e-12, worst_rt, f"{n_pairs} fields"
+                f"mazur-roundtrip[p={p},q={q}]", worst_rt <= 1e-12, worst_rt, f"{samples} fields"
             )
         )
         out.append(
@@ -447,6 +435,11 @@ def suite_mazur(samples: int = 100_000, seed: int = 0, pairs=((2.0, 4.0), (3.0, 
             )
         )
     return out
+
+
+def _field_norm(values: np.ndarray, p: float) -> np.ndarray:
+    """``scalar_norm`` of each row of values under uniform cell weights."""
+    return np.float_power(np.mean(np.float_power(np.abs(values), p), axis=-1), 1.0 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from busemann.cli import main
 from busemann.models import GENERATORS
@@ -453,3 +461,142 @@ def test_solve_accepts_integral_floats_for_integer_fields(tmp_path):
     assert main(["solve", str(path)]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["seed"] == 7 and isinstance(summary["seed"], int)
+
+
+# ---------------------------------------------------------------------------
+# verify budgets
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("abc", "expected a number"),
+        (float("nan"), "expected an integer"),
+        (2.7, "expected an integer"),  # used to be truncated to 2
+        (True, "expected an integer"),  # used to run 1 sample
+        (0, "must be >= 1"),  # used to pass uc-witness vacuously
+        (-5, "must be >= 1"),
+    ],
+    ids=["string", "nan", "fractional", "bool", "zero", "negative"],
+)
+def test_verify_invalid_budget_exit_2_without_traceback(tmp_path, capsys, value, message):
+    path = write_config(tmp_path, verify={"samples": value})
+    assert main(["verify", str(path), "--suite", "mazur"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: verify.samples:") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["verify", "--suite", "mazur"]], ids=["solve", "verify"])
+def test_negative_seed_exit_2(tmp_path, capsys, argv):
+    # a negative seed used to raise a ValueError traceback from numpy in verify
+    path = write_config(tmp_path, seed=-1, verify={"samples": 2})
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    path = write_config(tmp_path, verify={"samples": 2})
+    assert main([argv[0], str(path), *argv[1:], "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error:") == 2 and "seed" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing: a mutated config gets an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+FUZZ_SOLVE = {
+    "schema": 1,
+    "seed": 7,
+    "space": {"kind": "euclidean", "dim": 1},
+    "problem": explicit_problem(),
+    "solver": {"method": "bcd", "tol": 1e-9, "max_sweeps": 50},
+}
+FUZZ_SOLVE_GENERATED = {
+    "schema": 1,
+    "seed": 7,
+    "problem": {"generator": "consensus", "params": {"cells": 3}},
+    "solver": {"method": "norm-minimal", "max_sweeps": 50},
+}
+FUZZ_SOLVE_TREE = {
+    "schema": 1,
+    "seed": 7,
+    "space": STAR3,
+    "problem": {
+        "cells": [{"id": "a", "weight": 1.0}],
+        "edges": [twist_edge({"kind": "tree", "vertex_map": {"c": "c", "l1": "l2", "l2": "l3", "l3": "l1"}})],
+        "base_point": {"edge": 0, "offset": 0.5},
+    },
+    "solver": {"max_sweeps": 50},
+}
+FUZZ_SOLVE_LP = {
+    "schema": 1,
+    "seed": 7,
+    "space": LP2,
+    "problem": signed_perm_problem([1, 0], [1, 1]),
+    "solver": {"max_sweeps": 50},
+}
+FUZZ_VERIFY = {
+    "schema": 1,
+    "seed": 7,
+    "problem": {"generator": "consensus", "params": {"cells": 3}},
+    "verify": {"samples": 3, "budget": 40, "count": 1, "euclid_instances": 1, "tree_instances": 1},
+}
+FUZZ_SUITES = ["uc-witness", "mazur", "parallelogram", "modulus", "clifford", "circumcenter"]
+# small values only: a mutated budget must stay cheap to run
+FUZZ_VALUES = [None, "x", math.nan, math.inf, -math.inf, True, [], {}, 0, -5, 2.7, 1.0, 2, "bcd", "lp"]
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw, bases):
+    cfg = copy.deepcopy(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(cfg))))
+        if not path:
+            cfg = draw(st.sampled_from(FUZZ_VALUES))
+            break
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace", "delete", "extra"]))
+        if action == "replace":
+            parent[path[-1]] = draw(st.sampled_from(FUZZ_VALUES))
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent["extra_field"] = draw(st.sampled_from(FUZZ_VALUES))
+        else:
+            parent.append(draw(st.sampled_from(FUZZ_VALUES)))
+    return cfg
+
+
+def _run_quietly(cfg, argv_tail):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv_tail[0], str(path), "--out", str(Path(tmp) / "out"), *argv_tail[1:]])
+    return code, err.getvalue()
+
+
+@settings(max_examples=80)
+@given(mutated_configs([FUZZ_SOLVE, FUZZ_SOLVE_GENERATED, FUZZ_SOLVE_TREE, FUZZ_SOLVE_LP]))
+def test_fuzzed_solve_config_exits_cleanly(cfg):
+    code, err = _run_quietly(cfg, ["solve"])
+    assert code in (0, 2, 3) and "Traceback" not in err
+
+
+@settings(max_examples=80)
+@given(mutated_configs([FUZZ_VERIFY]), st.sampled_from(FUZZ_SUITES))
+def test_fuzzed_verify_config_exits_cleanly(cfg, suite):
+    # 1 is a legitimately failing check (a tiny budget can fail the modulus suite)
+    code, err = _run_quietly(cfg, ["verify", "--suite", suite])
+    assert code in (0, 1, 2) and "Traceback" not in err

@@ -15,13 +15,16 @@ from busemann.mapspace import (
     hilbert_modulus,
     linear_modulus_bound,
     map_distance,
+    map_distance_batch,
     map_geodesic,
     map_midpoint,
     mazur_map,
+    mazur_map_batch,
     permute_cells,
     sample_map,
     scalar_distance,
     scalar_norm,
+    uc_witness_batch,
     uc_witness_check,
 )
 from busemann.oracles import two_atom_modulus_search
@@ -29,8 +32,10 @@ from busemann.spaces import (
     DomainError,
     Euclidean,
     LpVector,
+    MetricTree,
     SpaceMismatchError,
     ValidationError,
+    random_tree,
     star_tree,
 )
 
@@ -347,6 +352,121 @@ def test_uc_witness_random_l3_batch(rng):
 
 
 # ---------------------------------------------------------------------------
+# the array kernel of the witness against the scalar check
+# ---------------------------------------------------------------------------
+
+UC_MODEL = MeasureModel(("a", "b", "c"), (0.5, 0.3, 0.2))
+UC_TARGETS = {
+    "line": E1,
+    "lp(3,3)": LpVector(3, 3.0),
+    "star-tree": STAR,
+    **{f"random-tree{n}": random_tree(n, np.random.default_rng(n)) for n in (2, 5, 9)},
+}
+
+
+def uc_triples(target, rng, n):
+    """(psi, phi1, phi2) map batches of n samples.  Tree batches include
+    vertices (offsets at, or within SNAP_TOL of, an endpoint) and cells whose
+    points share an edge."""
+    cells = len(UC_MODEL.cells)
+    if not isinstance(target, MetricTree):
+        arr = rng.normal(0.0, 1.0, (n, 3, cells, target.dim))
+        return arr[:, 0], arr[:, 1], arr[:, 2]
+    lengths = np.array([e[2] for e in target.edges])
+    edge = rng.integers(0, len(target.edges), (n, 3, cells))
+    frac = rng.uniform(0.0, 1.0, (n, 3, cells))
+    frac[::7] = rng.choice([0.0, 1.0, 1e-14, 1.0 - 1e-14], frac[::7].shape)
+    edge[::5, 1] = edge[::5, 0]
+    edge[::3, 2] = edge[::3, 1]
+    edge, offset = target.point_batch(edge, frac * lengths[edge])
+    return tuple((edge[:, m], offset[:, m]) for m in range(3))
+
+
+def scalar_map(target, batch, k):
+    """Sample k of a map batch as an EquivariantMap."""
+    if isinstance(target, MetricTree):
+        edge, offset = batch
+        values = tuple(target.point(int(e), float(o)) for e, o in zip(edge[k], offset[k]))
+    else:
+        values = tuple(tuple(float(c) for c in row) for row in batch[k])
+    return EquivariantMap(UC_MODEL, target, values)
+
+
+def uc_radii(p, target, psi, phi1, phi2):
+    w = UC_MODEL.weights
+    return np.maximum(
+        np.maximum(map_distance_batch(p, target, w, phi1, psi), map_distance_batch(p, target, w, phi2, psi)),
+        1e-9,
+    )
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("target", UC_TARGETS.values(), ids=UC_TARGETS.keys())
+def test_uc_witness_batch_matches_scalar_check(target, p):
+    rng = np.random.default_rng(17)
+    triples = uc_triples(target, rng, 300)
+    delta = linear_modulus_bound(target)
+    r = uc_radii(p, target, *triples)
+    rep = uc_witness_batch(p, delta, target, UC_MODEL.weights, *triples, r)
+    for k in range(300):
+        psi, phi1, phi2 = (scalar_map(target, b, k) for b in triples)
+        assert r[k] == pytest.approx(
+            max(map_distance(p, phi1, psi), map_distance(p, phi2, psi), 1e-9), rel=1e-12
+        )
+        ref = uc_witness_check(p, delta, psi, phi1, phi2, float(r[k]))
+        for name in ("eps", "bound", "rho_mid", "slack"):
+            # relative to the radius, the scale of each of them
+            assert getattr(rep, name)[k] == pytest.approx(getattr(ref, name), rel=1e-12, abs=1e-12 * r[k]), name
+        assert rep.tau[k] == pytest.approx(ref.tau, rel=1e-12, abs=0.0)
+        assert rep.ok[k] == ref.ok
+        assert rep.small_modulus_regime[k] == ref.small_modulus_regime
+
+
+@pytest.mark.parametrize("name", ["star-tree", "random-tree5", "random-tree9"])
+def test_tree_midpoint_identity_matches_map_midpoint(name):
+    # d(z, mid(x, y)) = max(d(x, z), d(y, z)) - d(x, y)/2 in an R-tree, against
+    # the midpoint map built point by point
+    target = UC_TARGETS[name]
+    rng = np.random.default_rng(5)
+    triples = uc_triples(target, rng, 200)
+    rep = uc_witness_batch(2.0, hilbert_modulus, target, UC_MODEL.weights, *triples, uc_radii(2.0, target, *triples))
+    for k in range(200):
+        psi, phi1, phi2 = (scalar_map(target, b, k) for b in triples)
+        assert rep.rho_mid[k] == pytest.approx(map_distance(2.0, map_midpoint(phi1, phi2), psi), rel=1e-12, abs=1e-14)
+
+
+def test_uc_witness_batch_precondition():
+    psi = np.zeros((2, 2, 1))
+    phi = np.full((2, 2, 1), 5.0)
+    with pytest.raises(DomainError):
+        uc_witness_batch(2.0, hilbert_modulus, E1, (0.5, 0.5), psi, phi, phi, np.ones(2))
+    with pytest.raises(DomainError):
+        uc_witness_batch(2.0, hilbert_modulus, E1, (0.5, 0.5), psi, phi, phi, np.zeros(2))
+
+
+@pytest.mark.parametrize("target", [E1, LpVector(3, 3.0), STAR], ids=["line", "lp(3,3)", "star-tree"])
+def test_uc_witness_batch_counts_violations_of_an_inflated_modulus(target):
+    # The certified rate is conservative: even 100 x hilbert_modulus leaves
+    # these triples unviolated, 1000 x (capped at 1) violates some of them.
+    def inflated(eps):
+        return min(1.0, 1e3 * hilbert_modulus(eps))
+
+    rng = np.random.default_rng(3)
+    triples = uc_triples(target, rng, 400)
+    for p in (1.5, 2.0, 3.0):
+        r = uc_radii(p, target, *triples)
+        rep = uc_witness_batch(p, inflated, target, UC_MODEL.weights, *triples, r)
+        scalar = [
+            uc_witness_check(p, inflated, *(scalar_map(target, b, k) for b in triples), float(r[k]))
+            for k in range(400)
+        ]
+        assert np.count_nonzero(~rep.ok) == sum(not s.ok for s in scalar) > 0
+        # the large modulus also leaves the small-modulus regime
+        off = [not s.small_modulus_regime for s in scalar]
+        assert (~rep.small_modulus_regime).tolist() == off and any(off)
+
+
+# ---------------------------------------------------------------------------
 # Mazur map
 # ---------------------------------------------------------------------------
 
@@ -418,3 +538,39 @@ def test_mazur_rejects_wrong_exponents():
         mazur_map(f, 3.0, 2.0)
     with pytest.raises(DomainError):
         mazur_map(f, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 4.0), (3.0, 1.5), (1.5, 2.5)])
+def test_mazur_map_batch_matches_mazur_map(p, q, rng):
+    values = rng.normal(0.0, 1.0, (300, 4))
+    values[::9, 1] = 0.0
+    values[::11, 2] = -0.0
+    out = mazur_map_batch(values, p, q)
+    m = MeasureModel(tuple("abcd"), (0.25,) * 4)
+    for row, got in zip(values, out):
+        # np.float_power calls the C library's pow, as Python's ** does
+        assert got.tolist() == list(mazur_map(ScalarField(m, tuple(map(float, row)), p), p, q).values)
+
+
+def test_mazur_batch_roundtrip_fails_with_a_perturbed_inverse(rng):
+    p, q = 3.0, 1.5
+    f = rng.normal(0.0, 1.0, (200, 8))
+    f /= np.mean(np.abs(f) ** p, axis=-1, keepdims=True) ** (1.0 / p)
+    mf = mazur_map_batch(f, p, q)
+    assert np.max(np.abs(mazur_map_batch(mf, q, p) - f)) <= 1e-12
+    worst = np.max(np.abs(mazur_map_batch(mf, q, p * (1.0 + 1e-6)) - f))
+    assert worst > 1e-12
+    m = MeasureModel(tuple(f"w{i}" for i in range(8)), (0.125,) * 8)
+    scalar = 0.0
+    for row in f:
+        mf_row = mazur_map(ScalarField(m, tuple(map(float, row)), p), p, q)
+        back = mazur_map(mf_row, q, p * (1.0 + 1e-6)).values
+        scalar = max(scalar, max(abs(a - b) for a, b in zip(back, row)))
+    assert worst == pytest.approx(scalar, rel=1e-9)
+
+
+def test_mazur_map_batch_rejects_bad_exponents():
+    with pytest.raises(DomainError):
+        mazur_map_batch(np.ones(3), 2.0, 1.0)
+    with pytest.raises(DomainError):
+        mazur_map_batch(np.ones(3), math.inf, 2.0)

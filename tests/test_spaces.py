@@ -19,6 +19,7 @@ from busemann.spaces import (
     isometry_defect,
     midpoint,
     point_reflection,
+    random_tree,
     rotation_2d,
     star_tree,
     translation,
@@ -154,8 +155,6 @@ def test_geodesic_consistency_sampled_all_spaces(rng):
 
 
 def test_random_tree_metric_and_geodesics_vs_graph_oracle(rng):
-    from busemann.spaces import random_tree
-
     for _ in range(30):
         tree = random_tree(int(rng.integers(4, 12)), rng)
         for _ in range(30):
@@ -217,6 +216,70 @@ def test_product_metric_exact_cases():
 
 # ---------------------------------------------------------------------------
 # tree point representation
+# ---------------------------------------------------------------------------
+# distance over arrays of points
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("space", [E1, Euclidean(3), LpVector(3, 1.5), LpVector(2, 3.0)], ids=repr)
+def test_distance_batch_matches_distance_vector(space, rng):
+    x = rng.normal(0.0, 2.0, (200, 3, space.dim))
+    y = rng.normal(0.0, 2.0, (200, 3, space.dim))
+    y[::10] = x[::10]  # some equal pairs
+    d = space.distance_batch(x, y)
+    assert d.shape == (200, 3)
+    for k in range(200):
+        for i in range(3):
+            ref = space.distance(tuple(map(float, x[k, i])), tuple(map(float, y[k, i])))
+            assert d[k, i] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_distance_batch_shape_mismatch_raises():
+    with pytest.raises(SpaceMismatchError):
+        E2.distance_batch(np.zeros((4, 2)), np.zeros((4, 3)))
+
+
+def _tree_pairs(tree, rng, n):
+    """(edge, offset) arrays of n point pairs: vertices given as offsets at,
+    or within SNAP_TOL of, an endpoint, and pairs sharing an edge."""
+    lengths = np.array([e[2] for e in tree.edges])
+    edge = rng.integers(0, len(tree.edges), (2, n))
+    frac = rng.uniform(0.0, 1.0, (2, n))
+    frac[:, ::4] = rng.choice([0.0, 1.0, 1e-14, 1.0 - 1e-14], (2, len(frac[0, ::4])))
+    edge[1, ::3] = edge[0, ::3]
+    return edge, frac * lengths[edge]
+
+
+TREES = {"star": STAR, **{f"random{n}": random_tree(n, np.random.default_rng(n)) for n in (2, 7, 12)}}
+
+
+@pytest.mark.parametrize("tree", TREES.values(), ids=TREES.keys())
+def test_distance_batch_matches_distance_tree(tree, rng):
+    edge, offset = _tree_pairs(tree, rng, 300)
+    x = tree.point_batch(edge[0], offset[0])
+    y = tree.point_batch(edge[1], offset[1])
+    d = tree.distance_batch(x, y)
+    for k in range(300):
+        px = tree.point(int(edge[0, k]), float(offset[0, k]))
+        py = tree.point(int(edge[1, k]), float(offset[1, k]))
+        assert d[k] == pytest.approx(tree.distance(px, py), rel=1e-12, abs=1e-15)
+
+
+def test_point_batch_snaps_like_point(rng):
+    tree = random_tree(6, rng)
+    edge, offset = _tree_pairs(tree, rng, 200)
+    e, o = tree.point_batch(edge[0], offset[0])
+    for k in range(200):
+        ref = tree.point(int(edge[0, k]), float(offset[0, k]))
+        u, v, length = tree.edges[e[k]]
+        if ref.vertex is None:
+            assert (e[k], o[k]) == (ref.edge, ref.offset)
+        else:
+            assert ref.vertex == (u if o[k] == 0.0 else v) and o[k] in (0.0, length)
+    with pytest.raises(DomainError):
+        STAR.point_batch(np.array([0, 1]), np.array([0.5, 1.5]))
+
+
 # ---------------------------------------------------------------------------
 
 
