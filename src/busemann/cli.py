@@ -10,9 +10,11 @@ parse/validation error; 3 solver error (including non-convergence).
 
 Outputs of ``solve``: ``trace.csv`` (sweep, energy_total, energy_class_j...,
 norm, max_move), ``summary.json`` (final energy, norm, converged, wall
-time), ``solution.csv`` (cell id, coordinates).  All CSV content is
-deterministic for a fixed config and seed; wall time lives only in the
-summary.
+time; for commensurability solves also the kernel model's term count, word
+radius and truncation residual and the restart gap, uniqueness verdict and
+parallel-orbits flag), ``solution.csv`` (cell id, coordinates).  All CSV
+content is deterministic for a fixed config and seed; wall time lives only
+in the summary.
 """
 
 from __future__ import annotations
@@ -419,6 +421,12 @@ def _point_columns(space, value):
     return [repr(value)]
 
 
+# the kernel model and the restart verdict of a commensurability solve
+COMM_SUMMARY_KEYS = (
+    "kernel_terms", "word_radius", "truncation_residual", "restart_gap", "unique", "parallel_orbits",
+)
+
+
 def _write_artifacts(out_dir: Path, cfg: RunConfig, report, wall: float):
     out_dir.mkdir(parents=True, exist_ok=True)
     prob = cfg.problem
@@ -454,6 +462,8 @@ def _write_artifacts(out_dir: Path, cfg: RunConfig, report, wall: float):
         "sweeps": report.iterations,
         "wall_time_s": wall,
     }
+    if cfg.method == "commensurability":
+        summary.update({key: report.extras[key] for key in COMM_SUMMARY_KEYS})
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 

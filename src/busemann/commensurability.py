@@ -13,19 +13,26 @@ The commensurability energy is the kernel-weighted all-pairs sum
 
 where gamma runs over the word ball of the twist group, |gamma| is the word
 norm and h(n) = exp(-n^2 + 1); the ball radius is chosen so the truncated
-tail of h is negligible.  A :class:`CommEnergyModel` holds this sum as the
-same term list as the edge energy (one :class:`~busemann.harmonic.Term` per
-cell pair and gamma, p = 2, one class), so :func:`energy` and
-:func:`minimize_energy` of :mod:`busemann.harmonic` evaluate and minimize
-it, on the compiled engine for Euclidean targets and on the scalar engine
-otherwise.  Uniqueness is probed by restart agreement and is expected
-exactly when no sampled point pair is parallel under every generator.
+tail of h is negligible.  A :class:`CommEnergyModel` holds this sum in the
+form of the edge energy (one term per cell pair and gamma, p = 2, one
+class), so :func:`energy` and :func:`minimize_energy` of
+:mod:`busemann.harmonic` evaluate and minimize it.  On a Euclidean target
+the word ball and the transports are built as stacked (matrix, shift)
+arrays, multiplied and de-duplicated as the
+:class:`~busemann.spaces.EuclideanIsometry` objects would be, and the model
+carries the compiled :class:`~busemann.harmonic.KernelArrays` from the start;
+its :class:`~busemann.harmonic.Term` tuple is built only when :func:`energy`
+or the scalar engine reads it.  Other targets build the terms from isometry
+objects and run on the scalar engine.  Uniqueness is probed by restart
+agreement and is expected exactly when no sampled point pair is parallel
+under every generator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,6 +46,7 @@ from busemann.harmonic import (
     TermEnergy,
     LOCAL_PATHS,
     _stop_reason,
+    compile_terms,
     energy,
     minimize_energy,
 )
@@ -50,6 +58,8 @@ from busemann.mapspace import (
 )
 from busemann.spaces import (
     DomainError,
+    Euclidean,
+    EuclideanIsometry,
     SolverError,
     SpaceMismatchError,
     ValidationError,
@@ -199,51 +209,169 @@ def lift_map(spec: CoverSpec, phi: EquivariantMap, cover_prob: Optional[Equivari
 # ---------------------------------------------------------------------------
 
 
+class _Stack:
+    """Euclidean isometries x -> matrix[t] x + shift[t], stacked, with the
+    arithmetic of :class:`EuclideanIsometry` row by row: ``compose`` and
+    ``invert`` multiply in its order and ``keys`` round as its ``key()``
+    (Python's ``round`` on each value)."""
+
+    def __init__(self, matrix, shift):
+        self.matrix, self.shift = matrix, shift
+
+    @classmethod
+    def of(cls, isos) -> "_Stack":
+        d = len(isos[0].shift)
+        return cls(
+            np.array([g.matrix for g in isos], dtype=float).reshape(-1, d, d),
+            np.array([g.shift for g in isos], dtype=float).reshape(-1, d),
+        )
+
+    @staticmethod
+    def cat(parts) -> "_Stack":
+        return _Stack(
+            np.concatenate([s.matrix for s in parts]), np.concatenate([s.shift for s in parts])
+        )
+
+    def __len__(self) -> int:
+        return len(self.shift)
+
+    def take(self, idx) -> "_Stack":
+        return _Stack(self.matrix[idx], self.shift[idx])
+
+    def compose(self, other: "_Stack") -> "_Stack":
+        m = self.matrix
+        return _Stack(m @ other.matrix, (m @ other.shift[..., None])[..., 0] + self.shift)
+
+    def invert(self) -> "_Stack":
+        m_t = self.matrix.transpose(0, 2, 1)
+        return _Stack(m_t, -(m_t @ self.shift[..., None])[..., 0])
+
+    def keys(self) -> list:
+        d = self.shift.shape[1]
+        rows = np.concatenate([self.matrix.reshape(len(self), d * d), self.shift], axis=1)
+        return [tuple(round(x, 9) + 0.0 for x in row) for row in rows.tolist()]
+
+
+class _Objects(tuple):
+    """Isometry objects with the interface of :class:`_Stack`."""
+
+    of = classmethod(tuple.__new__)
+
+    @staticmethod
+    def cat(parts) -> "_Objects":
+        return _Objects(g for part in parts for g in part)
+
+    def take(self, idx) -> "_Objects":
+        return _Objects(self[i] for i in idx)
+
+    def compose(self, other) -> "_Objects":
+        return _Objects(a.compose(b) for a, b in zip(self, other))
+
+    def invert(self) -> "_Objects":
+        return _Objects(g.invert() for g in self)
+
+    def keys(self) -> list:
+        return [g.key() for g in self]
+
+
+def _ball(kind, space, generators: Sequence, radius: int):
+    """The word ball of :func:`word_ball` as a ``kind`` (:class:`_Stack` or
+    :class:`_Objects`) and the list of word norms.  Each radius composes
+    every generator with every frontier element (frontier-major,
+    generator-minor) and keeps each candidate whose key is new."""
+    gens, seen = [], set()
+    for g in generators:
+        for h in (g, g.invert()):
+            if h.key() not in seen:
+                seen.add(h.key())
+                gens.append(h)
+    gens = kind.of(gens)
+    frontier = kind.of([identity_isometry(space)])
+    seen = set(frontier.keys())
+    parts, norms = [frontier], [0]
+    for n in range(1, radius + 1):
+        rows = np.repeat(np.arange(len(frontier)), len(gens))
+        cand = gens.take(np.tile(np.arange(len(gens)), len(frontier))).compose(frontier.take(rows))
+        new = []
+        for i, key in enumerate(cand.keys()):
+            if key not in seen:
+                seen.add(key)
+                new.append(i)
+        frontier = cand.take(np.array(new, dtype=np.intp))
+        parts.append(frontier)
+        norms += [n] * len(new)
+    return kind.cat(parts), norms
+
+
 def word_ball(space, generators: Sequence, radius: int):
     """Distinct isometries reachable as words of length <= radius in the
     generators and their inverses, with their word norms."""
-    gens = []
-    seen_keys = set()
-    for g in generators:
-        for h in (g, g.invert()):
-            k = h.key()
-            if k not in seen_keys:
-                seen_keys.add(k)
-                gens.append(h)
-    ident = identity_isometry(space)
-    ball = {ident.key(): (ident, 0)}
-    frontier = [ident]
-    for n in range(1, radius + 1):
-        nxt = []
-        for t in frontier:
-            for g in gens:
-                t2 = g.compose(t)
-                key = t2.key()
-                if key not in ball:
-                    ball[key] = (t2, n)
-                    nxt.append(t2)
-        frontier = nxt
-    return list(ball.values())
+    ball, norms = _ball(_Objects, space, generators, radius)
+    return list(zip(ball, norms))
 
 
 def _kernel(n: int) -> float:
     return math.exp(-float(n) ** 2 + 1.0)
 
 
-@dataclass(frozen=True)
 class CommEnergyModel(TermEnergy):
-    """All-pairs kernel model: cells and kernel terms (p = 2, one class)."""
+    """All-pairs kernel model: cells and kernel terms (p = 2, one class).
 
-    model: MeasureModel
-    target: object
-    base_point: object
-    terms: tuple
-    generators: tuple
-    word_radius: int
-    truncation_residual: float
+    It is built from its ``terms`` or, on a Euclidean target, from their
+    compiled ``arrays`` (:class:`~busemann.harmonic.KernelArrays`), and
+    derives the other form on first use: the compiled engine never builds
+    the :class:`~busemann.harmonic.Term` tuple, which only :func:`energy`
+    and the scalar engine read."""
 
     p = 2.0
     classes = (1,)
+
+    def __init__(
+        self, model, target, base_point, terms, generators, word_radius,
+        truncation_residual, arrays=None,
+    ):
+        if (terms is None) == (arrays is None):
+            raise ValidationError("a kernel model takes either its terms or their arrays")
+        self.model = model
+        self.target = target
+        self.base_point = base_point
+        self.generators = tuple(generators)
+        self.word_radius = word_radius
+        self.truncation_residual = truncation_residual
+        # preset the cached property of the form given
+        self.__dict__.update({"arrays": arrays} if terms is None else {"terms": tuple(terms)})
+
+    @cached_property
+    def terms(self) -> tuple:
+        k = self.arrays
+        isos = {}
+        terms = []
+        for c1, c2, w, m, b in zip(
+            k.c1.tolist(), k.c2.tolist(), k.weight.tolist(), k.matrix.tolist(), k.shift.tolist()
+        ):
+            key = (tuple(map(tuple, m)), tuple(b))
+            if key not in isos:
+                isos[key] = EuclideanIsometry(*key)
+            terms.append(Term(c1, c2, w, isos[key]))
+        return tuple(terms)
+
+    @property
+    def n_terms(self) -> int:
+        """The number of kernel terms (from the arrays when they are built)."""
+        k = self.__dict__.get("arrays")
+        return len(self.terms) if k is None else len(k.c1)
+
+
+def _kernel_model(model, target, base_point, generators, radius, residual, c1, c2, weight, transports):
+    """A :class:`CommEnergyModel` from its term columns: compiled arrays
+    for a :class:`_Stack` of transports, a Term tuple otherwise."""
+    if isinstance(transports, _Stack):
+        arrays = compile_terms(
+            len(model.cells), target.dim, c1, c2, weight, transports.matrix, transports.shift
+        )
+        return CommEnergyModel(model, target, base_point, None, generators, radius, residual, arrays)
+    terms = tuple(map(Term, c1.tolist(), c2.tolist(), weight.tolist(), transports))
+    return CommEnergyModel(model, target, base_point, terms, generators, radius, residual)
 
 
 def comm_energy_model(
@@ -266,6 +394,10 @@ def comm_energy_model(
     built by :func:`cover_comm_energy_model` use the coset representatives
     as positions and the base generators as the norm, which makes the
     unfolded model agree with the base model term by term.
+
+    Terms run over (c1, c2, word ball element) in that nesting.  On a
+    Euclidean target the ball and the transports are built as stacked
+    arrays (:class:`_Stack`), with the numbers of the isometry objects.
     """
     gens = []
     for e in prob.edges:
@@ -275,45 +407,41 @@ def comm_energy_model(
     radius = 1
     while _kernel(radius) >= cutoff and radius < max_radius:
         radius += 1
-    norm_ball = word_ball(prob.target, norm_gens, radius)
-    ident_key = identity_isometry(prob.target).key()
-    mu = prob.model.weights
     cells = prob.model.cells
-    n_cells = len(cells)
-    terms = []
+    ident = identity_isometry(prob.target)
+    euclidean = isinstance(prob.target, Euclidean) and all(
+        isinstance(g, EuclideanIsometry) for g in gens + norm_gens + list((positions or {}).values())
+    )
+    kind = _Stack if euclidean else _Objects
+    ball, norms = _ball(kind, prob.target, norm_gens, radius)
+    size = len(norms)
+    c1, c2, b = (a.ravel() for a in np.indices((len(cells), len(cells), size)))
     if positions is None:
-        for i in range(n_cells):
-            for j in range(n_cells):
-                for t, n in norm_ball:
-                    if i == j and n == 0:
-                        continue  # zero distance term
-                    terms.append(Term(i, j, mu[i] * mu[j] * _kernel(n), t))
+        transports = ball.take(b)
+        keep = (c1 != c2) | (np.array(norms)[b] != 0)  # no zero-distance terms
     else:
         # group elements available in the model: words in the problem's own
         # twists (generous radius, so membership below is not truncated)
-        own_keys = {t.key() for t, _ in word_ball(prob.target, gens, radius + 4)}
-        pos = [positions.get(c, identity_isometry(prob.target)) for c in cells]
-        for i in range(n_cells):
-            for j in range(n_cells):
-                for delta, n in norm_ball:
-                    gamma = pos[i].compose(delta).compose(pos[j].invert())
-                    if gamma.key() not in own_keys:
-                        continue
-                    if i == j and gamma.key() == ident_key:
-                        continue
-                    terms.append(Term(i, j, mu[i] * mu[j] * _kernel(n), gamma))
+        own_keys = set(_ball(kind, prob.target, gens, radius + 4)[0].keys())
+        ident_key = kind.of([ident]).keys()[0]
+        at = kind.of([positions.get(c, ident) for c in cells])
+        i, k = (a.ravel() for a in np.indices((len(cells), size)))
+        moved = at.take(i).compose(ball.take(k))  # pos_i delta, per (i, delta)
+        transports = moved.take(c1 * size + b).compose(at.invert().take(c2))
+        keep = np.array([
+            key in own_keys and not (ci == cj and key == ident_key)
+            for key, ci, cj in zip(transports.keys(), c1.tolist(), c2.tolist())
+        ], dtype=bool)
+    idx = np.flatnonzero(keep)
+    mu = np.array(prob.model.weights)
+    weight = (mu[c1] * mu[c2] * np.array([_kernel(n) for n in norms])[b])[idx]
     # superexponential decay of h against at-most-exponential word growth
-    b = max(2 * len(norm_gens), 2)
-    tail = math.fsum(_kernel(n) * b ** n for n in range(radius + 1, radius + 30))
-    mass = math.fsum(w.weight for w in terms) or 1.0
-    return CommEnergyModel(
-        model=prob.model,
-        target=prob.target,
-        base_point=prob.base_point,
-        terms=tuple(terms),
-        generators=tuple(gens),
-        word_radius=radius,
-        truncation_residual=tail / mass,
+    growth = max(2 * len(norm_gens), 2)
+    tail = math.fsum(_kernel(n) * growth ** n for n in range(radius + 1, radius + 30))
+    mass = math.fsum(weight.tolist()) or 1.0
+    return _kernel_model(
+        prob.model, prob.target, prob.base_point, gens, radius, tail / mass,
+        c1[idx], c2[idx], weight, transports.take(idx),
     )
 
 
@@ -381,11 +509,16 @@ def subgroup_harmonic(
     check says no pair of points is parallel under every generator, the
     minimizer is unique and the restarts must agree within 10 * tol
     (disagreement raises :class:`SolverError`); with parallel orbits present,
-    disagreeing restarts are reported as non-uniqueness, not an error.
+    disagreeing restarts are reported as non-uniqueness, not an error.  A
+    single restart compares nothing: its ``restart_gap`` and ``unique`` are
+    None.  ``extras`` also records the model's ``kernel_terms``,
+    ``word_radius`` and ``truncation_residual``.
 
     ``norm_minimal`` selects among flat families by the vanishing-penalty
     homotopy toward the base point.
     """
+    if restarts < 1:
+        raise DomainError("subgroup_harmonic needs at least one restart")
     space = m.target
     rng = np.random.default_rng(seed)
 
@@ -401,26 +534,25 @@ def subgroup_harmonic(
         return values, obj, sweeps, conv, trace, solves
 
     results = []
-    for k in range(max(1, restarts)):
+    for k in range(restarts):
         if k == 0:
             init = [m.base_point] * len(m.model.cells)
         else:
             init = [space.sample(rng, 1.0) for _ in m.model.cells]
         results.append(solve_from(init))
     vals, obj, sweeps, conv, trace, solves = min(results, key=lambda r: r[1])
-    gap = 0.0
-    for other in results[1:]:
+    gap = None  # one restart: nothing to compare
+    if len(results) > 1:
         gap = max(
-            gap,
-            max(space.distance(a, b) for a, b in zip(results[0][0], other[0])),
+            space.distance(a, b) for other in results[1:] for a, b in zip(results[0][0], other[0])
         )
     parallel = (
         parallel_orbits_check(space, m.generators, seed=seed)
         if check_parallel_orbits
         else None
     )
-    unique = gap <= 10.0 * tol
-    if not unique and parallel is False:
+    unique = None if gap is None else gap <= 10.0 * tol
+    if unique is False and parallel is False:
         raise SolverError(
             "restarts disagree although no parallel orbits were found", best=vals
         )
@@ -442,6 +574,9 @@ def subgroup_harmonic(
             "engine": "compiled" if m.arrays is not None else "scalar",
             "stop_reason": _stop_reason(conv),
             "local_solves": solves,
+            "kernel_terms": m.n_terms,
+            "word_radius": m.word_radius,
+            "truncation_residual": m.truncation_residual,
         },
     )
 
@@ -478,23 +613,29 @@ def conjugate_comm_model(m: CommEnergyModel, lam, relabel: dict) -> CommEnergyMo
     for c in cells:
         weights[idx[c]] = m.model.weights[idx[relabel[c]]]
     lam_inv = lam.invert()
-    terms = tuple(
-        Term(
-            inv_of[t.c1],
-            inv_of[t.c2],
-            t.weight,
-            lam_inv.compose(t.transport).compose(lam),
-        )
-        for t in m.terms
-    )
-    return CommEnergyModel(
-        model=MeasureModel(cells, tuple(weights)),
-        target=m.target,
-        base_point=lam_inv.apply(m.base_point),
-        terms=terms,
-        generators=tuple(lam_inv.compose(g).compose(lam) for g in m.generators),
-        word_radius=m.word_radius,
-        truncation_residual=m.truncation_residual,
+    k = m.arrays
+    if k is not None:
+        kind, c1, c2, weight, transports = _Stack, k.c1, k.c2, k.weight, _Stack(k.matrix, k.shift)
+    else:
+        kind, terms = _Objects, m.terms
+        c1 = np.array([t.c1 for t in terms], dtype=np.intp)
+        c2 = np.array([t.c2 for t in terms], dtype=np.intp)
+        weight = np.array([t.weight for t in terms], dtype=float)
+        transports = _Objects(t.transport for t in terms)
+    every = np.zeros(len(c1), dtype=np.intp)
+    conjugated = kind.of([lam_inv]).take(every).compose(transports).compose(kind.of([lam]).take(every))
+    new_index = np.array([inv_of[i] for i in range(len(cells))], dtype=np.intp)
+    return _kernel_model(
+        MeasureModel(cells, tuple(weights)),
+        m.target,
+        lam_inv.apply(m.base_point),
+        tuple(lam_inv.compose(g).compose(lam) for g in m.generators),
+        m.word_radius,
+        m.truncation_residual,
+        new_index[c1],
+        new_index[c2],
+        weight,
+        conjugated,
     )
 
 

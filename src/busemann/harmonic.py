@@ -131,7 +131,8 @@ class Term(NamedTuple):
 class TermEnergy:
     """An energy given as a term list.  Subclasses provide ``model``,
     ``target``, ``base_point``, ``p``, ``classes`` and ``terms``; the forms
-    below are built on first use and shared by every solve of the energy."""
+    below are built on first use and shared by every solve of the energy (a
+    subclass may preset ``arrays`` and build its terms from them)."""
 
     @cached_property
     def arrays(self) -> Optional["KernelArrays"]:
@@ -985,15 +986,9 @@ def minimize_energy(
     p = prob.p
     mu = prob.model.weights
     classes = prob.classes
-    terms = prob.terms
-    scales = kept = None
-    if class_weights is not None:
-        # the terms of classes with a nonzero weight and their plan weights
-        # (class weight) * w, which only the local subproblems use
-        scales = [float(class_weights.get(c, 0.0)) for c in classes]
-        scale_of = dict(zip(classes, scales))
-        kept = [i for i, t in enumerate(terms) if scale_of[t.cls] != 0.0]
-        plan_weight = [scale_of[terms[i].cls] * terms[i].weight for i in kept]
+    # class weights rescale the terms of the local subproblems, whose plans
+    # keep the terms of classes with a nonzero weight at (class weight) * w
+    scales = None if class_weights is None else [float(class_weights.get(c, 0.0)) for c in classes]
     anchor_weights = None if anchor is None else [anchor[0] * m for m in mu]
     counts = dict.fromkeys(LOCAL_PATHS, 0)
 
@@ -1020,12 +1015,15 @@ def minimize_energy(
     k = prob.arrays if mode == "gauss-seidel" else None
     if k is not None:
         engine = "compiled"
-        plan = k
-        if kept is not None:
-            plan = compile_terms(
-                len(mu), space.dim, k.c1[kept], k.c2[kept], plan_weight, k.matrix[kept], k.shift[kept]
-            )
         masks = prob.class_masks
+        plan = k
+        if scales is not None:
+            term_scale = np.full(len(k.c1), scales[0]) if masks is None else np.select(masks, scales)
+            kept = np.flatnonzero(term_scale != 0.0)
+            plan = compile_terms(
+                len(mu), space.dim, k.c1[kept], k.c2[kept], term_scale[kept] * k.weight[kept],
+                k.matrix[kept], k.shift[kept],
+            )
         mu_arr = np.array(mu)
         base = np.array(prob.base_point, dtype=float)
         if anchor is not None:
@@ -1049,11 +1047,13 @@ def minimize_energy(
         )
     else:
         engine = "scalar"
-        if kept is None:
+        if scales is None:
             points, loops = prob.plans
         else:
+            scale_of = dict(zip(classes, scales))
             points, loops = _term_plans(
-                [terms[i]._replace(weight=w) for i, w in zip(kept, plan_weight)], len(mu)
+                [t._replace(weight=scale_of[t.cls] * t.weight) for t in prob.terms if scale_of[t.cls] != 0.0],
+                len(mu),
             )
         anchors = None if anchor is None else [(w, anchor[1]) for w in anchor_weights]
         values = list(phi.values)

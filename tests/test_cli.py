@@ -137,6 +137,34 @@ def test_solve_determinism_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("generator", ["dihedral-line", "dihedral-cover", "translation-loop"])
+def test_commensurability_summary_keys_deterministic(tmp_path, generator):
+    # the kernel model and the restart verdict are reported, identically at
+    # one seed; wall time is the only entry allowed to change
+    path = write_config(
+        tmp_path,
+        seed=4,
+        problem={"generator": generator},
+        solver={"method": "commensurability"},
+        output={"dir": str(tmp_path / "a")},
+    )
+    assert main(["solve", str(path)]) == 0
+    assert main(["solve", str(path), "--out", str(tmp_path / "b")]) == 0
+    a, b = (json.loads((tmp_path / d / "summary.json").read_text()) for d in "ab")
+    keys = ("kernel_terms", "word_radius", "truncation_residual", "restart_gap", "unique", "parallel_orbits")
+    assert all(key in a for key in keys)
+    assert {k: v for k, v in a.items() if k != "wall_time_s"} == {
+        k: v for k, v in b.items() if k != "wall_time_s"
+    }
+    assert a["kernel_terms"] == {"dihedral-line": 213, "dihedral-cover": 426, "translation-loop": 12}[generator]
+    assert a["word_radius"] == 6
+    assert 0.0 < a["truncation_residual"] < 1e-9
+    assert a["parallel_orbits"] is (generator == "translation-loop")
+    assert a["unique"] is (generator != "translation-loop")
+    for name in ("trace.csv", "solution.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_solve_seed_override_changes_nothing_deterministic(tmp_path):
     # deterministic solvers: a different seed may not change the outcome,
     # but the flag must be accepted and recorded

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,9 @@ import pytest
 from busemann.commensurability import (
     CommEnergyModel,
     CoverSpec,
+    _ball,
     _comm_sweeps,
+    _Stack,
     build_cover,
     coercivity_fit,
     comm_energy_model,
@@ -20,11 +21,22 @@ from busemann.commensurability import (
     subgroup_harmonic,
     word_ball,
 )
-from busemann.harmonic import Edge, EquivariantProblem, Term, _weighted_sq_dist, energy
+from busemann.harmonic import (
+    Edge,
+    EquivariantProblem,
+    Term,
+    _apply_rows,
+    _sq_terms,
+    _weighted_sq_dist,
+    compile_terms,
+    energy,
+    minimize_energy,
+)
 from busemann.mapspace import EquivariantMap, MeasureModel
 from busemann.models import (
     dihedral_cover_model,
     dihedral_line_problem,
+    product_two_class_model,
     translation_cover_spec,
     translation_loop_model,
     tree_leafswap_model,
@@ -128,6 +140,14 @@ def test_i_energy_linear_in_kernel():
 # ---------------------------------------------------------------------------
 
 
+def batch_energies(m, x):
+    """The kernel energy of each map x[g] (maps x cells x dim) from the
+    model's arrays, summed per map as :func:`energy` sums it."""
+    k = m.arrays
+    sq = _sq_terms(k.weight, x[:, k.c1] - _apply_rows(k.matrix, k.shift, x[:, k.c2]))
+    return [math.fsum(row) for row in sq.tolist()]
+
+
 def test_dihedral_harmonic_unique_and_matches_grid():
     m, rep = base_harmonic()
     assert rep.extras["unique"]
@@ -139,15 +159,19 @@ def test_dihedral_harmonic_unique_and_matches_grid():
     width = 1.0
     for _ in range(5):
         axes = [np.linspace(c - width, c + width, n) for c in centers]
-        for a in axes[0]:
-            for b in axes[1]:
-                for c in axes[2]:
-                    phi = EquivariantMap(m.model, E1, ((float(a),), (float(b),), (float(c),)))
-                    e = commensurability_energy(m, phi)
-                    if best is None or e < best[0]:
-                        best = (e, (float(a), float(b), float(c)))
+        # the grid points in the order a, b, c (c fastest), one batch per level
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3, 1)
+        for e, point in zip(batch_energies(m, grid), grid[:, :, 0].tolist()):
+            if best is None or e < best[0]:
+                best = (e, tuple(point))
         centers = list(best[1])
         width = 2.0 * width / (n - 1)
+    # the batch is the scalar energy: at the best point and a few others
+    for point in (best[1], (0.0, 0.0, 0.0), (0.3, -1.0, 0.7), (2.0, 0.1, -0.4)):
+        phi = EquivariantMap(m.model, E1, tuple((v,) for v in point))
+        assert batch_energies(m, np.array(point)[None, :, None])[0] == pytest.approx(
+            commensurability_energy(m, phi), rel=1e-12, abs=1e-12
+        )
     assert rep.energy_total <= best[0] + 1e-6
     # the mirror-fixed middle cell sits at 0
     assert abs(rep.solution.values[1][0]) <= 1e-6
@@ -158,6 +182,22 @@ def test_translation_model_reports_non_uniqueness():
     rep = subgroup_harmonic(m, tol=1e-9, seed=5)
     assert not rep.extras["unique"]
     assert rep.extras["parallel_orbits"] is True
+
+
+def test_single_restart_gives_no_uniqueness_verdict():
+    # one restart compares nothing: the flat translation model used to
+    # report unique=True and gap 0.0 here, and restarts=0 ran one restart
+    m = comm_energy_model(translation_loop_model().problem)
+    rep = subgroup_harmonic(m, tol=1e-9, seed=5, restarts=1)
+    assert rep.extras["unique"] is None
+    assert rep.extras["restart_gap"] is None
+    assert rep.extras["parallel_orbits"] is True
+    two = subgroup_harmonic(m, tol=1e-9, seed=5, restarts=2)
+    assert two.extras["unique"] is False
+    assert two.extras["restart_gap"] > 0.1
+    for restarts in (0, -1):
+        with pytest.raises(DomainError):
+            subgroup_harmonic(m, tol=1e-9, seed=5, restarts=restarts)
 
 
 def test_fixed_point_model_norm_minimal_returns_base():
@@ -316,14 +356,9 @@ def test_normal_cover_coincidence_translation_subgroup_norm_minimal():
     assert gap <= 1e-5
 
 
-def test_two_subgroup_coincidence_on_common_cover():
-    # Two routes to the same index-4 subgroup (doubled-doubled translations
-    # with the mirror).  Route A: the base's index-2 mirror cover, refined by
-    # its own index-2 mirror subgroup.  Route B: the index-4 cover built
-    # directly from the base.  The harmonic maps must agree on the common
-    # cover once cells are matched (tower cell (c@i)@j <-> direct cell
-    # c@(i + 2j), both representing the group piece t^(i+2j) Omega_c).
-    base = base_problem()
+def tower_cover():
+    """The index-2 mirror cover of the base, refined by its own index-2
+    mirror subgroup: the problem and its tower positions."""
     spec1 = dihedral_cover_model(2).cover_spec  # reps (id, t)
     cov1 = build_cover(spec1)
     t2 = translation(E1, (2.0,))
@@ -340,13 +375,26 @@ def test_two_subgroup_coincidence_on_common_cover():
             perms1.append((0, 1) if shift % 4 == 0 else (1, 0))
     spec2 = CoverSpec(cov1, 2, tuple(gens1), tuple(perms1), (IDENT, t2))
     cov2 = build_cover(spec2)
-    # tower positions are the accumulated representatives, and the kernel is
-    # measured in the base generators so both routes share one kernel
+    # tower positions are the accumulated representatives
     positions = {}
     for cell in cov2.model.cells:
         rest, j2 = cell.rsplit("@", 1)
         _, j1 = rest.rsplit("@", 1)
         positions[cell] = spec2.coset_reps[int(j2)].compose(spec1.coset_reps[int(j1)])
+    return cov2, positions
+
+
+def test_two_subgroup_coincidence_on_common_cover():
+    # Two routes to the same index-4 subgroup (doubled-doubled translations
+    # with the mirror).  Route A: the base's index-2 mirror cover, refined by
+    # its own index-2 mirror subgroup.  Route B: the index-4 cover built
+    # directly from the base.  The harmonic maps must agree on the common
+    # cover once cells are matched (tower cell (c@i)@j <-> direct cell
+    # c@(i + 2j), both representing the group piece t^(i+2j) Omega_c).
+    base = base_problem()
+    t2 = translation(E1, (2.0,))
+    cov2, positions = tower_cover()
+    # the kernel is measured in the base generators so both routes share one kernel
     m_tower = comm_energy_model(
         cov2, positions=positions, norm_generators=(IDENT, T1, R0)
     )
@@ -420,9 +468,12 @@ def test_cover_with_integer_cell_ids_lifts_and_folds():
 
 
 def scalar_copy(m):
-    """The same model with the compiled engine switched off (``arrays`` is a
-    cached property, so presetting it to None keeps minimize_energy scalar)."""
-    copy = dataclasses.replace(m)
+    """The same model, built from its terms, with the compiled engine
+    switched off (``arrays`` is a cached property, so presetting it to None
+    keeps minimize_energy scalar)."""
+    copy = CommEnergyModel(
+        m.model, m.target, m.base_point, m.terms, m.generators, m.word_radius, m.truncation_residual
+    )
     copy.__dict__["arrays"] = None
     return copy
 
@@ -473,20 +524,28 @@ def test_weighted_squares_round_like_scalar_terms():
         assert _weighted_sq_dist(wt, a[None, :], b[None, :]) == wt * E1.distance(tuple(a), tuple(b)) ** 2
 
 
-def plane_model():
-    e2 = Euclidean(2)
-    ident = identity_isometry(e2)
-    # quarter turn about (1, 0) and the mirror in the line y = 0.25
-    turn = EuclideanIsometry(((0.0, -1.0), (1.0, 0.0)), (1.0, -1.0))
-    mirror = EuclideanIsometry(((1.0, 0.0), (0.0, -1.0)), (0.0, 0.5))
+E2 = Euclidean(2)
+# quarter turn about (1, 0) and the mirror in the line y = 0.25
+TURN = EuclideanIsometry(((0.0, -1.0), (1.0, 0.0)), (1.0, -1.0))
+MIRROR = EuclideanIsometry(((1.0, 0.0), (0.0, -1.0)), (0.0, 0.5))
+
+
+def plane_problem():
     cells = MeasureModel(("a", "b", "c"), (0.5, 0.25, 0.25))
-    prob = EquivariantProblem(
+    return EquivariantProblem(
         cells,
-        e2,
+        E2,
         (0.0, 0.0),
-        (Edge("a", "b", 1.0, ident), Edge("b", "c", 1.0, turn), Edge("c", "a", 1.0, mirror)),
+        (
+            Edge("a", "b", 1.0, identity_isometry(E2)),
+            Edge("b", "c", 1.0, TURN),
+            Edge("c", "a", 1.0, MIRROR),
+        ),
     )
-    return comm_energy_model(prob, cutoff=1e-6)
+
+
+def plane_model():
+    return comm_energy_model(plane_problem(), cutoff=1e-6)
 
 
 def test_array_sweeps_match_scalar_in_two_dimensions():
@@ -520,3 +579,209 @@ def test_sweeps_fail_fast_on_non_finite_start(engine):
         _comm_sweeps(m, start, 1e-9, 500)
     with pytest.raises(SolverError, match="non-finite"):
         _comm_sweeps(m, [(math.inf,)] * 3, 1e-9, 500)
+
+
+# ---------------------------------------------------------------------------
+# the array-built kernel model against the isometry objects
+# ---------------------------------------------------------------------------
+
+
+def reference_ball(space, generators, radius):
+    """The word ball built one isometry object at a time: (isometry, norm)."""
+    gens, seen = [], set()
+    for g in generators:
+        for h in (g, g.invert()):
+            if h.key() not in seen:
+                seen.add(h.key())
+                gens.append(h)
+    ident = identity_isometry(space)
+    ball = {ident.key(): (ident, 0)}
+    frontier = [ident]
+    for n in range(1, radius + 1):
+        nxt = []
+        for t in frontier:
+            for g in gens:
+                t2 = g.compose(t)
+                if t2.key() not in ball:
+                    ball[t2.key()] = (t2, n)
+                    nxt.append(t2)
+        frontier = nxt
+    return list(ball.values())
+
+
+def reference_terms(prob, radius, positions=None, norm_generators=None):
+    """The kernel terms as objects, in the model's (c1, c2, ball) order."""
+    gens = []
+    for e in prob.edges:
+        if not any(t.key() == e.twist.key() for t in gens):
+            gens.append(e.twist)
+    ident = identity_isometry(prob.target)
+    norm_ball = reference_ball(prob.target, norm_generators or gens, radius)
+    own = {t.key() for t, _ in reference_ball(prob.target, gens, radius + 4)}
+    mu = prob.model.weights
+    cells = prob.model.cells
+    terms = []
+    for i, ci in enumerate(cells):
+        for j, cj in enumerate(cells):
+            for delta, n in norm_ball:
+                if positions is None:
+                    gamma, skip = delta, i == j and n == 0
+                else:
+                    gamma = positions[ci].compose(delta).compose(positions[cj].invert())
+                    skip = gamma.key() not in own or (i == j and gamma.key() == ident.key())
+                if not skip:
+                    terms.append(Term(i, j, mu[i] * mu[j] * math.exp(-float(n) ** 2 + 1.0), gamma))
+    return terms
+
+
+def plain_case(prob):
+    return comm_energy_model(prob), prob, None, None
+
+
+def cover_case(spec):
+    cov = build_cover(spec)
+    n = len(spec.base.model.cells)
+    positions = {c: spec.coset_reps[k // n] for k, c in enumerate(cov.model.cells)}
+    return cover_comm_energy_model(spec, cov), cov, positions, spec.generators
+
+
+def tower_case():
+    cov2, positions = tower_cover()
+    norm = (IDENT, T1, R0)
+    return comm_energy_model(cov2, positions=positions, norm_generators=norm), cov2, positions, norm
+
+
+def plane_case():
+    return plane_model(), plane_problem(), None, None
+
+
+MODEL_CASES = {
+    "dihedral-3": (lambda: plain_case(dihedral_line_problem(3)), 213),
+    "dihedral-6": (lambda: plain_case(dihedral_line_problem(6)), 858),
+    "dihedral-12": (lambda: plain_case(dihedral_line_problem(12)), 3444),
+    "dihedral-cover-2": (lambda: cover_case(dihedral_cover_model(2).cover_spec), 426),
+    "translation-cover-3": (lambda: cover_case(translation_cover_spec(3)), 426),
+    "tower": (tower_case, 852),
+    "plane": (plane_case, 249),
+}
+
+
+@pytest.mark.parametrize("name", list(MODEL_CASES))
+def test_array_model_equals_object_model(name):
+    build, count = MODEL_CASES[name]
+    m, prob, positions, norm_generators = build()
+    assert "terms" not in m.__dict__  # built as arrays
+    ref = reference_terms(prob, m.word_radius, positions, norm_generators)
+    assert m.n_terms == len(ref) == count
+    k = m.arrays
+    r = compile_terms(
+        len(prob.model.cells),
+        prob.target.dim,
+        [t.c1 for t in ref],
+        [t.c2 for t in ref],
+        [t.weight for t in ref],
+        [t.transport.matrix for t in ref],
+        [t.transport.shift for t in ref],
+    )
+    for field in ("c1", "c2", "weight"):
+        a, b = getattr(k, field), getattr(r, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for field in ("matrix", "shift"):
+        a, b = getattr(k, field), getattr(r, field)
+        assert a.shape == b.shape
+        if prob.target.dim == 1:
+            assert a.tobytes() == b.tobytes()
+        else:
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-15)
+    # the lazy Term tuple
+    assert [(t.c1, t.c2, t.weight, t.transport.key()) for t in m.terms] == [
+        (t.c1, t.c2, t.weight, t.transport.key()) for t in ref
+    ]
+
+
+@pytest.mark.parametrize(
+    "space, generators, radius",
+    [
+        (E1, (T1, R0), 6),
+        (E2, (TURN, MIRROR), 4),
+        (
+            # a rotation by 1 radian about (0.3, 0.1) and a translation by
+            # 0.1: entries that the key's rounding to 9 decimals must merge
+            E2,
+            (
+                EuclideanIsometry(
+                    ((math.cos(1.0), -math.sin(1.0)), (math.sin(1.0), math.cos(1.0))),
+                    (
+                        0.3 - (math.cos(1.0) * 0.3 - math.sin(1.0) * 0.1),
+                        0.1 - (math.sin(1.0) * 0.3 + math.cos(1.0) * 0.1),
+                    ),
+                ),
+                translation(E2, (0.1, 0.0)),
+            ),
+            4,
+        ),
+    ],
+    ids=["dihedral", "plane", "rotation"],
+)
+def test_array_word_ball_matches_word_ball(space, generators, radius):
+    ref = reference_ball(space, generators, radius)
+    ball = word_ball(space, generators, radius)
+    stack, norms = _ball(_Stack, space, generators, radius)
+    if space.dim == 1:
+        assert len(ball) == 24
+    assert [(g.key(), n) for g, n in ball] == [(g.key(), n) for g, n in ref]
+    assert norms == [n for _, n in ref]
+    assert stack.keys() == [g.key()[1] + g.key()[2] for g, _ in ref]
+    np.testing.assert_allclose(stack.matrix, [g.matrix for g, _ in ref], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(stack.shift, [g.shift for g, _ in ref], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "model", [tree_leafswap_model, product_two_class_model], ids=["tree", "product"]
+)
+def test_object_model_for_other_targets(model):
+    prob = model().problem
+    m = comm_energy_model(prob)
+    assert m.arrays is None
+    ref = reference_terms(prob, m.word_radius)
+    assert m.n_terms == len(ref) > 0
+    assert [(t.c1, t.c2, t.weight, t.transport.key()) for t in m.terms] == [
+        (t.c1, t.c2, t.weight, t.transport.key()) for t in ref
+    ]
+
+
+def test_conjugate_model_same_from_arrays_and_objects():
+    m = comm_energy_model(base_problem())
+    relabel = {"c0": "c2", "c1": "c0", "c2": "c1"}
+    lam = translation(E1, (2.5,))
+    from_arrays = conjugate_comm_model(m, lam, relabel)
+    from_objects = conjugate_comm_model(scalar_copy(m), lam, relabel)
+    assert "terms" not in from_arrays.__dict__ and "arrays" not in from_objects.__dict__
+    for field in ("c1", "c2", "weight", "matrix", "shift"):
+        a, b = getattr(from_arrays.arrays, field), getattr(from_objects.arrays, field)
+        assert a.tobytes() == b.tobytes()
+    assert [(t.c1, t.c2, t.weight, t.transport.key()) for t in from_arrays.terms] == [
+        (t.c1, t.c2, t.weight, t.transport.key()) for t in from_objects.terms
+    ]
+
+
+def test_compiled_solve_never_builds_terms():
+    m = cover_comm_energy_model(dihedral_cover_model(2).cover_spec)
+    rep = subgroup_harmonic(m, tol=1e-9, seed=2)
+    assert rep.extras["engine"] == "compiled"
+    assert rep.extras["kernel_terms"] == 426
+    start = EquivariantMap(m.model, E1, tuple(random_start(m, 3)))
+    compiled = minimize_energy(m, start, tol=1e-9, class_weights={1: 0.5})
+    assert "terms" not in m.__dict__
+    scalar = minimize_energy(scalar_copy(m), start, tol=1e-9, class_weights={1: 0.5})
+    assert compiled.iterations > 10
+    assert repr((compiled.solution, compiled.trace)) == repr((scalar.solution, scalar.trace))
+
+
+def test_kernel_model_takes_terms_or_arrays():
+    m = comm_energy_model(base_problem())
+    fields = (m.model, m.target, m.base_point)
+    with pytest.raises(ValidationError):
+        CommEnergyModel(*fields, None, m.generators, m.word_radius, m.truncation_residual)
+    with pytest.raises(ValidationError):
+        CommEnergyModel(*fields, m.terms, m.generators, m.word_radius, m.truncation_residual, m.arrays)
