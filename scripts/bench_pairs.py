@@ -1,15 +1,15 @@
 """Alternating parent/change pairs of the benchmark, summarized in one JSON file.
 
     python scripts/bench_pairs.py --parent REV --seeds 101-110 --out BENCH_9.json \
-        [--change REV] [--claim comm-kernel/wall_s] [--seconds 20]
+        [--change REV] [--claim comm-kernel/wall_s]
 
-Run it from the repository root.  The parent rev is exported with
-``git archive`` into a temporary directory, which is removed at the end (an
+Run it from the repository root.  Both sides are git revs (the change side
+defaults to ``HEAD``; commit uncommitted work first), each exported with
+``git archive`` into a temporary directory that is removed at the end (an
 export leaves nothing behind in the repository, as a worktree would when a
-run is interrupted).  The change side is another exported rev or, without
-``--change``, the current checkout as it stands.  For each seed both sides
-run ``perfbench/run.py --workload all`` one after the other, alternating
-which side runs first.
+run is interrupted).  For each seed both sides run the benchmark command of
+``BENCHMARK.json`` with ``--workload all`` for its ``run_seconds``, one after
+the other, alternating which side runs first.
 
 The output holds every run (side, seed, order, exit code, elapsed time, the
 JSON result and the per-op medians) and, for each workload and end-to-end
@@ -17,8 +17,12 @@ metric of ``BENCHMARK.json``, the medians and quartiles of both sides
 (``statistics.quantiles(n=4, method="inclusive")``), the number of pairs in
 which the change is lower, the median relative change and whether it lies
 within the metric's bound.  ``--claim WORKLOAD/METRIC`` adds the check of a
-claimed gain: better in at least nine of ten pairs, and a median gap larger
-than the parent's interquartile range.
+claimed gain on a lower-is-better metric: lower in at least nine of ten
+pairs, and a median gap larger than the parent's interquartile range.
+
+A pair in which either side gave no result is dropped from the medians and
+quartiles but still counted in ``pairs``: the change is not lower there, and
+any dropped pair makes ``within_bound`` and the claim false.
 """
 
 from __future__ import annotations
@@ -47,14 +51,16 @@ def export(rev: str, dest: Path) -> Path:
     return dest
 
 
-def run_side(root: Path, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --workload all`` run in ``root``."""
+def side_command(bench: dict, seed) -> list:
+    """The benchmark command of ``BENCHMARK.json`` on every workload."""
+    return [*bench["command"], "--workload", "all", "--seed", str(seed),
+            "--seconds", f"{bench['run_seconds']:g}"]
+
+
+def run_side(root: Path, command: list) -> dict:
+    """One run of ``command`` in ``root``."""
     t0 = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
-         "--seconds", str(seconds)],
-        cwd=root, capture_output=True, text=True,
-    )
+    proc = subprocess.run([sys.executable, *command[1:]], cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     op_s: dict = {}
     meta = None
@@ -77,31 +83,35 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
-def summarize(runs: list, end_to_end: list) -> dict:
+def summarize(runs: list, bench: dict) -> dict:
     """Per workload and metric: both sides' medians and quartiles, the pairs
     in which the change is lower, and the median change against the bound."""
     by_seed: dict = {}
     for run in runs:
-        by_seed.setdefault(run["seed"], {})[run["side"]] = run["result"]
-    pairs = [sides for sides in by_seed.values() if sides.get("parent") and sides.get("change")]
+        result = run["result"] if run["exit"] == 0 else None
+        by_seed.setdefault(run["seed"], {})[run["side"]] = result
     summary: dict = {}
-    for workload in pairs[0]["parent"] if pairs else ():
-        for spec in end_to_end:
+    for workload in (w["name"] for w in bench["workloads"]):
+        pairs = [sides for sides in by_seed.values()
+                 if all(workload in (sides.get(side) or {}) for side in ("parent", "change"))]
+        dropped = len(by_seed) - len(pairs)
+        for spec in bench["end_to_end"]:
             name = spec["name"]
             parent = [p["parent"][workload]["metrics"][name]["value"] for p in pairs]
             change = [p["change"][workload]["metrics"][name]["value"] for p in pairs]
-            p1, pm, p3 = quartiles(parent)
-            c1, cm, c3 = quartiles(change)
-            rel = (cm - pm) / pm
-            worse = rel if spec["better"] == "lower" else -rel
+            p1, pm, p3 = quartiles(parent) if len(pairs) > 1 else (None,) * 3
+            c1, cm, c3 = quartiles(change) if len(pairs) > 1 else (None,) * 3
+            rel = (cm - pm) / pm if pm else None
+            worse = None if rel is None else rel if spec["better"] == "lower" else -rel
             summary[f"{workload}/{name}"] = {
                 "parent_median": pm, "parent_q1": p1, "parent_q3": p3,
                 "change_median": cm, "change_q1": c1, "change_q3": c3,
                 "change_lower_in_pairs": sum(c < p for p, c in zip(parent, change)),
-                "pairs": len(pairs),
+                "pairs": len(by_seed),
+                "dropped_pairs": dropped,
                 "median_rel_change": rel,
                 "bound": spec["bound"],
-                "within_bound": worse <= spec["bound"],
+                "within_bound": dropped == 0 and worse is not None and worse <= spec["bound"],
             }
         for count in ("failed", "attempted"):
             summary[f"{workload}/{count}"] = {
@@ -110,61 +120,62 @@ def summarize(runs: list, end_to_end: list) -> dict:
     return summary
 
 
-def claim(summary: dict, metric: str, better: str) -> dict:
-    """Whether a claimed gain holds: better in at least nine of ten pairs and
-    in the median by more than the parent's interquartile range."""
+def claim(summary: dict, metric: str) -> dict:
+    """Whether a claimed gain on a lower-is-better metric holds: lower in at
+    least nine of ten pairs run and in the median by more than the parent's
+    interquartile range, with no pair dropped."""
     entry = summary[metric]
-    lower = entry["change_lower_in_pairs"]
-    wins = lower if better == "lower" else entry["pairs"] - lower
+    lower, pairs, dropped = entry["change_lower_in_pairs"], entry["pairs"], entry["dropped_pairs"]
+    out = {"metric": metric, "change_lower_in_pairs": lower, "pairs": pairs, "dropped_pairs": dropped}
+    if entry["parent_median"] is None:
+        return {**out, "met": False}
     gap = entry["parent_median"] - entry["change_median"]
-    if better != "lower":
-        gap = -gap
     iqr = entry["parent_q3"] - entry["parent_q1"]
-    return {"metric": metric, "change_lower_in_pairs": lower, "pairs": entry["pairs"],
-            "median_gap_s": gap, "parent_iqr_s": iqr,
-            "met": wins * 10 >= 9 * entry["pairs"] and gap > iqr}
+    return {**out, "median_gap_s": gap, "parent_iqr_s": iqr,
+            "met": dropped == 0 and lower * 10 >= 9 * pairs and gap > iqr}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git rev of the parent side")
-    ap.add_argument("--change", help="git rev of the change side (default: this checkout)")
+    ap.add_argument("--change", default="HEAD", help="git rev of the change side (default: HEAD)")
     ap.add_argument("--seeds", required=True, help="first-last, e.g. 101-110: one pair per seed")
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--claim", help="WORKLOAD/METRIC of a claimed gain")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     first, last = (int(s) for s in args.seeds.split("-"))
     bench = json.loads(Path("BENCHMARK.json").read_text())
+    if args.claim and not any(
+        args.claim.endswith("/" + s["name"]) and s["better"] == "lower" for s in bench["end_to_end"]
+    ):
+        ap.error(f"--claim {args.claim}: not a lower-is-better end-to-end metric")
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        roots = {"parent": export(args.parent, Path(tmp) / "parent")}
-        roots["change"] = export(args.change, Path(tmp) / "change") if args.change else Path.cwd()
+        roots = {side: export(getattr(args, side), Path(tmp) / side) for side in ("parent", "change")}
         for k, seed in enumerate(range(first, last + 1)):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for position, side in enumerate(order, 1):
                 run = {"side": side, "seed": seed, "order": position,
-                       **run_side(roots[side], seed, args.seconds)}
+                       **run_side(roots[side], side_command(bench, seed))}
                 runs.append(run)
                 print(f"seed {seed} {side}: exit {run['exit']} in {run['elapsed_s']} s", flush=True)
     meta = next((r["meta"] for r in runs if r["meta"]), {}) or {}
     out = {
-        "command": f"python3 perfbench/run.py --workload all --seed SEED --seconds {args.seconds:g}",
+        "command": " ".join(side_command(bench, "SEED")),
         "machine": f"{meta.get('nproc')}-CPU, Python {meta.get('python')}, numpy {meta.get('numpy')} "
                    "(from the run metadata)",
         "design": f"{last - first + 1} pairs, seeds {first}-{last}, parent and change alternating "
-                  "which runs first; each side run from its own checkout; quartiles by "
+                  "which runs first; each side exported with git archive; quartiles by "
                   "statistics.quantiles(n=4, method='inclusive')",
         "parent": args.parent,
-        "change": args.change or "working tree",
+        "change": args.change,
         # the sources measured on each side (the meta line's SHA-256 of src/busemann/*.py)
         "src_sha256": {side: next((r["meta"]["src_sha256"] for r in runs if r["side"] == side and r["meta"]), None)
                        for side in ("parent", "change")},
     }
-    summary = summarize(runs, bench["end_to_end"])
+    summary = summarize(runs, bench)
     if args.claim:
-        better = next(s["better"] for s in bench["end_to_end"] if args.claim.endswith("/" + s["name"]))
-        out["claim"] = claim(summary, args.claim, better)
+        out["claim"] = claim(summary, args.claim)
     out["summary"] = summary
     out["runs"] = [{k: v for k, v in run.items() if k != "meta"} for run in runs]
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")

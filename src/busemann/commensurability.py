@@ -285,8 +285,10 @@ def _ball(kind, space, generators: Sequence, radius: int):
             if h.key() not in seen:
                 seen.add(h.key())
                 gens.append(h)
-    gens = kind.of(gens)
     frontier = kind.of([identity_isometry(space)])
+    if not gens:  # the trivial group: the ball is the identity alone
+        return frontier, [0]
+    gens = kind.of(gens)
     seen = set(frontier.keys())
     parts, norms = [frontier], [0]
     for n in range(1, radius + 1):

@@ -165,6 +165,20 @@ def test_commensurability_summary_keys_deterministic(tmp_path, generator):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_commensurability_solve_without_edges(tmp_path):
+    # no twists: the kernel model has the identity term between the two cells
+    path = write_config(
+        tmp_path,
+        space={"kind": "euclidean", "dim": 1},
+        problem=explicit_problem(edges=[]),
+        solver={"method": "commensurability"},
+    )
+    assert main(["solve", str(path)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["kernel_terms"] == 2
+    assert summary["final_energy"] == 0.0
+
+
 def test_solve_seed_override_changes_nothing_deterministic(tmp_path):
     # deterministic solvers: a different seed may not change the outcome,
     # but the flag must be accepted and recorded

@@ -655,6 +655,12 @@ def plane_case():
     return plane_model(), plane_problem(), None, None
 
 
+def no_edge_case():
+    # no twists: the word ball is the identity alone
+    prob = EquivariantProblem(MeasureModel(("a", "b"), (0.5, 0.5)), E1, (0.0,), ())
+    return plain_case(prob)
+
+
 MODEL_CASES = {
     "dihedral-3": (lambda: plain_case(dihedral_line_problem(3)), 213),
     "dihedral-6": (lambda: plain_case(dihedral_line_problem(6)), 858),
@@ -663,6 +669,7 @@ MODEL_CASES = {
     "translation-cover-3": (lambda: cover_case(translation_cover_spec(3)), 426),
     "tower": (tower_case, 852),
     "plane": (plane_case, 249),
+    "no-edges": (no_edge_case, 2),
 }
 
 
