@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from busemann.convexity import parallel_check
+from busemann.convexity import parallel_check_batch
 from busemann.harmonic import (
     EquivariantProblem,
     Edge,
@@ -652,19 +652,30 @@ def parallel_orbits_check(
     every generator ([g x, g y] parallel to [x, y] for all g).
 
     One-sided: False only means no witness was found at this sample budget.
+    The pairs are drawn one after the other (x, then y) and checked as one
+    batch per generator: the verdict is any over the pairs farther apart
+    than tol of all over the generators.
     """
+    xs, ys = _orbit_pairs(space, sample_pairs, seed)
+    if not xs:
+        return False
+    x, y = space.pack(xs), space.pack(ys)
+    witness = space.distance_batch(x, y) > tol
+    for g in generators:
+        gx = space.pack([g.apply(p) for p in xs])
+        gy = space.pack([g.apply(p) for p in ys])
+        witness &= parallel_check_batch(space, gx, gy, x, y, tol=max(tol, 1e-9))
+    return bool(witness.any())
+
+
+def _orbit_pairs(space, sample_pairs: int, seed: int):
+    """The sampled points x_k and y_k of ``parallel_orbits_check``."""
     rng = np.random.default_rng(seed)
+    xs, ys = [], []
     for _ in range(sample_pairs):
-        x = space.sample(rng, 2.0)
-        y = space.sample(rng, 2.0)
-        if space.distance(x, y) <= tol:
-            continue
-        if all(
-            parallel_check(space, g.apply(x), g.apply(y), x, y, tol=max(tol, 1e-9))
-            for g in generators
-        ):
-            return True
-    return False
+        xs.append(space.sample(rng, 2.0))
+        ys.append(space.sample(rng, 2.0))
+    return xs, ys
 
 
 def coercivity_fit(m: CommEnergyModel, n_samples: int = 100, seed: int = 0, scale: float = 2.0) -> float:

@@ -55,6 +55,7 @@ __all__ = [
     "linear_growth_bound",
     "displacement",
     "parallel_check",
+    "parallel_check_batch",
     "clifford_check",
 ]
 
@@ -803,6 +804,20 @@ def parallel_check(space, a, b, x, y, tol: float = GEO_TOL) -> bool:
     if scale == 0.0:
         return True
     return max(d1, d2, d3) - min(d1, d2, d3) <= tol * scale
+
+
+def parallel_check_batch(space, a, b, x, y, tol: float = GEO_TOL) -> np.ndarray:
+    """``parallel_check`` on arrays of segment pairs: a, b, x and y are point
+    batches (see ``distance_batch``); one verdict per row, from the same five
+    distances, two midpoints and scale-zero rule."""
+    dist = space.distance_batch
+    d1 = dist(a, x)
+    d2 = dist(b, y)
+    d3 = dist(space.geodesic_batch(a, b, 0.5), space.geodesic_batch(x, y, 0.5))
+    hi = np.maximum(np.maximum(d1, d2), d3)
+    lo = np.minimum(np.minimum(d1, d2), d3)
+    scale = np.maximum(np.maximum(hi, dist(a, b)), dist(x, y))
+    return (scale == 0.0) | (hi - lo <= tol * scale)
 
 
 @dataclass

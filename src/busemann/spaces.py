@@ -19,17 +19,21 @@ spaces only the length and the type of the first coordinate.  Inside, values
 are trusted; NaN and infinities pass, so a diverged solver iterate can still
 be carried, measured and reported.
 
-Euclidean, l_p and tree spaces also measure arrays of point pairs at once
-with ``distance_batch``: vector points are coordinate arrays (coordinates
-on the last axis), tree points are the (edge index, offset) arrays of
-``MetricTree.point_batch``.  Its inputs are trusted like those of
-``distance`` after ``check_point``.  Array powers use ``np.float_power``,
-which calls the C library's pow like Python's ``**``, so each term equals
-the scalar one bit for bit; ``np.power`` rounds differently.
+Every space also measures arrays of point pairs at once with
+``distance_batch`` and moves along them with ``geodesic_batch`` (one
+parameter per pair, or one for all): vector points are coordinate arrays
+(coordinates on the last axis), tree points are the (edge index, offset)
+arrays of ``MetricTree.point_batch``, and product points are tuples of
+factor batches; ``pack`` turns a sequence of points into this form.  Batch
+inputs are trusted like those of ``distance`` after ``check_point``.  Array
+powers use ``np.float_power``, which calls the C library's pow like
+Python's ``**``, so each term equals the scalar one bit for bit;
+``np.power`` rounds differently.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -101,6 +105,17 @@ class _VectorSpace:
         if x.shape[-1:] != (self.dim,) or y.shape[-1:] != (self.dim,):
             raise SpaceMismatchError(f"point arrays of {self!r} need a last axis of length {self.dim}")
         return x, y
+
+    def geodesic_batch(self, x, y, t) -> np.ndarray:
+        """``geodesic`` over arrays of point pairs: (1 - t) x + t y, the
+        scalar arithmetic, so each coordinate equals ``geodesic``'s."""
+        x, y = self._check_batch(x, y)
+        t = _check_param_batch(t)[..., None]
+        return (1.0 - t) * x + t * y
+
+    def pack(self, points) -> np.ndarray:
+        """The coordinate array of a sequence of points."""
+        return np.array(points, dtype=float).reshape(len(points), self.dim)
 
 
 @dataclass(frozen=True)
@@ -276,14 +291,19 @@ class MetricTree:
 
         Offsets within SNAP_TOL of an endpoint are canonicalized to vertices.
         """
+        return TreePoint(*self.snap(edge, offset))
+
+    def snap(self, edge: int, offset: float) -> tuple:
+        """The fields (edge, offset, vertex) of ``point(edge, offset)``, so
+        two snapped offsets compare as their points do, without the points."""
         u, v, L = self.edges[edge]
         if offset < -SNAP_TOL * L or offset > L * (1.0 + SNAP_TOL):
             raise DomainError(f"offset {offset} outside edge of length {L}")
         if offset <= SNAP_TOL * L:
-            return TreePoint(None, 0.0, u)
+            return None, 0.0, u
         if offset >= L * (1.0 - SNAP_TOL):
-            return TreePoint(None, 0.0, v)
-        return TreePoint(edge, float(offset), None)
+            return None, 0.0, v
+        return edge, float(offset), None
 
     def point_batch(self, edge, offset):
         """``point`` over arrays: the pair (edge indices, offsets), with each
@@ -307,6 +327,45 @@ class MetricTree:
         length = np.array([e[2] for e in self.edges])
         vd = np.array([[self._vdist[(a, b)] for b in self.vertices] for a in self.vertices])
         return u, v, length, vd
+
+    @functools.cached_property
+    def _path_tables(self):
+        """For each ordered pair of vertex indices (a, b), the edges of the
+        path from a to b in walking order, padded with -1 to the longest
+        path, and whether each is entered at its first endpoint."""
+        n = len(self.vertices)
+        paths = {}
+        for i, a in enumerate(self.vertices):
+            par = self._parent[a]
+            for j, b in enumerate(self.vertices):
+                path = [b]
+                while path[-1] != a:
+                    path.append(par[path[-1]])
+                path.reverse()
+                paths[i, j] = [(self.edge_between(w, nxt), w) for w, nxt in zip(path, path[1:])]
+        width = max(1, max(map(len, paths.values())))
+        edge = np.full((n, n, width), -1, dtype=np.intp)
+        forward = np.zeros((n, n, width), dtype=bool)
+        for (i, j), steps in paths.items():
+            for k, (e, w) in enumerate(steps):
+                edge[i, j, k] = e
+                forward[i, j, k] = w == self.edges[e][0]
+        return edge, forward
+
+    def pack(self, points):
+        """The ``point_batch`` pair of a sequence of tree points; a vertex
+        becomes an endpoint offset of its first incident edge."""
+        edge, offset = [], []
+        for x in points:
+            if x.vertex is None:
+                edge.append(x.edge)
+                offset.append(x.offset)
+            else:
+                _, i = self._adj[x.vertex][0]
+                u, _, L = self.edges[i]
+                edge.append(i)
+                offset.append(0.0 if x.vertex == u else L)
+        return np.array(edge, dtype=np.intp), np.array(offset, dtype=float)
 
     def validate_point(self, x) -> None:
         if not isinstance(x, TreePoint):
@@ -373,10 +432,9 @@ class MetricTree:
         self.validate_point(x)
         self.validate_point(y)
         _check_param(t)
-        d = self.distance(x, y)
-        if d == 0.0:
+        target = t * self.distance(x, y)
+        if target == 0.0:
             return x
-        target = t * d
         if x.edge is not None and x.edge == y.edge:
             return self.point(x.edge, x.offset + math.copysign(target, y.offset - x.offset))
         a, cx, b, cy, path = self._route(x, y)
@@ -393,15 +451,75 @@ class MetricTree:
                 off = target if w == u else L - target
                 return self.point(i, off)
             target -= L
+        if y.vertex is not None:  # the path ends at y; what is left is rounding
+            return y
         # remaining distance lies on y's edge, entering through port b
         u, v, L = self.edges[y.edge]
         off = target if b == u else L - target
         return self.point(y.edge, off)
 
-    def sample(self, rng: np.random.Generator, scale: float = 1.0) -> TreePoint:
+    def geodesic_batch(self, x, y, t):
+        """``geodesic`` over arrays of point pairs given as ``point_batch``
+        pairs.  Along a common edge the offset moves by t * d; otherwise the
+        ports are those ``_route`` picks (the first least of the four port
+        sums) and the remaining length is walked edge by edge through the
+        padded path table, subtracted as ``geodesic`` subtracts it.  The
+        result is snapped by ``point_batch``."""
+        t = _check_param_batch(t)
+        (ex, ox), (ey, oy) = x, y
+        u, v, length, vd = self._batch_tables
+        path, forward = self._path_tables
+        lx, ly = length[ex], length[ey]
+        ports_x = ((u[ex], ox), (v[ex], lx - ox))
+        ports_y = ((u[ey], oy), (v[ey], ly - oy))
+        sums = [cx + vd[a, b] + cy for a, cx in ports_x for b, cy in ports_y]
+        k = np.argmin(sums, axis=0)
+        from_u, into_u = k < 2, (k == 0) | (k == 2)
+        a = np.where(from_u, ports_x[0][0], ports_x[1][0])
+        b = np.where(into_u, ports_y[0][0], ports_y[1][0])
+        cx = np.where(from_u, ox, lx - ox)
+        same = ex == ey
+        target = t * np.where(same, np.abs(ox - oy), np.minimum.reduce(sums))
+        # on x's edge, toward port a
+        edge, offset = ex, np.where(from_u, ox - target, ox + target)
+        left = target - cx
+        pending = target > cx
+        steps, fwd = path[a, b], forward[a, b]
+        for j in range(steps.shape[-1]):
+            e = steps[..., j]
+            L = length[e]
+            valid = pending & (e >= 0)
+            hit = valid & (left <= L)
+            edge = np.where(hit, e, edge)
+            offset = np.where(hit, np.where(fwd[..., j], left, L - left), offset)
+            pending = pending & ~hit
+            left = np.where(valid & ~hit, left - L, left)
+        # the rest lies on y's edge, entered through port b
+        edge = np.where(pending, ey, edge)
+        offset = np.where(pending, np.where(into_u, left, ly - left), offset)
+        edge = np.where(same, ex, edge)
+        offset = np.where(same, ox + np.where(oy < ox, -target, target), offset)
+        return self.point_batch(edge, offset)
+
+    @functools.cached_property
+    def _edge_cdf(self):
+        """Cumulative length fractions of the edges, normalised as
+        ``Generator.choice`` normalises its ``p``."""
         lengths = np.array([e[2] for e in self.edges])
-        i = int(rng.choice(len(self.edges), p=lengths / lengths.sum()))
-        return self.point(i, float(rng.uniform(0.0, self.edges[i][2])))
+        cdf = np.cumsum(lengths / lengths.sum())
+        cdf /= cdf[-1]
+        return cdf.tolist()
+
+    def sample_raw(self, rng: np.random.Generator) -> tuple:
+        """The (edge, offset) draw behind ``sample``, before snapping: an
+        edge with probability proportional to its length, then a uniform
+        offset on it.  ``rng.random()`` bisected into the cached CDF is the
+        draw ``rng.choice(n, p=lengths / total)`` makes, value for value."""
+        i = bisect.bisect_right(self._edge_cdf, rng.random())
+        return i, float(rng.uniform(0.0, self.edges[i][2]))
+
+    def sample(self, rng: np.random.Generator, scale: float = 1.0) -> TreePoint:
+        return self.point(*self.sample_raw(rng))
 
     def origin(self) -> TreePoint:
         return self.vertex_point(self.vertices[0])
@@ -447,6 +565,25 @@ class Product:
             f.distance(a, b) ** self.q for f, a, b in zip(self.factors, x, y)
         ) ** (1.0 / self.q)
 
+    def _check_batch(self, x, y) -> None:
+        if len(x) != len(self.factors) or len(y) != len(self.factors):
+            raise SpaceMismatchError(f"product batches of {self!r} need one batch per factor")
+
+    def distance_batch(self, x, y) -> np.ndarray:
+        """``distance`` over tuples of factor batches, one batch per factor."""
+        self._check_batch(x, y)
+        terms = [np.float_power(f.distance_batch(a, b), self.q) for f, a, b in zip(self.factors, x, y)]
+        return np.float_power(sum(terms), 1.0 / self.q)
+
+    def geodesic_batch(self, x, y, t):
+        """``geodesic`` factor by factor, as a tuple of factor batches."""
+        self._check_batch(x, y)
+        return tuple(f.geodesic_batch(a, b, t) for f, a, b in zip(self.factors, x, y))
+
+    def pack(self, points):
+        """One ``pack``ed batch per factor."""
+        return tuple(f.pack([x[k] for x in points]) for k, f in enumerate(self.factors))
+
     def geodesic(self, x, y, t: float):
         # Factorwise geodesics at a common parameter are the geodesics of
         # the product (each factor moves at constant speed).
@@ -465,6 +602,13 @@ class Product:
 def _check_param(t: float) -> None:
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"geodesic parameter {t} outside [0, 1]")
+
+
+def _check_param_batch(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
+        raise DomainError("a geodesic parameter lies outside [0, 1]")
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from busemann.commensurability import (
     lift_map,
     subgroup_harmonic,
 )
-from busemann.convexity import clifford_check, modulus_estimate, parallel_check
+from busemann.convexity import clifford_check, modulus_estimate, parallel_check_batch
 from busemann.harmonic import minimize_energy
 from busemann.mapspace import (
     EquivariantMap,
@@ -53,6 +53,7 @@ from busemann.oracles import (
 from busemann.spaces import (
     Euclidean,
     LpVector,
+    MetricTree,
     Product,
     SolverError,
     EuclideanIsometry,
@@ -116,17 +117,106 @@ def _quadruple(space, rng):
     return a, b, x, y
 
 
+def _leaves(space):
+    """The vector and tree factors of space, in the order ``sample`` draws them."""
+    if isinstance(space, Product):
+        return [leaf for f in space.factors for leaf in _leaves(f)]
+    return [space]
+
+
+def _raw_point(leaves, rng):
+    """One ``sample(rng, 2.0)`` draw as a flat list: the coordinates of each
+    vector factor, the unsnapped (edge, offset) of each tree factor."""
+    row = []
+    for leaf in leaves:
+        if isinstance(leaf, MetricTree):
+            row.extend(leaf.sample_raw(rng))
+        else:
+            row.extend(rng.normal(0.0, 2.0, leaf.dim).tolist())
+    return row
+
+
+def _same_point(leaves, p, q) -> bool:
+    """Do two raw draws snap to the same point?  That is d(p, q) == 0,
+    unless some coordinate difference is so small that its p-th power
+    underflows in the l_p distance."""
+    c = 0
+    for leaf in leaves:
+        if isinstance(leaf, MetricTree):
+            if leaf.snap(p[c], p[c + 1]) != leaf.snap(q[c], q[c + 1]):
+                return False
+            c += 2
+        else:
+            if p[c : c + leaf.dim] != q[c : c + leaf.dim]:
+                return False
+            c += leaf.dim
+    return True
+
+
+def _assemble(space, cols, c: int = 0):
+    """The point batch of space read from column c on of a raw block, and
+    the column after it."""
+    if isinstance(space, Product):
+        parts = []
+        for f in space.factors:
+            part, c = _assemble(f, cols, c)
+            parts.append(part)
+        return tuple(parts), c
+    if isinstance(space, MetricTree):
+        return space.point_batch(cols[:, c].astype(np.intp), cols[:, c + 1]), c + 2
+    return cols[:, c : c + space.dim], c + space.dim
+
+
+def _where(mask, p, q):
+    """Rows of the point batch p where mask holds, of q elsewhere."""
+    if isinstance(p, tuple):
+        return tuple(_where(mask, a, b) for a, b in zip(p, q))
+    return np.where(mask.reshape(mask.shape + (1,) * (p.ndim - mask.ndim)), p, q)
+
+
+def _quadruple_block(space, size: int, rng):
+    """(a, b, x, y) point batches of ``size`` quadruples, each drawn as
+    ``_quadruple`` draws it, from the same random stream.  The per-sample
+    loop records only raw numbers (including the z1 = z2 resample, decided
+    on the snapped draws); the geodesic points are then computed on arrays."""
+    leaves = _leaves(space)
+    draws, params = [], []
+    for _ in range(size):
+        pair = None
+        if rng.uniform() >= 0.55:
+            z1, z2 = _raw_point(leaves, rng), _raw_point(leaves, rng)
+            if not _same_point(leaves, z1, z2):
+                pair = [z1, z2]
+        if pair is None:
+            draws.append([_raw_point(leaves, rng) for _ in range(4)])
+            params.append((0.0, 0.0, 0.0))
+            continue
+        h = float(rng.uniform(0.05, 0.4))
+        params.append((h, float(rng.uniform(0.0, 1.0 - h)), float(rng.uniform(0.0, 1.0 - h))))
+        draws.append(pair + pair)
+    block = np.array(draws, dtype=float).reshape(size, 4, -1)
+    points = [_assemble(space, block[:, s])[0] for s in range(4)]
+    h, u1, u2 = np.array(params, dtype=float).reshape(size, 3).T
+    # rows outside the segment mode (h = 0) take t = 0 and keep their draws
+    return tuple(
+        _where(h > 0.0, space.geodesic_batch(points[0], points[1], t), p)
+        for t, p in zip((u1, u1 + h, u2, u2 + h), points)
+    )
+
+
 def suite_parallelogram(samples: int = 10_000, tol: float = 1e-9, seed: int = 0):
     out = []
     for name, space in _space_roster():
         rng = np.random.default_rng(seed)
         bad = 0
-        for _ in range(samples):
-            a, b, x, y = _quadruple(space, rng)
-            if parallel_check(space, a, b, x, y, tol) != parallel_check(
-                space, a, x, b, y, tol
-            ):
-                bad += 1
+        for start in range(0, samples, BLOCK):
+            a, b, x, y = _quadruple_block(space, min(BLOCK, samples - start), rng)
+            bad += int(
+                np.count_nonzero(
+                    parallel_check_batch(space, a, b, x, y, tol)
+                    != parallel_check_batch(space, a, x, b, y, tol)
+                )
+            )
         out.append(
             CheckResult(
                 f"parallelogram[{name}]", bad == 0, float(bad), f"{samples} quadruples"

@@ -340,6 +340,15 @@ def test_verify_suite_pass_and_report(tmp_path):
     assert all(row[1] == "1" for row in rows[1:])
 
 
+def test_parallelogram_report_rows(tmp_path):
+    # the rows the per-sample suite wrote at this budget, byte for byte
+    path = write_config(tmp_path, verify={"samples": 500}, output={"dir": str(tmp_path / "v")})
+    assert main(["verify", str(path), "--suite", "parallelogram"]) == 0
+    names = ("euclidean2", "euclidean3", "lp(2,3)", "lp(3,1.5)", "star-tree", "product(e2,tree)", "product(e1,e1;q=3)")
+    want = ["check,passed,worst,detail"] + [f'"parallelogram[{n}]",1,0,"500 quadruples"' for n in names]
+    assert (tmp_path / "v" / "report.csv").read_text().splitlines() == want
+
+
 def test_verify_unknown_suite_exit_2(tmp_path):
     path = write_config(tmp_path)
     assert main(["verify", str(path), "--suite", "nonsense"]) == 2

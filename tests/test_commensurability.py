@@ -9,6 +9,7 @@ from busemann.commensurability import (
     _ball,
     _comm_sweeps,
     _Stack,
+    _orbit_pairs,
     build_cover,
     coercivity_fit,
     comm_energy_model,
@@ -33,8 +34,10 @@ from busemann.harmonic import (
     minimize_energy,
 )
 from busemann.mapspace import EquivariantMap, MeasureModel
+from busemann.convexity import parallel_check
 from busemann.models import (
     dihedral_cover_model,
+    dihedral_line_model,
     dihedral_line_problem,
     product_two_class_model,
     translation_cover_spec,
@@ -45,10 +48,14 @@ from busemann.spaces import (
     DomainError,
     Euclidean,
     EuclideanIsometry,
+    Product,
+    ProductIsometry,
     SolverError,
+    TreeIsometry,
     ValidationError,
     identity_isometry,
     point_reflection,
+    star_tree,
     translation,
 )
 
@@ -317,9 +324,70 @@ def test_parallel_orbits_identity_only():
     assert parallel_orbits_check(E1, (IDENT,)) is True
 
 
-def test_reflection_breaks_parallelism_pointwise():
-    from busemann.convexity import parallel_check
+def scalar_parallel_orbits(space, generators, sample_pairs=64, seed=0, tol=1e-9):
+    """The per-pair loop ``parallel_orbits_check`` ran before it was
+    batched, kept as the oracle."""
+    rng = np.random.default_rng(seed)
+    for _ in range(sample_pairs):
+        x = space.sample(rng, 2.0)
+        y = space.sample(rng, 2.0)
+        if space.distance(x, y) <= tol:
+            continue
+        if all(
+            parallel_check(space, g.apply(x), g.apply(y), x, y, tol=max(tol, 1e-9))
+            for g in generators
+        ):
+            return True
+    return False
 
+
+def comm_kernel_models():
+    """The four kernel models the comm-kernel benchmark solves, a flat one
+    and one on a tree."""
+    cover = dihedral_cover_model(2)
+    return {
+        "dihedral-6": comm_energy_model(dihedral_line_model(6).problem),
+        "dihedral-12": comm_energy_model(dihedral_line_model(12).problem),
+        "dihedral-cover-2": cover_comm_energy_model(cover.cover_spec, cover.problem),
+        "dihedral-3": comm_energy_model(dihedral_line_model(3).problem),
+        "translation-loop": comm_energy_model(translation_loop_model().problem),
+        "tree-leafswap": comm_energy_model(tree_leafswap_model().problem),
+    }
+
+
+def test_parallel_orbits_batch_equals_scalar_loop():
+    cases = [(name, m.target, m.generators) for name, m in comm_kernel_models().items()]
+    cases += [("translation", E1, (T1,)), ("dihedral", E1, (T1, R0)), ("identity", E1, (IDENT,))]
+    for name, space, generators in cases:
+        for seed in range(4):
+            want = scalar_parallel_orbits(space, generators, seed=seed)
+            assert parallel_orbits_check(space, generators, seed=seed) is want, (name, seed)
+
+
+def test_parallel_orbits_witness_depends_on_the_drawn_pairs():
+    # a leaf swap fixes the edge c-l3 pointwise: a pair is a witness exactly
+    # when both points lie on that edge, so with a few pairs per seed the
+    # verdict follows the stream pair by pair
+    star = star_tree(3)
+    swap = TreeIsometry(star, {"c": "c", "l1": "l2", "l2": "l1", "l3": "l3"})
+    product = Product((E1, star), 2.0)
+    shift_swap = ProductIsometry((T1, swap))
+    verdicts = []
+    for space, generators in ((star, (swap,)), (product, (shift_swap,)), (star, ())):
+        for seed in range(30):
+            got = parallel_orbits_check(space, generators, sample_pairs=3, seed=seed)
+            assert got is scalar_parallel_orbits(space, generators, sample_pairs=3, seed=seed)
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
+    assert parallel_orbits_check(star, (swap,), sample_pairs=0) is False
+    # the pairs are drawn one after the other, x then y, as the loop drew them
+    xs, ys = _orbit_pairs(product, 20, 5)
+    rng = np.random.default_rng(5)
+    for x, y in zip(xs, ys):
+        assert (x, y) == (product.sample(rng, 2.0), product.sample(rng, 2.0))
+
+
+def test_reflection_breaks_parallelism_pointwise():
     x, y = (1.0,), (2.0,)
     assert not parallel_check(E1, R0.apply(x), R0.apply(y), x, y)
     assert parallel_check(E1, T1.apply(x), T1.apply(y), x, y)

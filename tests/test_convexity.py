@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from busemann.convexity import (
     minimize_convex,
     modulus_estimate,
     parallel_check,
+    parallel_check_batch,
     project,
 )
 from busemann.oracles import (
@@ -31,6 +33,7 @@ from busemann.oracles import (
 from busemann.spaces import (
     Euclidean,
     LpVector,
+    MetricTree,
     Product,
     geodesic_point,
     identity_isometry,
@@ -414,6 +417,94 @@ def test_parallelogram_lemma_sampled(rng):
             assert parallel_check(space, a, b, x, y) == parallel_check(
                 space, a, x, b, y
             )
+
+
+def _unpack(space, batch, k):
+    """Row k of a point batch as a scalar point."""
+    if isinstance(space, Product):
+        return tuple(_unpack(f, part, k) for f, part in zip(space.factors, batch))
+    if isinstance(space, MetricTree):
+        return space.point(int(batch[0][k]), float(batch[1][k]))
+    return tuple(map(float, batch[k]))
+
+
+def test_parallel_check_batch_matches_parallel_check(rng):
+    from busemann.verify import _quadruple, _space_roster
+
+    for _, space in _space_roster():
+        quads = [_quadruple(space, rng) for _ in range(300)]
+        a, b, x, y = (space.pack(points) for points in zip(*quads))
+        got = parallel_check_batch(space, a, b, x, y)
+        swapped = parallel_check_batch(space, a, x, b, y)
+        assert got.any() and not got.all()
+        for k, (p, q, r, s) in enumerate(quads):
+            assert bool(got[k]) == parallel_check(space, p, q, r, s)
+            assert bool(swapped[k]) == parallel_check(space, p, r, q, s)
+    # the scale-zero rule: four equal points are parallel
+    z = np.zeros((2, 2))
+    assert parallel_check_batch(E2, z, z, z, z).all()
+
+
+def test_quadruple_block_replays_quadruple():
+    from busemann.verify import _quadruple, _quadruple_block, _space_roster
+
+    for name, space in _space_roster():
+        batched, scalar = np.random.default_rng(8), np.random.default_rng(8)
+        quads = [_quadruple(space, scalar) for _ in range(300)]
+        rows = []
+        for size in (130, 170):  # a block boundary inside the stream
+            block = _quadruple_block(space, size, batched)
+            rows += [tuple(_unpack(space, part, k) for part in block) for k in range(size)]
+        for quad, row in zip(quads, rows):
+            for want, got in zip(quad, row):
+                assert space.distance(want, got) <= 1e-12, name
+        if isinstance(space, (Euclidean, LpVector)):
+            assert rows == quads  # vector geodesics are the scalar arithmetic
+        assert batched.random() == scalar.random(), name
+
+
+class ScriptedRng:
+    """Stands in for a Generator: every draw is the next fraction of a
+    script, scaled to the requested range, and every call is logged."""
+
+    def __init__(self, fractions, normals):
+        self.fractions = itertools.cycle(fractions)
+        self.normals = itertools.cycle(normals)
+        self.log = []
+
+    def uniform(self, low=0.0, high=1.0):
+        self.log.append(("uniform", low, high))
+        return low + next(self.fractions) * (high - low)
+
+    def random(self):
+        self.log.append(("random",))
+        return next(self.fractions)
+
+    def normal(self, loc, scale, size):
+        self.log.append(("normal", loc, scale, size))
+        return np.full(size, loc + scale * next(self.normals))
+
+
+@pytest.mark.parametrize(
+    "fractions, normals",
+    [
+        ((0.7,), (0.4,)),  # every sample equal: the z1 = z2 resample, always
+        ((0.9, 0.3, 0.6, 0.2, 0.8, 0.35, 0.65), (0.5, 0.5, -1.0, 0.25, 0.25, 1.5)),
+    ],
+)
+def test_quadruple_block_resample_branch(fractions, normals):
+    from busemann.verify import _quadruple, _quadruple_block, _space_roster
+
+    for name, space in _space_roster():
+        scalar, batched = ScriptedRng(fractions, normals), ScriptedRng(fractions, normals)
+        quads = [_quadruple(space, scalar) for _ in range(40)]
+        block = _quadruple_block(space, 40, batched)
+        assert batched.log == scalar.log, name
+        for k, quad in enumerate(quads):
+            for want, part in zip(quad, block):
+                assert space.distance(want, _unpack(space, part, k)) <= 1e-12, name
+        if len(fractions) == 1:
+            assert ("uniform", 0.05, 0.4) not in scalar.log  # no segment drawn
 
 
 def test_clifford_translation():

@@ -281,6 +281,131 @@ def test_point_batch_snaps_like_point(rng):
 
 
 # ---------------------------------------------------------------------------
+# geodesics over arrays of points
+# ---------------------------------------------------------------------------
+
+
+def _params(rng, n):
+    """n geodesic parameters: 0, 1/2, 1 and uniform draws."""
+    t = rng.uniform(0.0, 1.0, n)
+    t[::4], t[1::4], t[2::4] = 0.0, 0.5, 1.0
+    return t
+
+
+@pytest.mark.parametrize("space", [E1, Euclidean(3), LpVector(3, 1.5), LpVector(2, 3.0)], ids=repr)
+def test_geodesic_batch_matches_geodesic_vector(space, rng):
+    x = rng.normal(0.0, 2.0, (200, space.dim))
+    y = rng.normal(0.0, 2.0, (200, space.dim))
+    y[::10] = x[::10]
+    t = _params(rng, 200)
+    g = space.geodesic_batch(x, y, t)
+    half = space.geodesic_batch(x, y, 0.5)
+    for k in range(200):
+        px, py = tuple(map(float, x[k])), tuple(map(float, y[k]))
+        # the scalar arithmetic, so equal bit for bit
+        assert tuple(map(float, g[k])) == space.geodesic(px, py, float(t[k]))
+        assert tuple(map(float, half[k])) == space.geodesic(px, py, 0.5)
+
+
+@pytest.mark.parametrize("tree", TREES.values(), ids=TREES.keys())
+def test_geodesic_batch_matches_geodesic_tree(tree, rng):
+    # vertices (as endpoint offsets, exact or within SNAP_TOL), same-edge
+    # pairs and pairs through the tree, at t in {0, 1/2, 1, uniform}
+    edge, offset = _tree_pairs(tree, rng, 400)
+    x = tree.point_batch(edge[0], offset[0])
+    y = tree.point_batch(edge[1], offset[1])
+    t = _params(rng, 400)
+    e, o = tree.geodesic_batch(x, y, t)
+    for k in range(400):
+        px = tree.point(int(edge[0, k]), float(offset[0, k]))
+        py = tree.point(int(edge[1, k]), float(offset[1, k]))
+        ref = tree.geodesic(px, py, float(t[k]))
+        assert tree.distance(tree.point(int(e[k]), float(o[k])), ref) <= 1e-12
+
+
+def test_tree_geodesic_at_vertex_endpoints():
+    # t = 0 from a vertex, and t = 1 onto a vertex after the path lengths
+    # were subtracted with rounding: both used to index edges[None]
+    tree = random_tree(25, np.random.default_rng(25))
+    for a in tree.vertices:
+        x = tree.vertex_point(a)
+        for b in tree.vertices:
+            y = tree.vertex_point(b)
+            assert tree.geodesic(x, y, 0.0) == x
+            assert tree.distance(tree.geodesic(x, y, 1.0), y) <= 1e-12
+
+
+PRODUCTS = {
+    "e2-star": Product((E2, STAR), 2.0),
+    "e1-e1-q3": Product((E1, E1), 3.0),
+    "lp-tree-nested": Product((LpVector(2, 3.0), Product((STAR, E1), 1.5)), 2.5),
+}
+
+
+@pytest.mark.parametrize("space", PRODUCTS.values(), ids=PRODUCTS.keys())
+def test_product_batches_match_scalar(space, rng):
+    xs = [space.sample(rng, 2.0) for _ in range(200)]
+    ys = [space.sample(rng, 2.0) for _ in range(200)]
+    ys[::10] = xs[::10]
+    x, y = space.pack(xs), space.pack(ys)
+    t = _params(rng, 200)
+    d = space.distance_batch(x, y)
+    g = space.geodesic_batch(x, y, t)
+    for k in range(200):
+        assert d[k] == pytest.approx(space.distance(xs[k], ys[k]), rel=1e-12, abs=1e-15)
+        ref = space.geodesic(xs[k], ys[k], float(t[k]))
+        assert space.distance(_unpack(space, g, k), ref) <= 1e-12
+    with pytest.raises(SpaceMismatchError):
+        space.distance_batch(x[:1], y)
+
+
+def _unpack(space, batch, k):
+    """Row k of a point batch as a scalar point."""
+    if isinstance(space, Product):
+        return tuple(_unpack(f, part, k) for f, part in zip(space.factors, batch))
+    if isinstance(space, MetricTree):
+        return space.point(int(batch[0][k]), float(batch[1][k]))
+    return tuple(map(float, batch[k]))
+
+
+def test_pack_keeps_every_point(rng):
+    for space in (E2, STAR, *PRODUCTS.values()):
+        points = [space.sample(rng, 2.0) for _ in range(50)] + [space.origin()]
+        batch = space.pack(points)
+        for k, point in enumerate(points):
+            assert space.distance(_unpack(space, batch, k), point) == 0.0
+    vertices = [STAR.vertex_point(v) for v in STAR.vertices]
+    e, o = STAR.pack(vertices)
+    assert [STAR.point(int(i), float(f)) for i, f in zip(e, o)] == vertices
+
+
+@pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9, float("nan")])
+def test_geodesic_batch_parameter_outside_unit_interval(bad):
+    x = np.zeros((3, 2))
+    t = np.array([0.0, bad, 1.0])
+    for space, a in (
+        (E2, x),
+        (LpVector(2, 3.0), x),
+        (STAR, STAR.point_batch([0, 1, 2], [0.5, 0.5, 0.5])),
+        (Product((E2, E2), 2.0), (x, x)),
+    ):
+        with pytest.raises(DomainError):
+            space.geodesic_batch(a, a, t)
+
+
+@pytest.mark.parametrize("tree", TREES.values(), ids=TREES.keys())
+def test_tree_sample_stream_matches_choice(tree):
+    # the cached CDF and one rng.random() draw the edges rng.choice(p=...) drew
+    lengths = np.array([e[2] for e in tree.edges])
+    new, old = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(2000):
+        i, offset = tree.sample_raw(new)
+        assert i == int(old.choice(len(lengths), p=lengths / lengths.sum()))
+        assert offset == float(old.uniform(0.0, tree.edges[i][2]))
+    assert new.random() == old.random()
+
+
+# ---------------------------------------------------------------------------
 
 
 def test_tree_point_canonicalization():
