@@ -329,28 +329,16 @@ class MetricTree:
         return u, v, length, vd
 
     @functools.cached_property
-    def _path_tables(self):
-        """For each ordered pair of vertex indices (a, b), the edges of the
-        path from a to b in walking order, padded with -1 to the longest
-        path, and whether each is entered at its first endpoint."""
-        n = len(self.vertices)
-        paths = {}
-        for i, a in enumerate(self.vertices):
-            par = self._parent[a]
-            for j, b in enumerate(self.vertices):
-                path = [b]
-                while path[-1] != a:
-                    path.append(par[path[-1]])
-                path.reverse()
-                paths[i, j] = [(self.edge_between(w, nxt), w) for w, nxt in zip(path, path[1:])]
-        width = max(1, max(map(len, paths.values())))
-        edge = np.full((n, n, width), -1, dtype=np.intp)
-        forward = np.zeros((n, n, width), dtype=bool)
-        for (i, j), steps in paths.items():
-            for k, (e, w) in enumerate(steps):
-                edge[i, j, k] = e
-                forward[i, j, k] = w == self.edges[e][0]
-        return edge, forward
+    def _hops(self):
+        """hops[a, b]: the index of the edge by which the path from vertex
+        index a to vertex index b leaves a (-1 when a == b)."""
+        index = {w: k for k, w in enumerate(self.vertices)}
+        hops = np.full((len(index), len(index)), -1, dtype=np.intp)
+        for j, b in enumerate(self.vertices):
+            for w, toward_b in self._parent[b].items():
+                if toward_b is not None:
+                    hops[index[w], j] = self.edge_between(w, toward_b)
+        return hops
 
     def pack(self, points):
         """The ``point_batch`` pair of a sequence of tree points; a vertex
@@ -462,13 +450,13 @@ class MetricTree:
         """``geodesic`` over arrays of point pairs given as ``point_batch``
         pairs.  Along a common edge the offset moves by t * d; otherwise the
         ports are those ``_route`` picks (the first least of the four port
-        sums) and the remaining length is walked edge by edge through the
-        padded path table, subtracted as ``geodesic`` subtracts it.  The
-        result is snapped by ``point_batch``."""
+        sums) and the remaining length is walked edge by edge from port a
+        toward port b through the next-hop table, subtracted as ``geodesic``
+        subtracts it.  The result is snapped by ``point_batch``."""
         t = _check_param_batch(t)
         (ex, ox), (ey, oy) = x, y
         u, v, length, vd = self._batch_tables
-        path, forward = self._path_tables
+        hops = self._hops
         lx, ly = length[ex], length[ey]
         ports_x = ((u[ex], ox), (v[ex], lx - ox))
         ports_y = ((u[ey], oy), (v[ey], ly - oy))
@@ -484,16 +472,20 @@ class MetricTree:
         edge, offset = ex, np.where(from_u, ox - target, ox + target)
         left = target - cx
         pending = target > cx
-        steps, fwd = path[a, b], forward[a, b]
-        for j in range(steps.shape[-1]):
-            e = steps[..., j]
-            L = length[e]
+        w = a
+        while True:  # one edge of each pending path per pass
+            e = hops[w, b]
             valid = pending & (e >= 0)
+            if not valid.any():
+                break
+            L = length[e]
+            forward = u[e] == w
             hit = valid & (left <= L)
             edge = np.where(hit, e, edge)
-            offset = np.where(hit, np.where(fwd[..., j], left, L - left), offset)
+            offset = np.where(hit, np.where(forward, left, L - left), offset)
             pending = pending & ~hit
             left = np.where(valid & ~hit, left - L, left)
+            w = np.where(valid, np.where(forward, v[e], u[e]), w)
         # the rest lies on y's edge, entered through port b
         edge = np.where(pending, ey, edge)
         offset = np.where(pending, np.where(into_u, left, ly - left), offset)
