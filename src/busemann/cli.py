@@ -344,7 +344,7 @@ class RunConfig:
         sdata = data.get("solver", {})
         _take(
             sdata,
-            {"method", "tol", "max_sweeps", "mode", "schedule", "class_order", "norm_minimal"},
+            {"method", "tol", "max_sweeps", "schedule", "class_order", "norm_minimal"},
             "solver",
         )
         self.method = sdata.get("method", "bcd")
@@ -356,9 +356,6 @@ class RunConfig:
         self.max_sweeps = _integer(sdata.get("max_sweeps", 500), "solver.max_sweeps")
         if self.max_sweeps < 1:
             raise ConfigError(f"solver.max_sweeps: must be >= 1, got {self.max_sweeps}")
-        self.mode = sdata.get("mode", "gauss-seidel")
-        if self.mode not in ("gauss-seidel", "jacobi"):
-            raise ConfigError(f"solver.mode: unknown mode {self.mode!r}")
         self.schedule = None
         if "schedule" in sdata:
             self.schedule = _reals(sdata["schedule"], "solver.schedule")
@@ -483,7 +480,6 @@ def solve_command(config_path: str, out_override=None, seed_override=None) -> in
                 cfg.init,
                 tol=cfg.tol,
                 max_sweeps=cfg.max_sweeps,
-                mode=cfg.mode,
                 seed=cfg.seed,
             )
         elif cfg.method == "norm-minimal":

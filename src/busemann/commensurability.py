@@ -60,6 +60,7 @@ from busemann.spaces import (
     DomainError,
     Euclidean,
     EuclideanIsometry,
+    KEY_DECIMALS,
     SolverError,
     SpaceMismatchError,
     ValidationError,
@@ -103,7 +104,6 @@ class CoverSpec:
     generators: tuple
     permutations: tuple
     coset_reps: tuple
-    word_check_length: int = 4
 
     def __post_init__(self):
         k = self.index
@@ -120,10 +120,11 @@ class CoverSpec:
         for e in self.base.edges:
             if e.twist.key() not in keyed:
                 raise ValidationError("an edge twist is missing from the generator list")
-        # consistency: words that agree as isometries must agree on cosets
+        # consistency: words of length <= 4 that agree as isometries must
+        # agree on cosets
         seen = {identity_isometry(self.base.target).key(): tuple(range(k))}
         frontier = [(identity_isometry(self.base.target), tuple(range(k)))]
-        for _ in range(self.word_check_length):
+        for _ in range(4):
             nxt = []
             for t, perm in frontier:
                 for g, gperm in zip(self.generators, self.permutations):
@@ -249,7 +250,7 @@ class _Stack:
     def keys(self) -> list:
         d = self.shift.shape[1]
         rows = np.concatenate([self.matrix.reshape(len(self), d * d), self.shift], axis=1)
-        return [tuple(round(x, 9) + 0.0 for x in row) for row in rows.tolist()]
+        return [tuple(round(x, KEY_DECIMALS) + 0.0 for x in row) for row in rows.tolist()]
 
 
 class _Objects(tuple):
@@ -502,7 +503,6 @@ def subgroup_harmonic(
     seed: int = 0,
     norm_minimal: bool = False,
     restarts: int = 2,
-    check_parallel_orbits: bool = True,
 ) -> SolveReport:
     """Minimize the commensurability energy by block coordinate descent.
 
@@ -548,11 +548,7 @@ def subgroup_harmonic(
         gap = max(
             space.distance(a, b) for other in results[1:] for a, b in zip(results[0][0], other[0])
         )
-    parallel = (
-        parallel_orbits_check(space, m.generators, seed=seed)
-        if check_parallel_orbits
-        else None
-    )
+    parallel = parallel_orbits_check(space, m.generators, seed=seed)
     unique = None if gap is None else gap <= 10.0 * tol
     if unique is False and parallel is False:
         raise SolverError(

@@ -182,15 +182,13 @@ def minimize_convex(
     seed: int = 0,
     radius0: Optional[float] = None,
     escape_radius: float = 1e6,
-    n_random: int = 8,
-    extra_candidates: Optional[Callable] = None,
-    max_evals: int = 200_000,
 ):
     """Minimize a coercive convex function using only geodesic moves.
 
-    At each scale, a batch of candidate points around the incumbent is
+    At each scale, 8 random candidate points around the incumbent are
     evaluated and the best improvement accepted; the scale halves when no
-    candidate improves.  Deterministic for a fixed seed.  Raises
+    candidate improves, and the search stops below the tolerance or after
+    200 000 evaluations.  Deterministic for a fixed seed.  Raises
     :class:`SolverError` if iterates escape ``escape_radius`` (the declared
     coercivity is then suspect).
     """
@@ -200,12 +198,8 @@ def minimize_convex(
     rho = radius0 if radius0 is not None else 1.0
     floor = max(tol * 0.1, 1e-14)
     evals = 0
-    while rho > floor and evals < max_evals:
-        cands = []
-        if extra_candidates is not None:
-            cands.extend(extra_candidates(x, rho))
-        for _ in range(n_random):
-            cands.append(perturb(space, x, rng, rho))
+    while rho > floor and evals < 200_000:
+        cands = [perturb(space, x, rng, rho) for _ in range(8)]
         best, fbest = None, fx
         for y in cands:
             fy = float(f(y))

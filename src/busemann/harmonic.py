@@ -31,8 +31,8 @@ is a :class:`EuclideanIsometry`: the terms are compiled once
 (:attr:`TermEnergy.arrays`) into flat term arrays and per-cell plans
 (:func:`compile_terms`), and each sweep sums in the scalar engine's order, so
 both engines give the same numbers, bit for bit in one dimension and to
-rounding in more.  Trees, l_p and product targets, p != 2 and Jacobi sweeps
-use the scalar engine.
+rounding in more.  Trees, l_p and product targets and p != 2 use the scalar
+engine.
 
 Besides the plain minimizer this module provides the norm-minimal selection
 (vanishing-penalty homotopy toward the base point), lexicographic
@@ -62,7 +62,6 @@ from busemann.mapspace import (
     MeasureModel,
     const_map,
     map_distance,
-    map_geodesic,
     map_midpoint,
     map_norm,
 )
@@ -704,13 +703,6 @@ def _term_plans(terms, n_cells: int):
     return points, loops
 
 
-def _local_terms(points, values, anchor):
-    pts = [(w, t.apply(values[src])) for w, src, t in points]
-    if anchor is not None:
-        pts.append(anchor)
-    return pts
-
-
 def _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts) -> float:
     """One Gauss-Seidel sweep of the scalar engine, in place: each cell moves
     to the minimizer of its local subproblem unless that raises the local
@@ -718,7 +710,9 @@ def _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts) -
     largest move."""
     max_move = 0.0
     for ci in range(len(values)):
-        pts = _local_terms(points[ci], values, anchors[ci] if anchors else None)
+        pts = [(w, t.apply(values[src])) for w, src, t in points[ci]]
+        if anchors:
+            pts.append(anchors[ci])
         if not pts and not loops[ci]:
             continue
         znew = _solve_local(space, p, pts, loops[ci], values[ci], tol, seed, counts)
@@ -950,7 +944,6 @@ def minimize_energy(
     phi_init: Optional[EquivariantMap] = None,
     tol: float = 1e-9,
     max_sweeps: int = 500,
-    mode: str = "gauss-seidel",
     seed: int = 0,
     anchor: Optional[tuple] = None,
     class_weights: Optional[dict] = None,
@@ -963,12 +956,10 @@ def minimize_energy(
     falls below tol * (1 + |E|) and no cell moved more than tol.  ``anchor``
     is an optional pair (lam, x0) adding sum_c lam * mu_c * d(phi(c), x0)^p
     to the objective; ``class_weights`` rescales term weights per class
-    (classes missing from the dict are dropped).  ``mode`` is "gauss-seidel"
-    (in-place updates) or "jacobi" (all updates computed from a frozen
-    snapshot, then applied along the map-space geodesic with a backtracked
-    step, which keeps the descent monotone and is safe to parallelize).
+    (classes missing from the dict are dropped).  Sweeps are Gauss-Seidel:
+    each cell's update sees the updates made before it in the same sweep.
 
-    Gauss-Seidel sweeps run on the compiled engine when the terms compile
+    Sweeps run on the compiled engine when the terms compile
     (:attr:`TermEnergy.arrays`: Euclidean target, p = 2, Euclidean
     transports), with the scalar engine's numbers (bit for bit in one
     dimension), and on the scalar engine otherwise.  ``extras`` records the
@@ -977,8 +968,6 @@ def minimize_energy(
     number of local solves by path (:data:`LOCAL_PATHS`, see
     :func:`_solve_local`).
     """
-    if mode not in ("gauss-seidel", "jacobi"):
-        raise DomainError(f"unknown sweep mode {mode!r}")
     phi = phi_init if phi_init is not None else const_map(prob.model, prob.target, prob.base_point)
     if phi.model != prob.model or phi.target != prob.target:
         raise SpaceMismatchError("initial map does not match the problem")
@@ -998,21 +987,7 @@ def minimize_energy(
             obj += anchor_energy
         return TraceRow(sweep, e_total, per_class, norm, max_move, obj)
 
-    def scalar_row(values, sweep=0, max_move=0.0) -> TraceRow:
-        cur = EquivariantMap(prob.model, space, tuple(values))
-        e_total = energy(prob, cur)
-        if len(classes) == 1:
-            per_class = (e_total,)
-        else:
-            per_class = tuple(energy(prob, cur, classes={c}) for c in classes)
-        anchor_energy = None
-        if anchor is not None:
-            anchor_energy = math.fsum(
-                w * space.distance(v, anchor[1]) ** p for w, v in zip(anchor_weights, values)
-            )
-        return row(sweep, max_move, e_total, per_class, map_norm(p, cur, prob.base_point), anchor_energy)
-
-    k = prob.arrays if mode == "gauss-seidel" else None
+    k = prob.arrays
     if k is not None:
         engine = "compiled"
         masks = prob.class_masks
@@ -1058,34 +1033,23 @@ def minimize_energy(
         anchors = None if anchor is None else [(w, anchor[1]) for w in anchor_weights]
         values = list(phi.values)
 
-        def gauss_seidel_sweep() -> float:
-            return _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts)
-
-        def jacobi_sweep() -> float:
+        def scalar_row(sweep, max_move) -> TraceRow:
             cur = EquivariantMap(prob.model, space, tuple(values))
-            obj = scalar_row(values).objective
-            proposals = []
-            for ci in range(len(values)):
-                pts = _local_terms(points[ci], values, anchors[ci] if anchors else None)
-                if not pts and not loops[ci]:
-                    proposals.append(values[ci])
-                else:
-                    proposals.append(_solve_local(space, p, pts, loops[ci], values[ci], tol, seed, counts))
-            prop = EquivariantMap(prob.model, space, tuple(proposals))
-            lam_step = 1.0
-            nxt = cur
-            for _ in range(40):
-                candidate = map_geodesic(cur, prop, lam_step)
-                if scalar_row(candidate.values).objective < obj:
-                    nxt = candidate
-                    break
-                lam_step *= 0.5
-            values[:] = nxt.values
-            return max(space.distance(a, b) for a, b in zip(cur.values, nxt.values))
+            e_total = energy(prob, cur)
+            if len(classes) == 1:
+                per_class = (e_total,)
+            else:
+                per_class = tuple(energy(prob, cur, classes={c}) for c in classes)
+            anchor_energy = None
+            if anchor is not None:
+                anchor_energy = math.fsum(
+                    w * space.distance(v, anchor[1]) ** p for w, v in zip(anchor_weights, values)
+                )
+            return row(sweep, max_move, e_total, per_class, map_norm(p, cur, prob.base_point), anchor_energy)
 
         obj, sweeps, converged, trace = _descend(
-            gauss_seidel_sweep if mode == "gauss-seidel" else jacobi_sweep,
-            lambda sweep, move: scalar_row(values, sweep, move),
+            lambda: _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts),
+            scalar_row,
             lambda: EquivariantMap(prob.model, space, tuple(values)),
             tol,
             max_sweeps,

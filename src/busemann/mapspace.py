@@ -98,10 +98,6 @@ class MeasureModel:
         return self.cells.index(cell)
 
 
-def uniform_model(n: int, prefix: str = "w") -> MeasureModel:
-    return MeasureModel(tuple(f"{prefix}{i}" for i in range(n)), (1.0 / n,) * n)
-
-
 @dataclass(frozen=True)
 class EquivariantMap:
     """One target point per cell of a measure model."""

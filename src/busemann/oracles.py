@@ -255,12 +255,6 @@ def grid_minimum_energy(
     return phi, best[1], d_bound
 
 
-def grid_minimum_scalar(f, lo: float, hi: float, n: int = 2001) -> float:
-    """Dense 1-D scan for scalar convex minimization checks."""
-    xs = np.linspace(lo, hi, n)
-    return float(min(f((float(x),)) for x in xs))
-
-
 # ---------------------------------------------------------------------------
 # Moduli of convexity: a direct two-atom search and the real line
 # ---------------------------------------------------------------------------

@@ -50,6 +50,10 @@ GEO_TOL = 1e-9
 # vertex, so tree-point equality is well defined.
 SNAP_TOL = 1e-12
 
+# Isometry keys round each coordinate to KEY_DECIMALS decimals, so that
+# isometries equal up to rounding share a key.
+KEY_DECIMALS = 9
+
 
 class GeometryError(Exception):
     """Base class for all library errors."""
@@ -232,8 +236,8 @@ class MetricTree:
             raise ValidationError("a tree on n vertices needs exactly n-1 edges")
         adj: dict = {v: [] for v in verts}
         for i, (u, v, L) in enumerate(edges):
-            if L <= 0.0:
-                raise ValidationError(f"edge ({u},{v}) has non-positive length {L}")
+            if not (L > 0.0 and math.isfinite(L)):
+                raise ValidationError(f"edge ({u},{v}) needs a finite positive length, got {L}")
             if u not in adj or v not in adj:
                 raise ValidationError(f"edge ({u},{v}) uses unknown vertex")
             adj[u].append((v, i))
@@ -620,6 +624,8 @@ class EuclideanIsometry:
         b = np.asarray(self.shift, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != b.shape[0]:
             raise ValidationError("isometry matrix/shift shapes do not match")
+        if not (np.isfinite(m).all() and np.isfinite(b).all()):
+            raise ValidationError("isometry matrix/shift entries must be finite")
         if np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) > 1e-7:
             raise ValidationError("matrix is not orthogonal")
         object.__setattr__(self, "matrix", tuple(tuple(float(x) for x in row) for row in m))
@@ -648,11 +654,11 @@ class EuclideanIsometry:
         b = np.asarray(self.shift)
         return EuclideanIsometry(tuple(map(tuple, m.T)), tuple(-(m.T @ b)))
 
-    def key(self, decimals: int = 9):
+    def key(self):
         return (
             "euclidean",
-            tuple(round(x, decimals) + 0.0 for row in self.matrix for x in row),
-            tuple(round(x, decimals) + 0.0 for x in self.shift),
+            tuple(round(x, KEY_DECIMALS) + 0.0 for row in self.matrix for x in row),
+            tuple(round(x, KEY_DECIMALS) + 0.0 for x in self.shift),
         )
 
 
@@ -675,6 +681,8 @@ class SignedPermIsometry:
         object.__setattr__(self, "perm", tuple(int(p) for p in self.perm))
         object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
         object.__setattr__(self, "shift", tuple(float(x) for x in self.shift))
+        if not all(math.isfinite(x) for x in self.shift):
+            raise ValidationError("isometry shift entries must be finite")
 
     @property
     def dim(self) -> int:
@@ -704,12 +712,12 @@ class SignedPermIsometry:
         shift = tuple(-self.signs[inv[j]] * self.shift[inv[j]] for j in range(n))
         return SignedPermIsometry(tuple(inv), signs, shift)
 
-    def key(self, decimals: int = 9):
+    def key(self):
         return (
             "signedperm",
             self.perm,
             self.signs,
-            tuple(round(x, decimals) + 0.0 for x in self.shift),
+            tuple(round(x, KEY_DECIMALS) + 0.0 for x in self.shift),
         )
 
 
@@ -761,7 +769,7 @@ class TreeIsometry:
         vm = {img: v for v, img in self._vmap.items()}
         return TreeIsometry(self.tree, tuple(sorted(vm.items(), key=lambda kv: str(kv[0]))))
 
-    def key(self, decimals: int = 9):
+    def key(self):
         return ("tree", self.vertex_map)
 
 
@@ -786,8 +794,8 @@ class ProductIsometry:
     def invert(self) -> "ProductIsometry":
         return ProductIsometry(tuple(T.invert() for T in self.parts))
 
-    def key(self, decimals: int = 9):
-        return ("product",) + tuple(T.key(decimals) for T in self.parts)
+    def key(self):
+        return ("product",) + tuple(T.key() for T in self.parts)
 
 
 def _check_same_kind(a, b) -> None:
@@ -891,10 +899,6 @@ def perturb(space, x, rng: np.random.Generator, radius: float):
     if space.distance(x, z) == 0.0:
         return x
     return step_toward(space, x, z, float(rng.uniform(0.0, radius)))
-
-
-def points_equal(space, x, y, tol: float = 1e-9) -> bool:
-    return space.distance(x, y) <= tol
 
 
 def isometry_defect(space, T, rng: np.random.Generator, samples: int = 32, scale: float = 1.0) -> float:

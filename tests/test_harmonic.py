@@ -150,17 +150,6 @@ def test_frechet_mean_rejects_bad_weights():
 # ---------------------------------------------------------------------------
 
 
-def test_consensus_jacobi_reaches_symmetric_limit():
-    prob = EquivariantProblem(
-        M2, E1, (0.0,), (Edge("a", "b", 1.0, IDENT), Edge("b", "a", 1.0, IDENT))
-    )
-    rep = minimize_energy(prob, emap(M2, (0, 10)), tol=1e-10, mode="jacobi")
-    assert rep.converged
-    assert rep.energy_total <= 1e-12
-    assert rep.solution.values[0] == pytest.approx((5.0,), abs=1e-6)
-    assert rep.solution.values[1] == pytest.approx((5.0,), abs=1e-6)
-
-
 def test_consensus_gauss_seidel_reaches_zero_energy():
     prob = EquivariantProblem(
         M2, E1, (0.0,), (Edge("a", "b", 1.0, IDENT), Edge("b", "a", 1.0, IDENT))
@@ -202,26 +191,18 @@ def test_trace_monotone_tree():
     assert rep.energy_total <= 1e-12
 
 
-def test_jacobi_matches_gauss_seidel_energy():
-    gm = dihedral_line_model(3)
-    r1 = minimize_energy(gm.problem, gm.init, tol=1e-11, max_sweeps=3000)
-    r2 = minimize_energy(gm.problem, gm.init, tol=1e-11, max_sweeps=3000, mode="jacobi")
-    assert r2.energy_total == pytest.approx(r1.energy_total, abs=1e-8)
-
-
 def test_max_sweeps_reports_unconverged():
     gm = dihedral_line_model(3)
     rep = minimize_energy(gm.problem, gm.init, tol=1e-12, max_sweeps=1)
     assert not rep.converged
 
 
-@pytest.mark.parametrize("mode", ["gauss-seidel", "jacobi"])
-def test_non_finite_start_fails_at_once(mode):
+def test_non_finite_start_fails_at_once():
     # used to run all 500 sweeps on NaN energy before reporting non-convergence
     gm = dihedral_line_model(3)
     phi = emap(gm.problem.model, [0.0, float("nan"), 0.0])
     with pytest.raises(SolverError, match="non-finite objective nan at sweep 0") as info:
-        minimize_energy(gm.problem, phi, max_sweeps=500, mode=mode)
+        minimize_energy(gm.problem, phi, max_sweeps=500)
     assert info.value.stop_reason == "non-finite"
 
 
@@ -546,8 +527,6 @@ def test_compiled_engine_only_where_it_applies():
     gm = dihedral_line_model(3)
     p3 = EquivariantProblem(gm.problem.model, E1, (0.0,), gm.problem.edges, p=3.0)
     assert p3.arrays is None
-    jacobi = minimize_energy(gm.problem, gm.init, mode="jacobi")
-    assert jacobi.extras["engine"] == "scalar"
 
 
 @settings(max_examples=2000)

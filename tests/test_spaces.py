@@ -9,6 +9,7 @@ from busemann.oracles import tree_distance_graph_oracle
 from busemann.spaces import (
     DomainError,
     Euclidean,
+    EuclideanIsometry,
     LpVector,
     MetricTree,
     Product,
@@ -426,6 +427,34 @@ def test_tree_validation():
         MetricTree(("a", "b", "c"), (("a", "b", 1.0),))  # disconnected / wrong count
     with pytest.raises(ValidationError):
         MetricTree(("a", "b", "c", "d"), (("a", "b", 1.0), ("c", "d", 1.0), ("a", "b", 2.0)))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: translation(E1, (NAN,)),
+        lambda: translation(E1, (INF,)),
+        lambda: EuclideanIsometry(((NAN,),), (0.0,)),
+        lambda: translation(LpVector(2, 3.0), (NAN, 0.0)),
+        lambda: MetricTree(["a", "b"], [("a", "b", NAN)]),
+        lambda: MetricTree(["a", "b"], [("a", "b", INF)]),
+    ],
+    ids=[
+        "euclidean-translation-nan",
+        "euclidean-translation-inf",
+        "euclidean-matrix-nan",
+        "lp-translation-nan",
+        "tree-edge-nan",
+        "tree-edge-inf",
+    ],
+)
+def test_constructors_reject_non_finite(build):
+    # NaN fails every comparison and inf passes "> 0", so finiteness needs its own check
+    with pytest.raises(ValidationError, match="finite"):
+        build()
 
 
 # ---------------------------------------------------------------------------
