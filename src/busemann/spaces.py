@@ -301,7 +301,7 @@ class MetricTree:
         """The fields (edge, offset, vertex) of ``point(edge, offset)``, so
         two snapped offsets compare as their points do, without the points."""
         u, v, L = self.edges[edge]
-        if offset < -SNAP_TOL * L or offset > L * (1.0 + SNAP_TOL):
+        if not -SNAP_TOL * L <= offset <= L * (1.0 + SNAP_TOL):  # NaN included
             raise DomainError(f"offset {offset} outside edge of length {L}")
         if offset <= SNAP_TOL * L:
             return None, 0.0, u
@@ -316,7 +316,7 @@ class MetricTree:
         edge = np.asarray(edge, dtype=np.intp)
         offset = np.asarray(offset, dtype=float)
         length = self._batch_tables[2][edge]
-        if np.any(offset < -SNAP_TOL * length) or np.any(offset > length * (1.0 + SNAP_TOL)):
+        if not np.all((-SNAP_TOL * length <= offset) & (offset <= length * (1.0 + SNAP_TOL))):
             raise DomainError("offset outside its edge")
         offset = np.where(offset <= SNAP_TOL * length, 0.0, offset)
         offset = np.where(offset >= length * (1.0 - SNAP_TOL), length, offset)

@@ -128,6 +128,7 @@ def test_solve_solver_mode_is_an_unknown_field(tmp_path, capsys):
     assert main(["solve", str(path)]) == 2
     err = capsys.readouterr().err
     assert "unknown fields ['mode']" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -433,6 +434,7 @@ def test_solve_malformed_number_exit_2_without_traceback(tmp_path, capsys, space
     assert main(["solve", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -503,6 +505,7 @@ def test_solve_non_integral_integer_field_exit_2_without_traceback(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "integer" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -541,6 +544,7 @@ def test_verify_invalid_budget_exit_2_without_traceback(tmp_path, capsys, value,
     assert main(["verify", str(path), "--suite", "mazur"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: verify.samples:") and message in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -420,6 +420,14 @@ def test_tree_point_canonicalization():
         STAR.point(0, 1.5)
 
 
+def test_tree_point_rejects_nan_offset():
+    # NaN fails both range comparisons, so the range test is written as one that NaN fails
+    with pytest.raises(DomainError):
+        STAR.point(0, float("nan"))
+    with pytest.raises(DomainError):
+        STAR.point_batch(np.array([0, 1]), np.array([0.5, float("nan")]))
+
+
 def test_tree_validation():
     with pytest.raises(ValidationError):
         MetricTree(("a", "b"), (("a", "b", -1.0),))
