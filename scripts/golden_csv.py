@@ -19,6 +19,17 @@ three explicit problems (``DIR/<name>/bcd/``):
 - ``lp23-translation-chain-4``: 4 cells in l_p(2, 3), a chain closed by a
   seeded translation, from a seeded start (the Newton step).
 
+and ``bcd``, ``norm-minimal`` and ``lexicographic`` run one explicit problem
+in the plane (``DIR/<name>/<method>/``), the one case of the compiled engine
+in more than one dimension:
+
+- ``plane-turn-mirror-3``: 3 cells in R^2 joined by the identity, a quarter
+  turn about (1, 0) and the mirror in the line y = 0.25, with a quarter-turn
+  self-loop in edge class 2, from a seeded start, at solver tol 1e-8 (at
+  1e-9 the norm-minimal homotopy is not Cauchy).  Its lexicographic run
+  stops at ``max_sweeps`` in the stiff second stage and exits 3 with its
+  files written.
+
 Each run leaves
 ``DIR/<generator>/<method>/`` holding ``trace.csv``, ``solution.csv``, ``summary.json`` without its
 ``wall_time_s`` entry, and ``exit_code`` (a run that stops with a solver
@@ -120,13 +131,44 @@ def lp_translation_chain(seed: int, cells: int = 4) -> dict:
     }
 
 
+def plane_turn_mirror(seed: int) -> dict:
+    """Config of the explicit two-dimensional problem (method set per run)."""
+    rng = np.random.default_rng([seed, 3])
+    turn = {"kind": "linear", "matrix": [[0.0, -1.0], [1.0, 0.0]], "shift": [1.0, -1.0]}
+    mirror = {"kind": "linear", "matrix": [[1.0, 0.0], [0.0, -1.0]], "shift": [0.0, 0.5]}
+    return {
+        "schema": 1,
+        "seed": seed,
+        "space": {"kind": "euclidean", "dim": 2},
+        "problem": {
+            "cells": [{"id": "a", "weight": 0.5}, {"id": "b", "weight": 0.25}, {"id": "c", "weight": 0.25}],
+            "edges": [
+                {"src": "a", "dst": "b", "weight": 1.0, "twist": IDENTITY},
+                {"src": "b", "dst": "c", "weight": 1.0, "twist": turn},
+                {"src": "c", "dst": "a", "weight": 2.0, "twist": mirror},
+                {"src": "b", "dst": "b", "weight": 0.5, "class": 2, "twist": turn},
+            ],
+            "base_point": [0.0, 0.0],
+            "init": [[float(c) for c in rng.uniform(-2.0, 2.0, 2)] for _ in range(3)],
+        },
+        "solver": {"tol": 1e-8},
+    }
+
+
 # explicit problems solved by ``bcd``: run directory -> config builder
 EXPLICIT = {
     "consensus-chain-20": consensus_chain,
     "star-tree-consensus-6": star_tree_consensus,
     "lp23-translation-chain-4": lp_translation_chain,
 }
-RUNS = len(GENERATORS) * len(METHODS) + len(EXPLICIT)
+# explicit problems solved by several methods: run directory -> (config builder, methods)
+EXPLICIT_METHODS = {
+    "plane-turn-mirror-3": (plane_turn_mirror, ("bcd", "norm-minimal", "lexicographic")),
+}
+RUNS = (
+    len(GENERATORS) * len(METHODS) + len(EXPLICIT)
+    + sum(len(methods) for _, methods in EXPLICIT_METHODS.values())
+)
 
 
 def solve(out: Path, config: dict) -> None:
@@ -157,6 +199,11 @@ def run_all(root: Path, seed: int) -> None:
             })
     for name, config in EXPLICIT.items():
         solve(root / name / "bcd", config(seed))
+    for name, (config, methods) in EXPLICIT_METHODS.items():
+        for run in methods:
+            cfg = config(seed)
+            cfg["solver"].update(METHODS[run])
+            solve(root / name / run, cfg)
 
 
 def differences(expected: Path, actual: Path) -> list:

@@ -350,7 +350,7 @@ class RunConfig:
         self.method = sdata.get("method", "bcd")
         if self.method not in ("bcd", "norm-minimal", "lexicographic", "commensurability"):
             raise ConfigError(f"solver.method: unknown method {self.method!r}")
-        self.tol = _number(sdata.get("tol", 1e-9), "solver.tol")
+        self.tol = _real(sdata.get("tol", 1e-9), "solver.tol")
         if not self.tol > 0.0:
             raise ConfigError(f"solver.tol: must be > 0, got {self.tol!r}")
         self.max_sweeps = _integer(sdata.get("max_sweeps", 500), "solver.max_sweeps")

@@ -369,9 +369,7 @@ def _kernel_model(model, target, base_point, generators, radius, residual, c1, c
     """A :class:`CommEnergyModel` from its term columns: compiled arrays
     for a :class:`_Stack` of transports, a Term tuple otherwise."""
     if isinstance(transports, _Stack):
-        arrays = compile_terms(
-            len(model.cells), target.dim, c1, c2, weight, transports.matrix, transports.shift
-        )
+        arrays = compile_terms(target.dim, c1, c2, weight, transports.matrix, transports.shift)
         return CommEnergyModel(model, target, base_point, None, generators, radius, residual, arrays)
     terms = tuple(map(Term, c1.tolist(), c2.tolist(), weight.tolist(), transports))
     return CommEnergyModel(model, target, base_point, terms, generators, radius, residual)
@@ -674,13 +672,14 @@ def _orbit_pairs(space, sample_pairs: int, seed: int):
     return xs, ys
 
 
-def coercivity_fit(m: CommEnergyModel, n_samples: int = 100, seed: int = 0, scale: float = 2.0) -> float:
-    """Fitted constant c with I(phi) >= c * |phi|^2 over random maps
-    (positive exactly when the kernel energy controls the norm)."""
+def coercivity_fit(m: CommEnergyModel, n_samples: int = 100, seed: int = 0) -> float:
+    """Fitted constant c with I(phi) >= c * |phi|^2 over random maps, each
+    value sampled at scale 2 (positive exactly when the kernel energy
+    controls the norm)."""
     rng = np.random.default_rng(seed)
     c = math.inf
     for _ in range(n_samples):
-        phi = sample_map(m.model, m.target, rng, scale)
+        phi = sample_map(m.model, m.target, rng, 2.0)
         nrm = map_norm(2.0, phi, m.base_point)
         if nrm <= 1e-9:
             continue

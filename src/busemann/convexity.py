@@ -726,15 +726,15 @@ def linear_growth_bound(
     sample_radius: float,
     budget: int = 512,
     seed: int = 0,
-    b_cap: float = 1e6,
 ) -> GrowthBound:
     """Largest b (from a bisection grid) with f(x) >= b * d(x, x0) - 1/b on
     all sampled points within ``sample_radius`` of x0.
 
     The requirement strengthens monotonically with b, so bisection applies.
     Raises if no positive b passes (f is then not positive/coercive on the
-    sample).  When even ``b_cap`` passes, the cap is returned.
+    sample).  When even the cap b = 1e6 passes, the cap is returned.
     """
+    b_cap = 1e6
     rng = np.random.default_rng(seed)
     samples = [x0] + [perturb(space, x0, rng, sample_radius) for _ in range(budget - 1)]
     data = [(space.distance(s, x0), float(f(s)), s) for s in samples]
@@ -824,28 +824,18 @@ class CliffordReport:
     halfway_is_clifford: Optional[bool] = None
 
 
-def clifford_check(
-    space,
-    T,
-    samples: int = 48,
-    tol: float = 1e-9,
-    seed: int = 0,
-    scales: Sequence[float] = (0.5, 2.0, 16.0, 128.0, 1024.0),
-) -> CliffordReport:
+def clifford_check(space, T, tol: float = 1e-9, seed: int = 0) -> CliffordReport:
     """Decide (by sampling) whether d(x, Tx) is constant over the space.
 
-    Samples are drawn across several scales so that displacement growth of
-    rotations/reflections far from their fixed sets is visible.  When the
+    Nine samples are drawn at each of the scales 0.5, 2, 16, 128 and 1024,
+    so that displacement growth of rotations/reflections far from their
+    fixed sets is visible.  When the
     sampled displacement spread is within tol * (1 + c), the halfway map
     x -> midpoint(x, Tx) is also sampled and checked to be a Clifford
     isometry with displacement c / 2.
     """
     rng = np.random.default_rng(seed)
-    pts = []
-    per = max(1, samples // len(scales))
-    for s in scales:
-        for _ in range(per):
-            pts.append(space.sample(rng, s))
+    pts = [space.sample(rng, s) for s in (0.5, 2.0, 16.0, 128.0, 1024.0) for _ in range(9)]
     disps = [space.distance(x, T.apply(x)) for x in pts]
     c = math.fsum(disps) / len(disps)
     spread = max(disps) - min(disps)

@@ -28,11 +28,13 @@ There are two sweep engines.  The scalar engine works on any target and is
 the reference.  The compiled engine runs Gauss-Seidel sweeps on numpy arrays
 and applies when the target is :class:`Euclidean`, p = 2 and every transport
 is a :class:`EuclideanIsometry`: the terms are compiled once
-(:attr:`TermEnergy.arrays`) into flat term arrays and per-cell plans
-(:func:`compile_terms`), and each sweep sums in the scalar engine's order, so
-both engines give the same numbers, bit for bit in one dimension and to
-rounding in more.  Trees, l_p and product targets and p != 2 use the scalar
-engine.
+(:attr:`TermEnergy.arrays`) into flat term arrays (:func:`compile_terms`),
+the only compiled form of an energy.  A solve's class weights and anchor
+become more rows of those arrays, each solve builds its cell steps from
+them (:func:`_cell_steps`), and each sweep sums in the scalar engine's
+order, so both engines give the same numbers, bit for bit in one dimension
+and to rounding in more.  Trees, l_p and product targets and p != 2 use the
+scalar engine.
 
 Besides the plain minimizer this module provides the norm-minimal selection
 (vanishing-penalty homotopy toward the base point), lexicographic
@@ -146,7 +148,6 @@ class TermEnergy:
         ):
             return None
         return compile_terms(
-            len(self.model.cells),
             self.target.dim,
             [t.c1 for t in terms],
             [t.c2 for t in terms],
@@ -730,45 +731,25 @@ def _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts) -
 
 
 @dataclass(frozen=True)
-class CellPlan:
-    """How the terms enter one cell's local subproblem, in the order of the
-    scalar plan: point terms transport another cell's value into this cell
-    (by the term's transport or its inverse); loops are the terms from the
-    cell to itself, with their normal-equation pieces (w a^T) a and
-    -(w a^T) b for a = M - I precomputed."""
-
-    src: np.ndarray
-    weight: np.ndarray
-    matrix: np.ndarray
-    shift: np.ndarray
-    loop_weight: np.ndarray
-    loop_matrix: np.ndarray
-    loop_shift: np.ndarray
-    loop_normal: np.ndarray
-    loop_rhs: np.ndarray
-
-
-@dataclass(frozen=True)
 class KernelArrays:
-    """Terms as flat arrays: term t contributes
-    weight[t] * d(phi(c1[t]), matrix[t] phi(c2[t]) + shift[t])^2."""
+    """Terms as flat arrays, the one compiled form of an energy: term t
+    contributes weight[t] * d(phi(c1[t]), matrix[t] phi(c2[t]) + shift[t])^2.
+    A cell index may point past the cells of the model, at a fixed row of
+    the sweep's state (the anchor of :func:`minimize_energy`)."""
 
     c1: np.ndarray
     c2: np.ndarray
     weight: np.ndarray
     matrix: np.ndarray
     shift: np.ndarray
-    cells: tuple
 
 
-def compile_terms(n_cells: int, dim: int, c1, c2, weight, matrix, shift) -> KernelArrays:
-    """Flat term arrays plus one :class:`CellPlan` per cell.
+def compile_terms(dim: int, c1, c2, weight, matrix, shift) -> KernelArrays:
+    """The flat term arrays of the given term columns.
 
     Shifts are stored plus 0.0 (so -0.0 becomes 0.0): then a transport
     summed as (M_i0 x_0 + M_i1 x_1 ...) + b_i rounds exactly as
-    :meth:`EuclideanIsometry.apply`, whose sum starts from 0.0.  Inverse
-    transports are computed as :meth:`EuclideanIsometry.invert` computes
-    them, M^T and -(M^T b).
+    :meth:`EuclideanIsometry.apply`, whose sum starts from 0.0.
     """
     c1 = np.asarray(c1, dtype=np.intp)
     c2 = np.asarray(c2, dtype=np.intp)
@@ -776,30 +757,7 @@ def compile_terms(n_cells: int, dim: int, c1, c2, weight, matrix, shift) -> Kern
     n_terms = len(c1)
     matrix = np.asarray(matrix, dtype=float).reshape(n_terms, dim, dim)
     shift = np.asarray(shift, dtype=float).reshape(n_terms, dim) + 0.0
-    inv_matrix = matrix.transpose(0, 2, 1)
-    inv_shift = -(inv_matrix @ shift[:, :, None])[:, :, 0] + 0.0
-    is_loop = c1 == c2
-    cells = []
-    for ci in range(n_cells):
-        pts = np.flatnonzero(~is_loop & ((c1 == ci) | (c2 == ci)))
-        forward = c1[pts] == ci
-        loops = np.flatnonzero(is_loop & (c1 == ci))
-        a = matrix[loops] - np.eye(dim)
-        wa_t = weight[loops, None, None] * a.transpose(0, 2, 1)
-        cells.append(
-            CellPlan(
-                src=np.where(forward, c2[pts], c1[pts]),
-                weight=weight[pts],
-                matrix=np.where(forward[:, None, None], matrix[pts], inv_matrix[pts]),
-                shift=np.where(forward[:, None], shift[pts], inv_shift[pts]),
-                loop_weight=weight[loops],
-                loop_matrix=matrix[loops],
-                loop_shift=shift[loops],
-                loop_normal=wa_t @ a,
-                loop_rhs=-(wa_t @ shift[loops, :, None])[:, :, 0],
-            )
-        )
-    return KernelArrays(c1, c2, weight, matrix, shift, tuple(cells))
+    return KernelArrays(c1, c2, weight, matrix, shift)
 
 
 def _apply_rows(matrix, shift, x):
@@ -846,44 +804,71 @@ def _solve_1d(n: float, r: float) -> float:
     return np.linalg.lstsq(np.array([[n]]), np.array([r]), rcond=None)[0][0]
 
 
-def _cell_steps(plan: KernelArrays, anchor_weights, anchor_row: int) -> list:
-    """Per-cell data of the compiled sweep, for the cells that have terms."""
-    d = plan.shift.shape[1]
+def _cell_steps(plan: KernelArrays, n_cells: int) -> list:
+    """Per-cell data of the compiled sweep, for the cells below ``n_cells``
+    that have terms, built from the flat arrays in the order of the scalar
+    plan (:func:`_term_plans`).
+
+    A term with c1 != c2 is a point term of cell c1, moving phi(c2) by its
+    transport, and of cell c2, moving phi(c1) by the inverse, computed as
+    :meth:`EuclideanIsometry.invert` computes it (M^T and -(M^T b)); a term
+    with c1 = c2 is a loop of its cell, with the normal-equation pieces
+    (w a^T) a and -(w a^T) b for a = M - I.  One stable sort by cell keeps
+    each cell's terms in term order.  Cells from ``n_cells`` on are fixed
+    rows: they are sources and get no step.
+    """
+    c1, c2, weight, matrix, shift = plan.c1, plan.c2, plan.weight, plan.matrix, plan.shift
+    n_terms, d = shift.shape
     eye = np.eye(d)
+    inv_matrix = matrix.transpose(0, 2, 1)
+    # term t enters cell c1[t] as row t of these and cell c2[t] as row n_terms + t
+    all_matrix = np.concatenate((matrix, inv_matrix))
+    all_shift = np.concatenate((shift, -(inv_matrix @ shift[:, :, None])[:, :, 0] + 0.0))
+    all_src, all_cell = np.concatenate((c2, c1)), np.concatenate((c1, c2))
+    pts = np.flatnonzero(c1 != c2)
+    rows = np.stack((pts, pts + n_terms), axis=1).ravel()
+    rows = rows[np.argsort(all_cell[rows], kind="stable")]
+    p_src, p_matrix, p_shift = all_src[rows], all_matrix[rows], all_shift[rows]
+    p_weight = weight[rows % n_terms]
+    p_normal = p_weight[:, None, None] * eye
+    loops = np.flatnonzero(c1 == c2)
+    loops = loops[np.argsort(c1[loops], kind="stable")]
+    a = matrix[loops] - eye
+    wa_t = weight[loops, None, None] * a.transpose(0, 2, 1)
+    l_weight, l_matrix, l_shift = weight[loops], matrix[loops], shift[loops]
+    l_normal = wa_t @ a
+    l_rhs = -(wa_t @ shift[loops, :, None])[:, :, 0]
+    bounds = np.arange(n_cells + 1)
+    p_start = np.searchsorted(all_cell[rows], bounds).tolist()
+    l_start = np.searchsorted(c1[loops], bounds).tolist()
     steps = []
-    for ci, cell in enumerate(plan.cells):
-        src, weight, matrix, shift = cell.src, cell.weight, cell.matrix, cell.shift
-        if anchor_weights is not None:
-            # the anchor is the last point term: the identity applied to the
-            # row of x that holds the anchor point
-            src = np.append(src, anchor_row)
-            weight = np.append(weight, anchor_weights[ci])
-            matrix = np.concatenate((matrix, eye[None]))
-            shift = np.concatenate((shift, np.zeros((1, d))))
-        k = len(weight)
-        if not k and not len(cell.loop_weight):
+    for ci in range(n_cells):
+        p0, p1, l0, l1 = p_start[ci], p_start[ci + 1], l_start[ci], l_start[ci + 1]
+        if p0 == p1 and l0 == l1:
             continue
+        k = p1 - p0
+        w = p_weight[p0:p1]
         # the normal matrix and right-hand side are summed as
         # _solve_local_euclidean sums them: zero, point terms, loops
-        parts = (np.zeros((1, d, d)), weight[:, None, None] * eye, cell.loop_normal)
+        parts = (np.zeros((1, d, d)), p_normal[p0:p1], l_normal[l0:l1])
         normal = np.cumsum(np.concatenate(parts), axis=0)[-1]
-        rhs = np.concatenate((np.zeros((1, d)), np.empty((k, d)), cell.loop_rhs))
-        diff = np.empty((2, k + len(cell.loop_weight), d))
+        rhs = np.concatenate((np.zeros((1, d)), np.empty((k, d)), l_rhs[l0:l1]))
+        diff = np.empty((2, k + l1 - l0, d))
         steps.append((
-            ci, src, matrix, shift, weight[:, None], rhs, rhs[1 : k + 1], normal,
+            ci, p_src[p0:p1], p_matrix[p0:p1], p_shift[p0:p1], w[:, None], rhs, rhs[1 : k + 1], normal,
             float(normal[0, 0]) if d == 1 else None,
-            cell.loop_matrix if len(cell.loop_weight) else None, cell.loop_shift,
-            np.concatenate((weight, cell.loop_weight)), k, diff, diff[:, :k], diff[:, k:],
+            l_matrix[l0:l1] if l1 > l0 else None, l_shift[l0:l1],
+            np.concatenate((w, l_weight[l0:l1])), k, diff, diff[:, :k], diff[:, k:],
         ))
     return steps
 
 
-def _compiled_sweeps(plan: KernelArrays, values, tol, max_sweeps, evaluate, counts, anchor_weights=None, anchor_point=None):
+def _compiled_sweeps(plan: KernelArrays, values, fixed, tol, max_sweeps, evaluate, counts):
     """Gauss-Seidel sweeps of the scalar engine on compiled terms.
 
-    ``plan`` supplies the local subproblems (its weights are the plan
-    weights); ``anchor_weights``/``anchor_point`` add the point term
-    aw_c * d(phi(c), anchor_point)^2 to the subproblem of every cell c; and
+    ``plan`` supplies the local subproblems of the cells that hold
+    ``values``; its cell indices from len(values) on name the ``fixed``
+    points, which are sources only and never move; and
     ``evaluate(x, sweep, max_move)`` returns the trace row of the map held
     in the n x d array x, whose objective decides convergence.  Every sum
     that decides a value is taken in the order of the scalar engine
@@ -894,13 +879,10 @@ def _compiled_sweeps(plan: KernelArrays, values, tol, max_sweeps, evaluate, coun
     engine.  Every cell step is a linear solve, counted in ``counts``.
     Returns (values, objective, sweeps, converged, trace).
     """
-    n = len(plan.cells)
+    n = len(values)
     d = plan.shift.shape[1]
-    x = np.zeros((n + 1, d))
-    x[:n] = values
-    if anchor_point is not None:
-        x[n] = anchor_point
-    steps = _cell_steps(plan, anchor_weights, n)
+    x = np.array([*values, *fixed], dtype=float)
+    steps = _cell_steps(plan, n)
     pair = np.empty((2, d))  # old and new value of the cell being solved
     z0, z1 = pair
     zb = pair[:, None, :]
@@ -956,7 +938,11 @@ def minimize_energy(
     falls below tol * (1 + |E|) and no cell moved more than tol.  ``anchor``
     is an optional pair (lam, x0) adding sum_c lam * mu_c * d(phi(c), x0)^p
     to the objective; ``class_weights`` rescales term weights per class
-    (classes missing from the dict are dropped).  Sweeps are Gauss-Seidel:
+    (classes missing from the dict are dropped).  On the compiled engine
+    both become rows of the flat term arrays: the kept terms with their
+    scaled weights, then one term per cell c toward x0 (c1 = c, c2 = n,
+    weight lam * mu_c, the identity), x0 being a fixed row n of the sweep's
+    state.  Sweeps are Gauss-Seidel:
     each cell's update sees the updates made before it in the same sweep.
 
     Sweeps run on the compiled engine when the terms compile
@@ -991,19 +977,25 @@ def minimize_energy(
     if k is not None:
         engine = "compiled"
         masks = prob.class_masks
-        plan = k
+        n, d = len(mu), space.dim
+        c1, c2, weight, matrix, shift = k.c1, k.c2, k.weight, k.matrix, k.shift
         if scales is not None:
-            term_scale = np.full(len(k.c1), scales[0]) if masks is None else np.select(masks, scales)
+            term_scale = np.full(len(c1), scales[0]) if masks is None else np.select(masks, scales)
             kept = np.flatnonzero(term_scale != 0.0)
-            plan = compile_terms(
-                len(mu), space.dim, k.c1[kept], k.c2[kept], term_scale[kept] * k.weight[kept],
-                k.matrix[kept], k.shift[kept],
-            )
-        mu_arr = np.array(mu)
-        base = np.array(prob.base_point, dtype=float)
+            c1, c2, weight = c1[kept], c2[kept], term_scale[kept] * weight[kept]
+            matrix, shift = matrix[kept], shift[kept]
+        fixed = ()
         if anchor is not None:
             aw = np.array(anchor_weights)
             x0 = np.array(anchor[1], dtype=float)
+            c1, c2 = np.concatenate((c1, np.arange(n))), np.concatenate((c2, np.full(n, n)))
+            weight = np.concatenate((weight, aw))
+            matrix = np.concatenate((matrix, np.broadcast_to(np.eye(d), (n, d, d))))
+            shift = np.concatenate((shift, np.zeros((n, d))))
+            fixed = (anchor[1],)
+        plan = compile_terms(d, c1, c2, weight, matrix, shift)
+        mu_arr = np.array(mu)
+        base = np.array(prob.base_point, dtype=float)
 
         def compiled_row(x, sweep, max_move) -> TraceRow:
             sq = _sq_terms(k.weight, x[k.c1] - _apply_rows(k.matrix, k.shift, x[k.c2]))
@@ -1017,8 +1009,7 @@ def minimize_energy(
             return row(sweep, max_move, e_total, per_class, norm, anchor_energy)
 
         values, obj, sweeps, converged, trace = _compiled_sweeps(
-            plan, phi.values, tol, max_sweeps, compiled_row, counts, anchor_weights,
-            None if anchor is None else anchor[1],
+            plan, phi.values, fixed, tol, max_sweeps, compiled_row, counts
         )
     else:
         engine = "scalar"
@@ -1126,7 +1117,7 @@ def norm_minimal_minimizer(
         energy_total=e_total,
         energy_per_class=energy_by_class(prob, sol),
         norm=map_norm(prob.p, sol, prob.base_point),
-        iterations=sum(1 for _ in lams),
+        iterations=len(lams),
         trace=final.trace,
         converged=final.converged,
         extras={
@@ -1141,14 +1132,15 @@ def norm_minimal_minimizer(
     return rep
 
 
-def _norm_minimality_probe(prob, sol, e_total, tol, seed, samples: int = 24):
-    """Sampled near-minimizers with equal energy must not have smaller norm."""
+def _norm_minimality_probe(prob, sol, e_total, tol, seed):
+    """Sampled near-minimizers with equal energy must not have smaller norm
+    (24 samples)."""
     rng = np.random.default_rng(seed + 99)
     space = prob.target
     norm0 = map_norm(prob.p, sol, prob.base_point)
     violations = 0
     checked = 0
-    for _ in range(samples):
+    for _ in range(24):
         radius = float(rng.choice([tol, 100 * tol, 0.05]))
         vals = tuple(perturb(space, v, rng, radius) for v in sol.values)
         psi = EquivariantMap(prob.model, space, vals)
@@ -1180,34 +1172,21 @@ def lexicographic_minimize(
     minima: dict = {}
     reports = []
     for j, cls in enumerate(order):
-        if j == 0:
-            weights = {cls: 1.0}
+        big = 1.0e4
+        for _ in range(5):
+            weights = {c: big for c in order[:j]}
+            weights[cls] = 1.0
             rep = minimize_energy(
                 prob, phi_init=phi, tol=tol, max_sweeps=max_sweeps, seed=seed,
                 class_weights=weights,
             )
             reports.append(rep)
-            phi = rep.solution
+            if all(energy(prob, rep.solution, classes={c}) - minima[c] <= tol for c in order[:j]):
+                break
+            big *= 100.0
         else:
-            big = 1.0e4
-            for _ in range(5):
-                weights = {c: big for c in order[:j]}
-                weights[cls] = 1.0
-                rep = minimize_energy(
-                    prob, phi_init=phi, tol=tol, max_sweeps=max_sweeps, seed=seed,
-                    class_weights=weights,
-                )
-                reports.append(rep)
-                drift = max(
-                    energy(prob, rep.solution, classes={c}) - minima[c] for c in order[:j]
-                )
-                if drift <= tol:
-                    phi = rep.solution
-                    break
-                big *= 100.0
-            else:
-                raise SolverError("anchored energies keep drifting", best=rep.solution)
-            phi = rep.solution
+            raise SolverError("anchored energies keep drifting", best=rep.solution)
+        phi = rep.solution
         minima[cls] = energy(prob, phi, classes={cls})
     e_total = energy(prob, phi)
     return SolveReport(

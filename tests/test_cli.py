@@ -112,7 +112,7 @@ def test_solve_non_numeric_solver_setting_exit_2(tmp_path, capsys, field):
     assert f"solver.{field}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("tol", -1.0), ("tol", 0.0), ("max_sweeps", 0)])
+@pytest.mark.parametrize("field, value", [("tol", -1.0), ("tol", 0.0), ("tol", math.inf), ("max_sweeps", 0)])
 def test_solve_invalid_solver_setting_exit_2(tmp_path, capsys, field, value):
     # rejected at parse time, before any sweep runs (and before exit 3)
     path = write_config(tmp_path, solver={"method": "bcd", field: value})

@@ -750,7 +750,6 @@ def test_array_model_equals_object_model(name):
     assert m.n_terms == len(ref) == count
     k = m.arrays
     r = compile_terms(
-        len(prob.model.cells),
         prob.target.dim,
         [t.c1 for t in ref],
         [t.c2 for t in ref],

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from busemann import harmonic
 from busemann.commensurability import comm_energy_model, subgroup_harmonic
 from busemann.harmonic import (
     Edge,
@@ -30,6 +31,7 @@ from busemann.harmonic import (
     _solve_local,
     _solve_local_tree,
     _solve_local_tree_exact,
+    _term_plans,
 )
 from busemann.convexity import minimize_convex
 from busemann.mapspace import EquivariantMap, MeasureModel, map_distance, map_midpoint
@@ -486,7 +488,7 @@ def test_compiled_engine_bit_identical_when_cut_off():
     assert rep.extras["stop_reason"] == "max_sweeps"
 
 
-def plane_problem():
+def plane_problem(loop_class=1):
     e2 = Euclidean(2)
     # quarter turn about (1, 0) and the mirror in the line y = 0.25
     turn = EuclideanIsometry(((0.0, -1.0), (1.0, 0.0)), (1.0, -1.0))
@@ -496,9 +498,43 @@ def plane_problem():
         Edge("a", "b", 1.0, identity_isometry(e2)),
         Edge("b", "c", 1.0, turn),
         Edge("c", "a", 2.0, mirror),
-        Edge("b", "b", 0.5, turn),
+        Edge("b", "b", 0.5, turn, loop_class),
     )
     return EquivariantProblem(cells, e2, (0.0, 0.0), edges)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{}, {"anchor": (0.25, (0.5, -1.0))}, {"class_weights": {1: 1.0e4, 2: 1.0}}],
+)
+def test_compiled_plan_equals_scalar_plan_in_two_dimensions(monkeypatch, kwargs):
+    # every cell step holds the point terms and loops of the scalar plan, in
+    # its order; the anchor is the last point term, read from the fixed row n
+    prob = plane_problem(loop_class=2)
+    n = len(prob.model.cells)
+    built = []
+    cell_steps = harmonic._cell_steps
+    monkeypatch.setattr(harmonic, "_cell_steps", lambda *args: built.append(cell_steps(*args)) or built[-1])
+    minimize_energy(prob, max_sweeps=1, **kwargs)
+    (steps,) = built
+    terms = prob.terms
+    if "class_weights" in kwargs:
+        terms = [t._replace(weight=kwargs["class_weights"][t.cls] * t.weight) for t in terms]
+    points, loops = _term_plans(terms, n)
+    if "anchor" in kwargs:
+        lam, _ = kwargs["anchor"]
+        for ci, mu in enumerate(prob.model.weights):
+            points[ci].append((lam * mu, n, identity_isometry(prob.target)))
+    assert [step[0] for step in steps] == list(range(n))
+    for step, pts, lps in zip(steps, points, loops, strict=True):
+        _, src, matrix, shift, *_, loop_matrix, loop_shift, weight, k, _, _, _ = step
+        assert k == len(pts)
+        assert src.tolist() == [s for _, s, _ in pts]
+        assert weight.tolist() == [w for w, _, _ in pts] + [w for w, _ in lps]
+        transports = lambda ms, bs: [(tuple(map(tuple, m)), tuple(b)) for m, b in zip(ms.tolist(), bs.tolist())]
+        assert transports(matrix, shift) == [(t.matrix, t.shift) for _, _, t in pts]
+        assert (loop_matrix is None) == (not lps)
+        if lps:
+            assert transports(loop_matrix, loop_shift) == [(t.matrix, t.shift) for _, t in lps]
 
 
 def test_compiled_engine_matches_scalar_in_two_dimensions():
