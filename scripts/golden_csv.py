@@ -161,14 +161,9 @@ EXPLICIT = {
     "star-tree-consensus-6": star_tree_consensus,
     "lp23-translation-chain-4": lp_translation_chain,
 }
-# explicit problems solved by several methods: run directory -> (config builder, methods)
-EXPLICIT_METHODS = {
-    "plane-turn-mirror-3": (plane_turn_mirror, ("bcd", "norm-minimal", "lexicographic")),
-}
-RUNS = (
-    len(GENERATORS) * len(METHODS) + len(EXPLICIT)
-    + sum(len(methods) for _, methods in EXPLICIT_METHODS.values())
-)
+# the methods run on ``plane_turn_mirror``
+PLANE_METHODS = ("bcd", "norm-minimal", "lexicographic")
+RUNS = len(GENERATORS) * len(METHODS) + len(EXPLICIT) + len(PLANE_METHODS)
 
 
 def solve(out: Path, config: dict) -> None:
@@ -199,11 +194,10 @@ def run_all(root: Path, seed: int) -> None:
             })
     for name, config in EXPLICIT.items():
         solve(root / name / "bcd", config(seed))
-    for name, (config, methods) in EXPLICIT_METHODS.items():
-        for run in methods:
-            cfg = config(seed)
-            cfg["solver"].update(METHODS[run])
-            solve(root / name / run, cfg)
+    for run in PLANE_METHODS:
+        config = plane_turn_mirror(seed)
+        config["solver"].update(METHODS[run])
+        solve(root / "plane-turn-mirror-3" / run, config)
 
 
 def differences(expected: Path, actual: Path) -> list:

@@ -829,10 +829,9 @@ def clifford_check(space, T, tol: float = 1e-9, seed: int = 0) -> CliffordReport
 
     Nine samples are drawn at each of the scales 0.5, 2, 16, 128 and 1024,
     so that displacement growth of rotations/reflections far from their
-    fixed sets is visible.  When the
-    sampled displacement spread is within tol * (1 + c), the halfway map
-    x -> midpoint(x, Tx) is also sampled and checked to be a Clifford
-    isometry with displacement c / 2.
+    fixed sets is visible.  When the sampled displacement spread is within
+    tol * (1 + c), the halfway map x -> midpoint(x, Tx) is also sampled and
+    checked to be a Clifford isometry with displacement c / 2.
     """
     rng = np.random.default_rng(seed)
     pts = [space.sample(rng, s) for s in (0.5, 2.0, 16.0, 128.0, 1024.0) for _ in range(9)]

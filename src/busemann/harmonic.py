@@ -811,7 +811,8 @@ def _cell_steps(plan: KernelArrays, n_cells: int) -> list:
 
     A term with c1 != c2 is a point term of cell c1, moving phi(c2) by its
     transport, and of cell c2, moving phi(c1) by the inverse, computed as
-    :meth:`EuclideanIsometry.invert` computes it (M^T and -(M^T b)); a term
+    :meth:`EuclideanIsometry.invert` computes it (M^T and -(M^T b), the
+    shift stored plus 0.0 as :func:`compile_terms` stores shifts); a term
     with c1 = c2 is a loop of its cell, with the normal-equation pieces
     (w a^T) a and -(w a^T) b for a = M - I.  One stable sort by cell keeps
     each cell's terms in term order.  Cells from ``n_cells`` on are fixed
