@@ -814,52 +814,53 @@ def _cell_steps(plan: KernelArrays, n_cells: int) -> list:
     :meth:`EuclideanIsometry.invert` computes it (M^T and -(M^T b), the
     shift stored plus 0.0 as :func:`compile_terms` stores shifts); a term
     with c1 = c2 is a loop of its cell, with the normal-equation pieces
-    (w a^T) a and -(w a^T) b for a = M - I.  One stable sort by cell keeps
-    each cell's terms in term order.  Cells from ``n_cells`` on are fixed
-    rows: they are sources and get no step.
+    (w a^T) a and -(w a^T) b for a = M - I.  One stable sort by cell puts
+    each cell's entries in one run: its point terms, then its loops, each
+    in term order.  Cells from ``n_cells`` on are fixed rows: they are
+    sources and get no step.
     """
     c1, c2, weight, matrix, shift = plan.c1, plan.c2, plan.weight, plan.matrix, plan.shift
     n_terms, d = shift.shape
     eye = np.eye(d)
     inv_matrix = matrix.transpose(0, 2, 1)
-    # term t enters cell c1[t] as row t of these and cell c2[t] as row n_terms + t
+    # row t of these moves phi(c2[t]) into cell c1[t] (or is the loop t);
+    # row n_terms + t moves phi(c1[t]) into cell c2[t]
     all_matrix = np.concatenate((matrix, inv_matrix))
     all_shift = np.concatenate((shift, -(inv_matrix @ shift[:, :, None])[:, :, 0] + 0.0))
     all_src, all_cell = np.concatenate((c2, c1)), np.concatenate((c1, c2))
-    pts = np.flatnonzero(c1 != c2)
-    rows = np.stack((pts, pts + n_terms), axis=1).ravel()
+    is_loop = c1 == c2
+    pts = np.flatnonzero(~is_loop)
+    rows = np.concatenate((np.stack((pts, pts + n_terms), axis=1).ravel(), np.flatnonzero(is_loop)))
     rows = rows[np.argsort(all_cell[rows], kind="stable")]
-    p_src, p_matrix, p_shift = all_src[rows], all_matrix[rows], all_shift[rows]
-    p_weight = weight[rows % n_terms]
-    p_normal = p_weight[:, None, None] * eye
-    loops = np.flatnonzero(c1 == c2)
-    loops = loops[np.argsort(c1[loops], kind="stable")]
-    a = matrix[loops] - eye
-    wa_t = weight[loops, None, None] * a.transpose(0, 2, 1)
-    l_weight, l_matrix, l_shift = weight[loops], matrix[loops], shift[loops]
-    l_normal = wa_t @ a
-    l_rhs = -(wa_t @ shift[loops, :, None])[:, :, 0]
-    bounds = np.arange(n_cells + 1)
-    p_start = np.searchsorted(all_cell[rows], bounds).tolist()
-    l_start = np.searchsorted(c1[loops], bounds).tolist()
+    term = rows % n_terms
+    loop = is_loop[term]
+    e_src, e_matrix, e_shift, e_weight = all_src[rows], all_matrix[rows], all_shift[rows], weight[term]
+    e_normal = e_weight[:, None, None] * eye
+    e_rhs = np.zeros((len(rows), d))
+    loops = np.flatnonzero(loop)
+    a = e_matrix[loops] - eye
+    wa_t = e_weight[loops, None, None] * a.transpose(0, 2, 1)
+    e_normal[loops] = wa_t @ a
+    e_rhs[loops] = -(wa_t @ e_shift[loops, :, None])[:, :, 0]
+    # cell c runs from bounds[2c] to bounds[2c + 2], its loops from bounds[2c + 1]
+    bounds = np.searchsorted(2 * all_cell[rows] + loop, np.arange(2 * n_cells + 1)).tolist()
     steps = []
     for ci in range(n_cells):
-        p0, p1, l0, l1 = p_start[ci], p_start[ci + 1], l_start[ci], l_start[ci + 1]
-        if p0 == p1 and l0 == l1:
+        e0, l0, e1 = bounds[2 * ci : 2 * ci + 3]
+        if e0 == e1:
             continue
-        k = p1 - p0
-        w = p_weight[p0:p1]
+        k = l0 - e0
+        weight = e_weight[e0:e1]
         # the normal matrix and right-hand side are summed as
         # _solve_local_euclidean sums them: zero, point terms, loops
-        parts = (np.zeros((1, d, d)), p_normal[p0:p1], l_normal[l0:l1])
-        normal = np.cumsum(np.concatenate(parts), axis=0)[-1]
-        rhs = np.concatenate((np.zeros((1, d)), np.empty((k, d)), l_rhs[l0:l1]))
-        diff = np.empty((2, k + l1 - l0, d))
+        normal = np.cumsum(np.concatenate((np.zeros((1, d, d)), e_normal[e0:e1])), axis=0)[-1]
+        rhs = np.concatenate((np.zeros((1, d)), e_rhs[e0:e1]))
+        diff = np.empty((2, e1 - e0, d))
         steps.append((
-            ci, p_src[p0:p1], p_matrix[p0:p1], p_shift[p0:p1], w[:, None], rhs, rhs[1 : k + 1], normal,
-            float(normal[0, 0]) if d == 1 else None,
-            l_matrix[l0:l1] if l1 > l0 else None, l_shift[l0:l1],
-            np.concatenate((w, l_weight[l0:l1])), k, diff, diff[:, :k], diff[:, k:],
+            ci, e_src[e0:l0], e_matrix[e0:l0], e_shift[e0:l0], weight[:k, None], rhs, rhs[1 : k + 1],
+            normal, float(normal[0, 0]) if d == 1 else None,
+            e_matrix[l0:e1] if e1 > l0 else None, e_shift[l0:e1],
+            weight, k, diff, diff[:, :k], diff[:, k:],
         ))
     return steps
 
@@ -979,22 +980,26 @@ def minimize_energy(
         engine = "compiled"
         masks = prob.class_masks
         n, d = len(mu), space.dim
-        c1, c2, weight, matrix, shift = k.c1, k.c2, k.weight, k.matrix, k.shift
+        plan = k
         if scales is not None:
-            term_scale = np.full(len(c1), scales[0]) if masks is None else np.select(masks, scales)
+            term_scale = np.full(len(k.c1), scales[0]) if masks is None else np.select(masks, scales)
             kept = np.flatnonzero(term_scale != 0.0)
-            c1, c2, weight = c1[kept], c2[kept], term_scale[kept] * weight[kept]
-            matrix, shift = matrix[kept], shift[kept]
+            plan = KernelArrays(
+                k.c1[kept], k.c2[kept], term_scale[kept] * k.weight[kept], k.matrix[kept], k.shift[kept]
+            )
         fixed = ()
         if anchor is not None:
+            # one identity term per cell c toward x0, held in the fixed row n
             aw = np.array(anchor_weights)
             x0 = np.array(anchor[1], dtype=float)
-            c1, c2 = np.concatenate((c1, np.arange(n))), np.concatenate((c2, np.full(n, n)))
-            weight = np.concatenate((weight, aw))
-            matrix = np.concatenate((matrix, np.broadcast_to(np.eye(d), (n, d, d))))
-            shift = np.concatenate((shift, np.zeros((n, d))))
+            plan = KernelArrays(
+                np.concatenate((plan.c1, np.arange(n))),
+                np.concatenate((plan.c2, np.full(n, n))),
+                np.concatenate((plan.weight, aw)),
+                np.concatenate((plan.matrix, np.broadcast_to(np.eye(d), (n, d, d)))),
+                np.concatenate((plan.shift, np.zeros((n, d)))),
+            )
             fixed = (anchor[1],)
-        plan = compile_terms(d, c1, c2, weight, matrix, shift)
         mu_arr = np.array(mu)
         base = np.array(prob.base_point, dtype=float)
 
