@@ -809,41 +809,38 @@ def _cell_steps(plan: KernelArrays, n_cells: int) -> list:
     that have terms, built from the flat arrays in the order of the scalar
     plan (:func:`_term_plans`).
 
-    A term with c1 != c2 is a point term of cell c1, moving phi(c2) by its
-    transport, and of cell c2, moving phi(c1) by the inverse, computed as
+    Entry 2t puts term t into cell c1, by its transport or as a loop when
+    c1 = c2; entry 2t + 1 puts it into cell c2 by its inverse, computed as
     :meth:`EuclideanIsometry.invert` computes it (M^T and -(M^T b), the
-    shift stored plus 0.0 as :func:`compile_terms` stores shifts); a term
-    with c1 = c2 is a loop of its cell, with the normal-equation pieces
-    (w a^T) a and -(w a^T) b for a = M - I.  One stable sort by cell puts
-    each cell's entries in one run: its point terms, then its loops, each
-    in term order.  Cells from ``n_cells`` on are fixed rows: they are
-    sources and get no step.
+    shift stored plus 0.0 as :func:`compile_terms` stores shifts).  A loop's
+    second entry is keyed past the cells, as are the entries into the fixed
+    rows from ``n_cells`` on, which get no step.  One stable sort by (cell,
+    loop) puts each cell's entries in one run: its point terms, then its
+    loops, each in term order.  Loops carry the normal-equation pieces
+    (w a^T) a and -(w a^T) b for a = M - I.
     """
     c1, c2, weight, matrix, shift = plan.c1, plan.c2, plan.weight, plan.matrix, plan.shift
-    n_terms, d = shift.shape
+    d = shift.shape[1]
     eye = np.eye(d)
-    inv_matrix = matrix.transpose(0, 2, 1)
-    # row t of these moves phi(c2[t]) into cell c1[t] (or is the loop t);
-    # row n_terms + t moves phi(c1[t]) into cell c2[t]
-    all_matrix = np.concatenate((matrix, inv_matrix))
-    all_shift = np.concatenate((shift, -(inv_matrix @ shift[:, :, None])[:, :, 0] + 0.0))
-    all_src, all_cell = np.concatenate((c2, c1)), np.concatenate((c1, c2))
     is_loop = c1 == c2
-    pts = np.flatnonzero(~is_loop)
-    rows = np.concatenate((np.stack((pts, pts + n_terms), axis=1).ravel(), np.flatnonzero(is_loop)))
-    rows = rows[np.argsort(all_cell[rows], kind="stable")]
-    term = rows % n_terms
-    loop = is_loop[term]
-    e_src, e_matrix, e_shift, e_weight = all_src[rows], all_matrix[rows], all_shift[rows], weight[term]
+    key = np.stack((2 * c1 + is_loop, 2 * (c2 + n_cells * is_loop)), axis=1).ravel()
+    # cell c runs from bounds[2c] to bounds[2c + 2], its loops from bounds[2c + 1]
+    bounds = [0, *np.cumsum(np.bincount(key, minlength=2 * n_cells)[: 2 * n_cells]).tolist()]
+    term, back = np.divmod(np.argsort(key, kind="stable")[: bounds[-1]], 2)
+    back = np.flatnonzero(back)
+    inv_matrix = matrix.transpose(0, 2, 1)
+    e_src, e_weight, e_matrix, e_shift = c2[term], weight[term], matrix[term], shift[term]
+    inv = term[back]
+    e_src[back] = c1[inv]
+    e_matrix[back] = inv_matrix[inv]
+    e_shift[back] = (-(inv_matrix @ shift[:, :, None])[:, :, 0] + 0.0)[inv]
     e_normal = e_weight[:, None, None] * eye
-    e_rhs = np.zeros((len(rows), d))
-    loops = np.flatnonzero(loop)
+    e_rhs = np.zeros((len(term), d))
+    loops = np.flatnonzero(is_loop[term])
     a = e_matrix[loops] - eye
     wa_t = e_weight[loops, None, None] * a.transpose(0, 2, 1)
     e_normal[loops] = wa_t @ a
     e_rhs[loops] = -(wa_t @ e_shift[loops, :, None])[:, :, 0]
-    # cell c runs from bounds[2c] to bounds[2c + 2], its loops from bounds[2c + 1]
-    bounds = np.searchsorted(2 * all_cell[rows] + loop, np.arange(2 * n_cells + 1)).tolist()
     steps = []
     for ci in range(n_cells):
         e0, l0, e1 = bounds[2 * ci : 2 * ci + 3]
@@ -996,7 +993,7 @@ def minimize_energy(
                 np.concatenate((plan.c1, np.arange(n))),
                 np.concatenate((plan.c2, np.full(n, n))),
                 np.concatenate((plan.weight, aw)),
-                np.concatenate((plan.matrix, np.broadcast_to(np.eye(d), (n, d, d)))),
+                np.concatenate((plan.matrix, np.eye(d)[None].repeat(n, axis=0))),
                 np.concatenate((plan.shift, np.zeros((n, d)))),
             )
             fixed = (anchor[1],)
