@@ -35,7 +35,9 @@ Each run leaves
 ``wall_time_s`` entry, and ``exit_code`` (a run that stops with a solver
 error writes only the exit code).  ``--check`` reruns everything at the
 stored seed in a temporary directory and compares the files byte for byte:
-it prints one line per difference and exits 1 if there is any.
+it prints one line per difference and exits 1 if there is any.  A
+differing ``summary.json`` is listed with the keys that differ, as in
+``differs: dihedral-line/norm-minimal/summary.json (sweeps)``.
 """
 
 import argparse
@@ -206,11 +208,24 @@ def differences(expected: Path, actual: Path) -> list:
     diffs = [f"missing: {p}" for p in sorted(want - got)]
     diffs += [f"unexpected: {p}" for p in sorted(got - want)]
     diffs += [
-        f"differs: {p}"
+        f"differs: {p}{summary_keys(expected / p, actual / p)}"
         for p in sorted(want & got)
         if (expected / p).read_bytes() != (actual / p).read_bytes()
     ]
     return diffs
+
+
+def summary_keys(expected: Path, actual: Path) -> str:
+    """For two differing ``summary.json`` files, the keys whose values
+    differ, as " (key, ...)"; "" for other files."""
+    if expected.name != "summary.json":
+        return ""
+    want, got = (json.loads(p.read_text()) for p in (expected, actual))
+    keys = sorted(
+        k for k in want.keys() | got.keys()
+        if k not in want or k not in got or json.dumps(want[k]) != json.dumps(got[k])
+    )
+    return f" ({', '.join(keys)})" if keys else ""
 
 
 def main() -> int:

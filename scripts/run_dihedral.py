@@ -1,8 +1,10 @@
 """Solve the dihedral line model end to end and print the energy trace.
 
-    python scripts/run_dihedral.py [--cells N] [--out DIR]
+    PYTHONPATH=src python scripts/run_dihedral.py [--cells N] [--tol TOL]
 
-The same run is reproducible through the CLI with an equivalent config.
+``--tol`` is the tolerance of the edge-energy solve; the kernel solve runs
+at 1e-9.  The same run is reproducible through the CLI with an equivalent
+config.
 """
 
 import argparse

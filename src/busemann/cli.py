@@ -404,18 +404,16 @@ def _fmt(x: float) -> str:
 
 
 def _point_columns(space, value):
+    """The solution.csv columns of a point of a target kind that the CLI
+    builds (:func:`parse_space`)."""
     if isinstance(space, (Euclidean, LpVector)):
         return [_fmt(c) for c in value]
     if isinstance(space, MetricTree):
         if value.vertex is not None:
             return [f"vertex:{value.vertex}"]
         return [f"edge:{value.edge}:{_fmt(value.offset)}"]
-    if isinstance(space, Product):
-        cols = []
-        for f, part in zip(space.factors, value):
-            cols.extend(_point_columns(f, part))
-        return cols
-    return [repr(value)]
+    # a Product, the last of them
+    return [c for f, part in zip(space.factors, value) for c in _point_columns(f, part)]
 
 
 # the kernel model and the restart verdict of a commensurability solve

@@ -23,7 +23,11 @@ arrays, multiplied and de-duplicated as the
 carries the compiled :class:`~busemann.harmonic.KernelArrays` from the start;
 its :class:`~busemann.harmonic.Term` tuple is built only when :func:`energy`
 or the scalar engine reads it.  Other targets build the terms from isometry
-objects and run on the scalar engine.  Uniqueness is probed by restart
+objects and run on the scalar engine.  :func:`subgroup_harmonic` solves
+the kernel energy from several restarts, each a run of
+:func:`~busemann.harmonic.minimize_energy` calls (after the anchored stages
+of :func:`~busemann.harmonic._penalty_homotopy` when norm-minimal), and
+returns the winning restart's report.  Uniqueness is probed by restart
 agreement and is expected exactly when no sampled point pair is parallel
 under every generator.
 """
@@ -31,7 +35,7 @@ under every generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -39,13 +43,14 @@ import numpy as np
 
 from busemann.convexity import parallel_check_batch
 from busemann.harmonic import (
+    PENALTY_SCHEDULE,
     EquivariantProblem,
     Edge,
     SolveReport,
     Term,
     TermEnergy,
-    LOCAL_PATHS,
-    _stop_reason,
+    _penalty_homotopy,
+    _total_solves,
     compile_terms,
     energy,
     minimize_energy,
@@ -481,19 +486,6 @@ def commensurability_energy(m: CommEnergyModel, phi: EquivariantMap) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _comm_sweeps(m, values, tol, max_sweeps, anchor=None):
-    """Gauss-Seidel sweeps of :func:`minimize_energy` on the kernel energy
-    from ``values``, with its optional ``anchor`` (lam, x0).  Returns
-    (values, objective, sweeps, converged, trace, local_solves)."""
-    rep = minimize_energy(
-        m, EquivariantMap(m.model, m.target, tuple(values)), tol, max_sweeps, anchor=anchor
-    )
-    return (
-        list(rep.solution.values), rep.extras["objective"], rep.iterations, rep.converged,
-        rep.trace, rep.extras["local_solves"],
-    )
-
-
 def subgroup_harmonic(
     m: CommEnergyModel,
     tol: float = 1e-9,
@@ -514,62 +506,57 @@ def subgroup_harmonic(
     None.  ``extras`` also records the model's ``kernel_terms``,
     ``word_radius`` and ``truncation_residual``.
 
-    ``norm_minimal`` selects among flat families by the vanishing-penalty
-    homotopy toward the base point.
+    ``norm_minimal`` selects among flat families: each restart runs the
+    first 20 stages of :data:`~busemann.harmonic.PENALTY_SCHEDULE` at
+    ``tol`` (:func:`~busemann.harmonic._penalty_homotopy`, seed 0) before
+    its free solve.  The result is the report of the first restart of least
+    objective, with ``iterations`` and ``local_solves`` summed over its
+    stages and free solve.
     """
     if restarts < 1:
         raise DomainError("subgroup_harmonic needs at least one restart")
     space = m.target
     rng = np.random.default_rng(seed)
 
-    def solve_from(values):
-        # the anchored homotopy stages, then the free solve; the local
-        # solves of all of them are counted
-        anchors = [(2.0 ** (-n), m.base_point) for n in range(1, 21)] if norm_minimal else []
-        solves = dict.fromkeys(LOCAL_PATHS, 0)
-        for anchor in anchors + [None]:
-            values, obj, sweeps, conv, trace, counts = _comm_sweeps(m, values, tol, max_sweeps, anchor)
-            for path, n in counts.items():
-                solves[path] += n
-        return values, obj, sweeps, conv, trace, solves
+    def solve_from(values) -> SolveReport:
+        # the anchored homotopy stages, then the free solve, all counted
+        phi = EquivariantMap(m.model, space, tuple(values))
+        solves = _penalty_homotopy(m, phi, PENALTY_SCHEDULE[:20], tol, max_sweeps) if norm_minimal else []
+        solves.append(minimize_energy(m, solves[-1].solution if solves else phi, tol, max_sweeps))
+        free = solves[-1]
+        return replace(
+            free,
+            iterations=sum(r.iterations for r in solves),
+            extras={**free.extras, "local_solves": _total_solves(solves)},
+        )
 
-    results = []
-    for k in range(restarts):
-        if k == 0:
-            init = [m.base_point] * len(m.model.cells)
-        else:
-            init = [space.sample(rng, 1.0) for _ in m.model.cells]
-        results.append(solve_from(init))
-    vals, obj, sweeps, conv, trace, solves = min(results, key=lambda r: r[1])
+    starts = [[m.base_point] * len(m.model.cells)]
+    starts += [[space.sample(rng, 1.0) for _ in m.model.cells] for _ in range(restarts - 1)]
+    results = [solve_from(init) for init in starts]
+    win = min(results, key=lambda r: r.extras["objective"])
     gap = None  # one restart: nothing to compare
     if len(results) > 1:
+        first = results[0].solution.values
         gap = max(
-            space.distance(a, b) for other in results[1:] for a, b in zip(results[0][0], other[0])
+            space.distance(a, b) for other in results[1:] for a, b in zip(first, other.solution.values)
         )
     parallel = parallel_orbits_check(space, m.generators, seed=seed)
     unique = None if gap is None else gap <= 10.0 * tol
     if unique is False and parallel is False:
         raise SolverError(
-            "restarts disagree although no parallel orbits were found", best=vals
+            "restarts disagree although no parallel orbits were found", best=list(win.solution.values)
         )
-    phi = EquivariantMap(m.model, space, tuple(vals))
-    energy_total = trace[-1].energy_total  # the winning restart's final energy
-    return SolveReport(
-        solution=phi,
-        energy_total=energy_total,
-        energy_per_class={1: energy_total},
-        norm=map_norm(2.0, phi, m.base_point),
-        iterations=sweeps,
-        trace=trace,
-        converged=conv,
+    return replace(
+        win,
+        norm=map_norm(2.0, win.solution, m.base_point),
         extras={
             "restart_gap": gap,
             "unique": unique,
             "parallel_orbits": parallel,
             "norm_minimal": norm_minimal,
-            "engine": "compiled" if m.arrays is not None else "scalar",
-            "stop_reason": _stop_reason(conv),
-            "local_solves": solves,
+            "engine": win.extras["engine"],
+            "stop_reason": win.extras["stop_reason"],
+            "local_solves": win.extras["local_solves"],
             "kernel_terms": m.n_terms,
             "word_radius": m.word_radius,
             "truncation_residual": m.truncation_residual,

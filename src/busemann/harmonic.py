@@ -36,11 +36,15 @@ order, so both engines give the same numbers, bit for bit in one dimension
 and to rounding in more.  Trees, l_p and product targets and p != 2 use the
 scalar engine.
 
-Besides the plain minimizer this module provides the norm-minimal selection
-(vanishing-penalty homotopy toward the base point), lexicographic
-minimization across edge classes, and report-style checks of the structure
-shared by all minimizers (midpoints of minimizers minimize; transported
-edge segments of two minimizers are parallel).
+Besides the plain minimizer this module provides the norm-minimal selection,
+lexicographic minimization across edge classes, and report-style checks of
+the structure shared by all minimizers (midpoints of minimizers minimize;
+transported edge segments of two minimizers are parallel).  The
+vanishing-penalty homotopy toward the base point is one function,
+:func:`_penalty_homotopy`, which runs the norm-minimal selection here and
+in :func:`busemann.commensurability.subgroup_harmonic`.  The staged solvers
+report through :func:`_staged_report`: every report's ``iterations`` counts
+all the sweeps that its solve ran.
 
 Exponents p != 2 are accepted throughout and handled by the generic local
 search; treat those paths as experimental (the convexity of the energy
@@ -305,8 +309,6 @@ def _solve_local(space, p, point_terms, loop_terms, current, tol: float, seed: i
     ``counts``, when given, is a dict keyed by :data:`LOCAL_PATHS`; the path
     that produced the result is incremented.
     """
-    if not point_terms and not loop_terms:
-        return current
     path = z = None
     if isinstance(space, Euclidean) and p == 2.0:
         path, z = "linear", _solve_local_euclidean(space, point_terms, loop_terms, current)
@@ -631,6 +633,9 @@ class TraceRow:
 
 @dataclass
 class SolveReport:
+    """The result of a solve.  ``iterations`` counts every sweep that the
+    solve ran, over all its stage solves (:func:`_staged_report`)."""
+
     solution: EquivariantMap
     energy_total: float
     energy_per_class: dict
@@ -639,10 +644,6 @@ class SolveReport:
     trace: tuple
     converged: bool
     extras: dict = field(default_factory=dict)
-
-
-def _stop_reason(converged: bool) -> str:
-    return "converged" if converged else "max_sweeps"
 
 
 def _total_solves(reports) -> dict:
@@ -1060,8 +1061,48 @@ def minimize_energy(
         extras={
             "objective": obj,
             "engine": engine,
-            "stop_reason": _stop_reason(converged),
+            "stop_reason": "converged" if converged else "max_sweeps",
             "local_solves": counts,
+        },
+    )
+
+
+# The penalty weights of the vanishing-penalty homotopy: 2^-1, ..., 2^-40
+PENALTY_SCHEDULE = tuple(2.0 ** (-n) for n in range(1, 41))
+
+
+def _penalty_homotopy(prob: TermEnergy, phi, lams, tol: float, max_sweeps: int, seed: int = 0) -> list:
+    """The stage reports of the vanishing-penalty homotopy: for each lam of
+    ``lams``, minimize E + lam * rho(., x0)^p (x0 the base point) from the
+    previous stage's solution, the first stage from ``phi``."""
+    reports = []
+    for lam in lams:
+        reports.append(minimize_energy(
+            prob, phi_init=phi, tol=tol, max_sweeps=max_sweeps, seed=seed, anchor=(lam, prob.base_point)
+        ))
+        phi = reports[-1].solution
+    return reports
+
+
+def _staged_report(prob: EquivariantProblem, sol, e_total: float, reports, **extras) -> SolveReport:
+    """The report of the stage solves ``reports`` returning ``sol`` (energy
+    ``e_total``): energies and norm of ``sol``; trace, convergence, engine
+    and stop reason of the last stage; sweeps and local solves summed over
+    all stages; and ``extras``."""
+    last = reports[-1]
+    return SolveReport(
+        solution=sol,
+        energy_total=e_total,
+        energy_per_class=energy_by_class(prob, sol),
+        norm=map_norm(prob.p, sol, prob.base_point),
+        iterations=sum(r.iterations for r in reports),
+        trace=last.trace,
+        converged=last.converged,
+        extras={
+            **extras,
+            "engine": last.extras["engine"],
+            "stop_reason": last.extras["stop_reason"],
+            "local_solves": _total_solves(reports),
         },
     )
 
@@ -1075,37 +1116,25 @@ def norm_minimal_minimizer(
 ) -> SolveReport:
     """Near-minimizer of the energy with (approximately) minimal norm.
 
-    Runs the vanishing-penalty homotopy: minimize E(phi) + lam * rho(phi,
-    x0)^p for a decreasing schedule of lam (default 2^-n, n = 1..40), warm
-    starting each stage at the previous solution.  The returned report's
-    extras carry the stage gaps rho(phi_k, phi_{k-1}); the homotopy must be
-    Cauchy (final gap below tol), otherwise a :class:`SolverError` signals
-    flat directions that the penalty could not resolve.
+    Runs the vanishing-penalty homotopy (:func:`_penalty_homotopy`) over a
+    decreasing schedule of lam (default :data:`PENALTY_SCHEDULE`, 2^-n for
+    n = 1..40), then one free solve, all at tol * 1e-2; ``iterations``
+    counts the sweeps of all of them.  The extras carry the stage gaps
+    rho(phi_k, phi_{k-1}); the homotopy must be Cauchy (final gap below
+    tol), otherwise a :class:`SolverError` signals flat directions that the
+    penalty could not resolve.
     """
-    lams = tuple(schedule) if schedule is not None else tuple(2.0 ** (-n) for n in range(1, 41))
+    lams = PENALTY_SCHEDULE if schedule is None else tuple(schedule)
     if not lams:
         raise DomainError("empty schedule")
     inner_tol = tol * 1e-2  # keep stage noise below the Cauchy resolution
-    phi = prob.initial_map()
-    gaps = []
-    stage_reports = []
-    reports = []
-    for lam in lams:
-        rep = minimize_energy(
-            prob,
-            phi_init=phi,
-            tol=inner_tol,
-            max_sweeps=max_sweeps,
-            seed=seed,
-            anchor=(lam, prob.base_point),
-        )
-        gaps.append(map_distance(prob.p, rep.solution, phi))
-        phi = rep.solution
-        stage_reports.append((lam, rep.energy_total, rep.norm))
-        reports.append(rep)
-    # ignore the first gap: it measures the distance from the initial guess
-    tail = gaps[1:] if len(gaps) > 1 else gaps
-    if tail and tail[-1] >= tol:
+    path = [prob.initial_map()]
+    stages = _penalty_homotopy(prob, path[0], lams, inner_tol, max_sweeps, seed)
+    path += [r.solution for r in stages]
+    gaps = [map_distance(prob.p, new, old) for old, new in zip(path, path[1:])]
+    phi = path[-1]
+    # Cauchy: the last stage moved less than tol
+    if gaps[-1] >= tol:
         raise SolverError(
             "penalty homotopy is not Cauchy; energy has unresolved flat directions",
             best=phi,
@@ -1115,24 +1144,12 @@ def norm_minimal_minimizer(
     # direction (it cannot improve the energy by more than tol)
     sol = final.solution if map_distance(prob.p, final.solution, phi) < 10.0 * tol else phi
     e_total = energy(prob, sol)
-    rep = SolveReport(
-        solution=sol,
-        energy_total=e_total,
-        energy_per_class=energy_by_class(prob, sol),
-        norm=map_norm(prob.p, sol, prob.base_point),
-        iterations=len(lams),
-        trace=final.trace,
-        converged=final.converged,
-        extras={
-            "stage_gaps": tuple(gaps),
-            "stages": tuple(stage_reports),
-            "norm_check": _norm_minimality_probe(prob, sol, e_total, tol, seed),
-            "engine": final.extras["engine"],
-            "stop_reason": final.extras["stop_reason"],
-            "local_solves": _total_solves(reports + [final]),
-        },
+    return _staged_report(
+        prob, sol, e_total, [*stages, final],
+        stage_gaps=tuple(gaps),
+        stages=tuple((lam, rep.energy_total, rep.norm) for lam, rep in zip(lams, stages)),
+        norm_check=_norm_minimality_probe(prob, sol, e_total, tol, seed),
     )
-    return rep
 
 
 def _norm_minimality_probe(prob, sol, e_total, tol, seed):
@@ -1165,8 +1182,10 @@ def lexicographic_minimize(
 
     Stage j minimizes the class-j energy while anchoring every earlier class
     at its stage minimum: earlier energies enter the stage objective with a
-    large weight, escalated until their drift from the recorded minima is
-    within tol.
+    large weight (1e4, then times 100 up to four times), escalated until
+    their drift from the recorded minima is within tol.  The report
+    (:func:`_staged_report`) counts the sweeps of every stage solve,
+    escalations included.
     """
     order = list(class_order)
     if not order or any(c not in prob.classes for c in order):
@@ -1191,22 +1210,7 @@ def lexicographic_minimize(
             raise SolverError("anchored energies keep drifting", best=rep.solution)
         phi = rep.solution
         minima[cls] = energy(prob, phi, classes={cls})
-    e_total = energy(prob, phi)
-    return SolveReport(
-        solution=phi,
-        energy_total=e_total,
-        energy_per_class=energy_by_class(prob, phi),
-        norm=map_norm(prob.p, phi, prob.base_point),
-        iterations=len(order),
-        trace=rep.trace,
-        converged=rep.converged,
-        extras={
-            "stage_minima": dict(minima),
-            "engine": rep.extras["engine"],
-            "stop_reason": rep.extras["stop_reason"],
-            "local_solves": _total_solves(reports),
-        },
-    )
+    return _staged_report(prob, phi, energy(prob, phi), reports, stage_minima=dict(minima))
 
 
 # ---------------------------------------------------------------------------

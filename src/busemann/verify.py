@@ -9,6 +9,7 @@ the pinned budgets.
 from __future__ import annotations
 
 import copy
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -204,7 +205,9 @@ def _quadruple_block(space, size: int, rng):
     )
 
 
-def suite_parallelogram(samples: int = 10_000, tol: float = 1e-9, seed: int = 0):
+def suite_parallelogram(samples: int = 2000, seed: int = 0):
+    """[a, b] parallel to [x, y] exactly when [a, x] is parallel to [b, y],
+    on ``samples`` quadruples per space at tol 1e-9."""
     out = []
     for name, space in _space_roster():
         rng = np.random.default_rng(seed)
@@ -213,8 +216,8 @@ def suite_parallelogram(samples: int = 10_000, tol: float = 1e-9, seed: int = 0)
             a, b, x, y = _quadruple_block(space, min(BLOCK, samples - start), rng)
             bad += int(
                 np.count_nonzero(
-                    parallel_check_batch(space, a, b, x, y, tol)
-                    != parallel_check_batch(space, a, x, b, y, tol)
+                    parallel_check_batch(space, a, b, x, y, 1e-9)
+                    != parallel_check_batch(space, a, x, b, y, 1e-9)
                 )
             )
         out.append(
@@ -230,7 +233,7 @@ def suite_parallelogram(samples: int = 10_000, tol: float = 1e-9, seed: int = 0)
 # ---------------------------------------------------------------------------
 
 
-def suite_modulus(budget: int = 10_000, seed: int = 0):
+def suite_modulus(budget: int = 4000, seed: int = 0):
     out = []
     eps_grid = (0.25, 0.5, 1.0, 1.5)
     for d in (2, 5):
@@ -309,12 +312,13 @@ def _triple_blocks(target, n, samples, rng):
         yield tuple((edge[:, m], offset[:, m]) for m in range(3))
 
 
-def suite_uc_witness(samples: int = 100_000, seed: int = 0, ps=(1.5, 2.0, 3.0)):
+def suite_uc_witness(samples: int = 2000, seed: int = 0):
+    """The L^p uniform-convexity witness on ``samples`` triples per target, at p = 1.5, 2 and 3."""
     out = []
     weights = (0.5, 0.3, 0.2)
     for tname, target in _uc_targets():
         delta = linear_modulus_bound(target)
-        for p in ps:
+        for p in (1.5, 2.0, 3.0):
             rng = np.random.default_rng(seed)
             violations = 0
             min_slack = math.inf
@@ -359,11 +363,12 @@ def _oracle_roster():
     ]
 
 
-def suite_solver_oracle(seed: int = 0, tol: float = 1e-10):
+def suite_solver_oracle(seed: int = 0):
+    """Solver energies against the grid oracle, each solve at tol 1e-10 within 3000 sweeps."""
     out = []
     for name, gm, span, coarse in _oracle_roster():
         prob = gm.problem
-        rep = minimize_energy(prob, gm.init, tol=tol, max_sweeps=3000, seed=seed)
+        rep = minimize_energy(prob, gm.init, tol=1e-10, max_sweeps=3000, seed=seed)
         if span is not None:
             _, e_grid, bound = grid_minimum_energy(prob, span=span, coarse=coarse, refine_rounds=4)
         else:
@@ -395,7 +400,9 @@ def suite_solver_oracle(seed: int = 0, tol: float = 1e-10):
 # ---------------------------------------------------------------------------
 
 
-def suite_commensurability(seed: int = 0, tol: float = 1e-8):
+def suite_commensurability(seed: int = 0):
+    """Kernel-energy uniqueness, conjugation and covers, each solve at tol 1e-8."""
+    tol = 1e-8
     out = []
     base = dihedral_line_model(3).problem
     m = comm_energy_model(base)
@@ -470,10 +477,11 @@ def suite_commensurability(seed: int = 0, tol: float = 1e-8):
 # ---------------------------------------------------------------------------
 
 
-def suite_mazur(samples: int = 100_000, seed: int = 0, pairs=((2.0, 4.0), (3.0, 1.5))):
+def suite_mazur(samples: int = 5000, seed: int = 0):
+    """The Mazur map on ``samples`` 8-cell fields for (p, q) = (2, 4) and (3, 1.5)."""
     out = []
     cells = 8
-    for p, q in pairs:
+    for p, q in ((2.0, 4.0), (3.0, 1.5)):
         rng = np.random.default_rng(seed)
         worst_rt = 0.0
         worst_sphere = 0.0
@@ -537,7 +545,9 @@ def _field_norm(values: np.ndarray, p: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def suite_clifford(count: int = 100, seed: int = 0, tol: float = 1e-9):
+def suite_clifford(count: int = 25, seed: int = 0):
+    """``count`` translations and ``count`` rotations or reflections per
+    dimension, each checked at tol 1e-9."""
     out = []
     rng = np.random.default_rng(seed)
     for dim in (2, 3):
@@ -548,7 +558,7 @@ def suite_clifford(count: int = 100, seed: int = 0, tol: float = 1e-9):
             v = rng.normal(0.0, 1.0, dim)
             v = v / np.linalg.norm(v) * rng.uniform(0.1, 10.0)
             t = translation(space, tuple(float(c) for c in v))
-            rep = clifford_check(space, t, tol=tol, seed=int(rng.integers(1 << 30)))
+            rep = clifford_check(space, t, tol=1e-9, seed=int(rng.integers(1 << 30)))
             if not (rep.is_clifford and rep.halfway_is_clifford):
                 errors += 1
                 continue
@@ -568,7 +578,7 @@ def suite_clifford(count: int = 100, seed: int = 0, tol: float = 1e-9):
                     )
             shift = tuple(float(c) for c in rng.normal(0.0, 2.0, dim))
             iso = EuclideanIsometry(tuple(map(tuple, mat)), shift)
-            rep = clifford_check(space, iso, tol=tol, seed=int(rng.integers(1 << 30)))
+            rep = clifford_check(space, iso, tol=1e-9, seed=int(rng.integers(1 << 30)))
             if rep.is_clifford:
                 errors += 1
         out.append(
@@ -587,7 +597,7 @@ def suite_clifford(count: int = 100, seed: int = 0, tol: float = 1e-9):
 # ---------------------------------------------------------------------------
 
 
-def suite_circumcenter(euclid_instances: int = 200, tree_instances: int = 100, seed: int = 0):
+def suite_circumcenter(euclid_instances: int = 50, tree_instances: int = 25, seed: int = 0):
     rng = np.random.default_rng(seed)
     space = Euclidean(2)
     worst = 0.0
@@ -624,7 +634,9 @@ SUITES = {
 
 
 def run_suite(name: str, budgets: Optional[dict] = None):
-    """Run one suite (or 'all') with optional budget overrides."""
+    """Run one suite (or 'all').  Each entry of ``budgets`` (a budget or the
+    seed) is passed to the suites whose signature names it; the others run
+    at their signature defaults, the CLI defaults."""
     budgets = dict(budgets or {})
     if name == "all":
         out = []
@@ -634,20 +646,5 @@ def run_suite(name: str, budgets: Optional[dict] = None):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES) + ['all']}")
     fn = SUITES[name]
-    kwargs = {}
-    if name == "parallelogram":
-        kwargs["samples"] = int(budgets.get("samples", 2000))
-    elif name == "modulus":
-        kwargs["budget"] = int(budgets.get("budget", 4000))
-    elif name == "uc-witness":
-        kwargs["samples"] = int(budgets.get("samples", 2000))
-    elif name == "mazur":
-        kwargs["samples"] = int(budgets.get("samples", 5000))
-    elif name == "clifford":
-        kwargs["count"] = int(budgets.get("count", 25))
-    elif name == "circumcenter":
-        kwargs["euclid_instances"] = int(budgets.get("euclid_instances", 50))
-        kwargs["tree_instances"] = int(budgets.get("tree_instances", 25))
-    if "seed" in budgets:
-        kwargs["seed"] = int(budgets["seed"])
-    return fn(**kwargs)
+    params = inspect.signature(fn).parameters
+    return fn(**{k: v for k, v in budgets.items() if k in params})

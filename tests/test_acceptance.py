@@ -116,7 +116,7 @@ def test_criterion_02_uc_witness_certification():
 
 
 def test_criterion_03_parallelogram():
-    results = suite_parallelogram(samples=10_000, tol=1e-9)
+    results = suite_parallelogram(samples=10_000)
     ok = all(r.passed for r in results)
     assert _line(
         "criterion-3 (parallelogram equivalence, 1e4 quadruples per space)",

@@ -7,7 +7,6 @@ from busemann.commensurability import (
     CommEnergyModel,
     CoverSpec,
     _ball,
-    _comm_sweeps,
     _Stack,
     _orbit_pairs,
     build_cover,
@@ -546,9 +545,21 @@ def scalar_copy(m):
     return copy
 
 
+def kernel_sweeps(m, values, tol, max_sweeps, anchor=None):
+    """The sweeps of minimize_energy on a kernel model from ``values``, as
+    (values, objective, sweeps, converged, trace, local_solves)."""
+    rep = minimize_energy(
+        m, EquivariantMap(m.model, m.target, tuple(values)), tol, max_sweeps, anchor=anchor
+    )
+    return (
+        list(rep.solution.values), rep.extras["objective"], rep.iterations, rep.converged,
+        rep.trace, rep.extras["local_solves"],
+    )
+
+
 def both_sweeps(m, start, anchor=None):
     """The kernel sweeps from ``start`` on the compiled and on the scalar engine."""
-    return [_comm_sweeps(model, start, 1e-9, 500, anchor) for model in (m, scalar_copy(m))]
+    return [kernel_sweeps(model, start, 1e-9, 500, anchor) for model in (m, scalar_copy(m))]
 
 
 def random_start(m, seed):
@@ -644,9 +655,9 @@ def test_sweeps_fail_fast_on_non_finite_start(engine):
     m = engine(comm_energy_model(base_problem()))
     start = [(0.0,), (math.nan,), (0.0,)]
     with pytest.raises(SolverError, match="non-finite objective nan at sweep 0"):
-        _comm_sweeps(m, start, 1e-9, 500)
+        kernel_sweeps(m, start, 1e-9, 500)
     with pytest.raises(SolverError, match="non-finite"):
-        _comm_sweeps(m, [(math.inf,)] * 3, 1e-9, 500)
+        kernel_sweeps(m, [(math.inf,)] * 3, 1e-9, 500)
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,24 @@ def test_lexicographic_product_two_class_vs_factor_solves():
     assert y == pytest.approx((1.0,), abs=1e-7)
 
 
+def test_lexicographic_escalates_drifting_class_weight(monkeypatch):
+    # class 1 wants a = b, class 2 wants b = a + 1: at weight 1e4 the class-1
+    # energy drifts to about 5e-9 > tol, so the stage escalates to 1e6
+    prob = EquivariantProblem(M2, E1, (0.0,), (Edge("a", "b", 1.0, IDENT, 1), Edge("a", "b", 1.0, T1, 2)))
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["class_weights"])
+        return minimize_energy(*args, **kwargs)
+
+    monkeypatch.setattr(harmonic, "minimize_energy", spy)
+    tol = 1e-9
+    rep = lexicographic_minimize(prob, [1, 2], tol=tol)
+    assert seen == [{1: 1.0}, {1: 1e4, 2: 1.0}, {1: 1e6, 2: 1.0}]
+    assert rep.energy_per_class[1] <= tol
+    assert rep.extras["stage_minima"][1] <= tol
+
+
 def test_lexicographic_unknown_class_rejected():
     gm = dihedral_line_model(3)
     with pytest.raises(DomainError):
@@ -652,15 +670,25 @@ def test_local_solve_counters_deterministic_and_by_path():
         assert set(counts) == set(LOCAL_PATHS)
         assert counts[path] == len(prob.model.cells) * r1.iterations
         assert counts["pattern"] == counts["golden"] == 0
-    # the compiled engine counts its linear solves; commensurability reports
-    # carry the winning restart's counter
+    # the compiled engine makes one linear solve per cell and sweep, and
+    # every report counts every sweep it ran: all stages of the staged
+    # solvers, the winning restart's stages and free solve of commensurability
     gm = dihedral_line_model(3)
-    rep = minimize_energy(gm.problem, gm.init)
-    assert rep.extras["engine"] == "compiled"
-    assert rep.extras["local_solves"]["linear"] == 3 * rep.iterations
-    comm = subgroup_harmonic(comm_energy_model(gm.problem))
-    assert comm.extras["local_solves"]["linear"] == 3 * comm.iterations
-    assert norm_minimal_minimizer(gm.problem).extras["local_solves"]["linear"] > 0
+    m = comm_energy_model(gm.problem)
+    reports = {
+        "bcd": minimize_energy(gm.problem, gm.init),
+        "norm-minimal": norm_minimal_minimizer(gm.problem),
+        "lexicographic": lexicographic_minimize(gm.problem, gm.problem.classes),
+        "commensurability": subgroup_harmonic(m),
+        "commensurability-norm-minimal": subgroup_harmonic(m, norm_minimal=True),
+    }
+    for name, rep in reports.items():
+        assert rep.extras["engine"] == "compiled", name
+        assert rep.extras["local_solves"]["linear"] == 3 * rep.iterations, name
+    # at least one sweep in each of 40 stages and the free solve; in each of
+    # 20 stages and the free solve
+    assert reports["norm-minimal"].iterations >= 41
+    assert reports["commensurability-norm-minimal"].iterations >= 21
 
 
 def random_tree_terms(rng):
