@@ -8,7 +8,7 @@ parameters under every solver method (``bcd``, ``norm-minimal``,
 ``lexicographic``, ``commensurability``, and ``commensurability`` with
 ``norm_minimal`` as ``commensurability-norm-minimal``) at a fixed seed
 (``--seed``, default 7, stored in ``DIR/seed``).  Beside them ``bcd`` runs
-three explicit problems (``DIR/<name>/bcd/``):
+four explicit problems (``DIR/<name>/bcd/``):
 
 - ``consensus-chain-20``: 20 cells with identity twists both ways, started
   from the ramp i + noise(seed), ``max_sweeps`` 5000, the slow-mixing case
@@ -17,7 +17,12 @@ three explicit problems (``DIR/<name>/bcd/``):
   unit tripod, cell i starting on leaf edge i mod 3 at a seeded offset (the
   exact tree step);
 - ``lp23-translation-chain-4``: 4 cells in l_p(2, 3), a chain closed by a
-  seeded translation, from a seeded start (the Newton step).
+  seeded translation, from a seeded start (the Newton step);
+- ``hub-reflection-leaves-32``: a hub cell on the line joined both ways to
+  32 leaf cells, back to the hub by the identity and out to a leaf by the
+  identity (even leaves) or a seeded point reflection (odd leaves), with a
+  point-reflection self-loop on the hub, from a seeded start.  The hub has 65 term entries and each leaf 2, so one solve steps
+  on both compiled kernels (``harmonic.FLOAT_STEP_MAX`` is 48).
 
 and ``bcd``, ``norm-minimal`` and ``lexicographic`` run one explicit problem
 in the plane (``DIR/<name>/<method>/``), the one case of the compiled engine
@@ -133,6 +138,30 @@ def lp_translation_chain(seed: int, cells: int = 4) -> dict:
     }
 
 
+def hub_reflection_leaves(seed: int, leaves: int = 32) -> dict:
+    """Config of the explicit hub-and-leaves problem run by ``bcd``."""
+    rng = np.random.default_rng([seed, 4])
+    reflect = lambda: {"kind": "point-reflection", "center": [float(rng.uniform(-1.0, 1.0))]}
+    edges = [{"src": "hub", "dst": "hub", "weight": 0.5, "twist": reflect()}]
+    for i in range(leaves):
+        edges += [
+            {"src": "hub", "dst": f"l{i}", "weight": 1.0, "twist": IDENTITY if i % 2 == 0 else reflect()},
+            {"src": f"l{i}", "dst": "hub", "weight": 0.5, "twist": IDENTITY},
+        ]
+    return {
+        "schema": 1,
+        "seed": seed,
+        "space": {"kind": "euclidean", "dim": 1},
+        "problem": {
+            "cells": [{"id": "hub", "weight": 0.5}] + [{"id": f"l{i}", "weight": 0.5 / leaves} for i in range(leaves)],
+            "edges": edges,
+            "base_point": [0.0],
+            "init": [[float(rng.uniform(-2.0, 2.0))] for _ in range(leaves + 1)],
+        },
+        "solver": {"method": "bcd"},
+    }
+
+
 def plane_turn_mirror(seed: int) -> dict:
     """Config of the explicit two-dimensional problem (method set per run)."""
     rng = np.random.default_rng([seed, 3])
@@ -162,6 +191,7 @@ EXPLICIT = {
     "consensus-chain-20": consensus_chain,
     "star-tree-consensus-6": star_tree_consensus,
     "lp23-translation-chain-4": lp_translation_chain,
+    "hub-reflection-leaves-32": hub_reflection_leaves,
 }
 # the methods run on ``plane_turn_mirror``
 PLANE_METHODS = ("bcd", "norm-minimal", "lexicographic")

@@ -1,0 +1,88 @@
+"""Time one compiled cell step of each kernel against its number of term entries.
+
+    PYTHONPATH=src python scripts/step_crossover.py [--sweeps 1000] [--repeats 15]
+
+The table it prints is the measurement behind ``harmonic.FLOAT_STEP_MAX``: a
+one-dimensional cell with at most that many entries steps on Python floats,
+a larger one on numpy arrays.  For each entry count from 2 to 512 the script
+builds one cell on the line whose entries are point terms toward fixed
+rows, by seeded translations and point reflections in turn, either all of
+them or all but one plus a reflection self-loop.  It runs ``--sweeps``
+sweeps of that cell through ``harmonic._compiled_sweeps`` with the
+threshold forced to each kernel (0 for numpy, the entry count for floats).
+Every case runs once per round, the first round only warms up, and the
+table holds the best of ``--repeats`` rounds in microseconds per step, so a
+slow spell of the machine does not land on one row.  BLAS is pinned to one
+thread, as the benchmark pins it.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from busemann import harmonic  # noqa: E402
+
+ENTRIES = (2, 4, 8, 16, 24, 32, 48, 64, 96, 128, 256, 512)
+
+
+def one_cell(entries: int, loop: bool, rng):
+    """The plan, start value and fixed rows of one cell with ``entries``
+    entries, the last one a reflection self-loop when ``loop``."""
+    k = entries - loop
+    signs = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
+    c1, c2 = [0] * k, list(range(1, k + 1))
+    weight, matrix, shift = rng.uniform(0.1, 1.0, k).tolist(), signs.tolist(), rng.uniform(-1.0, 1.0, k).tolist()
+    if loop:
+        c1, c2 = c1 + [0], c2 + [0]
+        weight, matrix, shift = weight + [0.5], matrix + [-1.0], shift + [0.3]
+    plan = harmonic.compile_terms(1, c1, c2, weight, matrix, shift)
+    fixed = [(float(v),) for v in rng.uniform(-2.0, 2.0, k)]
+    return plan, [(0.25,)], fixed
+
+
+def step_us(plan, values, fixed, threshold: int, sweeps: int) -> float:
+    """Time of one step in a run of ``sweeps`` sweeps, in microseconds."""
+    harmonic.FLOAT_STEP_MAX = threshold
+    row = harmonic.TraceRow(0, 0.0, (0.0,), 0.0, 0.0, 0.0)
+    counts = dict.fromkeys(harmonic.LOCAL_PATHS, 0)
+    start = time.perf_counter()
+    # tol 0 never converges, so every run makes all its sweeps
+    harmonic._compiled_sweeps(plan, values, fixed, 0.0, sweeps, lambda *_: row, counts)
+    elapsed = time.perf_counter() - start
+    assert counts["linear"] == sweeps
+    return 1e6 * elapsed / sweeps
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--sweeps", type=int, default=1000)
+    ap.add_argument("--repeats", type=int, default=15)
+    args = ap.parse_args()
+    # (entries, loop, kernel threshold) -> case; both kernels of every case
+    # run once per round, so a slow spell of the machine hits all of them
+    runs = {
+        (entries, loop, threshold): one_cell(entries, loop, np.random.default_rng([entries, loop]))
+        for entries in ENTRIES for loop in (False, True) for threshold in (0, entries)
+    }
+    best = dict.fromkeys(runs, float("inf"))
+    for round_ in range(args.repeats + 1):
+        for key, case in runs.items():
+            elapsed = step_us(*case, key[2], args.sweeps)
+            if round_:  # the first round only warms up
+                best[key] = min(best[key], elapsed)
+    print(f"one cell step in microseconds (best of {args.repeats} rounds of {args.sweeps} sweeps)")
+    print("| Entries | Points: numpy | Points: floats | With a loop: numpy | With a loop: floats |")
+    print("|---|---|---|---|---|")
+    for entries in ENTRIES:
+        cells = [best[entries, loop, threshold] for loop in (False, True) for threshold in (0, entries)]
+        print(f"| {entries} | " + " | ".join(f"{t:.1f}" for t in cells) + " |")
+
+
+if __name__ == "__main__":
+    main()

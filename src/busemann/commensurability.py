@@ -50,7 +50,7 @@ from busemann.harmonic import (
     Term,
     TermEnergy,
     _penalty_homotopy,
-    _total_solves,
+    _summed_counters,
     compile_terms,
     energy,
     minimize_energy,
@@ -527,7 +527,7 @@ def subgroup_harmonic(
         return replace(
             free,
             iterations=sum(r.iterations for r in solves),
-            extras={**free.extras, "local_solves": _total_solves(solves)},
+            extras={**free.extras, **_summed_counters(solves)},
         )
 
     starts = [[m.base_point] * len(m.model.cells)]
@@ -557,6 +557,7 @@ def subgroup_harmonic(
             "engine": win.extras["engine"],
             "stop_reason": win.extras["stop_reason"],
             "local_solves": win.extras["local_solves"],
+            "rejected_moves": win.extras["rejected_moves"],
             "kernel_terms": m.n_terms,
             "word_radius": m.word_radius,
             "truncation_residual": m.truncation_residual,

@@ -22,19 +22,23 @@ or by a convergent method: a linear solve on Euclidean targets, a closed
 form on each tree edge for cells without self-loops, and damped Newton steps
 on l_p targets and l_q products of Euclidean and l_p factors.
 :func:`_solve_local` lists every path and its fallbacks, and each report
-counts the local solves by path (``extras["local_solves"]``).
+counts the local solves by path (``extras["local_solves"]``) and the moves
+that a sweep refused because they would raise a local objective
+(``extras["rejected_moves"]``).
 
 There are two sweep engines.  The scalar engine works on any target and is
-the reference.  The compiled engine runs Gauss-Seidel sweeps on numpy arrays
-and applies when the target is :class:`Euclidean`, p = 2 and every transport
-is a :class:`EuclideanIsometry`: the terms are compiled once
+the reference.  The compiled engine applies when the target is
+:class:`Euclidean`, p = 2 and every transport is a
+:class:`EuclideanIsometry`: the terms are compiled once
 (:attr:`TermEnergy.arrays`) into flat term arrays (:func:`compile_terms`),
 the only compiled form of an energy.  A solve's class weights and anchor
-become more rows of those arrays, each solve builds its cell steps from
-them (:func:`_cell_steps`), and each sweep sums in the scalar engine's
-order, so both engines give the same numbers, bit for bit in one dimension
-and to rounding in more.  Trees, l_p and product targets and p != 2 use the
-scalar engine.
+become more rows of those arrays, and each solve groups their entries by
+cell into one plan (:func:`_cell_steps`).  Two kernels step the cells of
+that plan: one-dimensional cells with at most :data:`FLOAT_STEP_MAX` entries
+on Python floats, all others on numpy arrays (:func:`_compiled_sweeps`).
+Both sum in the scalar engine's order, so both engines give the same
+numbers, bit for bit in one dimension and to rounding in more.  Trees, l_p
+and product targets and p != 2 use the scalar engine.
 
 Besides the plain minimizer this module provides the norm-minimal selection,
 lexicographic minimization across edge classes, and report-style checks of
@@ -191,9 +195,7 @@ class EquivariantProblem(TermEnergy):
     symmetry: Optional[tuple] = None
 
     def __post_init__(self):
-        edges = tuple(
-            e if isinstance(e, Edge) else Edge(*e) for e in self.edges
-        )
+        edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
         if self.symmetry is not None and not isinstance(self.symmetry, tuple):
             object.__setattr__(self, "symmetry", tuple(sorted(dict(self.symmetry).items(), key=str)))
@@ -254,9 +256,7 @@ def energy(prob: TermEnergy, phi: EquivariantMap, classes: Optional[set] = None)
     """The term energy of a map (optionally restricted to term classes)."""
     if phi.model != prob.model or phi.target != prob.target:
         raise SpaceMismatchError("map does not live over the problem's model/target")
-    t = prob.target
-    p = prob.p
-    vals = phi.values
+    t, p, vals = prob.target, prob.p, phi.values
     terms = prob.terms if classes is None else [term for term in prob.terms if term.cls in classes]
     return math.fsum(
         term.weight * t.distance(term.transport.apply(vals[term.c2]), vals[term.c1]) ** p
@@ -646,9 +646,14 @@ class SolveReport:
     extras: dict = field(default_factory=dict)
 
 
-def _total_solves(reports) -> dict:
-    """The ``local_solves`` counters of several reports, summed by path."""
-    return {k: sum(r.extras["local_solves"][k] for r in reports) for k in LOCAL_PATHS}
+def _summed_counters(reports) -> dict:
+    """The ``local_solves`` counters of several reports, summed by path, and
+    their ``rejected_moves``, summed: the counter entries of a report's
+    ``extras``."""
+    return {
+        "local_solves": {k: sum(r.extras["local_solves"][k] for r in reports) for k in LOCAL_PATHS},
+        "rejected_moves": sum(r.extras["rejected_moves"] for r in reports),
+    }
 
 
 def _descend(sweep_once, evaluate, best, tol: float, max_sweeps: int):
@@ -656,37 +661,37 @@ def _descend(sweep_once, evaluate, best, tol: float, max_sweeps: int):
 
     ``evaluate(sweep, max_move)`` returns the trace row of the current map,
     ``sweep_once()`` runs one sweep in place and returns the largest cell
-    move, and ``best()`` gives the current map for the :class:`SolverError`
-    raised at the first non-finite objective (its ``stop_reason`` is
-    "non-finite").  Stops when the decrease of
-    the objective over a sweep falls below tol * (1 + |objective|) and no
-    cell moved more than tol.  Returns (objective, sweeps, converged, trace).
+    move and the number of moves refused, and ``best()`` gives the current
+    map for the :class:`SolverError` raised at the first non-finite
+    objective (its ``stop_reason`` is "non-finite").  Stops when the
+    decrease of the objective over a sweep falls below tol * (1 + |obj|)
+    and no cell moved more than tol.  Returns (objective, sweeps,
+    converged, trace, rejected), the last summed over the sweeps.
     """
 
     def checked(sweep, max_move):
         row = evaluate(sweep, max_move)
         if not math.isfinite(row.objective):
             raise SolverError(
-                f"non-finite objective {row.objective} at sweep {sweep}",
-                best=best(),
-                stop_reason="non-finite",
+                f"non-finite objective {row.objective} at sweep {sweep}", best=best(), stop_reason="non-finite"
             )
         return row
 
     row = checked(0, 0.0)
     trace = [row]
     converged = False
-    sweeps = 0
+    sweeps = rejected = 0
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
-        max_move = sweep_once()
+        max_move, refused = sweep_once()
+        rejected += refused
         obj = row.objective
         row = checked(sweep, max_move)
         trace.append(row)
         if obj - row.objective < tol * (1.0 + abs(row.objective)) and max_move < tol:
             converged = True
             break
-    return row.objective, sweeps, converged, tuple(trace)
+    return row.objective, sweeps, converged, tuple(trace), rejected
 
 
 def _term_plans(terms, n_cells: int):
@@ -705,12 +710,12 @@ def _term_plans(terms, n_cells: int):
     return points, loops
 
 
-def _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts) -> float:
+def _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts) -> tuple:
     """One Gauss-Seidel sweep of the scalar engine, in place: each cell moves
     to the minimizer of its local subproblem unless that raises the local
     objective.  Local solves are counted by path in ``counts``.  Returns the
-    largest move."""
-    max_move = 0.0
+    largest move and the number of moves refused."""
+    max_move, rejected = 0.0, 0
     for ci in range(len(values)):
         pts = [(w, t.apply(values[src])) for w, src, t in points[ci]]
         if anchors:
@@ -723,7 +728,9 @@ def _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts) -
         ):
             max_move = max(max_move, space.distance(values[ci], znew))
             values[ci] = znew
-    return max_move
+        else:
+            rejected += 1
+    return max_move, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -802,13 +809,22 @@ def _solve_1d(n: float, r: float) -> float:
         return 0.0
     if lo <= abs(n) <= hi and (r == 0.0 or lo <= abs(r) <= hi):
         return r * (1.0 / n)
-    return np.linalg.lstsq(np.array([[n]]), np.array([r]), rcond=None)[0][0]
+    return float(np.linalg.lstsq(np.array([[n]]), np.array([r]), rcond=None)[0][0])
 
 
-def _cell_steps(plan: KernelArrays, n_cells: int) -> list:
-    """Per-cell data of the compiled sweep, for the cells below ``n_cells``
-    that have terms, built from the flat arrays in the order of the scalar
-    plan (:func:`_term_plans`).
+# The most term entries of a one-dimensional cell that steps on Python floats
+# (others step on numpy arrays): scripts/step_crossover.py (2-vCPU VM, one BLAS
+# thread) times a step at 2 / 16 / 48 / 64 / 128 entries at 20.0 / 20.9 / 24.5 /
+# 28.9 / 36.4 us on arrays and 5.6 / 11.6 / 23.9 / 32.1 / 57.2 on floats.
+FLOAT_STEP_MAX = 48  # the last entry count where floats win, with and without a loop
+
+
+def _cell_steps(plan: KernelArrays, n_cells: int) -> tuple:
+    """The term entries of the cells below ``n_cells`` grouped by cell, in
+    the order of the scalar plan (:func:`_term_plans`): (bounds, source,
+    matrix, shift, weight, rhs, normal), one array per field, cell c's
+    entries from bounds[2c] to bounds[2c + 2] and its loops from
+    bounds[2c + 1].
 
     Entry 2t puts term t into cell c1, by its transport or as a loop when
     c1 = c2; entry 2t + 1 puts it into cell c2 by its inverse, computed as
@@ -817,15 +833,15 @@ def _cell_steps(plan: KernelArrays, n_cells: int) -> list:
     second entry is keyed past the cells, as are the entries into the fixed
     rows from ``n_cells`` on, which get no step.  One stable sort by (cell,
     loop) puts each cell's entries in one run: its point terms, then its
-    loops, each in term order.  Loops carry the normal-equation pieces
-    (w a^T) a and -(w a^T) b for a = M - I.
+    loops, each in term order.  An entry's part of the normal equations
+    (normal, rhs) is (w I, 0) for a point term and ((w a^T) a, -(w a^T) b)
+    for a loop, a = M - I.
     """
     c1, c2, weight, matrix, shift = plan.c1, plan.c2, plan.weight, plan.matrix, plan.shift
     d = shift.shape[1]
     eye = np.eye(d)
     is_loop = c1 == c2
     key = np.stack((2 * c1 + is_loop, 2 * (c2 + n_cells * is_loop)), axis=1).ravel()
-    # cell c runs from bounds[2c] to bounds[2c + 2], its loops from bounds[2c + 1]
     bounds = [0, *np.cumsum(np.bincount(key, minlength=2 * n_cells)[: 2 * n_cells]).tolist()]
     term, back = np.divmod(np.argsort(key, kind="stable")[: bounds[-1]], 2)
     back = np.flatnonzero(back)
@@ -842,25 +858,7 @@ def _cell_steps(plan: KernelArrays, n_cells: int) -> list:
     wa_t = e_weight[loops, None, None] * a.transpose(0, 2, 1)
     e_normal[loops] = wa_t @ a
     e_rhs[loops] = -(wa_t @ e_shift[loops, :, None])[:, :, 0]
-    steps = []
-    for ci in range(n_cells):
-        e0, l0, e1 = bounds[2 * ci : 2 * ci + 3]
-        if e0 == e1:
-            continue
-        k = l0 - e0
-        weight = e_weight[e0:e1]
-        # the normal matrix and right-hand side are summed as
-        # _solve_local_euclidean sums them: zero, point terms, loops
-        normal = np.cumsum(np.concatenate((np.zeros((1, d, d)), e_normal[e0:e1])), axis=0)[-1]
-        rhs = np.concatenate((np.zeros((1, d)), e_rhs[e0:e1]))
-        diff = np.empty((2, e1 - e0, d))
-        steps.append((
-            ci, e_src[e0:l0], e_matrix[e0:l0], e_shift[e0:l0], weight[:k, None], rhs, rhs[1 : k + 1],
-            normal, float(normal[0, 0]) if d == 1 else None,
-            e_matrix[l0:e1] if e1 > l0 else None, e_shift[l0:e1],
-            weight, k, diff, diff[:, :k], diff[:, k:],
-        ))
-    return steps
+    return bounds, e_src, e_matrix, e_shift, e_weight, e_rhs, e_normal
 
 
 def _compiled_sweeps(plan: KernelArrays, values, fixed, tol, max_sweeps, evaluate, counts):
@@ -870,50 +868,101 @@ def _compiled_sweeps(plan: KernelArrays, values, fixed, tol, max_sweeps, evaluat
     ``values``; its cell indices from len(values) on name the ``fixed``
     points, which are sources only and never move; and
     ``evaluate(x, sweep, max_move)`` returns the trace row of the map held
-    in the n x d array x, whose objective decides convergence.  Every sum
-    that decides a value is taken in the order of the scalar engine
-    (np.cumsum adds in sequence, fsum is exactly rounded), the 1 x 1 local
-    solve is :func:`_solve_1d` and larger ones the same lstsq call, and the
-    local objectives at the old and new value are compared with the same
-    ``<=``, so in one dimension the results are bit-identical to the scalar
-    engine.  Every cell step is a linear solve, counted in ``counts``.
-    Returns (values, objective, sweeps, converged, trace).
+    in the n x d array x, whose objective decides convergence.  A sweep
+    steps the cells in index order, each from its run of the one grouped
+    plan (:func:`_cell_steps`), by one of two kernels on one state: a
+    one-dimensional cell with at most :data:`FLOAT_STEP_MAX` entries steps
+    on Python floats (kept in a list beside x; an accepted move writes
+    both), every other cell on numpy arrays.  Both take every sum that
+    decides a value in the order of the scalar engine (in sequence from
+    zero; fsum is exactly rounded), solve 1 x 1 systems by
+    :func:`_solve_1d` and larger ones by the same lstsq call, and compare
+    the local objectives at the old and new value with the same ``<=``, so
+    in one dimension the results are bit-identical to the scalar engine.
+    Every cell step is a linear solve, counted in ``counts``.  Returns
+    (values, objective, sweeps, converged, trace, rejected), ``rejected``
+    the moves that the ``<=`` refused.
     """
     n = len(values)
-    d = plan.shift.shape[1]
     x = np.array([*values, *fixed], dtype=float)
-    steps = _cell_steps(plan, n)
-    pair = np.empty((2, d))  # old and new value of the cell being solved
-    z0, z1 = pair
-    zb = pair[:, None, :]
-    one_dim = d == 1
+    bounds, src, matrix, shift, weight, rhs, normal = _cell_steps(plan, n)
+    d = x.shape[1]
+    runs = [(ci, *bounds[2 * ci : 2 * ci + 3]) for ci in range(n) if bounds[2 * ci] < bounds[2 * ci + 2]]
+    small = d == 1 and any(e1 - e0 <= FLOAT_STEP_MAX for _, e0, _, e1 in runs)
+    if small:
+        xf = x[:, 0].tolist()
+        entries = list(zip(*(a.ravel().tolist() for a in (src, matrix, shift, weight, rhs, normal))))
+
+    def float_step(ci, e0, l0, e1, n1):
+        # the array step on floats: n1 * z0 + 0.0 rounds as the 1 x 1 matmul
+        # does, and abs(.) ** 2.0 as np.float_power (libm pow)
+        z0, r = xf[ci], 0.0
+        pts = [(w, m * xf[c] + s) for c, m, s, w, _, _ in entries[e0:l0]]
+        for w, u in pts:
+            r += w * u
+        for *_, b, _ in entries[l0:e1]:
+            r += b
+        z1 = z0 + _solve_1d(n1, r - (n1 * z0 + 0.0))
+        f = lambda z: math.fsum([w * abs(z - u) ** 2.0 for w, u in pts]) + math.fsum(
+            [w * abs((m * z + s) - z) ** 2.0 for _, m, s, w, _, _ in entries[l0:e1]]
+        )
+        try:
+            if not f(z1) <= f(z0):
+                return None
+        except OverflowError:  # a square past the float range, which numpy rounds to inf
+            return array_step(ci, e0, l0, e1, np.array([[n1]]))
+        xf[ci] = x[ci, 0] = z1
+        return abs(z0 - z1)
+
+    # the array steps' buffers: the right-hand side rows, cell c's run led by
+    # a zero row at e0 + c (loop rows keep their value, point rows take w u),
+    # the differences z - u and T z - z of a run at a pair of values z
+    r_rows = np.zeros((len(rhs) + n, d))
+    r_rows[np.arange(len(rhs)) + np.repeat(np.arange(1, n + 1), np.diff(bounds[::2]))] = rhs
+    diff, pair, wcol = np.empty((2, len(rhs), d)), np.empty((2, d)), weight[:, None]
+    (z0, z1), zb = pair, pair[:, None, :]
+
+    def array_step(ci, e0, l0, e1, normal_c):
+        z0[...] = x[ci]
+        u = _apply_rows(matrix[e0:l0], shift[e0:l0], x[src[e0:l0]])
+        rows, run, k = r_rows[e0 + ci : e1 + ci + 1], diff[:, e0:e1], l0 - e0
+        np.multiply(wcol[e0:l0], u, out=rows[1 : k + 1])
+        r = rows.cumsum(axis=0)[-1] - normal_c @ z0
+        np.add(z0, _solve_1d(normal_c[0, 0], r[0]) if d == 1 else np.linalg.lstsq(normal_c, r, rcond=None)[0], out=z1)
+        np.subtract(zb, u, out=run[:, :k])
+        if l0 < e1:
+            np.subtract(_apply_rows(matrix[l0:e1], shift[l0:e1], zb), zb, out=run[:, k:])
+        sq = _sq_terms(weight[e0:e1], run)
+        (p0, p1), (q0, q1) = sq[:, :k].tolist(), sq[:, k:].tolist()
+        if not math.fsum(p1) + math.fsum(q1) <= math.fsum(p0) + math.fsum(q0):
+            return None
+        x[ci] = z1
+        if small:
+            xf[ci] = float(z1[0])
+        return math.dist(*pair.tolist())
+
+    steps = []
+    for ci, e0, l0, e1 in runs:
+        if d == 1 and e1 - e0 <= FLOAT_STEP_MAX:
+            n1 = 0.0
+            for *_, v in entries[e0:e1]:
+                n1 += v
+            steps.append((float_step, ci, e0, l0, e1, n1))
+        else:  # the normal matrix summed in sequence from zero
+            total = np.cumsum(np.concatenate((np.zeros((1, d, d)), normal[e0:e1])), axis=0)[-1]
+            steps.append((array_step, ci, e0, l0, e1, total))
 
     def sweep_once():
-        max_move = 0.0
-        for (ci, src, matrix, shift, wcol, rhs, slot, normal, n1, loop_matrix, loop_shift,
-             weight, k, diff, diff_points, diff_loops) in steps:
-            u = _apply_rows(matrix, shift, x[src])
-            np.multiply(wcol, u, out=slot)
-            z0[...] = x[ci]
-            r = rhs.cumsum(axis=0)[-1] - normal @ z0
-            np.add(z0, _solve_1d(n1, r[0]) if one_dim else np.linalg.lstsq(normal, r, rcond=None)[0], out=z1)
-            # both local objectives in one pass, each summed as _local_objective sums it
-            np.subtract(zb, u, out=diff_points)
-            if loop_matrix is not None:
-                np.subtract(_apply_rows(loop_matrix, loop_shift, zb), zb, out=diff_loops)
-            f0, f1 = _sq_terms(weight, diff).tolist()
-            if math.fsum(f1[:k]) + math.fsum(f1[k:]) <= math.fsum(f0[:k]) + math.fsum(f0[k:]):
-                max_move = max(max_move, math.dist(*pair.tolist()))
-                x[ci] = z1
+        moves = [step(ci, e0, l0, e1, nc) for step, ci, e0, l0, e1, nc in steps]
         counts["linear"] += len(steps)
-        return max_move
+        return max([0.0] + [move for move in moves if move is not None]), moves.count(None)
 
-    cells = x[:n]
-    rows = lambda: [tuple(v) for v in cells.tolist()]
-    obj, sweeps, converged, trace = _descend(
-        sweep_once, lambda sweep, move: evaluate(cells, sweep, move), rows, tol, max_sweeps
+    state = x[:n]
+    current = lambda: [tuple(v) for v in state.tolist()]
+    obj, sweeps, converged, trace, rejected = _descend(
+        sweep_once, lambda sweep, move: evaluate(state, sweep, move), current, tol, max_sweeps
     )
-    return rows(), obj, sweeps, converged, trace
+    return current(), obj, sweeps, converged, trace, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -950,17 +999,14 @@ def minimize_energy(
     transports), with the scalar engine's numbers (bit for bit in one
     dimension), and on the scalar engine otherwise.  ``extras`` records the
     ``objective``, the ``engine`` ("compiled" or "scalar"), the
-    ``stop_reason`` ("converged" or "max_sweeps") and ``local_solves``, the
-    number of local solves by path (:data:`LOCAL_PATHS`, see
-    :func:`_solve_local`).
+    ``stop_reason`` ("converged" or "max_sweeps"), ``local_solves``, the
+    local solves by path (:data:`LOCAL_PATHS`, see :func:`_solve_local`),
+    and ``rejected_moves``, those whose value raised the local objective.
     """
     phi = phi_init if phi_init is not None else const_map(prob.model, prob.target, prob.base_point)
     if phi.model != prob.model or phi.target != prob.target:
         raise SpaceMismatchError("initial map does not match the problem")
-    space = prob.target
-    p = prob.p
-    mu = prob.model.weights
-    classes = prob.classes
+    space, p, mu, classes = prob.target, prob.p, prob.model.weights, prob.classes
     # class weights rescale the terms of the local subproblems, whose plans
     # keep the terms of classes with a nonzero weight at (class weight) * w
     scales = None if class_weights is None else [float(class_weights.get(c, 0.0)) for c in classes]
@@ -1004,15 +1050,12 @@ def minimize_energy(
         def compiled_row(x, sweep, max_move) -> TraceRow:
             sq = _sq_terms(k.weight, x[k.c1] - _apply_rows(k.matrix, k.shift, x[k.c2]))
             e_total = math.fsum(sq.tolist())
-            if masks is None:
-                per_class = (e_total,)
-            else:
-                per_class = tuple(math.fsum(sq[m].tolist()) for m in masks)
+            per_class = (e_total,) if masks is None else tuple(math.fsum(sq[m].tolist()) for m in masks)
             norm = _weighted_sq_dist(mu_arr, x, base) ** (1.0 / p)
             anchor_energy = None if anchor is None else _weighted_sq_dist(aw, x, x0)
             return row(sweep, max_move, e_total, per_class, norm, anchor_energy)
 
-        values, obj, sweeps, converged, trace = _compiled_sweeps(
+        values, obj, sweeps, converged, trace, rejected = _compiled_sweeps(
             plan, phi.values, fixed, tol, max_sweeps, compiled_row, counts
         )
     else:
@@ -1031,23 +1074,15 @@ def minimize_energy(
         def scalar_row(sweep, max_move) -> TraceRow:
             cur = EquivariantMap(prob.model, space, tuple(values))
             e_total = energy(prob, cur)
-            if len(classes) == 1:
-                per_class = (e_total,)
-            else:
-                per_class = tuple(energy(prob, cur, classes={c}) for c in classes)
-            anchor_energy = None
-            if anchor is not None:
-                anchor_energy = math.fsum(
-                    w * space.distance(v, anchor[1]) ** p for w, v in zip(anchor_weights, values)
-                )
+            per_class = (e_total,) if len(classes) == 1 else tuple(energy(prob, cur, classes={c}) for c in classes)
+            anchor_energy = None if anchor is None else math.fsum(
+                w * space.distance(v, anchor[1]) ** p for w, v in zip(anchor_weights, values)
+            )
             return row(sweep, max_move, e_total, per_class, map_norm(p, cur, prob.base_point), anchor_energy)
 
-        obj, sweeps, converged, trace = _descend(
+        obj, sweeps, converged, trace, rejected = _descend(
             lambda: _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts),
-            scalar_row,
-            lambda: EquivariantMap(prob.model, space, tuple(values)),
-            tol,
-            max_sweeps,
+            scalar_row, lambda: EquivariantMap(prob.model, space, tuple(values)), tol, max_sweeps,
         )
     last = trace[-1]
     return SolveReport(
@@ -1063,6 +1098,7 @@ def minimize_energy(
             "engine": engine,
             "stop_reason": "converged" if converged else "max_sweeps",
             "local_solves": counts,
+            "rejected_moves": rejected,
         },
     )
 
@@ -1102,7 +1138,7 @@ def _staged_report(prob: EquivariantProblem, sol, e_total: float, reports, **ext
             **extras,
             "engine": last.extras["engine"],
             "stop_reason": last.extras["stop_reason"],
-            "local_solves": _total_solves(reports),
+            **_summed_counters(reports),
         },
     )
 
@@ -1135,10 +1171,7 @@ def norm_minimal_minimizer(
     phi = path[-1]
     # Cauchy: the last stage moved less than tol
     if gaps[-1] >= tol:
-        raise SolverError(
-            "penalty homotopy is not Cauchy; energy has unresolved flat directions",
-            best=phi,
-        )
+        raise SolverError("penalty homotopy is not Cauchy; energy has unresolved flat directions", best=phi)
     final = minimize_energy(prob, phi_init=phi, tol=inner_tol, max_sweeps=max_sweeps, seed=seed)
     # keep the anchored solution if the final free polish wandered along a flat
     # direction (it cannot improve the energy by more than tol)
@@ -1158,8 +1191,7 @@ def _norm_minimality_probe(prob, sol, e_total, tol, seed):
     rng = np.random.default_rng(seed + 99)
     space = prob.target
     norm0 = map_norm(prob.p, sol, prob.base_point)
-    violations = 0
-    checked = 0
+    violations = checked = 0
     for _ in range(24):
         radius = float(rng.choice([tol, 100 * tol, 0.05]))
         vals = tuple(perturb(space, v, rng, radius) for v in sol.values)
@@ -1199,8 +1231,7 @@ def lexicographic_minimize(
             weights = {c: big for c in order[:j]}
             weights[cls] = 1.0
             rep = minimize_energy(
-                prob, phi_init=phi, tol=tol, max_sweeps=max_sweeps, seed=seed,
-                class_weights=weights,
+                prob, phi_init=phi, tol=tol, max_sweeps=max_sweeps, seed=seed, class_weights=weights
             )
             reports.append(rep)
             if all(energy(prob, rep.solution, classes={c}) - minima[c] <= tol for c in order[:j]):
@@ -1250,33 +1281,21 @@ def harmonic_properties_check(
     em = energy(prob, mid)
     space = prob.target
     idx = {c: i for i, c in enumerate(prob.model.cells)}
-    failures = []
-    for k, e in enumerate(prob.edges):
-        si, di = idx[e.src], idx[e.dst]
-        a = e.twist.apply(phi.values[si])
-        b = phi.values[di]
-        x = e.twist.apply(psi.values[si])
-        y = psi.values[di]
-        if not parallel_check(space, a, b, x, y, tol=max(tol, 1e-9)):
-            failures.append(k)
-    spread = None
-    sym_ok = None
+    # the transported edge segment (T f(src), f(dst)) of a map f
+    ends = lambda e, f: (e.twist.apply(f.values[idx[e.src]]), f.values[idx[e.dst]])
+    failures = [
+        k for k, e in enumerate(prob.edges)
+        if not parallel_check(space, *ends(e, phi), *ends(e, psi), tol=max(tol, 1e-9))
+    ]
+    spread = sym_ok = None
     if prob.symmetry is not None:
         sym = dict(prob.symmetry)
         by_key = {}
         for e in prob.edges:
             by_key.setdefault((e.src, e.dst, e.cls, e.twist.key()), []).append(e)
-        spread = 0.0
-        for e in prob.edges:
-            img = by_key.get((sym.get(e.src), sym.get(e.dst), e.cls, e.twist.key()))
-            if not img:
-                continue
-            e2_ = img[0]
-            d1 = space.distance(e.twist.apply(phi.values[idx[e.src]]), phi.values[idx[e.dst]])
-            d2 = space.distance(
-                e2_.twist.apply(phi.values[idx[e2_.src]]), phi.values[idx[e2_.dst]]
-            )
-            spread = max(spread, abs(d1 - d2))
+        images = [(e, by_key.get((sym.get(e.src), sym.get(e.dst), e.cls, e.twist.key()))) for e in prob.edges]
+        length = lambda e: space.distance(*ends(e, phi))
+        spread = max([0.0] + [abs(length(e) - length(img[0])) for e, img in images if img])
         sym_ok = spread <= tol
     return HarmonicFactsReport(
         energies=(e1, e2),
@@ -1304,22 +1323,10 @@ def conjugate_problem(prob: EquivariantProblem, cell_map: dict, lam) -> Equivari
         new_weights[idx[cell_map[c]]] = prob.model.weights[idx[c]]
     lam_inv = lam.invert()
     edges = tuple(
-        Edge(
-            cell_map[e.src],
-            cell_map[e.dst],
-            e.weight,
-            lam.compose(e.twist).compose(lam_inv),
-            e.cls,
-        )
+        Edge(cell_map[e.src], cell_map[e.dst], e.weight, lam.compose(e.twist).compose(lam_inv), e.cls)
         for e in prob.edges
     )
-    return EquivariantProblem(
-        MeasureModel(cells, tuple(new_weights)),
-        prob.target,
-        lam.apply(prob.base_point),
-        edges,
-        prob.p,
-    )
+    return EquivariantProblem(MeasureModel(cells, tuple(new_weights)), prob.target, lam.apply(prob.base_point), edges, prob.p)
 
 
 def orbit_diameter_heuristic(prob: EquivariantProblem, x=None, word_length: int = 4) -> float:
@@ -1328,13 +1335,9 @@ def orbit_diameter_heuristic(prob: EquivariantProblem, x=None, word_length: int 
     A boundedness heuristic only: reported, never asserted.
     """
     x = x if x is not None else prob.base_point
-    gens = []
-    for e in prob.edges:
-        if not any(t is e.twist for t in gens):
-            gens.append(e.twist)
-    gens = gens + [g.invert() for g in gens]
-    orbit = [x]
-    frontier = [x]
+    gens = list({id(e.twist): e.twist for e in prob.edges}.values())  # distinct objects, in order
+    gens += [g.invert() for g in gens]
+    orbit, frontier = [x], [x]
     for _ in range(word_length):
         nxt = []
         for y in frontier:
@@ -1344,8 +1347,4 @@ def orbit_diameter_heuristic(prob: EquivariantProblem, x=None, word_length: int 
                     orbit.append(z)
                     nxt.append(z)
         frontier = nxt
-        if not frontier:
-            break
-    return max(
-        prob.target.distance(a, b) for a in orbit for b in orbit
-    ) if len(orbit) > 1 else 0.0
+    return max(prob.target.distance(a, b) for a in orbit for b in orbit) if len(orbit) > 1 else 0.0

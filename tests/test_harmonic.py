@@ -506,6 +506,71 @@ def test_compiled_engine_bit_identical_when_cut_off():
     assert rep.extras["stop_reason"] == "max_sweeps"
 
 
+def hub_problem(leaves=32):
+    """A hub on the line joined both ways to ``leaves`` leaves, out by the
+    identity or a point reflection and back by the identity, with a
+    reflection loop: one cell past FLOAT_STEP_MAX entries, the rest small."""
+    ident = identity_isometry(E1)
+    cells = MeasureModel(("hub", *(f"l{i}" for i in range(leaves))), (0.5, *([0.5 / leaves] * leaves)))
+    edges = [Edge("hub", "hub", 0.5, point_reflection(E1, (0.3,)))]
+    for i in range(leaves):
+        out = ident if i % 2 == 0 else point_reflection(E1, (0.1 * i - 0.5,))
+        edges += [Edge("hub", f"l{i}", 1.0, out), Edge(f"l{i}", "hub", 0.5, ident)]
+    return EquivariantProblem(cells, E1, (0.0,), tuple(edges))
+
+
+def kernel_cases():
+    """(name, problem, minimize_energy arguments) of compiled solves with
+    loops, anchors, class weights, a cut-off and large kernel cells."""
+    consensus, line, cover = consensus_model(6).problem, dihedral_line_model(7).problem, dihedral_cover_model(2).problem
+    yield "consensus", consensus, {"phi_init": random_map(consensus, 3), "tol": 1e-10, "max_sweeps": 2000}
+    yield "dihedral-line-7", line, {"phi_init": random_map(line, 3), "tol": 1e-10, "max_sweeps": 2000}
+    for lam, point in itertools.product((2.0 ** -1, 2.0 ** -20, 2.0 ** -40), (cover.base_point, (0.5,))):
+        yield f"anchored-{lam}-{point}", cover, {"phi_init": random_map(cover, 4), "tol": 1e-11, "anchor": (lam, point)}
+    two = two_class_problem()
+    for weights in ({1: 1.0, 2: 1.0e4}, {1: 0.3, 2: 2.5}, {2: 1.0}, {1: 1.0}):
+        yield f"class-weights-{weights}", two, {"phi_init": random_map(two, 5), "tol": 1e-11, "class_weights": weights}
+    gm = consensus_model(8)
+    yield "cut-off", gm.problem, {"phi_init": gm.init, "max_sweeps": 7}
+    comm = comm_energy_model(dihedral_line_model(3).problem)
+    yield "comm-dihedral-3", comm, {"phi_init": random_map(comm, 6), "tol": 1e-10}
+    hub = hub_problem()
+    yield "hub", hub, {"phi_init": random_map(hub, 7), "tol": 1e-11}
+
+
+def test_float_kernel_bit_identical_to_array_kernel(monkeypatch):
+    # every one-dimensional cell on the array kernel, at the threshold, and
+    # every one on the float kernel: the comm-kernel cells have 119 entries,
+    # the hub 65 and its leaves 2, so the default mixes both in the hub solve
+    hub = hub_problem()
+    bounds = harmonic._cell_steps(hub.arrays, len(hub.model.cells))[0]
+    assert bounds[2] > harmonic.FLOAT_STEP_MAX >= max(b - a for a, b in zip(bounds[2:-1:2], bounds[4::2]))
+    for name, prob, kwargs in kernel_cases():
+        runs = []
+        for threshold in (0, harmonic.FLOAT_STEP_MAX, 10 ** 9):
+            monkeypatch.setattr(harmonic, "FLOAT_STEP_MAX", threshold)
+            runs.append(outcome(minimize_energy(prob, **kwargs)))
+        assert runs[0] == runs[1] == runs[2], name
+
+
+def test_float_kernel_overflow_steps_on_arrays(monkeypatch):
+    # cell b's new value lies 2.6e154 from c, whose square is past the float
+    # range: numpy rounds it to inf and refuses the move, and the float
+    # kernel, whose ** raises, hands the step to the array kernel
+    ident = identity_isometry(E1)
+    cells = MeasureModel(("b", "a", "c"), (1 / 3, 1 / 3, 1 / 3))
+    edges = (Edge("a", "b", 1.0, ident), Edge("b", "a", 1.0, ident), Edge("c", "b", 0.01, ident), Edge("b", "c", 0.01, ident))
+    prob = EquivariantProblem(cells, E1, (0.0,), edges)
+    start = EquivariantMap(cells, E1, ((0.0,), (1.3e154,), (-1.3e154,)))
+    runs = []
+    for threshold in (0, 10 ** 9):
+        monkeypatch.setattr(harmonic, "FLOAT_STEP_MAX", threshold)
+        with np.errstate(over="ignore"):
+            runs.append(minimize_energy(prob, start, max_sweeps=3))
+    assert outcome(runs[0]) == outcome(runs[1])
+    assert runs[0].extras["rejected_moves"] >= 1
+
+
 def plane_problem(loop_class=1):
     e2 = Euclidean(2)
     # quarter turn about (1, 0) and the mirror in the line y = 0.25
@@ -525,15 +590,16 @@ def plane_problem(loop_class=1):
     "kwargs", [{}, {"anchor": (0.25, (0.5, -1.0))}, {"class_weights": {1: 1.0e4, 2: 1.0}}],
 )
 def test_compiled_plan_equals_scalar_plan_in_two_dimensions(monkeypatch, kwargs):
-    # every cell step holds the point terms and loops of the scalar plan, in
-    # its order; the anchor is the last point term, read from the fixed row n
+    # every cell's run of the grouped plan holds the point terms and loops of
+    # the scalar plan, in its order; the anchor is the last point term, read
+    # from the fixed row n
     prob = plane_problem(loop_class=2)
     n = len(prob.model.cells)
     built = []
     cell_steps = harmonic._cell_steps
     monkeypatch.setattr(harmonic, "_cell_steps", lambda *args: built.append(cell_steps(*args)) or built[-1])
     minimize_energy(prob, max_sweeps=1, **kwargs)
-    (steps,) = built
+    ((bounds, src, matrix, shift, weight, rhs, normal),) = built
     terms = prob.terms
     if "class_weights" in kwargs:
         terms = [t._replace(weight=kwargs["class_weights"][t.cls] * t.weight) for t in terms]
@@ -542,17 +608,19 @@ def test_compiled_plan_equals_scalar_plan_in_two_dimensions(monkeypatch, kwargs)
         lam, _ = kwargs["anchor"]
         for ci, mu in enumerate(prob.model.weights):
             points[ci].append((lam * mu, n, identity_isometry(prob.target)))
-    assert [step[0] for step in steps] == list(range(n))
-    for step, pts, lps in zip(steps, points, loops, strict=True):
-        _, src, matrix, shift, *_, loop_matrix, loop_shift, weight, k, _, _, _ = step
-        assert k == len(pts)
-        assert src.tolist() == [s for _, s, _ in pts]
-        assert weight.tolist() == [w for w, _, _ in pts] + [w for w, _ in lps]
-        transports = lambda ms, bs: [(tuple(map(tuple, m)), tuple(b)) for m, b in zip(ms.tolist(), bs.tolist())]
-        assert transports(matrix, shift) == [(t.matrix, t.shift) for _, _, t in pts]
-        assert (loop_matrix is None) == (not lps)
+    assert len(bounds) == 2 * n + 1
+    assert [ci for ci in range(n) if bounds[2 * ci] < bounds[2 * ci + 2]] == list(range(n))
+    assert len(src) == len(matrix) == len(shift) == len(weight) == len(rhs) == len(normal) == bounds[-1]
+    transports = lambda ms, bs: [(tuple(map(tuple, m)), tuple(b)) for m, b in zip(ms.tolist(), bs.tolist())]
+    for ci, (pts, lps) in enumerate(zip(points, loops, strict=True)):
+        e0, l0, e1 = bounds[2 * ci : 2 * ci + 3]
+        assert l0 - e0 == len(pts)
+        assert src[e0:l0].tolist() == [s for _, s, _ in pts]
+        assert weight[e0:e1].tolist() == [w for w, _, _ in pts] + [w for w, _ in lps]
+        assert transports(matrix[e0:l0], shift[e0:l0]) == [(t.matrix, t.shift) for _, _, t in pts]
+        assert (l0 == e1) == (not lps)
         if lps:
-            assert transports(loop_matrix, loop_shift) == [(t.matrix, t.shift) for _, t in lps]
+            assert transports(matrix[l0:e1], shift[l0:e1]) == [(t.matrix, t.shift) for _, t in lps]
 
 
 def test_compiled_engine_matches_scalar_in_two_dimensions():
@@ -667,24 +735,32 @@ def test_local_solve_counters_deterministic_and_by_path():
         assert r1.converged
         counts = r1.extras["local_solves"]
         assert counts == r2.extras["local_solves"]
+        assert r1.extras["rejected_moves"] == r2.extras["rejected_moves"] >= 0
         assert set(counts) == set(LOCAL_PATHS)
         assert counts[path] == len(prob.model.cells) * r1.iterations
         assert counts["pattern"] == counts["golden"] == 0
     # the compiled engine makes one linear solve per cell and sweep, and
     # every report counts every sweep it ran: all stages of the staged
-    # solvers, the winning restart's stages and free solve of commensurability
+    # solvers, the winning restart's stages and free solve of commensurability;
+    # each report also counts its refused moves, the same in a rerun
     gm = dihedral_line_model(3)
     m = comm_energy_model(gm.problem)
-    reports = {
-        "bcd": minimize_energy(gm.problem, gm.init),
-        "norm-minimal": norm_minimal_minimizer(gm.problem),
-        "lexicographic": lexicographic_minimize(gm.problem, gm.problem.classes),
-        "commensurability": subgroup_harmonic(m),
-        "commensurability-norm-minimal": subgroup_harmonic(m, norm_minimal=True),
+    runs = {
+        "bcd": lambda: minimize_energy(gm.problem, gm.init),
+        "norm-minimal": lambda: norm_minimal_minimizer(gm.problem),
+        "lexicographic": lambda: lexicographic_minimize(gm.problem, gm.problem.classes),
+        "commensurability": lambda: subgroup_harmonic(m),
+        "commensurability-norm-minimal": lambda: subgroup_harmonic(m, norm_minimal=True),
     }
+    reports = {name: run() for name, run in runs.items()}
     for name, rep in reports.items():
         assert rep.extras["engine"] == "compiled", name
         assert rep.extras["local_solves"]["linear"] == 3 * rep.iterations, name
+        rejected = rep.extras["rejected_moves"]
+        assert isinstance(rejected, int) and 0 <= rejected <= rep.extras["local_solves"]["linear"], name
+        assert runs[name]().extras["rejected_moves"] == rejected, name
+    # the staged solves sum them over their stages; the homotopy refuses some
+    assert reports["norm-minimal"].extras["rejected_moves"] > 0
     # at least one sweep in each of 40 stages and the free solve; in each of
     # 20 stages and the free solve
     assert reports["norm-minimal"].iterations >= 41
