@@ -1,4 +1,5 @@
-"""Byte-identity check of `busemann solve` output on every named generator.
+"""Byte-identity check of `busemann solve` output on every named generator
+and of `busemann verify --suite all`.
 
     PYTHONPATH=src python scripts/golden_csv.py --write DIR   # record outputs
     PYTHONPATH=src python scripts/golden_csv.py --check DIR   # compare with them
@@ -35,7 +36,11 @@ in more than one dimension:
   stops at ``max_sweeps`` in the stiff second stage and exits 3 with its
   files written.
 
-Each run leaves
+Last, ``busemann verify --suite all`` runs at the stored seed and the
+default budgets (about 5 s) into ``DIR/verify/all/``, which holds its
+``report.csv`` and ``exit_code``.
+
+Each solve run leaves
 ``DIR/<generator>/<method>/`` holding ``trace.csv``, ``solution.csv``, ``summary.json`` without its
 ``wall_time_s`` entry, and ``exit_code`` (a run that stops with a solver
 error writes only the exit code).  ``--check`` reruns everything at the
@@ -195,17 +200,23 @@ EXPLICIT = {
 }
 # the methods run on ``plane_turn_mirror``
 PLANE_METHODS = ("bcd", "norm-minimal", "lexicographic")
-RUNS = len(GENERATORS) * len(METHODS) + len(EXPLICIT) + len(PLANE_METHODS)
+RUNS = len(GENERATORS) * len(METHODS) + len(EXPLICIT) + len(PLANE_METHODS) + 1
 
 
-def solve(out: Path, config: dict) -> None:
+def run_cli(out: Path, config: dict, command: str, *options: str) -> None:
+    """Run ``busemann COMMAND config.json --out OUT OPTIONS`` quietly and
+    record its exit code."""
     out.mkdir(parents=True)
     path = out / "config.json"
     path.write_text(json.dumps(config))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = busemann_main(["solve", str(path), "--out", str(out)])
+        code = busemann_main([command, str(path), "--out", str(out), *options])
     path.unlink()
     (out / "exit_code").write_text(f"{code}\n")
+
+
+def solve(out: Path, config: dict) -> None:
+    run_cli(out, config, "solve")
     summary = out / "summary.json"
     if summary.exists():
         data = json.loads(summary.read_text())
@@ -230,6 +241,9 @@ def run_all(root: Path, seed: int) -> None:
         config = plane_turn_mirror(seed)
         config["solver"].update(METHODS[run])
         solve(root / "plane-turn-mirror-3" / run, config)
+    # verify reads only the seed and budgets; the problem is parsed and unused
+    verify = {"schema": 1, "seed": seed, "problem": {"generator": "consensus"}}
+    run_cli(root / "verify" / "all", verify, "verify", "--suite", "all")
 
 
 def differences(expected: Path, actual: Path) -> list:

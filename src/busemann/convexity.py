@@ -6,6 +6,17 @@ sets, minimax circumcenters, iterated midpoint hulls, derivative-free
 convex minimization, linear-growth certificates for coercive convex
 functions, displacement functions of finite isometry sets, parallelism
 of segments, and detection of Clifford isometries (constant displacement).
+
+The derivative-free searches share two private primitives.
+:func:`_shrinking_search` is the one best-of-candidates loop: it scores the
+candidates around the incumbent, moves to the best one that is strictly
+lower, and otherwise halves the radius.  :func:`minimize_convex`, the
+midpoint-hull and sublevel-set projections and the polish of
+:func:`circumcenter` supply only their candidates, start radius and floor.
+:func:`_bisect` is the one 60-step bisection, behind the boundary snap of
+the sublevel-set projection and :func:`linear_growth_bound`.  The pair
+search of :func:`modulus_estimate` is separate: it accepts each improving
+candidate in turn.
 """
 
 from __future__ import annotations
@@ -174,6 +185,35 @@ def sampled_convexity_defect(
 # ---------------------------------------------------------------------------
 
 
+def _shrinking_search(f, x, fx, rho, floor, candidates):
+    """The one shrinking-radius search: score ``candidates(x, rho)``, move
+    to the first of the lowest scores if it is strictly below ``fx = f(x)``,
+    else halve ``rho``; stop once ``rho <= floor``.  Returns ``(x, f(x))``."""
+    while rho > floor:
+        best, fbest = None, fx
+        for y in candidates(x, rho):
+            fy = f(y)
+            if fy < fbest:
+                best, fbest = y, fy
+        if best is None:
+            rho *= 0.5
+        else:
+            x, fx = best, fbest
+    return x, fx
+
+
+def _bisect(pred, good: float, bad: float) -> float:
+    """60 halvings of the interval between ``good`` (where ``pred`` holds)
+    and ``bad`` (where it fails); returns the good end."""
+    for _ in range(60):
+        mid = 0.5 * (good + bad)
+        if pred(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
 def minimize_convex(
     space,
     f,
@@ -193,29 +233,23 @@ def minimize_convex(
     coercivity is then suspect).
     """
     rng = np.random.default_rng(seed)
-    x = x_init
-    fx = float(f(x))
-    rho = radius0 if radius0 is not None else 1.0
-    floor = max(tol * 0.1, 1e-14)
     evals = 0
-    while rho > floor and evals < 200_000:
-        cands = [perturb(space, x, rng, rho) for _ in range(8)]
-        best, fbest = None, fx
-        for y in cands:
-            fy = float(f(y))
-            evals += 1
-            if fy < fbest:
-                best, fbest = y, fy
-        if best is None:
-            rho *= 0.5
-        else:
-            x, fx = best, fbest
-            if space.distance(x, x_init) > escape_radius:
-                raise SolverError(
-                    "iterates escaped the configured radius; f does not look coercive",
-                    best=x,
-                )
-    return x
+
+    def candidates(x, rho):
+        nonlocal evals
+        if space.distance(x, x_init) > escape_radius:
+            raise SolverError(
+                "iterates escaped the configured radius; f does not look coercive",
+                best=x,
+            )
+        if evals >= 200_000:
+            return ()
+        evals += 8
+        return [perturb(space, x, rng, rho) for _ in range(8)]
+
+    score = lambda y: float(f(y))
+    rho = radius0 if radius0 is not None else 1.0
+    return _shrinking_search(score, x_init, score(x_init), rho, max(tol * 0.1, 1e-14), candidates)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +463,11 @@ def project(space, x, cset, tol: float = 1e-6, seed: int = 0, check_uniqueness: 
         return _affine_project(space, x, cset)
     if isinstance(cset, Subtree):
         return _project_subtree(space, x, cset)
-    if isinstance(cset, MidpointHull):
-        p = _project_hull(space, x, cset, tol, seed)
-        if check_uniqueness:
-            p2 = _project_hull(space, x, cset, tol, seed + 1)
-            if space.distance(p, p2) > 10.0 * tol:
-                raise SolverError("projection restarts disagree", best=p)
-        return p
-    if isinstance(cset, SublevelSet):
-        p = _project_sublevel(space, x, cset, tol, seed)
-        if check_uniqueness:
-            p2 = _project_sublevel(space, x, cset, tol, seed + 1)
-            if space.distance(p, p2) > 10.0 * tol:
-                raise SolverError("projection restarts disagree", best=p)
+    if isinstance(cset, (MidpointHull, SublevelSet)):
+        search = _project_hull if isinstance(cset, MidpointHull) else _project_sublevel
+        p = search(space, x, cset, tol, seed)
+        if check_uniqueness and space.distance(p, search(space, x, cset, tol, seed + 1)) > 10.0 * tol:
+            raise SolverError("projection restarts disagree", best=p)
         return p
     raise DomainError(f"unknown convex set {cset!r}")
 
@@ -476,27 +502,12 @@ def _project_hull(space, x, cset: MidpointHull, tol: float, seed: int):
     rng = np.random.default_rng(seed)
     p = min(cloud, key=lambda c: space.distance(x, c))
 
-    gens = list(cset.generators)
-
     def candidates(cur, rho):
-        out = [step_toward(space, cur, g, rho) for g in gens]
-        for _ in range(4):
-            out.append(step_toward(space, cur, cloud[int(rng.integers(0, len(cloud)))], rho))
-        return out
+        out = [step_toward(space, cur, g, rho) for g in cset.generators]
+        return out + [step_toward(space, cur, cloud[int(rng.integers(0, len(cloud)))], rho) for _ in range(4)]
 
     fx = space.distance(x, p)
-    rho = max(fx, 1e-3)
-    while rho > tol * 0.05:
-        best, fbest = None, fx
-        for y in candidates(p, rho):
-            fy = space.distance(x, y)
-            if fy < fbest:
-                best, fbest = y, fy
-        if best is None:
-            rho *= 0.5
-        else:
-            p, fx = best, fbest
-    return p
+    return _shrinking_search(lambda y: space.distance(x, y), p, fx, max(fx, 1e-3), tol * 0.05, candidates)[0]
 
 
 def _project_sublevel(space, x, cset: SublevelSet, tol: float, seed: int):
@@ -512,32 +523,18 @@ def _project_sublevel(space, x, cset: SublevelSet, tol: float, seed: int):
         # geodesic bisection from y toward the anchor, onto the boundary
         if f(y) <= level:
             return y
-        lo, hi = 0.0, 1.0  # f(geodesic(y, anchor, hi)) <= level
-        for _ in range(60):
-            mid_t = 0.5 * (lo + hi)
-            if f(space.geodesic(y, anchor, mid_t)) <= level:
-                hi = mid_t
-            else:
-                lo = mid_t
-        return space.geodesic(y, anchor, hi)
+        t = _bisect(lambda t: f(space.geodesic(y, anchor, t)) <= level, 1.0, 0.0)
+        return space.geodesic(y, anchor, t)
 
     rng = np.random.default_rng(seed)
+
+    def candidates(cur, rho):
+        out = [snap(perturb(space, cur, rng, rho)) for _ in range(8)]
+        return out + [snap(step_toward(space, cur, x, min(rho, space.distance(cur, x))))]
+
     p = snap(x)
     fx = space.distance(x, p)
-    rho = max(fx, 1e-3)
-    while rho > tol * 0.05:
-        cands = [snap(perturb(space, p, rng, rho)) for _ in range(8)]
-        cands.append(snap(step_toward(space, p, x, min(rho, space.distance(p, x)))))
-        best, fbest = None, fx
-        for y in cands:
-            fy = space.distance(x, y)
-            if fy < fbest:
-                best, fbest = y, fy
-        if best is None:
-            rho *= 0.5
-        else:
-            p, fx = best, fbest
-    return p
+    return _shrinking_search(lambda y: space.distance(x, y), p, fx, max(fx, 1e-3), tol * 0.05, candidates)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +593,7 @@ def circumcenter(
     # polish: shrinking-radius search along geodesics toward the points and
     # toward midpoints of the currently-farthest points (the latter supply
     # the improving direction when two or three points support the optimum)
-    rho = max(fc, tol)
-    while rho > tol * 0.02:
+    def candidates(c, rho):
         ranked = sorted(pts, key=lambda p: -space.distance(c, p))
         cands = [step_toward(space, c, p, min(rho, space.distance(c, p))) for p in pts]
         cands.append(step_toward(space, c, ranked[0], min(rho * 0.5, space.distance(c, ranked[0]))))
@@ -610,22 +606,13 @@ def circumcenter(
                 cands.append(step_toward(space, c, m3, min(rho, space.distance(c, m3))))
         if relative:
             for _ in range(4):
-                cands.append(
-                    step_toward(space, c, cloud[int(rng.integers(0, len(cloud)))], rho)
-                )
+                cands.append(step_toward(space, c, cloud[int(rng.integers(0, len(cloud)))], rho))
         else:
             for _ in range(6):
                 cands.append(perturb(space, c, rng, rho))
-        best, fbest = None, fc
-        for y in cands:
-            fy = maxdist(y)
-            if fy < fbest:
-                best, fbest = y, fy
-        if best is None:
-            rho *= 0.5
-        else:
-            c, fc = best, fbest
-    return c, fc
+        return cands
+
+    return _shrinking_search(maxdist, c, fc, max(fc, tol), tol * 0.02, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -748,31 +735,14 @@ def linear_growth_bound(
         return worst >= -1e-12, worst, wit
 
     lo = 1e-9
-    good, worst, wit = ok(lo)
+    good, worst, _ = ok(lo)
     if not good:
         raise SolverError("no positive b satisfies the linear growth bound", best=worst)
-    hi = lo
-    while hi < b_cap:
-        hi2 = min(hi * 4.0, b_cap)
-        good, _, _ = ok(hi2)
-        if good:
-            hi = hi2
-            if hi >= b_cap:
-                g, worst, wit = ok(b_cap)
-                return GrowthBound(b_cap, wit, worst)
-        else:
-            break
-    lo = hi
-    hi = min(hi * 4.0, b_cap)
-    for _ in range(60):
-        mid_b = 0.5 * (lo + hi)
-        good, _, _ = ok(mid_b)
-        if good:
-            lo = mid_b
-        else:
-            hi = mid_b
-    _, worst, wit = ok(lo)
-    return GrowthBound(lo, wit, worst)
+    while lo < b_cap and ok(min(lo * 4.0, b_cap))[0]:
+        lo = min(lo * 4.0, b_cap)
+    b = lo if lo >= b_cap else _bisect(lambda b: ok(b)[0], lo, min(lo * 4.0, b_cap))
+    _, worst, wit = ok(b)
+    return GrowthBound(b, wit, worst)
 
 
 # ---------------------------------------------------------------------------

@@ -274,9 +274,12 @@ def energy_by_class(prob: EquivariantProblem, phi: EquivariantMap) -> dict:
 
 
 def _local_objective(space, p, point_terms, loop_terms, z) -> float:
-    return math.fsum(w * space.distance(z, u) ** p for w, u in point_terms) + math.fsum(
-        w * space.distance(T.apply(z), z) ** p for w, T in loop_terms
-    )
+    try:
+        return math.fsum(w * space.distance(z, u) ** p for w, u in point_terms) + math.fsum(
+            w * space.distance(T.apply(z), z) ** p for w, T in loop_terms
+        )
+    except OverflowError:  # a power or sum past the float range: inf, as numpy rounds it
+        return math.inf
 
 
 # The local-solve paths, the keys of the ``local_solves`` counter
@@ -663,17 +666,24 @@ def _descend(sweep_once, evaluate, best, tol: float, max_sweeps: int):
     ``sweep_once()`` runs one sweep in place and returns the largest cell
     move and the number of moves refused, and ``best()`` gives the current
     map for the :class:`SolverError` raised at the first non-finite
-    objective (its ``stop_reason`` is "non-finite").  Stops when the
-    decrease of the objective over a sweep falls below tol * (1 + |obj|)
-    and no cell moved more than tol.  Returns (objective, sweeps,
-    converged, trace, rejected), the last summed over the sweeps.
+    objective (its ``stop_reason`` is "non-finite"; a power or sum past the
+    float range, which ``evaluate`` raises as OverflowError, counts as
+    inf).  Stops when the decrease of the objective over a sweep falls
+    below tol * (1 + |obj|) and no cell moved more than tol.  Returns
+    (objective, sweeps, converged, trace, rejected), the last summed over
+    the sweeps.
     """
 
     def checked(sweep, max_move):
-        row = evaluate(sweep, max_move)
-        if not math.isfinite(row.objective):
+        try:
+            row = evaluate(sweep, max_move)
+        except OverflowError:  # a power or sum past the float range: inf, as numpy rounds it
+            objective = math.inf
+        else:
+            objective = row.objective
+        if not math.isfinite(objective):
             raise SolverError(
-                f"non-finite objective {row.objective} at sweep {sweep}", best=best(), stop_reason="non-finite"
+                f"non-finite objective {objective} at sweep {sweep}", best=best(), stop_reason="non-finite"
             )
         return row
 

@@ -50,20 +50,33 @@ class GeneratedModel:
     cover_spec: Optional[CoverSpec] = None
 
 
-def consensus_model(cells: int = 4, spread: float = 1.0) -> GeneratedModel:
-    """Chain of cells with identity twists in both directions; every constant
-    map has zero energy, so the solver must reach consensus."""
-    if cells < 2:
-        raise DomainError("consensus needs at least 2 cells")
-    e1 = Euclidean(1)
-    ident = identity_isometry(e1)
+def _identity_chain(space, cells: int, base_point) -> EquivariantProblem:
+    """Cells c0, c1, ... of equal weight, each joined to the next in both
+    directions by the identity."""
+    ident = identity_isometry(space)
     m = MeasureModel(tuple(f"c{i}" for i in range(cells)), (1.0 / cells,) * cells)
     edges = []
     for i in range(cells - 1):
         edges.append(Edge(f"c{i}", f"c{i+1}", 1.0, ident))
         edges.append(Edge(f"c{i+1}", f"c{i}", 1.0, ident))
-    prob = EquivariantProblem(m, e1, (0.0,), tuple(edges))
-    init = EquivariantMap(m, e1, tuple((spread * i,) for i in range(cells)))
+    return EquivariantProblem(m, space, base_point, tuple(edges))
+
+
+def _one_cell(space, base_point, edges) -> EquivariantProblem:
+    """The single cell c0 of weight 1 with self-loop edges; a loop set
+    without the identity is intended here, so its warning is silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IdentityConventionWarning)
+        return EquivariantProblem(MeasureModel(("c0",), (1.0,)), space, base_point, tuple(edges))
+
+
+def consensus_model(cells: int = 4, spread: float = 1.0) -> GeneratedModel:
+    """Chain of cells with identity twists in both directions; every constant
+    map has zero energy, so the solver must reach consensus."""
+    if cells < 2:
+        raise DomainError("consensus needs at least 2 cells")
+    prob = _identity_chain(Euclidean(1), cells, (0.0,))
+    init = EquivariantMap(prob.model, prob.target, tuple((spread * i,) for i in range(cells)))
     return GeneratedModel(prob, init)
 
 
@@ -104,13 +117,8 @@ def translation_loop_model(base: float = 0.0) -> GeneratedModel:
     """Single cell with a translation self-loop: the energy is flat (constant
     1), so only the norm-minimal selection pins the solution down."""
     e1 = Euclidean(1)
-    m = MeasureModel(("c0",), (1.0,))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IdentityConventionWarning)
-        prob = EquivariantProblem(
-            m, e1, (float(base),), (Edge("c0", "c0", 1.0, translation(e1, (1.0,))),)
-        )
-    init = EquivariantMap(m, e1, ((float(base) + 3.0,),))
+    prob = _one_cell(e1, (float(base),), (Edge("c0", "c0", 1.0, translation(e1, (1.0,))),))
+    init = EquivariantMap(prob.model, e1, ((float(base) + 3.0,),))
     return GeneratedModel(prob, init)
 
 
@@ -123,17 +131,17 @@ def product_two_class_model() -> GeneratedModel:
     ident = identity_isometry(e1)
     a = ProductIsometry((point_reflection(e1, (0.0,)), ident))
     b = ProductIsometry((ident, point_reflection(e1, (1.0,))))
-    m = MeasureModel(("c0",), (1.0,))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IdentityConventionWarning)
-        prob = EquivariantProblem(
-            m,
-            pr,
-            ((0.0,), (0.0,)),
-            (Edge("c0", "c0", 1.0, a, 1), Edge("c0", "c0", 1.0, b, 2)),
-        )
-    init = EquivariantMap(m, pr, (((0.7,), (-0.4,)),))
+    prob = _one_cell(pr, ((0.0,), (0.0,)), (Edge("c0", "c0", 1.0, a, 1), Edge("c0", "c0", 1.0, b, 2)))
+    init = EquivariantMap(prob.model, pr, (((0.7,), (-0.4,)),))
     return GeneratedModel(prob, init)
+
+
+def _dihedral_base(cells: int):
+    """The dihedral line problem and the generators of its covers: the
+    identity, the unit translation and the mirror at 0."""
+    base = dihedral_line_problem(cells)
+    e1 = base.target
+    return base, (identity_isometry(e1), translation(e1, (1.0,)), point_reflection(e1, (0.0,)))
 
 
 def dihedral_cover_model(k: int = 2, cells: int = 3) -> GeneratedModel:
@@ -143,17 +151,12 @@ def dihedral_cover_model(k: int = 2, cells: int = 3) -> GeneratedModel:
     translation and the mirror (the reflection-preserving cover, which has a
     unique minimizer); k = 1 returns the base model.
     """
-    base = dihedral_line_problem(cells)
-    e1 = base.target
-    ident = identity_isometry(e1)
-    t1 = translation(e1, (1.0,))
-    r0 = point_reflection(e1, (0.0,))
+    base, gens = _dihedral_base(cells)
+    ident, t1, _ = gens
     if k == 1:
-        spec = CoverSpec(base, 1, (ident, t1, r0), ((0,), (0,), (0,)), (ident,))
+        spec = CoverSpec(base, 1, gens, ((0,), (0,), (0,)), (ident,))
     elif k == 2:
-        spec = CoverSpec(
-            base, 2, (ident, t1, r0), ((0, 1), (1, 0), (0, 1)), (ident, t1)
-        )
+        spec = CoverSpec(base, 2, gens, ((0, 1), (1, 0), (0, 1)), (ident, t1))
     else:
         raise DomainError("dihedral-cover supports k in {1, 2}")
     prob = build_cover(spec)
@@ -164,27 +167,16 @@ def translation_cover_spec(cells: int = 3) -> CoverSpec:
     """Index-2 translation subgroup of the dihedral line model (the mirror
     swaps the cosets); its energy has a flat direction, exercising the
     norm-minimal selection."""
-    base = dihedral_line_problem(cells)
-    e1 = base.target
-    ident = identity_isometry(e1)
-    t1 = translation(e1, (1.0,))
-    r0 = point_reflection(e1, (0.0,))
-    return CoverSpec(base, 2, (ident, t1, r0), ((0, 1), (0, 1), (1, 0)), (ident, r0))
+    base, gens = _dihedral_base(cells)
+    ident, _, r0 = gens
+    return CoverSpec(base, 2, gens, ((0, 1), (0, 1), (1, 0)), (ident, r0))
 
 
 def tree_consensus_model(cells: int = 2) -> GeneratedModel:
     """Cells mapped into the unit 3-star with identity chain edges."""
     t = star_tree(3)
-    ident = identity_isometry(t)
-    m = MeasureModel(tuple(f"c{i}" for i in range(cells)), (1.0 / cells,) * cells)
-    edges = []
-    for i in range(cells - 1):
-        edges.append(Edge(f"c{i}", f"c{i+1}", 1.0, ident))
-        edges.append(Edge(f"c{i+1}", f"c{i}", 1.0, ident))
-    prob = EquivariantProblem(m, t, t.vertex_point("c"), tuple(edges))
-    init = EquivariantMap(
-        m, t, tuple(t.point(i % 3, 0.75) for i in range(cells))
-    )
+    prob = _identity_chain(t, cells, t.vertex_point("c"))
+    init = EquivariantMap(prob.model, t, tuple(t.point(i % 3, 0.75) for i in range(cells)))
     return GeneratedModel(prob, init)
 
 
@@ -193,13 +185,8 @@ def tree_leafswap_model() -> GeneratedModel:
     the minimizer is the fixed set of the swap (center and the third edge)."""
     t = star_tree(3)
     swap = TreeIsometry(t, {"c": "c", "l1": "l2", "l2": "l1", "l3": "l3"})
-    m = MeasureModel(("c0",), (1.0,))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IdentityConventionWarning)
-        prob = EquivariantProblem(
-            m, t, t.vertex_point("c"), (Edge("c0", "c0", 1.0, swap),)
-        )
-    init = EquivariantMap(m, t, (t.point(0, 0.6),))
+    prob = _one_cell(t, t.vertex_point("c"), (Edge("c0", "c0", 1.0, swap),))
+    init = EquivariantMap(prob.model, t, (t.point(0, 0.6),))
     return GeneratedModel(prob, init)
 
 

@@ -87,8 +87,9 @@ class SolverError(GeometryError, RuntimeError):
 
 
 class _VectorSpace:
-    """The point checks of R^dim under any norm: a point is a tuple of
-    ``dim`` real, finite numbers."""
+    """R^dim under a strictly convex norm: the point checks (a point is a
+    tuple of ``dim`` real, finite numbers), the affine geodesics, sampling
+    and the origin."""
 
     def validate_point(self, x) -> None:
         self.check_point(x)
@@ -102,6 +103,19 @@ class _VectorSpace:
     def check_point(self, x) -> None:
         if type(x) is not tuple or len(x) != self.dim or not isinstance(x[0], (float, int)):
             raise SpaceMismatchError(f"not a point of {self!r}: {x!r}")
+
+    def geodesic(self, x, y, t: float):
+        # Affine segments are the unique geodesics of a strictly convex norm.
+        self.check_point(x)
+        self.check_point(y)
+        _check_param(t)
+        return tuple((1.0 - t) * a + t * b for a, b in zip(x, y))
+
+    def sample(self, rng: np.random.Generator, scale: float = 1.0):
+        return tuple(float(c) for c in rng.normal(0.0, scale, self.dim))
+
+    def origin(self):
+        return (0.0,) * self.dim
 
     def _check_batch(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -146,17 +160,9 @@ class Euclidean(_VectorSpace):
         x, y = self._check_batch(x, y)
         return np.linalg.norm(x - y, axis=-1)
 
-    def geodesic(self, x, y, t: float):
-        self.check_point(x)
-        self.check_point(y)
-        _check_param(t)
-        return tuple((1.0 - t) * a + t * b for a, b in zip(x, y))
-
-    def sample(self, rng: np.random.Generator, scale: float = 1.0):
-        return tuple(float(c) for c in rng.normal(0.0, scale, self.dim))
-
-    def origin(self):
-        return (0.0,) * self.dim
+    # held by each kind, so that per-kind tracing (perfbench/layers.py)
+    # wraps the Euclidean and l_p geodesics apart
+    geodesic = _VectorSpace.geodesic
 
 
 @dataclass(frozen=True)
@@ -179,25 +185,17 @@ class LpVector(_VectorSpace):
     def distance(self, x, y) -> float:
         self.check_point(x)
         self.check_point(y)
-        return math.fsum(abs(a - b) ** self.p for a, b in zip(x, y)) ** (1.0 / self.p)
+        try:
+            return math.fsum(abs(a - b) ** self.p for a, b in zip(x, y)) ** (1.0 / self.p)
+        except OverflowError:  # a power past the float range: inf, as distance_batch rounds it
+            return math.inf
 
     def distance_batch(self, x, y) -> np.ndarray:
         """``distance`` over arrays of points (coordinates on the last axis)."""
         x, y = self._check_batch(x, y)
         return np.float_power(np.sum(np.float_power(np.abs(x - y), self.p), axis=-1), 1.0 / self.p)
 
-    def geodesic(self, x, y, t: float):
-        # Affine segments are the unique geodesics of a strictly convex norm.
-        self.check_point(x)
-        self.check_point(y)
-        _check_param(t)
-        return tuple((1.0 - t) * a + t * b for a, b in zip(x, y))
-
-    def sample(self, rng: np.random.Generator, scale: float = 1.0):
-        return tuple(float(c) for c in rng.normal(0.0, scale, self.dim))
-
-    def origin(self):
-        return (0.0,) * self.dim
+    geodesic = _VectorSpace.geodesic
 
 
 @dataclass(frozen=True)
@@ -557,9 +555,11 @@ class Product:
     def distance(self, x, y) -> float:
         self.check_point(x)
         self.check_point(y)
-        return math.fsum(
-            f.distance(a, b) ** self.q for f, a, b in zip(self.factors, x, y)
-        ) ** (1.0 / self.q)
+        try:
+            total = math.fsum(f.distance(a, b) ** self.q for f, a, b in zip(self.factors, x, y))
+            return total ** (1.0 / self.q)
+        except OverflowError:  # a power past the float range: inf, as distance_batch rounds it
+            return math.inf
 
     def _check_batch(self, x, y) -> None:
         if len(x) != len(self.factors) or len(y) != len(self.factors):

@@ -95,6 +95,29 @@ def test_solve_nonconvergence_exit_3(tmp_path):
     assert main(["solve", str(path)]) == 3
 
 
+def test_solve_lp_distance_past_float_range_exit_3_without_traceback(tmp_path, capsys):
+    # |1e160 - (-1e160)|^3 passes the float range: the distance counts as
+    # inf, as numpy rounds it, and the run stops at sweep 0 as non-finite
+    identity = {"kind": "identity"}
+    path = write_config(
+        tmp_path,
+        space={"kind": "lp", "dim": 1, "p": 3.0},
+        problem={
+            "cells": [{"id": "a", "weight": 0.5}, {"id": "b", "weight": 0.5}],
+            "edges": [
+                {"src": "a", "dst": "b", "weight": 1.0, "twist": identity},
+                {"src": "b", "dst": "a", "weight": 1.0, "twist": identity},
+            ],
+            "base_point": [0.0],
+            "init": [[1e160], [-1e160]],
+        },
+    )
+    assert main(["solve", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: non-finite objective inf at sweep 0")
+    assert "Traceback" not in err
+
+
 def test_solve_non_numeric_cell_weight_exit_2(tmp_path, capsys):
     path = write_config(
         tmp_path,

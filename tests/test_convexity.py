@@ -368,6 +368,68 @@ def test_linear_growth_negative_errors():
 
 
 # ---------------------------------------------------------------------------
+# exact results of the derivative-free searches
+# ---------------------------------------------------------------------------
+
+
+def search_results():
+    l1, l2 = STAR.vertex_point("l1"), STAR.vertex_point("l2")
+    disk = SublevelSet(ConvexFunction(lambda z: math.dist(z, (0.0, 0.0))), 1.0)
+    triangle = MidpointHull(((0.0, 0.0), (2.0, 0.0), (0.0, 2.0)), depth=6)
+    out = {
+        "minimize E1": minimize_convex(E1, ConvexFunction(lambda z: abs(z[0] - 3.0)), (0.0,), tol=1e-8, radius0=8.0),
+        "minimize E2": minimize_convex(
+            E2, ConvexFunction(lambda z: max(z[0] + z[1], -z[0])), (2.0, 2.0), tol=1e-8, radius0=4.0
+        ),
+        "minimize star": minimize_convex(
+            STAR,
+            ConvexFunction(lambda z: STAR.distance(z, l1) ** 2 + STAR.distance(z, l2) ** 2),
+            STAR.vertex_point("l3"),
+            tol=1e-8,
+        ),
+        "project hull": project(E2, (2.9, 1.7), triangle, tol=1e-5, check_uniqueness=True),
+        "project sublevel": project(E2, (3.0, 0.0), disk, tol=1e-7, check_uniqueness=True),
+        "circumcenter": circumcenter(E2, [(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)], tol=1e-9),
+        "relative circumcenter": circumcenter(
+            E2, [(0.0, 0.0), (2.0, 0.5), (0.5, 1.5)], relative=True, tol=1e-8, depth=4
+        ),
+        "tree circumcenter": circumcenter(STAR, [STAR.point(0, 0.3), l2, STAR.point(2, 0.8)], tol=1e-9),
+        "growth": linear_growth_bound(E1, ConvexFunction(lambda z: z[0] ** 2), (0.0,), 10.0, budget=2048, seed=5),
+        "growth at the cap": linear_growth_bound(
+            E1, ConvexFunction(lambda z: abs(z[0]) + 1e12), (0.0,), 10.0, budget=64
+        ),
+    }
+    from busemann.spaces import SolverError
+
+    with pytest.raises(SolverError) as fail:
+        linear_growth_bound(E1, ConvexFunction(lambda z: -1.0e12), (0.0,), 10.0, budget=64)
+    out["growth failure best"] = fail.value.best
+    with pytest.raises(SolverError) as escape:
+        minimize_convex(E1, ConvexFunction(lambda z: -z[0]), (0.0,), tol=1e-8, radius0=10.0, escape_radius=100.0)
+    out["escape best"] = escape.value.best
+    return {name: repr(value) for name, value in out.items()}
+
+
+def test_search_results_are_pinned():
+    # the exact values (candidate order, rng draws, strict acceptance): the
+    # tests above check the same searches only to a tolerance
+    assert search_results() == {
+        "minimize E1": "(2.9999999999484253,)",
+        "minimize E2": "(21.09802334105078, -42.19604668098702)",
+        "minimize star": "TreePoint(edge=1, offset=4.742398991806242e-09, vertex=None)",
+        "project hull": "(1.6000002422845485, 0.3999997577154514)",
+        "project sublevel": "(1.0, -1.808863510769246e-09)",
+        "circumcenter": "((1.0, 0.0), 1.0)",
+        "relative circumcenter": "((0.9318181818266654, 0.522727272716348), 1.0684235703355267)",
+        "tree circumcenter": "(TreePoint(edge=1, offset=0.09999999999999998, vertex=None), 0.9)",
+        "growth": "GrowthBound(b=1.5874104795356634, witness=(0.797055463175671,), margin=-9.999778782798785e-13)",
+        "growth at the cap": "GrowthBound(b=1000000.0, witness=(-23.250307746388344,), margin=999976749715.504)",
+        "growth failure best": "-999000000000.0",
+        "escape best": "(106.09951885345859,)",
+    }
+
+
+# ---------------------------------------------------------------------------
 # displacement, parallelism, Clifford isometries
 # ---------------------------------------------------------------------------
 

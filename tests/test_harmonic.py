@@ -553,15 +553,20 @@ def test_float_kernel_bit_identical_to_array_kernel(monkeypatch):
         assert runs[0] == runs[1] == runs[2], name
 
 
-def test_float_kernel_overflow_steps_on_arrays(monkeypatch):
-    # cell b's new value lies 2.6e154 from c, whose square is past the float
-    # range: numpy rounds it to inf and refuses the move, and the float
-    # kernel, whose ** raises, hands the step to the array kernel
+def overflow_problem():
+    """Cell b's new value lies 2.6e154 from c, whose square is past the
+    float range."""
     ident = identity_isometry(E1)
     cells = MeasureModel(("b", "a", "c"), (1 / 3, 1 / 3, 1 / 3))
     edges = (Edge("a", "b", 1.0, ident), Edge("b", "a", 1.0, ident), Edge("c", "b", 0.01, ident), Edge("b", "c", 0.01, ident))
     prob = EquivariantProblem(cells, E1, (0.0,), edges)
-    start = EquivariantMap(cells, E1, ((0.0,), (1.3e154,), (-1.3e154,)))
+    return prob, EquivariantMap(cells, E1, ((0.0,), (1.3e154,), (-1.3e154,)))
+
+
+def test_float_kernel_overflow_steps_on_arrays(monkeypatch):
+    # numpy rounds the square to inf and refuses the move, and the float
+    # kernel, whose ** raises, hands the step to the array kernel
+    prob, start = overflow_problem()
     runs = []
     for threshold in (0, 10 ** 9):
         monkeypatch.setattr(harmonic, "FLOAT_STEP_MAX", threshold)
@@ -569,6 +574,15 @@ def test_float_kernel_overflow_steps_on_arrays(monkeypatch):
             runs.append(minimize_energy(prob, start, max_sweeps=3))
     assert outcome(runs[0]) == outcome(runs[1])
     assert runs[0].extras["rejected_moves"] >= 1
+
+
+def test_scalar_engine_counts_overflow_as_inf():
+    # the scalar engine's local objective takes the square past the float
+    # range as inf, as numpy does, so it refuses the same move
+    prob, start = overflow_problem()
+    with np.errstate(over="ignore"):
+        run = assert_same_run(prob, phi_init=start, max_sweeps=3)
+    assert run.extras["rejected_moves"] >= 1
 
 
 def plane_problem(loop_class=1):

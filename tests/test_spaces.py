@@ -235,6 +235,23 @@ def test_distance_batch_matches_distance_vector(space, rng):
             assert d[k, i] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "space, x, y",
+    [
+        (LpVector(1, 3.0), (1e160,), (-1e160,)),
+        (Product((E1, E1), 3.0), ((1e160,), (0.0,)), ((-1e160,), (0.0,))),
+    ],
+    ids=["lp", "product"],
+)
+def test_distance_past_float_range_is_inf_as_in_batches(space, x, y):
+    # the power |x - y|^p passes the float range: distance_batch rounds it
+    # to inf, and the scalar distance agrees instead of raising
+    with np.errstate(over="ignore"):
+        batch = space.distance_batch(space.pack([x]), space.pack([y]))
+    assert batch.tolist() == [math.inf]
+    assert space.distance(x, y) == math.inf
+
+
 def test_distance_batch_shape_mismatch_raises():
     with pytest.raises(SpaceMismatchError):
         E2.distance_batch(np.zeros((4, 2)), np.zeros((4, 3)))
