@@ -242,7 +242,7 @@ def minimize_convex(
                 "iterates escaped the configured radius; f does not look coercive",
                 best=x,
             )
-        if evals >= 200_000:
+        if evals >= 200_000:  # no more moves: the radius halves down to the floor
             return ()
         evals += 8
         return [perturb(space, x, rng, rho) for _ in range(8)]
