@@ -8,7 +8,12 @@ Every generator in ``busemann.models.GENERATORS`` is solved with its default
 parameters under every solver method (``bcd``, ``norm-minimal``,
 ``lexicographic``, ``commensurability``, and ``commensurability`` with
 ``norm_minimal`` as ``commensurability-norm-minimal``) at a fixed seed
-(``--seed``, default 7, stored in ``DIR/seed``).  Beside them ``bcd`` runs
+(``--seed``, default 7, stored in ``DIR/seed``).  Both commensurability
+runs of the generators on a Euclidean target (``consensus``,
+``dihedral-line``, ``translation-loop``, ``dihedral-cover``) take the exact
+path of ``subgroup_harmonic``: sweeps from the minimum-norm minimizer of
+``harmonic.quadratic_minimizer``, checked by the sweeps from the base
+point; those of ``product-two-class`` run its restarts.  Beside them ``bcd`` runs
 four explicit problems (``DIR/<name>/bcd/``):
 
 - ``consensus-chain-20``: 20 cells with identity twists both ways, started

@@ -11,8 +11,9 @@ parse/validation error; 3 solver error (including non-convergence).
 Outputs of ``solve``: ``trace.csv`` (sweep, energy_total, energy_class_j...,
 norm, max_move), ``summary.json`` (final energy, norm, converged, wall
 time; for commensurability solves also the kernel model's term count, word
-radius and truncation residual and the restart gap, uniqueness verdict and
-parallel-orbits flag), ``solution.csv`` (cell id, coordinates).  All CSV
+radius and truncation residual, the restart gap, uniqueness verdict and
+parallel-orbits flag, and on a Euclidean target the number of flat
+directions), ``solution.csv`` (cell id, coordinates).  All CSV
 content is deterministic for a fixed config and seed; wall time lives only
 in the summary.
 """
@@ -416,9 +417,11 @@ def _point_columns(space, value):
     return [c for f, part in zip(space.factors, value) for c in _point_columns(f, part)]
 
 
-# the kernel model and the restart verdict of a commensurability solve
+# the kernel model and the uniqueness verdict of a commensurability solve;
+# flat_directions only where the exact solve counted them (a Euclidean target)
 COMM_SUMMARY_KEYS = (
     "kernel_terms", "word_radius", "truncation_residual", "restart_gap", "unique", "parallel_orbits",
+    "flat_directions",
 )
 
 
@@ -458,7 +461,7 @@ def _write_artifacts(out_dir: Path, cfg: RunConfig, report, wall: float):
         "wall_time_s": wall,
     }
     if cfg.method == "commensurability":
-        summary.update({key: report.extras[key] for key in COMM_SUMMARY_KEYS})
+        summary.update({key: report.extras[key] for key in COMM_SUMMARY_KEYS if key in report.extras})
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 

@@ -24,12 +24,16 @@ carries the compiled :class:`~busemann.harmonic.KernelArrays` from the start;
 its :class:`~busemann.harmonic.Term` tuple is built only when :func:`energy`
 or the scalar engine reads it.  Other targets build the terms from isometry
 objects and run on the scalar engine.  :func:`subgroup_harmonic` solves
-the kernel energy from several restarts, each a run of
+a compiled model exactly: the kernel energy is then a quadratic form (the
+discrete connection Laplacian of Kotani and Sunada), whose minimum-norm
+minimizer :func:`~busemann.harmonic.quadratic_minimizer` computes, and the
+null space of its normal matrix counts the flat directions, so the
+minimizer is unique exactly when there are none.  Other targets are solved
+from several restarts, each a run of
 :func:`~busemann.harmonic.minimize_energy` calls (after the anchored stages
 of :func:`~busemann.harmonic._penalty_homotopy` when norm-minimal), and
-returns the winning restart's report.  Uniqueness is probed by restart
-agreement and is expected exactly when no sampled point pair is parallel
-under every generator.
+uniqueness is probed by restart agreement, expected exactly when no sampled
+point pair is parallel under every generator.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from busemann.harmonic import (
     compile_terms,
     energy,
     minimize_energy,
+    quadratic_minimizer,
 )
 from busemann.mapspace import (
     EquivariantMap,
@@ -494,46 +499,66 @@ def subgroup_harmonic(
     norm_minimal: bool = False,
     restarts: int = 2,
 ) -> SolveReport:
-    """Minimize the commensurability energy by block coordinate descent.
+    """Minimize the commensurability energy and decide whether its minimizer
+    is unique.
 
-    Runs ``restarts`` independent starts (constant at the base point, then
-    randomized) and compares the results: when the sampled parallel-orbits
-    check says no pair of points is parallel under every generator, the
-    minimizer is unique and the restarts must agree within 10 * tol
-    (disagreement raises :class:`SolverError`); with parallel orbits present,
-    disagreeing restarts are reported as non-uniqueness, not an error.  A
-    single restart compares nothing: its ``restart_gap`` and ``unique`` are
-    None.  ``extras`` also records the model's ``kernel_terms``,
-    ``word_radius`` and ``truncation_residual``.
+    On a model with compiled terms (``m.arrays``: a Euclidean target) the
+    energy is a quadratic form, solved exactly: the result is the sweep
+    engine (:func:`~busemann.harmonic.minimize_energy`) started at the
+    minimum-norm minimizer of :func:`~busemann.harmonic.quadratic_minimizer`,
+    so it is the norm-minimal selection whether or not ``norm_minimal`` is
+    set, and its report gives the trace, ``converged``, the counters and
+    ``iterations``, the sweeps of that solve alone.  ``unique`` is
+    ``flat_directions == 0``, the exact count of the null space.  With
+    ``restarts`` >= 2 one check runs: the sweep engine from the base point,
+    and ``restart_gap`` is the largest cell distance between the result
+    and the check; on a unique model a gap above 10 * tol raises
+    :class:`SolverError`.  One restart skips the check, and the gap is None.
 
-    ``norm_minimal`` selects among flat families: each restart runs the
-    first 20 stages of :data:`~busemann.harmonic.PENALTY_SCHEDULE` at
-    ``tol`` (:func:`~busemann.harmonic._penalty_homotopy`, seed 0) before
-    its free solve.  The result is the report of the first restart of least
-    objective, with ``iterations`` and ``local_solves`` summed over its
-    stages and free solve.
+    Other targets run ``restarts`` independent starts (constant at the base
+    point, then randomized); with ``norm_minimal`` each restart first runs
+    the first 20 stages of :data:`~busemann.harmonic.PENALTY_SCHEDULE` at
+    ``tol`` (:func:`~busemann.harmonic._penalty_homotopy`, seed 0).  The
+    result is the report of the first restart of least objective, with
+    ``iterations`` and ``local_solves`` summed over its stages and free
+    solve.  ``restart_gap`` is the largest cell distance between the first
+    restart and the others, and ``unique`` means that it is at most
+    10 * tol (both None with one restart); restarts that disagree although
+    the sampled parallel-orbits check found no pair of points parallel
+    under every generator raise :class:`SolverError`.
+
+    ``extras`` also records the model's ``kernel_terms``, ``word_radius``
+    and ``truncation_residual``, and ``flat_directions`` on the exact path.
     """
     if restarts < 1:
         raise DomainError("subgroup_harmonic needs at least one restart")
     space = m.target
-    rng = np.random.default_rng(seed)
+    exact = m.arrays is not None
+    if exact:
+        values, flat = quadratic_minimizer(m.arrays, m.model.weights, m.base_point)
+        results = [minimize_energy(m, EquivariantMap(m.model, space, tuple(values)), tol, max_sweeps)]
+        if restarts > 1:  # the check: the sweeps from the base point
+            results.append(minimize_energy(m, None, tol, max_sweeps))
+        win = results[0]
+    else:
+        rng = np.random.default_rng(seed)
 
-    def solve_from(values) -> SolveReport:
-        # the anchored homotopy stages, then the free solve, all counted
-        phi = EquivariantMap(m.model, space, tuple(values))
-        solves = _penalty_homotopy(m, phi, PENALTY_SCHEDULE[:20], tol, max_sweeps) if norm_minimal else []
-        solves.append(minimize_energy(m, solves[-1].solution if solves else phi, tol, max_sweeps))
-        free = solves[-1]
-        return replace(
-            free,
-            iterations=sum(r.iterations for r in solves),
-            extras={**free.extras, **_summed_counters(solves)},
-        )
+        def solve_from(values) -> SolveReport:
+            # the anchored homotopy stages, then the free solve, all counted
+            phi = EquivariantMap(m.model, space, tuple(values))
+            solves = _penalty_homotopy(m, phi, PENALTY_SCHEDULE[:20], tol, max_sweeps) if norm_minimal else []
+            solves.append(minimize_energy(m, solves[-1].solution if solves else phi, tol, max_sweeps))
+            free = solves[-1]
+            return replace(
+                free,
+                iterations=sum(r.iterations for r in solves),
+                extras={**free.extras, **_summed_counters(solves)},
+            )
 
-    starts = [[m.base_point] * len(m.model.cells)]
-    starts += [[space.sample(rng, 1.0) for _ in m.model.cells] for _ in range(restarts - 1)]
-    results = [solve_from(init) for init in starts]
-    win = min(results, key=lambda r: r.extras["objective"])
+        starts = [[m.base_point] * len(m.model.cells)]
+        starts += [[space.sample(rng, 1.0) for _ in m.model.cells] for _ in range(restarts - 1)]
+        results = [solve_from(init) for init in starts]
+        win = min(results, key=lambda r: r.extras["objective"])
     gap = None  # one restart: nothing to compare
     if len(results) > 1:
         first = results[0].solution.values
@@ -541,17 +566,18 @@ def subgroup_harmonic(
             space.distance(a, b) for other in results[1:] for a, b in zip(first, other.solution.values)
         )
     parallel = parallel_orbits_check(space, m.generators, seed=seed)
-    unique = None if gap is None else gap <= 10.0 * tol
-    if unique is False and parallel is False:
+    if gap is not None and gap > 10.0 * tol and (flat == 0 if exact else parallel is False):
         raise SolverError(
-            "restarts disagree although no parallel orbits were found", best=list(win.solution.values)
+            f"restart gap {gap:.3e} on a model with a unique minimizer", best=list(win.solution.values)
         )
+    unique = flat == 0 if exact else (None if gap is None else gap <= 10.0 * tol)
     return replace(
         win,
         norm=map_norm(2.0, win.solution, m.base_point),
         extras={
             "restart_gap": gap,
             "unique": unique,
+            **({"flat_directions": flat} if exact else {}),
             "parallel_orbits": parallel,
             "norm_minimal": norm_minimal,
             "engine": win.extras["engine"],

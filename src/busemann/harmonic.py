@@ -38,7 +38,9 @@ that plan: one-dimensional cells with at most :data:`FLOAT_STEP_MAX` entries
 on Python floats, all others on numpy arrays (:func:`_compiled_sweeps`).
 Both sum in the scalar engine's order, so both engines give the same
 numbers, bit for bit in one dimension and to rounding in more.  Trees, l_p
-and product targets and p != 2 use the scalar engine.
+and product targets and p != 2 use the scalar engine.  On compiled terms
+the energy is a quadratic form, and :func:`quadratic_minimizer` gives its
+minimum-norm minimizer and its number of flat directions without sweeps.
 
 Besides the plain minimizer this module provides the norm-minimal selection,
 lexicographic minimization across edge classes, and report-style checks of
@@ -46,7 +48,8 @@ the structure shared by all minimizers (midpoints of minimizers minimize;
 transported edge segments of two minimizers are parallel).  The
 vanishing-penalty homotopy toward the base point is one function,
 :func:`_penalty_homotopy`, which runs the norm-minimal selection here and
-in :func:`busemann.commensurability.subgroup_harmonic`.  The staged solvers
+in :func:`busemann.commensurability.subgroup_harmonic` on targets that are
+not Euclidean.  The staged solvers
 report through :func:`_staged_report`: every report's ``iterations`` counts
 all the sweeps that its solve ran.
 
@@ -104,6 +107,7 @@ __all__ = [
     "frechet_mean",
     "minimize_energy",
     "norm_minimal_minimizer",
+    "quadratic_minimizer",
     "lexicographic_minimize",
     "harmonic_properties_check",
     "HarmonicFactsReport",
@@ -307,7 +311,9 @@ def _solve_local(space, p, point_terms, loop_terms, current, tol: float, seed: i
     - ``pattern``: everything else, and the fallback of the Newton path when
       it gives up (a term not twice differentiable at an iterate, a step
       that is not a descent direction, a non-finite value): the
-      derivative-free search :func:`minimize_convex`.
+      derivative-free search :func:`minimize_convex`, from a radius of 1 +
+      the largest distance to a point term and with an escape radius 1e6
+      times that, so that it scales with the data.
 
     ``counts``, when given, is a dict keyed by :data:`LOCAL_PATHS`; the path
     that produced the result is incremented.
@@ -340,7 +346,8 @@ def _solve_local(space, p, point_terms, loop_terms, current, tol: float, seed: i
         if z is None:
             radius = 1.0 + max((space.distance(current, u) for _, u in point_terms), default=1.0)
             path, z = "pattern", minimize_convex(
-                space, f, current, tol=max(tol * 1e-2, 1e-12), seed=seed, radius0=radius
+                space, f, current, tol=max(tol * 1e-2, 1e-12), seed=seed, radius0=radius,
+                escape_radius=1e6 * radius,
             )
         if not f(z) < f(current):
             z = current
@@ -973,6 +980,96 @@ def _compiled_sweeps(plan: KernelArrays, values, fixed, tol, max_sweeps, evaluat
         sweep_once, lambda sweep, move: evaluate(state, sweep, move), current, tol, max_sweeps
     )
     return current(), obj, sweeps, converged, trace, rejected
+
+
+# A pivot of the pivoted Cholesky factorization at most this times the largest
+# pivot ends the factorization: the rest of the normal matrix is null space.
+# On the kernel models of the named generators and covers, the nonzero
+# eigenvalues of H lie above 0.36 times the largest and the null ones below
+# 1e-15 times it, so the cut sits far from both.
+PIVOT_RTOL = 1e-10
+
+
+def quadratic_minimizer(plan: KernelArrays, weights, base_point) -> tuple:
+    """The minimum-norm minimizer of a compiled energy and its number of
+    flat directions, by linear algebra in place of sweeps.
+
+    On compiled terms the energy is a quadratic form.  In sqrt(mu)
+    coordinates around the base point, x_c = x0 + z_c / sqrt(mu_c), the
+    residual of term t is (z_c1 / s_c1 - M_t z_c2 / s_c2) + e_t, e_t =
+    x0 - (M_t x0 + b_t), so E = |A z + e|^2 row by row with weights; the
+    normal matrix H = A^T W A and the vector g = -A^T W e are summed term
+    by term (a loop's row has one block, at its one cell).  The norm
+    sum_c mu_c |x_c - x0|^2 is |z|^2, so the minimum-norm solution of
+    H z = g (Bjorck, Numerical Methods for Least Squares Problems, ch. 5)
+    is the norm-minimal minimizer.  A pivoted Cholesky factorization
+    P H P^T = L L^T stops at the first pivot at most :data:`PIVOT_RTOL`
+    times the largest; the rank r it reaches leaves n * d - r flat
+    directions, spanned by N = P^T [-L11^-T L21^T; I].  The basic solution
+    (the system of the first r pivots solved, the rest 0) minus its
+    projection on span N is the minimum-norm solution.  Only plain numpy
+    and :func:`_solve_linear` run, no LAPACK routine.  Returns (values,
+    flat_directions), the values one tuple per cell.
+    """
+    s = np.sqrt(np.asarray(weights, dtype=float))
+    x0 = np.asarray(base_point, dtype=float)
+    n, d = len(s), len(x0)
+    size, axis = n * d, np.arange(d)
+    c1, c2, w = plan.c1, plan.c2, plan.weight[:, None, None]
+    e = (x0 - _apply_rows(plan.matrix, plan.shift, x0))[:, :, None]
+    # the blocks of A at c1 and c2; a loop's one block is (I - M_t) / s_c, so
+    # that a translation loop adds exactly 0
+    loop = (c1 == c2)[:, None, None]
+    q = -plan.matrix / s[c2, None, None]
+    parts = ((c1, np.eye(d) / s[c1, None, None] + loop * q), (c2, ~loop * q))
+    h, g = np.zeros(size * size), np.zeros(size)
+    for ca, a in parts:
+        wa_t, rows = w * a.transpose(0, 2, 1), ca[:, None] * d + axis  # w A^T, the rows of H
+        g -= np.bincount(rows.ravel(), (wa_t @ e).ravel(), size)
+        for cb, b in parts:
+            at = rows[:, :, None] * size + (cb[:, None] * d + axis)[:, None, :]
+            h += np.bincount(at.ravel(), (wa_t @ b).ravel(), size * size)
+    h = h.reshape(size, size)
+    # pivoted Cholesky, outer-product form: column r of h becomes column r of
+    # L, whose upper triangle is never read
+    perm = np.arange(size)
+    floor = PIVOT_RTOL * max(h.diagonal().max(), 0.0)
+    r = 0
+    while r < size:
+        rest = h.diagonal()[r:].tolist()
+        j = r + rest.index(max(rest))
+        if not h[j, j] > floor:
+            break
+        perm[[r, j]] = perm[[j, r]]
+        h[[r, j]] = h[[j, r]]
+        h[:, [r, j]] = h[:, [j, r]]
+        col = h[r:, r]
+        col /= math.sqrt(col[0])
+        h[r + 1 :, r + 1 :] -= col[1:, None] * col[1:]
+        r += 1
+    low = h[:r, :r]
+    # the basic solution: L11 L11^T y1 = g1, y2 = 0; then N^T N c = N^T y
+    y = np.zeros(size)
+    y[:r] = _triangular_solve(low, _triangular_solve(low, g[perm[:r]]), upper=True)
+    if size > r:
+        null = np.concatenate((-_triangular_solve(low, h[r:, :r].T, upper=True), np.eye(size - r)))
+        y -= null @ np.array(_solve_linear((null.T @ null).tolist(), (null.T @ y).tolist()))
+    z = np.empty(size)
+    z[perm] = y
+    x = x0 + z.reshape(n, d) / s[:, None]
+    return [tuple(v) for v in x.tolist()], size - r
+
+
+def _triangular_solve(low, b, upper: bool = False):
+    """The solution of low x = b (of low^T x = b when ``upper``) for a lower
+    triangular ``low``, by substitution; b is a vector or a matrix."""
+    x = np.array(b, dtype=float)
+    rows = range(len(x) - 1, -1, -1) if upper else range(len(x))
+    for i in rows:
+        done = slice(i + 1, None) if upper else slice(0, i)
+        coef = low[done, i] if upper else low[i, done]
+        x[i] = (x[i] - coef @ x[done]) / low[i, i]
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,29 @@ def test_solve_lp_distance_past_float_range_exit_3_without_traceback(tmp_path, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("v", [1e10, 1e40])
+def test_solve_lp_far_from_origin_exit_0(tmp_path, v):
+    # the pattern fallback of the local solve escapes only at 1e6 times its
+    # start radius, which scales with the data: this used to exit 3 with
+    # "f does not look coercive"
+    identity = {"kind": "identity"}
+    path = write_config(
+        tmp_path,
+        space={"kind": "lp", "dim": 2, "p": 1.5},
+        problem={
+            "cells": [{"id": "a", "weight": 0.5}, {"id": "b", "weight": 0.5}],
+            "edges": [
+                {"src": "a", "dst": "b", "weight": 1.0, "twist": identity},
+                {"src": "b", "dst": "a", "weight": 1.0, "twist": identity},
+            ],
+            "base_point": [0.0, 0.0],
+            "init": [[v, v], [-v, 0.3 * v]],
+        },
+    )
+    assert main(["solve", str(path)]) == 0
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["final_energy"] == 0.0
+
+
 def test_solve_non_numeric_cell_weight_exit_2(tmp_path, capsys):
     path = write_config(
         tmp_path,
@@ -194,6 +217,24 @@ def test_commensurability_summary_keys_deterministic(tmp_path, generator):
     assert a["unique"] is (generator != "translation-loop")
     for name in ("trace.csv", "solution.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("norm_minimal", [False, True])
+@pytest.mark.parametrize("generator", ["consensus", "translation-loop", "dihedral-line", "dihedral-cover"])
+def test_commensurability_uniqueness_verdict_is_exact(tmp_path, generator, norm_minimal):
+    # the flat direction count of the exact solve decides "unique"; the
+    # flat models used to write true here whenever the restarts agreed
+    path = write_config(
+        tmp_path,
+        problem={"generator": generator},
+        solver={"method": "commensurability", "norm_minimal": norm_minimal},
+    )
+    assert main(["solve", str(path)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    flat = generator in ("consensus", "translation-loop")
+    assert summary["unique"] is (not flat)
+    assert summary["flat_directions"] == int(flat)
+    assert summary["parallel_orbits"] is flat
 
 
 def test_commensurability_solve_without_edges(tmp_path):

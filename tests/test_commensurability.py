@@ -24,6 +24,7 @@ from busemann.commensurability import (
 from busemann.harmonic import (
     Edge,
     EquivariantProblem,
+    KernelArrays,
     Term,
     _apply_rows,
     _sq_terms,
@@ -31,13 +32,16 @@ from busemann.harmonic import (
     compile_terms,
     energy,
     minimize_energy,
+    quadratic_minimizer,
 )
 from busemann.mapspace import EquivariantMap, MeasureModel
 from busemann.convexity import parallel_check
 from busemann.models import (
+    GENERATORS,
     dihedral_cover_model,
     dihedral_line_model,
     dihedral_line_problem,
+    generate,
     product_two_class_model,
     translation_cover_spec,
     translation_loop_model,
@@ -47,6 +51,7 @@ from busemann.spaces import (
     DomainError,
     Euclidean,
     EuclideanIsometry,
+    LpVector,
     Product,
     ProductIsometry,
     SolverError,
@@ -191,13 +196,26 @@ def test_translation_model_reports_non_uniqueness():
 
 
 def test_single_restart_gives_no_uniqueness_verdict():
-    # one restart compares nothing: the flat translation model used to
-    # report unique=True and gap 0.0 here, and restarts=0 ran one restart
+    # on a Euclidean target the verdict is exact with or without the check:
+    # the flat translation model has one flat direction
     m = comm_energy_model(translation_loop_model().problem)
+    for restarts in (1, 2):
+        rep = subgroup_harmonic(m, tol=1e-9, seed=5, restarts=restarts)
+        assert rep.extras["unique"] is False
+        assert rep.extras["flat_directions"] == 1
+        assert rep.extras["parallel_orbits"] is True
+    assert rep.extras["restart_gap"] == 0.0
+    # on other targets one restart compares nothing: the same loop in
+    # l_p(1, 3) used to report unique=True and gap 0.0 here
+    lp = LpVector(1, 3.0)
+    loop = Edge("c0", "c0", 1.0, translation(lp, (1.0,)))
+    m = comm_energy_model(EquivariantProblem(MeasureModel(("c0",), (1.0,)), lp, (0.0,), (loop,)))
+    assert m.arrays is None
     rep = subgroup_harmonic(m, tol=1e-9, seed=5, restarts=1)
     assert rep.extras["unique"] is None
     assert rep.extras["restart_gap"] is None
     assert rep.extras["parallel_orbits"] is True
+    assert "flat_directions" not in rep.extras
     two = subgroup_harmonic(m, tol=1e-9, seed=5, restarts=2)
     assert two.extras["unique"] is False
     assert two.extras["restart_gap"] > 0.1
@@ -870,3 +888,110 @@ def test_kernel_model_takes_terms_or_arrays():
         CommEnergyModel(*fields, None, m.generators, m.word_radius, m.truncation_residual)
     with pytest.raises(ValidationError):
         CommEnergyModel(*fields, m.terms, m.generators, m.word_radius, m.truncation_residual, m.arrays)
+
+
+# ---------------------------------------------------------------------------
+# the exact solve of compiled kernel models
+# ---------------------------------------------------------------------------
+
+
+def generator_comm_model(name):
+    """The kernel model that ``busemann solve`` builds for a generator."""
+    gm = generate(name)
+    if gm.cover_spec is not None and gm.cover_spec.index > 1:
+        return cover_comm_energy_model(gm.cover_spec, gm.problem)
+    return comm_energy_model(gm.problem)
+
+
+EUCLIDEAN_GENERATORS = [name for name in GENERATORS if isinstance(generate(name).problem.target, Euclidean)]
+
+
+def quadratic_energy(k, values):
+    """The energy of compiled terms at a map given as one tuple per cell."""
+    x = np.array(values, dtype=float)
+    return math.fsum(_sq_terms(k.weight, x[k.c1] - _apply_rows(k.matrix, k.shift, x[k.c2])).tolist())
+
+
+def test_euclidean_generators():
+    assert EUCLIDEAN_GENERATORS == ["consensus", "dihedral-line", "translation-loop", "dihedral-cover"]
+
+
+def test_flat_directions_agree_with_parallel_orbits():
+    # exact null space against the sampled parallel-orbits witness, on the
+    # kernel model of every Euclidean generator and every model case
+    models = {name: generator_comm_model(name) for name in EUCLIDEAN_GENERATORS}
+    models.update({name: build()[0] for name, (build, _) in MODEL_CASES.items()})
+    flat = {}
+    for name, m in models.items():
+        _, flat[name] = quadratic_minimizer(m.arrays, m.model.weights, m.base_point)
+        assert (flat[name] > 0) is parallel_orbits_check(m.target, m.generators), name
+    assert {name for name, count in flat.items() if count} == {
+        "consensus", "translation-loop", "translation-cover-3", "no-edges",
+    }
+    assert max(flat.values()) == 1
+
+
+@pytest.mark.parametrize("name", EUCLIDEAN_GENERATORS)
+def test_exact_solve_of_generator_models(name):
+    m = generator_comm_model(name)
+    flat = 1 if name in ("consensus", "translation-loop") else 0
+    reports = [subgroup_harmonic(m, tol=1e-9, seed=7, norm_minimal=nm) for nm in (False, True)]
+    for rep in reports:
+        assert rep.extras["flat_directions"] == flat
+        assert rep.extras["unique"] is (flat == 0)
+        assert rep.extras["restart_gap"] <= 1e-8
+        assert rep.converged
+    # the exact point is the norm-minimal selection either way
+    assert reports[0].solution == reports[1].solution
+    ref = {"dihedral-line": 2.506608010215817, "dihedral-cover": 1.2533040051079085}.get(name)
+    if ref is not None:
+        assert reports[0].energy_total == pytest.approx(ref, rel=1e-12)
+    bcd = minimize_energy(m, EquivariantMap(m.model, m.target, tuple(random_start(m, 1))), tol=1e-12, max_sweeps=5000)
+    assert bcd.converged
+    assert reports[0].energy_total == pytest.approx(bcd.energy_total, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", [name for name in MODEL_CASES if name not in ("translation-cover-3", "no-edges")])
+def test_exact_point_is_the_unique_minimizer(name):
+    # without flat directions the descent from a random start ends at the
+    # exact point, also in two dimensions
+    m = MODEL_CASES[name][0]()[0]
+    values, flat = quadratic_minimizer(m.arrays, m.model.weights, m.base_point)
+    assert flat == 0
+    start = EquivariantMap(m.model, m.target, tuple(random_start(m, 2)))
+    bcd = minimize_energy(m, start, tol=1e-12, max_sweeps=5000)
+    assert bcd.converged
+    np.testing.assert_allclose(bcd.solution.values, values, rtol=0.0, atol=1e-8)
+    assert quadratic_energy(m.arrays, values) == pytest.approx(bcd.energy_total, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", EUCLIDEAN_GENERATORS)
+def test_exact_solve_invariant_under_weight_scaling(name):
+    # every kernel weight times 10^k: the same flat directions, the same
+    # point to tol, the energy times 10^k
+    m = generator_comm_model(name)
+    k = m.arrays
+    values, flat = quadratic_minimizer(k, m.model.weights, m.base_point)
+    e0 = quadratic_energy(k, values)
+    for power in range(-12, 13):
+        scaled = KernelArrays(k.c1, k.c2, 10.0**power * k.weight, k.matrix, k.shift)
+        got, got_flat = quadratic_minimizer(scaled, m.model.weights, m.base_point)
+        assert got_flat == flat, power
+        assert np.abs(np.subtract(got, values)).max() <= 1e-9, power
+        assert quadratic_energy(scaled, got) == pytest.approx(10.0**power * e0, rel=1e-12, abs=0.0), power
+
+
+def test_one_dimensional_commensurability_solve_calls_no_linalg(monkeypatch):
+    # no LAPACK routine at these sizes: its first call maps memory and may
+    # start the BLAS thread pool
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg was called")
+
+    for routine in ("eigh", "lstsq", "svd", "solve", "cholesky"):
+        monkeypatch.setattr(np.linalg, routine, refuse)
+    for name in EUCLIDEAN_GENERATORS:
+        m = generator_comm_model(name)
+        assert m.target.dim == 1
+        for norm_minimal in (False, True):
+            rep = subgroup_harmonic(m, norm_minimal=norm_minimal)
+            assert rep.converged and rep.extras["local_solves"]["linear"] > 0

@@ -23,6 +23,7 @@ from busemann.harmonic import (
     minimize_energy,
     norm_minimal_minimizer,
     orbit_diameter_heuristic,
+    quadratic_minimizer,
     LOCAL_PATHS,
     _local_objective,
     _newton_local,
@@ -755,8 +756,8 @@ def test_local_solve_counters_deterministic_and_by_path():
         assert counts["pattern"] == counts["golden"] == 0
     # the compiled engine makes one linear solve per cell and sweep, and
     # every report counts every sweep it ran: all stages of the staged
-    # solvers, the winning restart's stages and free solve of commensurability;
-    # each report also counts its refused moves, the same in a rerun
+    # solvers, the sweeps from the exact minimizer of commensurability; each
+    # report also counts its refused moves, the same in a rerun
     gm = dihedral_line_model(3)
     m = comm_energy_model(gm.problem)
     runs = {
@@ -775,10 +776,45 @@ def test_local_solve_counters_deterministic_and_by_path():
         assert runs[name]().extras["rejected_moves"] == rejected, name
     # the staged solves sum them over their stages; the homotopy refuses some
     assert reports["norm-minimal"].extras["rejected_moves"] > 0
-    # at least one sweep in each of 40 stages and the free solve; in each of
-    # 20 stages and the free solve
+    # at least one sweep in each of 40 stages and the free solve
     assert reports["norm-minimal"].iterations >= 41
-    assert reports["commensurability-norm-minimal"].iterations >= 21
+    # a commensurability solve of a Euclidean model counts the sweeps from
+    # the exact minimizer alone, the solve whose trace it reports
+    for name in ("commensurability", "commensurability-norm-minimal"):
+        assert reports[name].iterations == len(reports[name].trace) - 1 >= 1, name
+
+
+@pytest.mark.parametrize("v", [1e10, 1e40])
+def test_pattern_fallback_escape_radius_scales_with_the_data(v):
+    # the pattern search starts at radius 1 + the largest point distance and
+    # may escape 1e6 times that: a coercive solve far from the origin
+    # converges (with an absolute escape radius of 1e6 it raised "f does not
+    # look coercive")
+    lp = LpVector(2, 1.5)
+    ident = identity_isometry(lp)
+    model = MeasureModel(("a", "b"), (0.5, 0.5))
+    prob = EquivariantProblem(model, lp, (0.0, 0.0), (Edge("a", "b", 1.0, ident), Edge("b", "a", 1.0, ident)))
+    rep = minimize_energy(prob, EquivariantMap(model, lp, ((v, v), (-v, 0.3 * v))))
+    assert rep.converged
+    assert rep.energy_total == 0.0
+    assert rep.extras["local_solves"]["pattern"] >= 1
+
+
+@pytest.mark.parametrize("shift, dim", [((1.0,), 1), ((1.0, 0.5), 2)])
+def test_quadratic_minimizer_projects_out_flat_directions(shift, dim):
+    # two cells of weight 1/2, joined by the identity one way and a
+    # translation by s the other: x_a - x_b = s / 2 at every minimizer, and
+    # the minimum-norm one is (s / 4, -s / 4), at every weight scale
+    space = Euclidean(dim)
+    model = MeasureModel(("a", "b"), (0.5, 0.5))
+    for power in range(-300, 301, 25):
+        w = 10.0**power
+        edges = (Edge("a", "b", w, identity_isometry(space)), Edge("b", "a", w, translation(space, shift)))
+        prob = EquivariantProblem(model, space, (0.0,) * dim, edges)
+        values, flat = quadratic_minimizer(prob.arrays, model.weights, prob.base_point)
+        assert flat == dim, power
+        want = [tuple(c / 4.0 for c in shift), tuple(-c / 4.0 for c in shift)]
+        np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-12, err_msg=str(power))
 
 
 def random_tree_terms(rng):
