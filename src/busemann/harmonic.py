@@ -986,7 +986,7 @@ def _compiled_sweeps(plan: KernelArrays, values, fixed, tol, max_sweeps, evaluat
 # pivot ends the factorization: the rest of the normal matrix is null space.
 # On the kernel models of the named generators and covers, the nonzero
 # eigenvalues of H lie above 0.36 times the largest and the null ones below
-# 1e-15 times it, so the cut sits far from both.
+# 2e-15 times it, so the cut sits far from both.
 PIVOT_RTOL = 1e-10
 
 

@@ -912,10 +912,6 @@ def quadratic_energy(k, values):
     return math.fsum(_sq_terms(k.weight, x[k.c1] - _apply_rows(k.matrix, k.shift, x[k.c2])).tolist())
 
 
-def test_euclidean_generators():
-    assert EUCLIDEAN_GENERATORS == ["consensus", "dihedral-line", "translation-loop", "dihedral-cover"]
-
-
 def test_flat_directions_agree_with_parallel_orbits():
     # exact null space against the sampled parallel-orbits witness, on the
     # kernel model of every Euclidean generator and every model case
