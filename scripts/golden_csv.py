@@ -8,12 +8,14 @@ Every generator in ``busemann.models.GENERATORS`` is solved with its default
 parameters under every solver method (``bcd``, ``norm-minimal``,
 ``lexicographic``, ``commensurability``, and ``commensurability`` with
 ``norm_minimal`` as ``commensurability-norm-minimal``) at a fixed seed
-(``--seed``, default 7, stored in ``DIR/seed``).  Both commensurability
-runs of the generators on a Euclidean target (``consensus``,
-``dihedral-line``, ``translation-loop``, ``dihedral-cover``) take the exact
-path of ``subgroup_harmonic``: sweeps from the minimum-norm minimizer of
-``harmonic.quadratic_minimizer``, checked by the sweeps from the base
-point; those of ``product-two-class`` run its restarts.  Beside them ``bcd`` runs
+(``--seed``, default 7, stored in ``DIR/seed``).  The ``norm-minimal``
+run and both commensurability runs of the generators on a Euclidean target
+(``consensus``, ``dihedral-line``, ``translation-loop``,
+``dihedral-cover``) take the exact path of
+``harmonic.norm_minimal_minimizer``: sweeps from the minimum-norm minimizer
+of ``harmonic.quadratic_minimizer`` (in ``subgroup_harmonic`` checked by
+the sweeps from the base point); those of ``product-two-class`` run the
+penalty homotopy and the restarts.  Beside them ``bcd`` runs
 four explicit problems (``DIR/<name>/bcd/``):
 
 - ``consensus-chain-20``: 20 cells with identity twists both ways, started
@@ -36,8 +38,9 @@ in more than one dimension:
 
 - ``plane-turn-mirror-3``: 3 cells in R^2 joined by the identity, a quarter
   turn about (1, 0) and the mirror in the line y = 0.25, with a quarter-turn
-  self-loop in edge class 2, from a seeded start, at solver tol 1e-8 (at
-  1e-9 the norm-minimal homotopy is not Cauchy).  Its lexicographic run
+  self-loop in edge class 2, from a seeded start, at solver tol 1e-8 (the
+  tol at which its ``bcd`` and ``lexicographic`` files were recorded; the
+  exact norm-minimal solve also exits 0 at 1e-9).  Its lexicographic run
   stops at ``max_sweeps`` in the stiff second stage and exits 3 with its
   files written.
 

@@ -345,7 +345,7 @@ class RunConfig:
         sdata = data.get("solver", {})
         _take(
             sdata,
-            {"method", "tol", "max_sweeps", "schedule", "class_order", "norm_minimal"},
+            {"method", "tol", "max_sweeps", "class_order", "norm_minimal"},
             "solver",
         )
         self.method = sdata.get("method", "bcd")
@@ -357,11 +357,6 @@ class RunConfig:
         self.max_sweeps = _integer(sdata.get("max_sweeps", 500), "solver.max_sweeps")
         if self.max_sweeps < 1:
             raise ConfigError(f"solver.max_sweeps: must be >= 1, got {self.max_sweeps}")
-        self.schedule = None
-        if "schedule" in sdata:
-            self.schedule = _reals(sdata["schedule"], "solver.schedule")
-            if not all(lam > 0.0 for lam in self.schedule):
-                raise ConfigError("solver.schedule: every entry must be > 0")
         self.class_order = None
         if "class_order" in sdata:
             self.class_order = _ints(sdata["class_order"], "solver.class_order")
@@ -485,11 +480,7 @@ def solve_command(config_path: str, out_override=None, seed_override=None) -> in
             )
         elif cfg.method == "norm-minimal":
             report = norm_minimal_minimizer(
-                cfg.problem,
-                tol=cfg.tol,
-                schedule=cfg.schedule,
-                max_sweeps=cfg.max_sweeps,
-                seed=cfg.seed,
+                cfg.problem, tol=cfg.tol, max_sweeps=cfg.max_sweeps, seed=cfg.seed
             )
         elif cfg.method == "lexicographic":
             order = cfg.class_order or list(cfg.problem.classes)

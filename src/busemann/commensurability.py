@@ -26,14 +26,14 @@ or the scalar engine reads it.  Other targets build the terms from isometry
 objects and run on the scalar engine.  :func:`subgroup_harmonic` solves
 a compiled model exactly: the kernel energy is then a quadratic form (the
 discrete connection Laplacian of Kotani and Sunada), whose minimum-norm
-minimizer :func:`~busemann.harmonic.quadratic_minimizer` computes, and the
-null space of its normal matrix counts the flat directions, so the
+minimizer :func:`~busemann.harmonic.norm_minimal_minimizer` computes, and
+the null space of its normal matrix counts the flat directions, so the
 minimizer is unique exactly when there are none.  Other targets are solved
-from several restarts, each a run of
-:func:`~busemann.harmonic.minimize_energy` calls (after the anchored stages
-of :func:`~busemann.harmonic._penalty_homotopy` when norm-minimal), and
-uniqueness is probed by restart agreement, expected exactly when no sampled
-point pair is parallel under every generator.
+from several restarts, each a free
+:func:`~busemann.harmonic.minimize_energy` solve, and uniqueness is probed
+by restart agreement, expected exactly when no sampled point pair is
+parallel under every generator; the norm-minimal selection runs once after
+them.
 """
 
 from __future__ import annotations
@@ -47,18 +47,15 @@ import numpy as np
 
 from busemann.convexity import parallel_check_batch
 from busemann.harmonic import (
-    PENALTY_SCHEDULE,
     EquivariantProblem,
     Edge,
     SolveReport,
     Term,
     TermEnergy,
-    _penalty_homotopy,
-    _summed_counters,
     compile_terms,
     energy,
     minimize_energy,
-    quadratic_minimizer,
+    norm_minimal_minimizer,
 )
 from busemann.mapspace import (
     EquivariantMap,
@@ -503,29 +500,27 @@ def subgroup_harmonic(
     is unique.
 
     On a model with compiled terms (``m.arrays``: a Euclidean target) the
-    energy is a quadratic form, solved exactly: the result is the sweep
-    engine (:func:`~busemann.harmonic.minimize_energy`) started at the
-    minimum-norm minimizer of :func:`~busemann.harmonic.quadratic_minimizer`,
-    so it is the norm-minimal selection whether or not ``norm_minimal`` is
-    set, and its report gives the trace, ``converged``, the counters and
-    ``iterations``, the sweeps of that solve alone.  ``unique`` is
+    energy is a quadratic form, solved exactly: the result is
+    :func:`~busemann.harmonic.norm_minimal_minimizer`, the norm-minimal
+    selection whether or not ``norm_minimal`` is set, and its report gives
+    the trace, ``converged``, the counters, ``iterations`` (the sweeps of
+    that solve alone) and ``flat_directions``.  ``unique`` is
     ``flat_directions == 0``, the exact count of the null space.  With
     ``restarts`` >= 2 one check runs: the sweep engine from the base point,
     and ``restart_gap`` is the largest cell distance between the result
     and the check; on a unique model a gap above 10 * tol raises
     :class:`SolverError`.  One restart skips the check, and the gap is None.
 
-    Other targets run ``restarts`` independent starts (constant at the base
-    point, then randomized); with ``norm_minimal`` each restart first runs
-    the first 20 stages of :data:`~busemann.harmonic.PENALTY_SCHEDULE` at
-    ``tol`` (:func:`~busemann.harmonic._penalty_homotopy`, seed 0).  The
-    result is the report of the first restart of least objective, with
-    ``iterations`` and ``local_solves`` summed over its stages and free
-    solve.  ``restart_gap`` is the largest cell distance between the first
-    restart and the others, and ``unique`` means that it is at most
-    10 * tol (both None with one restart); restarts that disagree although
-    the sampled parallel-orbits check found no pair of points parallel
-    under every generator raise :class:`SolverError`.
+    Other targets run ``restarts`` free solves (constant at the base point,
+    then randomized).  The result is the report of the first restart of
+    least objective or, with ``norm_minimal``, that of one
+    :func:`~busemann.harmonic.norm_minimal_minimizer` call after the
+    restarts (the penalty homotopy, seed 0), with ``iterations`` and the
+    counters of all its stages.  ``restart_gap`` is the largest cell
+    distance between the first restart and the others, and ``unique`` means
+    that it is at most 10 * tol (both None with one restart); restarts that
+    disagree although the sampled parallel-orbits check found no pair of
+    points parallel under every generator raise :class:`SolverError`.
 
     ``extras`` also records the model's ``kernel_terms``, ``word_radius``
     and ``truncation_residual``, and ``flat_directions`` on the exact path.
@@ -535,30 +530,20 @@ def subgroup_harmonic(
     space = m.target
     exact = m.arrays is not None
     if exact:
-        values, flat = quadratic_minimizer(m.arrays, m.model.weights, m.base_point)
-        results = [minimize_energy(m, EquivariantMap(m.model, space, tuple(values)), tol, max_sweeps)]
+        win = norm_minimal_minimizer(m, tol, max_sweeps)
+        flat = win.extras["flat_directions"]
+        results = [win]
         if restarts > 1:  # the check: the sweeps from the base point
             results.append(minimize_energy(m, None, tol, max_sweeps))
-        win = results[0]
     else:
         rng = np.random.default_rng(seed)
-
-        def solve_from(values) -> SolveReport:
-            # the anchored homotopy stages, then the free solve, all counted
-            phi = EquivariantMap(m.model, space, tuple(values))
-            solves = _penalty_homotopy(m, phi, PENALTY_SCHEDULE[:20], tol, max_sweeps) if norm_minimal else []
-            solves.append(minimize_energy(m, solves[-1].solution if solves else phi, tol, max_sweeps))
-            free = solves[-1]
-            return replace(
-                free,
-                iterations=sum(r.iterations for r in solves),
-                extras={**free.extras, **_summed_counters(solves)},
-            )
-
         starts = [[m.base_point] * len(m.model.cells)]
         starts += [[space.sample(rng, 1.0) for _ in m.model.cells] for _ in range(restarts - 1)]
-        results = [solve_from(init) for init in starts]
-        win = min(results, key=lambda r: r.extras["objective"])
+        results = [minimize_energy(m, EquivariantMap(m.model, space, tuple(v)), tol, max_sweeps) for v in starts]
+        if norm_minimal:
+            win = norm_minimal_minimizer(m, tol, max_sweeps)
+        else:
+            win = min(results, key=lambda r: r.extras["objective"])
     gap = None  # one restart: nothing to compare
     if len(results) > 1:
         first = results[0].solution.values

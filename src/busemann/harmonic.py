@@ -46,12 +46,11 @@ Besides the plain minimizer this module provides the norm-minimal selection,
 lexicographic minimization across edge classes, and report-style checks of
 the structure shared by all minimizers (midpoints of minimizers minimize;
 transported edge segments of two minimizers are parallel).  The
-vanishing-penalty homotopy toward the base point is one function,
-:func:`_penalty_homotopy`, which runs the norm-minimal selection here and
-in :func:`busemann.commensurability.subgroup_harmonic` on targets that are
-not Euclidean.  The staged solvers
-report through :func:`_staged_report`: every report's ``iterations`` counts
-all the sweeps that its solve ran.
+norm-minimal selection is one function, :func:`norm_minimal_minimizer`,
+also called by :func:`busemann.commensurability.subgroup_harmonic`: exact
+on compiled terms, the vanishing-penalty homotopy toward the base point
+elsewhere.  The staged solvers report through :func:`_staged_report`:
+every report's ``iterations`` counts all the sweeps that its solve ran.
 
 Exponents p != 2 are accepted throughout and handled by the generic local
 search; treat those paths as experimental (the convexity of the energy
@@ -63,7 +62,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
@@ -1214,20 +1213,7 @@ def minimize_energy(
 PENALTY_SCHEDULE = tuple(2.0 ** (-n) for n in range(1, 41))
 
 
-def _penalty_homotopy(prob: TermEnergy, phi, lams, tol: float, max_sweeps: int, seed: int = 0) -> list:
-    """The stage reports of the vanishing-penalty homotopy: for each lam of
-    ``lams``, minimize E + lam * rho(., x0)^p (x0 the base point) from the
-    previous stage's solution, the first stage from ``phi``."""
-    reports = []
-    for lam in lams:
-        reports.append(minimize_energy(
-            prob, phi_init=phi, tol=tol, max_sweeps=max_sweeps, seed=seed, anchor=(lam, prob.base_point)
-        ))
-        phi = reports[-1].solution
-    return reports
-
-
-def _staged_report(prob: EquivariantProblem, sol, e_total: float, reports, **extras) -> SolveReport:
+def _staged_report(prob: TermEnergy, sol, e_total: float, reports, **extras) -> SolveReport:
     """The report of the stage solves ``reports`` returning ``sol`` (energy
     ``e_total``): energies and norm of ``sol``; trace, convergence, engine
     and stop reason of the last stage; sweeps and local solves summed over
@@ -1251,29 +1237,41 @@ def _staged_report(prob: EquivariantProblem, sol, e_total: float, reports, **ext
 
 
 def norm_minimal_minimizer(
-    prob: EquivariantProblem,
+    prob: TermEnergy,
     tol: float = 1e-9,
-    schedule: Optional[Sequence[float]] = None,
     max_sweeps: int = 500,
     seed: int = 0,
 ) -> SolveReport:
-    """Near-minimizer of the energy with (approximately) minimal norm.
+    """The norm-minimal selection: the minimizer of least norm rho(., x0),
+    x0 the base point.  The one procedure that selects it, here and in
+    :func:`busemann.commensurability.subgroup_harmonic`.
 
-    Runs the vanishing-penalty homotopy (:func:`_penalty_homotopy`) over a
-    decreasing schedule of lam (default :data:`PENALTY_SCHEDULE`, 2^-n for
-    n = 1..40), then one free solve, all at tol * 1e-2; ``iterations``
-    counts the sweeps of all of them.  The extras carry the stage gaps
-    rho(phi_k, phi_{k-1}); the homotopy must be Cauchy (final gap below
-    tol), otherwise a :class:`SolverError` signals flat directions that the
-    penalty could not resolve.
+    On compiled terms (:attr:`TermEnergy.arrays`) it is exact: the sweep
+    engine started at the minimum-norm minimizer of
+    :func:`quadratic_minimizer`, whose report it returns with
+    ``extras["flat_directions"]`` added; ``iterations`` counts the sweeps of
+    that one solve.
+
+    Other energies run the vanishing-penalty homotopy: for each lam of
+    :data:`PENALTY_SCHEDULE` (2^-n for n = 1..40), minimize
+    E + lam * rho(., x0)^p from the previous stage's solution (the first
+    from the constant map at x0), then one free solve, all at tol * 1e-2;
+    ``iterations`` counts the sweeps of all of them.  The extras carry the
+    stage gaps rho(phi_k, phi_{k-1}); the homotopy must be Cauchy (final gap
+    below tol), otherwise a :class:`SolverError` signals flat directions
+    that the penalty could not resolve.
     """
-    lams = PENALTY_SCHEDULE if schedule is None else tuple(schedule)
-    if not lams:
-        raise DomainError("empty schedule")
+    if prob.arrays is not None:
+        values, flat = quadratic_minimizer(prob.arrays, prob.model.weights, prob.base_point)
+        start = EquivariantMap(prob.model, prob.target, tuple(values))
+        rep = minimize_energy(prob, start, tol, max_sweeps, seed)
+        return replace(rep, extras={**rep.extras, "flat_directions": flat})
     inner_tol = tol * 1e-2  # keep stage noise below the Cauchy resolution
-    path = [prob.initial_map()]
-    stages = _penalty_homotopy(prob, path[0], lams, inner_tol, max_sweeps, seed)
-    path += [r.solution for r in stages]
+    path = [const_map(prob.model, prob.target, prob.base_point)]
+    stages = []
+    for lam in PENALTY_SCHEDULE:
+        stages.append(minimize_energy(prob, path[-1], inner_tol, max_sweeps, seed, anchor=(lam, prob.base_point)))
+        path.append(stages[-1].solution)
     gaps = [map_distance(prob.p, new, old) for old, new in zip(path, path[1:])]
     phi = path[-1]
     # Cauchy: the last stage moved less than tol
@@ -1287,7 +1285,7 @@ def norm_minimal_minimizer(
     return _staged_report(
         prob, sol, e_total, [*stages, final],
         stage_gaps=tuple(gaps),
-        stages=tuple((lam, rep.energy_total, rep.norm) for lam, rep in zip(lams, stages)),
+        stages=tuple((lam, rep.energy_total, rep.norm) for lam, rep in zip(PENALTY_SCHEDULE, stages)),
         norm_check=_norm_minimality_probe(prob, sol, e_total, tol, seed),
     )
 

@@ -11,7 +11,7 @@ import pytest
 from busemann.cli import main as cli_main
 from busemann.convexity import modulus_estimate
 from busemann.harmonic import norm_minimal_minimizer
-from busemann.models import translation_loop_model
+from busemann.models import product_two_class_model, translation_loop_model
 from busemann.oracles import euclidean_modulus_1d
 from busemann.spaces import Euclidean, star_tree
 from busemann.verify import (
@@ -142,17 +142,23 @@ def test_criterion_04_solver_oracle_equivalence():
 
 
 def test_criterion_05_norm_minimal_selection():
+    # the exact selection on the flat Euclidean loop: the base point, with
+    # its one flat direction counted
     gm = translation_loop_model(0.0)
     rep = norm_minimal_minimizer(gm.problem, tol=1e-9)
     at_base = abs(rep.solution.values[0][0]) <= 1e-6
-    gaps = rep.extras["stage_gaps"][1:]
+    flat = rep.extras["flat_directions"] == 1
+    # the penalty homotopy on an energy that does not compile (a product target)
+    homotopy = norm_minimal_minimizer(product_two_class_model().problem, tol=1e-9)
+    gaps = homotopy.extras["stage_gaps"][1:]
     monotone = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     cauchy = gaps[-1] < 1e-6
-    ok = at_base and monotone and cauchy
+    ok = at_base and flat and monotone and cauchy
     assert _line(
-        "criterion-5 (norm-minimal on flat translation loop)",
+        "criterion-5 (norm-minimal on flat translation loop, homotopy on product-two-class)",
         ok,
-        f"|phi - x0| = {abs(rep.solution.values[0][0]):.2e}, final gap {gaps[-1]:.2e}",
+        f"|phi - x0| = {abs(rep.solution.values[0][0]):.2e}, "
+        f"flat directions {rep.extras['flat_directions']}, final gap {gaps[-1]:.2e}",
     )
 
 

@@ -168,12 +168,13 @@ def test_solve_invalid_solver_setting_exit_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "out").exists()
 
 
-def test_solve_solver_mode_is_an_unknown_field(tmp_path, capsys):
+@pytest.mark.parametrize("field, value", [("mode", "jacobi"), ("schedule", [0.5, 0.25])])
+def test_solve_solver_mode_is_an_unknown_field(tmp_path, capsys, field, value):
     # a removed field is rejected as unknown, not silently ignored
-    path = write_config(tmp_path, solver={"method": "bcd", "mode": "jacobi"})
+    path = write_config(tmp_path, solver={"method": "norm-minimal", field: value})
     assert main(["solve", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "unknown fields ['mode']" in err
+    assert f"unknown fields ['{field}']" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -235,6 +236,55 @@ def test_commensurability_uniqueness_verdict_is_exact(tmp_path, generator, norm_
     assert summary["unique"] is (not flat)
     assert summary["flat_directions"] == int(flat)
     assert summary["parallel_orbits"] is flat
+
+
+def test_commensurability_norm_minimal_verdict_off_the_exact_path(tmp_path):
+    # l_p(1, 3) does not compile, so restarts decide "unique": they are free
+    # solves, and on this flat model they disagree; the result is still the
+    # norm-minimal point, the base point (the restarts used to run the penalty
+    # homotopy, which pulled them together and wrote "unique": true)
+    path = write_config(
+        tmp_path,
+        space={"kind": "lp", "dim": 1, "p": 3.0},
+        problem={
+            "cells": [{"id": "c0", "weight": 1.0}],
+            "edges": [{"src": "c0", "dst": "c0", "weight": 1.0, "twist": SHIFT_1}],
+            "base_point": [0.0],
+        },
+        solver={"method": "commensurability", "norm_minimal": True},
+    )
+    assert main(["solve", str(path)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["parallel_orbits"] is True
+    assert summary["unique"] is False
+    assert summary["restart_gap"] > 10 * 1e-9  # the default tol
+    assert "flat_directions" not in summary
+    assert summary["norm"] <= 1e-6
+
+
+def test_plane_norm_minimal_exits_0_at_tol_1e_9(tmp_path):
+    # the plane problem has no flat direction; the penalty homotopy exited 3
+    # here ("not Cauchy; energy has unresolved flat directions")
+    turn = {"kind": "linear", "matrix": [[0.0, -1.0], [1.0, 0.0]], "shift": [1.0, -1.0]}
+    mirror = {"kind": "linear", "matrix": [[1.0, 0.0], [0.0, -1.0]], "shift": [0.0, 0.5]}
+    path = write_config(
+        tmp_path,
+        space={"kind": "euclidean", "dim": 2},
+        problem={
+            "cells": [{"id": "a", "weight": 0.5}, {"id": "b", "weight": 0.25}, {"id": "c", "weight": 0.25}],
+            "edges": [
+                {"src": "a", "dst": "b", "weight": 1.0, "twist": IDENTITY},
+                {"src": "b", "dst": "c", "weight": 1.0, "twist": turn},
+                {"src": "c", "dst": "a", "weight": 2.0, "twist": mirror},
+                {"src": "b", "dst": "b", "weight": 0.5, "class": 2, "twist": turn},
+            ],
+            "base_point": [0.0, 0.0],
+        },
+        solver={"method": "norm-minimal", "tol": 1e-9},
+    )
+    assert main(["solve", str(path)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["final_energy"] == pytest.approx(1.0 / 48.0, rel=1e-12)
 
 
 def test_commensurability_solve_without_edges(tmp_path):

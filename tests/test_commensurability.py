@@ -32,6 +32,7 @@ from busemann.harmonic import (
     compile_terms,
     energy,
     minimize_energy,
+    norm_minimal_minimizer,
     quadratic_minimizer,
 )
 from busemann.mapspace import EquivariantMap, MeasureModel
@@ -990,4 +991,7 @@ def test_one_dimensional_commensurability_solve_calls_no_linalg(monkeypatch):
         assert m.target.dim == 1
         for norm_minimal in (False, True):
             rep = subgroup_harmonic(m, norm_minimal=norm_minimal)
+            assert rep.converged and rep.extras["local_solves"]["linear"] > 0
+        for prob in (m, generate(name).problem):  # the kernel and the edge energy
+            rep = norm_minimal_minimizer(prob)
             assert rep.converged and rep.extras["local_solves"]["linear"] > 0

@@ -232,8 +232,17 @@ def test_energy_convex_along_map_geodesics(rng):
 
 
 def test_norm_minimal_translation_loop_returns_base():
+    # the exact selection on the Euclidean loop
     gm = translation_loop_model(0.0)
     rep = norm_minimal_minimizer(gm.problem, tol=1e-9)
+    assert rep.solution.values[0] == pytest.approx((0.0,), abs=1e-6)
+    assert rep.extras["flat_directions"] == 1
+    # the penalty homotopy on the same loop in l_p(1, 3), which does not compile
+    lp = LpVector(1, 3.0)
+    prob = EquivariantProblem(
+        MeasureModel(("c0",), (1.0,)), lp, (0.0,), (Edge("c0", "c0", 1.0, translation(lp, (1.0,))),)
+    )
+    rep = norm_minimal_minimizer(prob, tol=1e-9)
     assert rep.solution.values[0] == pytest.approx((0.0,), abs=1e-6)
     gaps = rep.extras["stage_gaps"][1:]
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
@@ -254,13 +263,11 @@ def test_norm_minimal_agrees_with_bcd_on_unique_problem():
     assert map_distance(2.0, r1.solution, r2.solution) <= 1e-6
 
 
-def test_norm_minimal_non_cauchy_schedule_errors():
-    from busemann.spaces import SolverError
-
-    gm = dihedral_line_model(3)
+def test_norm_minimal_non_cauchy_schedule_errors(monkeypatch):
     # a schedule truncated far above the tolerance leaves a visible gap
-    with pytest.raises(SolverError):
-        norm_minimal_minimizer(gm.problem, tol=1e-12, schedule=[0.5, 0.25])
+    monkeypatch.setattr(harmonic, "PENALTY_SCHEDULE", (0.5, 0.25))
+    with pytest.raises(SolverError, match="not Cauchy"):
+        norm_minimal_minimizer(product_two_class_model().problem, tol=1e-12)
 
 
 def test_norm_minimal_idempotent():
@@ -774,10 +781,13 @@ def test_local_solve_counters_deterministic_and_by_path():
         rejected = rep.extras["rejected_moves"]
         assert isinstance(rejected, int) and 0 <= rejected <= rep.extras["local_solves"]["linear"], name
         assert runs[name]().extras["rejected_moves"] == rejected, name
-    # the staged solves sum them over their stages; the homotopy refuses some
-    assert reports["norm-minimal"].extras["rejected_moves"] > 0
+    # the homotopy (on an energy that does not compile) sums them over its
+    # stages, and refuses some
+    homotopy = norm_minimal_minimizer(product_two_class_model().problem)
+    assert homotopy.extras["engine"] == "scalar"
+    assert homotopy.extras["rejected_moves"] > 0
     # at least one sweep in each of 40 stages and the free solve
-    assert reports["norm-minimal"].iterations >= 41
+    assert homotopy.iterations >= 41
     # a commensurability solve of a Euclidean model counts the sweeps from
     # the exact minimizer alone, the solve whose trace it reports
     for name in ("commensurability", "commensurability-norm-minimal"):
@@ -807,7 +817,7 @@ def test_quadratic_minimizer_projects_out_flat_directions(shift, dim):
     # the minimum-norm one is (s / 4, -s / 4), at every weight scale
     space = Euclidean(dim)
     model = MeasureModel(("a", "b"), (0.5, 0.5))
-    for power in range(-300, 301, 25):
+    for power in sorted({*range(-300, 301, 25), -12, -5, 5}):
         w = 10.0**power
         edges = (Edge("a", "b", w, identity_isometry(space)), Edge("b", "a", w, translation(space, shift)))
         prob = EquivariantProblem(model, space, (0.0,) * dim, edges)
@@ -815,6 +825,12 @@ def test_quadratic_minimizer_projects_out_flat_directions(shift, dim):
         assert flat == dim, power
         want = [tuple(c / 4.0 for c in shift), tuple(-c / 4.0 for c in shift)]
         np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-12, err_msg=str(power))
+        if dim == 1 and power in (-300, -12, -5, 0, 5, 300):
+            # the norm-minimal selection is this solve (the penalty homotopy
+            # raised "not Cauchy" at 1e-12 and 1e-5 and missed it elsewhere)
+            rep = norm_minimal_minimizer(prob, tol=1e-9)
+            assert rep.converged and rep.extras["flat_directions"] == 1, power
+            np.testing.assert_allclose(rep.solution.values, want, rtol=0.0, atol=1e-12, err_msg=str(power))
 
 
 def random_tree_terms(rng):
