@@ -655,16 +655,6 @@ class SolveReport:
     extras: dict = field(default_factory=dict)
 
 
-def _summed_counters(reports) -> dict:
-    """The ``local_solves`` counters of several reports, summed by path, and
-    their ``rejected_moves``, summed: the counter entries of a report's
-    ``extras``."""
-    return {
-        "local_solves": {k: sum(r.extras["local_solves"][k] for r in reports) for k in LOCAL_PATHS},
-        "rejected_moves": sum(r.extras["rejected_moves"] for r in reports),
-    }
-
-
 def _descend(sweep_once, evaluate, best, tol: float, max_sweeps: int):
     """The outer loop shared by every sweep engine.
 
@@ -1216,8 +1206,8 @@ PENALTY_SCHEDULE = tuple(2.0 ** (-n) for n in range(1, 41))
 def _staged_report(prob: TermEnergy, sol, e_total: float, reports, **extras) -> SolveReport:
     """The report of the stage solves ``reports`` returning ``sol`` (energy
     ``e_total``): energies and norm of ``sol``; trace, convergence, engine
-    and stop reason of the last stage; sweeps and local solves summed over
-    all stages; and ``extras``."""
+    and stop reason of the last stage; sweeps, local solves by path and
+    refused moves summed over all stages; and ``extras``."""
     last = reports[-1]
     return SolveReport(
         solution=sol,
@@ -1231,7 +1221,8 @@ def _staged_report(prob: TermEnergy, sol, e_total: float, reports, **extras) -> 
             **extras,
             "engine": last.extras["engine"],
             "stop_reason": last.extras["stop_reason"],
-            **_summed_counters(reports),
+            "local_solves": {k: sum(r.extras["local_solves"][k] for r in reports) for k in LOCAL_PATHS},
+            "rejected_moves": sum(r.extras["rejected_moves"] for r in reports),
         },
     )
 
