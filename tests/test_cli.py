@@ -168,10 +168,10 @@ def test_solve_invalid_solver_setting_exit_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("field, value", [("mode", "jacobi"), ("schedule", [0.5, 0.25])])
+@pytest.mark.parametrize("field, value", [("mode", "jacobi"), ("schedule", [0.5, 0.25])], ids=["mode", "schedule"])
 def test_solve_solver_mode_is_an_unknown_field(tmp_path, capsys, field, value):
     # a removed field is rejected as unknown, not silently ignored
-    path = write_config(tmp_path, solver={"method": "norm-minimal", field: value})
+    path = write_config(tmp_path, solver={"method": "bcd", field: value})
     assert main(["solve", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"unknown fields ['{field}']" in err
