@@ -10,7 +10,10 @@ rows, by seeded translations and point reflections in turn, either all of
 them or all but one plus a reflection self-loop.  It runs ``--sweeps``
 sweeps of that cell through ``harmonic._compiled_sweeps`` with the
 threshold forced to each kernel (0 for numpy, the entry count for floats).
-Every case runs once per round, the first round only warms up, and the
+Before timing, it checks that both kernels give ``repr``-identical results
+on every case, the state and largest move after each sweep included, and
+exits 1 naming the first case where they differ, so the table only ever
+compares kernels that agree.  Every case runs once per round, the first round only warms up, and the
 table holds the best of ``--repeats`` rounds in microseconds per step, so a
 slow spell of the machine does not land on one row.  BLAS is pinned to one
 thread, as the benchmark pins it.
@@ -22,6 +25,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import itertools  # noqa: E402
+import sys  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -46,17 +51,36 @@ def one_cell(entries: int, loop: bool, rng):
     return plan, [(0.25,)], fixed
 
 
+ROW = harmonic.TraceRow(0, 0.0, (0.0,), 0.0, 0.0, 0.0)
+
+
+def sweep_cell(plan, values, fixed, threshold: int, sweeps: int, evaluate=lambda *_: ROW):
+    """``harmonic._compiled_sweeps`` of one case with the kernel threshold
+    forced; tol 0 never converges, so every run makes all its sweeps."""
+    harmonic.FLOAT_STEP_MAX = threshold
+    counts = dict.fromkeys(harmonic.LOCAL_PATHS, 0)
+    result = harmonic._compiled_sweeps(plan, values, fixed, 0.0, sweeps, evaluate, counts)
+    assert counts["linear"] == sweeps
+    return result
+
+
 def step_us(plan, values, fixed, threshold: int, sweeps: int) -> float:
     """Time of one step in a run of ``sweeps`` sweeps, in microseconds."""
-    harmonic.FLOAT_STEP_MAX = threshold
-    row = harmonic.TraceRow(0, 0.0, (0.0,), 0.0, 0.0, 0.0)
-    counts = dict.fromkeys(harmonic.LOCAL_PATHS, 0)
     start = time.perf_counter()
-    # tol 0 never converges, so every run makes all its sweeps
-    harmonic._compiled_sweeps(plan, values, fixed, 0.0, sweeps, lambda *_: row, counts)
-    elapsed = time.perf_counter() - start
-    assert counts["linear"] == sweeps
-    return 1e6 * elapsed / sweeps
+    sweep_cell(plan, values, fixed, threshold, sweeps)
+    return 1e6 * (time.perf_counter() - start) / sweeps
+
+
+def kernel_record(plan, values, fixed, threshold: int, sweeps: int) -> str:
+    """The ``repr`` of a run's result and of the state and largest move after
+    each of its sweeps."""
+    seen = []
+
+    def evaluate(x, sweep, max_move):
+        seen.append((x.tolist(), max_move))
+        return ROW
+
+    return repr((sweep_cell(plan, values, fixed, threshold, sweeps, evaluate), seen))
 
 
 def main() -> None:
@@ -70,6 +94,10 @@ def main() -> None:
         (entries, loop, threshold): one_cell(entries, loop, np.random.default_rng([entries, loop]))
         for entries in ENTRIES for loop in (False, True) for threshold in (0, entries)
     }
+    for entries, loop in itertools.product(ENTRIES, (False, True)):
+        floats, arrays = (kernel_record(*runs[entries, loop, t], t, args.sweeps) for t in (entries, 0))
+        if floats != arrays:
+            sys.exit(f"the kernels differ at {entries} entries {'with' if loop else 'without'} a loop")
     best = dict.fromkeys(runs, float("inf"))
     for round_ in range(args.repeats + 1):
         for key, case in runs.items():

@@ -33,14 +33,13 @@ the reference.  The compiled engine applies when the target is
 (:attr:`TermEnergy.arrays`) into flat term arrays (:func:`compile_terms`),
 the only compiled form of an energy.  A solve's class weights and anchor
 become more rows of those arrays, and each solve groups their entries by
-cell into one plan (:func:`_cell_steps`).  Two kernels step the cells of
-that plan: one-dimensional cells with at most :data:`FLOAT_STEP_MAX` entries
-on Python floats, all others on numpy arrays (:func:`_compiled_sweeps`).
-Both sum in the scalar engine's order, so both engines give the same
-numbers, bit for bit in one dimension and to rounding in more.  Trees, l_p
-and product targets and p != 2 use the scalar engine.  On compiled terms
-the energy is a quadratic form, and :func:`quadratic_minimizer` gives its
-minimum-norm minimizer and its number of flat directions without sweeps.
+cell into one plan (:func:`_cell_steps`), whose cells step on Python floats
+or numpy arrays (:func:`_compiled_sweeps`) in the scalar engine's order, so
+both engines give the same numbers, bit for bit in one dimension and to
+rounding in more.  Trees, l_p and product targets and p != 2 use the
+scalar engine.  On compiled terms the energy is a quadratic form, and
+:func:`quadratic_minimizer` gives its minimum-norm minimizer and its number
+of flat directions without sweeps.
 
 Besides the plain minimizer this module provides the norm-minimal selection,
 lexicographic minimization across edge classes, and report-style checks of
@@ -819,10 +818,10 @@ def _solve_1d(n: float, r: float) -> float:
 
 
 # The most term entries of a one-dimensional cell that steps on Python floats
-# (others step on numpy arrays): scripts/step_crossover.py (2-vCPU VM, one BLAS
-# thread) times a step at 2 / 16 / 48 / 64 / 128 entries at 20.0 / 20.9 / 24.5 /
-# 28.9 / 36.4 us on arrays and 5.6 / 11.6 / 23.9 / 32.1 / 57.2 on floats.
-FLOAT_STEP_MAX = 48  # the last entry count where floats win, with and without a loop
+# (others on numpy arrays): scripts/step_crossover.py (2-vCPU VM, one BLAS
+# thread) times a step at 2 / 16 / 48 / 64 / 96 entries at 18.8 / 19.0 / 23.1
+# / 25.4 / 29.9 us on arrays and 3.7 / 8.2 / 19.1 / 24.6 / 36.6 on floats.
+FLOAT_STEP_MAX = 48  # floats still win at 64 entries, not at 96
 
 
 def _cell_steps(plan: KernelArrays, n_cells: int) -> tuple:
@@ -872,51 +871,54 @@ def _compiled_sweeps(plan: KernelArrays, values, fixed, tol, max_sweeps, evaluat
 
     ``plan`` supplies the local subproblems of the cells that hold
     ``values``; its cell indices from len(values) on name the ``fixed``
-    points, which are sources only and never move; and
-    ``evaluate(x, sweep, max_move)`` returns the trace row of the map held
-    in the n x d array x, whose objective decides convergence.  A sweep
-    steps the cells in index order, each from its run of the one grouped
-    plan (:func:`_cell_steps`), by one of two kernels on one state: a
-    one-dimensional cell with at most :data:`FLOAT_STEP_MAX` entries steps
-    on Python floats (kept in a list beside x; an accepted move writes
-    both), every other cell on numpy arrays.  Both take every sum that
-    decides a value in the order of the scalar engine (in sequence from
-    zero; fsum is exactly rounded), solve 1 x 1 systems by
-    :func:`_solve_1d` and larger ones by the same lstsq call, and compare
-    the local objectives at the old and new value with the same ``<=``, so
-    in one dimension the results are bit-identical to the scalar engine.
-    Every cell step is a linear solve, counted in ``counts``.  Returns
-    (values, objective, sweeps, converged, trace, rejected), ``rejected``
-    the moves that the ``<=`` refused.
+    points, sources that never move; ``evaluate(x, sweep, max_move)``
+    returns the trace row of the map in the n x d array x, whose objective
+    decides convergence.  A sweep steps the cells in index order, each from
+    its run of the grouped plan (:func:`_cell_steps`), on one state: a
+    one-dimensional cell with at most :data:`FLOAT_STEP_MAX` entries on
+    Python floats (values in a list beside x) from a per-solve table of its
+    points (source, m, s, w), loops (m, s, w, rhs) and summed normal; every
+    other cell on numpy arrays.  Both kernels sum in the scalar engine's
+    order (in sequence from zero; fsum is exactly rounded), solve 1 x 1
+    systems by :func:`_solve_1d` and larger ones by the same lstsq call,
+    and accept a move by the same ``<=`` of the local objectives, so in one
+    dimension they are bit-identical to the scalar engine.  Each cell step
+    is a linear solve, counted in ``counts``.
+    Returns (values, objective, sweeps, converged, trace, rejected), the
+    last the moves that the ``<=`` refused.
     """
     n = len(values)
     x = np.array([*values, *fixed], dtype=float)
     bounds, src, matrix, shift, weight, rhs, normal = _cell_steps(plan, n)
     d = x.shape[1]
     runs = [(ci, *bounds[2 * ci : 2 * ci + 3]) for ci in range(n) if bounds[2 * ci] < bounds[2 * ci + 2]]
-    small = d == 1 and any(e1 - e0 <= FLOAT_STEP_MAX for _, e0, _, e1 in runs)
-    if small:
-        xf = x[:, 0].tolist()
-        entries = list(zip(*(a.ravel().tolist() for a in (src, matrix, shift, weight, rhs, normal))))
+    xf = x[:, 0].tolist()
+    if d == 1 and any(e1 - e0 <= FLOAT_STEP_MAX for _, e0, _, e1 in runs):
+        cols = [a.ravel().tolist() for a in (src, matrix, shift, weight, rhs, normal)]
+        pts, loops = list(zip(*cols[:4])), list(zip(*cols[1:5]))
 
-    def float_step(ci, e0, l0, e1, n1):
+    def float_step(ci, e0, l0, e1, cell):
         # the array step on floats: n1 * z0 + 0.0 rounds as the 1 x 1 matmul
-        # does, and abs(.) ** 2.0 as np.float_power (libm pow)
-        z0, r = xf[ci], 0.0
-        pts = [(w, m * xf[c] + s) for c, m, s, w, _, _ in entries[e0:l0]]
-        for w, u in pts:
+        # does, and (.) ** 2.0 as np.float_power (libm pow of |.|)
+        pt, lp, n1 = cell
+        z0, r, wu = xf[ci], 0.0, []
+        for c, m, s, w in pt:
+            u = m * xf[c] + s
             r += w * u
-        for *_, b, _ in entries[l0:e1]:
+            wu.append((w, u))
+        for *_, b in lp:
             r += b
         z1 = z0 + _solve_1d(n1, r - (n1 * z0 + 0.0))
-        f = lambda z: math.fsum([w * abs(z - u) ** 2.0 for w, u in pts]) + math.fsum(
-            [w * abs((m * z + s) - z) ** 2.0 for _, m, s, w, _, _ in entries[l0:e1]]
-        )
         try:
-            if not f(z1) <= f(z0):
-                return None
+            f0 = math.fsum([w * (z0 - u) ** 2.0 for w, u in wu])
+            f1 = math.fsum([w * (z1 - u) ** 2.0 for w, u in wu])
+            if lp:  # else + 0.0, exact as point fsums are not -0.0
+                f0 += math.fsum([w * (m * z0 + s - z0) ** 2.0 for m, s, w, _ in lp])
+                f1 += math.fsum([w * (m * z1 + s - z1) ** 2.0 for m, s, w, _ in lp])
         except OverflowError:  # a square past the float range, which numpy rounds to inf
             return array_step(ci, e0, l0, e1, np.array([[n1]]))
+        if not f1 <= f0:
+            return None
         xf[ci] = x[ci, 0] = z1
         return abs(z0 - z1)
 
@@ -942,21 +944,19 @@ def _compiled_sweeps(plan: KernelArrays, values, fixed, tol, max_sweeps, evaluat
         (p0, p1), (q0, q1) = sq[:, :k].tolist(), sq[:, k:].tolist()
         if not math.fsum(p1) + math.fsum(q1) <= math.fsum(p0) + math.fsum(q0):
             return None
-        x[ci] = z1
-        if small:
-            xf[ci] = float(z1[0])
+        x[ci], xf[ci] = z1, float(z1[0])
         return math.dist(*pair.tolist())
 
     steps = []
-    for ci, e0, l0, e1 in runs:
+    for ci, e0, l0, e1 in runs:  # the normal matrix summed in sequence from zero
         if d == 1 and e1 - e0 <= FLOAT_STEP_MAX:
             n1 = 0.0
-            for *_, v in entries[e0:e1]:
+            for v in cols[5][e0:e1]:
                 n1 += v
-            steps.append((float_step, ci, e0, l0, e1, n1))
-        else:  # the normal matrix summed in sequence from zero
-            total = np.cumsum(np.concatenate((np.zeros((1, d, d)), normal[e0:e1])), axis=0)[-1]
-            steps.append((array_step, ci, e0, l0, e1, total))
+            step, nc = float_step, (pts[e0:l0], loops[l0:e1], n1)
+        else:
+            step, nc = array_step, np.cumsum(np.concatenate((np.zeros((1, d, d)), normal[e0:e1])), axis=0)[-1]
+        steps.append((step, ci, e0, l0, e1, nc))
 
     def sweep_once():
         moves = [step(ci, e0, l0, e1, nc) for step, ci, e0, l0, e1, nc in steps]

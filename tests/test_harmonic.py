@@ -529,9 +529,17 @@ def hub_problem(leaves=32):
 
 def kernel_cases():
     """(name, problem, minimize_energy arguments) of compiled solves with
-    loops, anchors, class weights, a cut-off and large kernel cells."""
+    loops, anchors, class weights, a cut-off and large kernel cells, and of
+    starts that random maps never give: every cell at -0.0, a constant map
+    (both local objectives 0.0 at every step) and a cell with a loop and no
+    point entries."""
     consensus, line, cover = consensus_model(6).problem, dihedral_line_model(7).problem, dihedral_cover_model(2).problem
     yield "consensus", consensus, {"phi_init": random_map(consensus, 3), "tol": 1e-10, "max_sweeps": 2000}
+    for value in (-0.0, 0.5):
+        start = EquivariantMap(consensus.model, consensus.target, ((value,),) * 6)
+        yield f"consensus-at-{value}", consensus, {"phi_init": start, "tol": 1e-10}
+    loop = translation_loop_model()
+    yield "translation-loop", loop.problem, {"phi_init": loop.init, "tol": 1e-10}
     yield "dihedral-line-7", line, {"phi_init": random_map(line, 3), "tol": 1e-10, "max_sweeps": 2000}
     for lam, point in itertools.product((2.0 ** -1, 2.0 ** -20, 2.0 ** -40), (cover.base_point, (0.5,))):
         yield f"anchored-{lam}-{point}", cover, {"phi_init": random_map(cover, 4), "tol": 1e-11, "anchor": (lam, point)}
