@@ -13,9 +13,10 @@ threshold forced to each kernel (0 for numpy, the entry count for floats).
 Before timing, it checks that both kernels give ``repr``-identical results
 on every case, the state and largest move after each sweep included, and
 exits 1 naming the first case where they differ, so the table only ever
-compares kernels that agree.  Every case runs once per round, the first round only warms up, and the
-table holds the best of ``--repeats`` rounds in microseconds per step, so a
-slow spell of the machine does not land on one row.  BLAS is pinned to one
+compares kernels that agree.  Every case runs once per round, the first
+round only warms up, and the table holds the best of ``--repeats`` rounds
+in microseconds per step, so a slow spell of the machine does not land on
+one row.  BLAS is pinned to one
 thread, as the benchmark pins it.
 """
 

@@ -883,9 +883,9 @@ def _compiled_sweeps(plan: KernelArrays, values, fixed, tol, max_sweeps, evaluat
     systems by :func:`_solve_1d` and larger ones by the same lstsq call,
     and accept a move by the same ``<=`` of the local objectives, so in one
     dimension they are bit-identical to the scalar engine.  Each cell step
-    is a linear solve, counted in ``counts``.
-    Returns (values, objective, sweeps, converged, trace, rejected), the
-    last the moves that the ``<=`` refused.
+    is a linear solve, counted in ``counts``.  Returns (values, objective,
+    sweeps, converged, trace, rejected), the last the moves the ``<=``
+    refused.
     """
     n = len(values)
     x = np.array([*values, *fixed], dtype=float)
