@@ -36,6 +36,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
@@ -53,6 +54,9 @@ SNAP_TOL = 1e-12
 # Isometry keys round each coordinate to KEY_DECIMALS decimals, so that
 # isometries equal up to rounding share a key.
 KEY_DECIMALS = 9
+
+# The smallest positive normal float: an l_p power sum below it has lost bits.
+_FLOAT_MIN = sys.float_info.min
 
 
 class GeometryError(Exception):
@@ -183,17 +187,37 @@ class LpVector(_VectorSpace):
         return "lp"
 
     def distance(self, x, y) -> float:
+        """(sum |x_i - y_i|^p)^(1/p).  Where that power sum passes the float
+        range, or falls below the normal range for distinct points, the
+        differences are first scaled by the largest of them (Blue, ACM TOMS
+        4, 1978), so the distance is inf only when it is past the range."""
         self.check_point(x)
         self.check_point(y)
+        p = self.p
         try:
-            return math.fsum(abs(a - b) ** self.p for a, b in zip(x, y)) ** (1.0 / self.p)
-        except OverflowError:  # a power past the float range: inf, as distance_batch rounds it
-            return math.inf
+            s = math.fsum(abs(a - b) ** p for a, b in zip(x, y))
+        except OverflowError:
+            s = math.inf
+        if not _FLOAT_MIN <= s < math.inf:
+            m = max(abs(a - b) for a, b in zip(x, y))
+            if 0.0 < m < math.inf:
+                return m * math.fsum((abs(a - b) / m) ** p for a, b in zip(x, y)) ** (1.0 / p)
+        return s ** (1.0 / p)
 
     def distance_batch(self, x, y) -> np.ndarray:
-        """``distance`` over arrays of points (coordinates on the last axis)."""
+        """``distance`` over arrays of points (coordinates on the last axis);
+        a power sum outside the normal range takes ``distance``'s scaling."""
         x, y = self._check_batch(x, y)
-        return np.float_power(np.sum(np.float_power(np.abs(x - y), self.p), axis=-1), 1.0 / self.p)
+        s = np.sum(np.float_power(np.abs(x - y), self.p), axis=-1)
+        out = np.float_power(s, 1.0 / self.p)
+        sums = s.ravel().tolist()  # checked in Python, which maps no further numpy loops
+        if sums and not (_FLOAT_MIN <= min(sums) and max(sums) < math.inf):
+            xs, ys = (a.reshape(-1, self.dim).tolist() for a in np.broadcast_arrays(x, y))
+            out = np.array([
+                d if _FLOAT_MIN <= v < math.inf else self.distance(tuple(a), tuple(b))
+                for d, v, a, b in zip(np.ravel(out).tolist(), sums, xs, ys)
+            ]).reshape(s.shape)[()]
+        return out
 
     geodesic = _VectorSpace.geodesic
 

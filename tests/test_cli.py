@@ -96,8 +96,9 @@ def test_solve_nonconvergence_exit_3(tmp_path):
 
 
 def test_solve_lp_distance_past_float_range_exit_3_without_traceback(tmp_path, capsys):
-    # |1e160 - (-1e160)|^3 passes the float range: the distance counts as
-    # inf, as numpy rounds it, and the run stops at sweep 0 as non-finite
+    # the distance 2e160 is in range, but its cube in the energy passes the
+    # float range: it counts as inf, and the run stops at sweep 0 as
+    # non-finite
     identity = {"kind": "identity"}
     path = write_config(
         tmp_path,

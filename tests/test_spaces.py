@@ -238,18 +238,33 @@ def test_distance_batch_matches_distance_vector(space, rng):
 @pytest.mark.parametrize(
     "space, x, y",
     [
-        (LpVector(1, 3.0), (1e160,), (-1e160,)),
+        (LpVector(2, 3.0), (1.5e308, 1.5e308), (0.0, 0.0)),
         (Product((E1, E1), 3.0), ((1e160,), (0.0,)), ((-1e160,), (0.0,))),
     ],
     ids=["lp", "product"],
 )
 def test_distance_past_float_range_is_inf_as_in_batches(space, x, y):
-    # the power |x - y|^p passes the float range: distance_batch rounds it
-    # to inf, and the scalar distance agrees instead of raising
+    # the distance passes the float range (on l_p 2^(1/3) * 1.5e308; on the
+    # product its power sum does): distance_batch rounds it to inf, and the
+    # scalar distance agrees instead of raising
     with np.errstate(over="ignore"):
         batch = space.distance_batch(space.pack([x]), space.pack([y]))
     assert batch.tolist() == [math.inf]
     assert space.distance(x, y) == math.inf
+
+
+def test_lp_distance_scales_a_power_sum_outside_the_float_range():
+    # |x - y|^3 passes the float range at 1e150 and leaves the normal range
+    # at 1e-104 (subnormal) and 1e-110 (0.0); the distance itself is in range
+    lp = LpVector(2, 3.0)
+    origin = (0.0, 0.0)
+    assert lp.distance((1e150, 1e150), origin) == pytest.approx(2.0 ** (1.0 / 3.0) * 1e150, rel=1e-15, abs=0.0)
+    assert lp.distance((1e-104, 0.0), origin) == 1e-104
+    assert lp.distance((0.0, -1e-110), origin) == 1e-110
+    cases = [(1e150, 1e150), (1e-104, 0.0), (0.0, -1e-110), (3.0, -4.0), origin]
+    with np.errstate(over="ignore"):
+        batch = lp.distance_batch(np.array(cases), np.zeros((len(cases), 2)))
+    assert batch.tolist() == [lp.distance(x, origin) for x in cases]
 
 
 def test_distance_batch_shape_mismatch_raises():
