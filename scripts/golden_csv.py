@@ -30,7 +30,7 @@ four explicit problems (``DIR/<name>/bcd/``):
   32 leaf cells, back to the hub by the identity and out to a leaf by the
   identity (even leaves) or a seeded point reflection (odd leaves), with a
   point-reflection self-loop on the hub, from a seeded start.  The hub has 65 term entries and each leaf 2, so one solve steps
-  on both compiled kernels (``harmonic.FLOAT_STEP_MAX`` is 48).
+  on both compiled kernels (``harmonic.FLOAT_STEP_MAX`` is 64).
 
 and ``bcd``, ``norm-minimal`` and ``lexicographic`` run one explicit problem
 in the plane (``DIR/<name>/<method>/``), the one case of the compiled engine

@@ -29,9 +29,9 @@ discrete connection Laplacian of Kotani and Sunada), whose minimum-norm
 minimizer :func:`~busemann.harmonic.norm_minimal_minimizer` computes, and
 the null space of its normal matrix counts the flat directions, so the
 minimizer is unique exactly when there are none.  Other targets are solved
-from several restarts, each a free
+from two starts, the base point and a random map, each a free
 :func:`~busemann.harmonic.minimize_energy` solve, and uniqueness is probed
-by restart agreement, expected exactly when no sampled point pair is
+by their agreement, expected exactly when no sampled point pair is
 parallel under every generator; the norm-minimal selection runs once after
 them.
 """
@@ -494,7 +494,6 @@ def subgroup_harmonic(
     max_sweeps: int = 500,
     seed: int = 0,
     norm_minimal: bool = False,
-    restarts: int = 2,
 ) -> SolveReport:
     """Minimize the commensurability energy and decide whether its minimizer
     is unique.
@@ -505,57 +504,46 @@ def subgroup_harmonic(
     selection whether or not ``norm_minimal`` is set, and its report gives
     the trace, ``converged``, the counters, ``iterations`` (the sweeps of
     that solve alone) and ``flat_directions``.  ``unique`` is
-    ``flat_directions == 0``, the exact count of the null space.  With
-    ``restarts`` >= 2 one check runs: the sweep engine from the base point,
-    and ``restart_gap`` is the largest cell distance between the result
-    and the check; on a unique model a gap above 10 * tol raises
-    :class:`SolverError`.  One restart skips the check, and the gap is None.
+    ``flat_directions == 0``, the exact count of the null space.  One
+    check runs: the sweep engine from the base point, and ``restart_gap``
+    is the largest cell distance between the result and the check; on a
+    unique model a gap above 10 * tol raises :class:`SolverError`.
 
-    Other targets run ``restarts`` free solves (constant at the base point,
-    then randomized).  The result is the report of the first restart of
+    Other targets run two free solves, one constant at the base point and
+    one from a random start.  The result is the report of the first of
     least objective or, with ``norm_minimal``, that of one
-    :func:`~busemann.harmonic.norm_minimal_minimizer` call after the
-    restarts (the penalty homotopy, seed 0), with ``iterations`` and the
-    counters of all its stages.  ``restart_gap`` is the largest cell
-    distance between the first restart and the others, and ``unique`` means
-    that it is at most 10 * tol (both None with one restart); restarts that
-    disagree although the sampled parallel-orbits check found no pair of
-    points parallel under every generator raise :class:`SolverError`.
+    :func:`~busemann.harmonic.norm_minimal_minimizer` call after them (the
+    penalty homotopy, seed 0), with ``iterations`` and the counters of all
+    its stages.  ``restart_gap`` is the largest cell distance between the
+    two solves, and ``unique`` means that it is at most 10 * tol; solves
+    that disagree although the sampled parallel-orbits check found no pair
+    of points parallel under every generator raise :class:`SolverError`.
 
     ``extras`` also records the model's ``kernel_terms``, ``word_radius``
     and ``truncation_residual``, and ``flat_directions`` on the exact path.
     """
-    if restarts < 1:
-        raise DomainError("subgroup_harmonic needs at least one restart")
     space = m.target
     exact = m.arrays is not None
     if exact:
         win = norm_minimal_minimizer(m, tol, max_sweeps)
         flat = win.extras["flat_directions"]
-        results = [win]
-        if restarts > 1:  # the check: the sweeps from the base point
-            results.append(minimize_energy(m, None, tol, max_sweeps))
+        results = [win, minimize_energy(m, None, tol, max_sweeps)]  # the check from the base point
     else:
         rng = np.random.default_rng(seed)
-        starts = [[m.base_point] * len(m.model.cells)]
-        starts += [[space.sample(rng, 1.0) for _ in m.model.cells] for _ in range(restarts - 1)]
+        starts = [[m.base_point] * len(m.model.cells), [space.sample(rng, 1.0) for _ in m.model.cells]]
         results = [minimize_energy(m, EquivariantMap(m.model, space, tuple(v)), tol, max_sweeps) for v in starts]
         if norm_minimal:
             win = norm_minimal_minimizer(m, tol, max_sweeps)
         else:
             win = min(results, key=lambda r: r.extras["objective"])
-    gap = None  # one restart: nothing to compare
-    if len(results) > 1:
-        first = results[0].solution.values
-        gap = max(
-            space.distance(a, b) for other in results[1:] for a, b in zip(first, other.solution.values)
-        )
+    first, second = (r.solution.values for r in results)
+    gap = max(space.distance(a, b) for a, b in zip(first, second))
     parallel = parallel_orbits_check(space, m.generators, seed=seed)
-    if gap is not None and gap > 10.0 * tol and (flat == 0 if exact else parallel is False):
+    if gap > 10.0 * tol and (flat == 0 if exact else parallel is False):
         raise SolverError(
             f"restart gap {gap:.3e} on a model with a unique minimizer", best=list(win.solution.values)
         )
-    unique = flat == 0 if exact else (None if gap is None else gap <= 10.0 * tol)
+    unique = flat == 0 if exact else gap <= 10.0 * tol
     return replace(
         win,
         norm=map_norm(2.0, win.solution, m.base_point),

@@ -31,15 +31,15 @@ the reference.  The compiled engine applies when the target is
 :class:`Euclidean`, p = 2 and every transport is a
 :class:`EuclideanIsometry`: the terms are compiled once
 (:attr:`TermEnergy.arrays`) into flat term arrays (:func:`compile_terms`),
-the only compiled form of an energy.  A solve's class weights and anchor
-become more rows of those arrays, and each solve groups their entries by
-cell into one plan (:func:`_cell_steps`), whose cells step on Python floats
-or numpy arrays (:func:`_compiled_sweeps`) in the scalar engine's order, so
-both engines give the same numbers, bit for bit in one dimension and to
-rounding in more.  Trees, l_p and product targets and p != 2 use the
-scalar engine.  On compiled terms the energy is a quadratic form, and
-:func:`quadratic_minimizer` gives its minimum-norm minimizer and its number
-of flat directions without sweeps.
+the only compiled form of an energy.  A solve's class weights rescale
+rows of those arrays, and each solve groups their entries by cell into one
+plan (:func:`_cell_steps`), whose cells step on Python floats or numpy
+arrays (:func:`_compiled_sweeps`) in the scalar engine's order, so both
+engines give the same numbers, bit for bit in one dimension and to
+rounding in more.  Trees, l_p and product targets, p != 2 and anchored
+solves use the scalar engine.  On compiled terms the energy is a quadratic
+form, and :func:`quadratic_minimizer` gives its minimum-norm minimizer and
+its number of flat directions without sweeps.
 
 Besides the plain minimizer this module provides the norm-minimal selection,
 lexicographic minimization across edge classes, and report-style checks of
@@ -746,9 +746,7 @@ def _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts) -
 @dataclass(frozen=True)
 class KernelArrays:
     """Terms as flat arrays, the one compiled form of an energy: term t
-    contributes weight[t] * d(phi(c1[t]), matrix[t] phi(c2[t]) + shift[t])^2.
-    A cell index may point past the cells of the model, at a fixed row of
-    the sweep's state (the anchor of :func:`minimize_energy`)."""
+    contributes weight[t] * d(phi(c1[t]), matrix[t] phi(c2[t]) + shift[t])^2."""
 
     c1: np.ndarray
     c2: np.ndarray
@@ -818,14 +816,18 @@ def _solve_1d(n: float, r: float) -> float:
 
 
 # The most term entries of a one-dimensional cell that steps on Python floats
-# (others on numpy arrays): scripts/step_crossover.py (2-vCPU VM, one BLAS
-# thread) times a step at 2 / 16 / 48 / 64 / 96 entries at 18.8 / 19.0 / 23.1
-# / 25.4 / 29.9 us on arrays and 3.7 / 8.2 / 19.1 / 24.6 / 36.6 on floats.
-FLOAT_STEP_MAX = 48  # floats still win at 64 entries, not at 96
+# (others on numpy arrays).  A step in us by scripts/step_crossover.py
+# --sweeps 1000 --repeats 15 (2-vCPU VM, one BLAS thread):
+#   entries            2    8   16   32   48   64   96  128  256  512
+#   points: numpy   18.9 18.9 20.2 21.8 23.1 24.4 30.2 33.4 49.8 79.5
+#   points: floats   3.0  5.2  8.1 13.3 19.1 24.1 36.8 46.5 93.8  182
+#   a loop: numpy   22.0 24.0 25.0 27.0 27.7 29.5 36.8 37.2 53.8 85.5
+#   a loop: floats   3.6  6.3  8.8 14.1 18.9 25.4 38.4 46.6 95.0  191
+FLOAT_STEP_MAX = 64  # floats still win at 64 entries, not at 96
 
 
 def _cell_steps(plan: KernelArrays, n_cells: int) -> tuple:
-    """The term entries of the cells below ``n_cells`` grouped by cell, in
+    """The term entries of the ``n_cells`` cells grouped by cell, in
     the order of the scalar plan (:func:`_term_plans`): (bounds, source,
     matrix, shift, weight, rhs, normal), one array per field, cell c's
     entries from bounds[2c] to bounds[2c + 2] and its loops from
@@ -835,10 +837,9 @@ def _cell_steps(plan: KernelArrays, n_cells: int) -> tuple:
     c1 = c2; entry 2t + 1 puts it into cell c2 by its inverse, computed as
     :meth:`EuclideanIsometry.invert` computes it (M^T and -(M^T b), the
     shift stored plus 0.0 as :func:`compile_terms` stores shifts).  A loop's
-    second entry is keyed past the cells, as are the entries into the fixed
-    rows from ``n_cells`` on, which get no step.  One stable sort by (cell,
-    loop) puts each cell's entries in one run: its point terms, then its
-    loops, each in term order.  An entry's part of the normal equations
+    second entry is keyed past the cells and dropped.  One stable sort by
+    (cell, loop) puts each cell's entries in one run: its point terms, then
+    its loops, each in term order.  An entry's part of the normal equations
     (normal, rhs) is (w I, 0) for a point term and ((w a^T) a, -(w a^T) b)
     for a loop, a = M - I.
     """
@@ -866,19 +867,18 @@ def _cell_steps(plan: KernelArrays, n_cells: int) -> tuple:
     return bounds, e_src, e_matrix, e_shift, e_weight, e_rhs, e_normal
 
 
-def _compiled_sweeps(plan: KernelArrays, values, fixed, tol, max_sweeps, evaluate, counts):
+def _compiled_sweeps(plan: KernelArrays, values, tol, max_sweeps, evaluate, counts):
     """Gauss-Seidel sweeps of the scalar engine on compiled terms.
 
     ``plan`` supplies the local subproblems of the cells that hold
-    ``values``; its cell indices from len(values) on name the ``fixed``
-    points, sources that never move; ``evaluate(x, sweep, max_move)``
-    returns the trace row of the map in the n x d array x, whose objective
-    decides convergence.  A sweep steps the cells in index order, each from
-    its run of the grouped plan (:func:`_cell_steps`), on one state: a
-    one-dimensional cell with at most :data:`FLOAT_STEP_MAX` entries on
-    Python floats (values in a list beside x) from a per-solve table of its
-    points (source, m, s, w), loops (m, s, w, rhs) and summed normal; every
-    other cell on numpy arrays.  Both kernels sum in the scalar engine's
+    ``values``; ``evaluate(x, sweep, max_move)`` returns the trace row of
+    the map in the n x d array x, whose objective decides convergence.  A
+    sweep steps the cells in index order, each from its run of the grouped
+    plan (:func:`_cell_steps`), on one state: a one-dimensional cell with
+    at most :data:`FLOAT_STEP_MAX` entries on Python floats (values in a
+    list beside x) from a per-solve table of its points (source, m, s, w),
+    loops (m, s, w, rhs) and summed normal; every other cell on numpy
+    arrays.  Both kernels sum in the scalar engine's
     order (in sequence from zero; fsum is exactly rounded), solve 1 x 1
     systems by :func:`_solve_1d` and larger ones by the same lstsq call,
     and accept a move by the same ``<=`` of the local objectives, so in one
@@ -888,7 +888,7 @@ def _compiled_sweeps(plan: KernelArrays, values, fixed, tol, max_sweeps, evaluat
     refused.
     """
     n = len(values)
-    x = np.array([*values, *fixed], dtype=float)
+    x = np.array(values, dtype=float)
     bounds, src, matrix, shift, weight, rhs, normal = _cell_steps(plan, n)
     d = x.shape[1]
     runs = [(ci, *bounds[2 * ci : 2 * ci + 3]) for ci in range(n) if bounds[2 * ci] < bounds[2 * ci + 2]]
@@ -963,10 +963,9 @@ def _compiled_sweeps(plan: KernelArrays, values, fixed, tol, max_sweeps, evaluat
         counts["linear"] += len(steps)
         return max([0.0] + [move for move in moves if move is not None]), moves.count(None)
 
-    state = x[:n]
-    current = lambda: [tuple(v) for v in state.tolist()]
+    current = lambda: [tuple(v) for v in x.tolist()]
     obj, sweeps, converged, trace, rejected = _descend(
-        sweep_once, lambda sweep, move: evaluate(state, sweep, move), current, tol, max_sweeps
+        sweep_once, lambda sweep, move: evaluate(x, sweep, move), current, tol, max_sweeps
     )
     return current(), obj, sweeps, converged, trace, rejected
 
@@ -1083,21 +1082,20 @@ def minimize_energy(
     falls below tol * (1 + |E|) and no cell moved more than tol.  ``anchor``
     is an optional pair (lam, x0) adding sum_c lam * mu_c * d(phi(c), x0)^p
     to the objective; ``class_weights`` rescales term weights per class
-    (classes missing from the dict are dropped).  On the compiled engine
-    both become rows of the flat term arrays: the kept terms with their
-    scaled weights, then one term per cell c toward x0 (c1 = c, c2 = n,
-    weight lam * mu_c, the identity), x0 being a fixed row n of the sweep's
-    state.  Sweeps are Gauss-Seidel:
-    each cell's update sees the updates made before it in the same sweep.
+    (classes missing from the dict are dropped; on the compiled engine the
+    kept terms become rows of the flat term arrays with their scaled
+    weights).  Sweeps are Gauss-Seidel: each cell's update sees the updates
+    made before it in the same sweep.
 
     Sweeps run on the compiled engine when the terms compile
     (:attr:`TermEnergy.arrays`: Euclidean target, p = 2, Euclidean
-    transports), with the scalar engine's numbers (bit for bit in one
-    dimension), and on the scalar engine otherwise.  ``extras`` records the
-    ``objective``, the ``engine`` ("compiled" or "scalar"), the
-    ``stop_reason`` ("converged" or "max_sweeps"), ``local_solves``, the
-    local solves by path (:data:`LOCAL_PATHS`, see :func:`_solve_local`),
-    and ``rejected_moves``, those whose value raised the local objective.
+    transports) and no ``anchor`` is given, with the scalar engine's
+    numbers (bit for bit in one dimension), and on the scalar engine
+    otherwise.  ``extras`` records the ``objective``, the ``engine``
+    ("compiled" or "scalar"), the ``stop_reason`` ("converged" or
+    "max_sweeps"), ``local_solves``, the local solves by path
+    (:data:`LOCAL_PATHS`, see :func:`_solve_local`), and
+    ``rejected_moves``, those whose value raised the local objective.
     """
     phi = phi_init if phi_init is not None else const_map(prob.model, prob.target, prob.base_point)
     if phi.model != prob.model or phi.target != prob.target:
@@ -1106,20 +1104,18 @@ def minimize_energy(
     # class weights rescale the terms of the local subproblems, whose plans
     # keep the terms of classes with a nonzero weight at (class weight) * w
     scales = None if class_weights is None else [float(class_weights.get(c, 0.0)) for c in classes]
-    anchor_weights = None if anchor is None else [anchor[0] * m for m in mu]
     counts = dict.fromkeys(LOCAL_PATHS, 0)
 
-    def row(sweep, max_move, e_total, per_class, norm, anchor_energy) -> TraceRow:
+    def row(sweep, max_move, e_total, per_class, norm, anchor_energy=None) -> TraceRow:
         obj = e_total if scales is None else math.fsum(s * e for s, e in zip(scales, per_class))
-        if anchor is not None:
+        if anchor_energy is not None:
             obj += anchor_energy
         return TraceRow(sweep, e_total, per_class, norm, max_move, obj)
 
-    k = prob.arrays
+    k = prob.arrays if anchor is None else None
     if k is not None:
         engine = "compiled"
         masks = prob.class_masks
-        n, d = len(mu), space.dim
         plan = k
         if scales is not None:
             term_scale = np.full(len(k.c1), scales[0]) if masks is None else np.select(masks, scales)
@@ -1127,19 +1123,6 @@ def minimize_energy(
             plan = KernelArrays(
                 k.c1[kept], k.c2[kept], term_scale[kept] * k.weight[kept], k.matrix[kept], k.shift[kept]
             )
-        fixed = ()
-        if anchor is not None:
-            # one identity term per cell c toward x0, held in the fixed row n
-            aw = np.array(anchor_weights)
-            x0 = np.array(anchor[1], dtype=float)
-            plan = KernelArrays(
-                np.concatenate((plan.c1, np.arange(n))),
-                np.concatenate((plan.c2, np.full(n, n))),
-                np.concatenate((plan.weight, aw)),
-                np.concatenate((plan.matrix, np.eye(d)[None].repeat(n, axis=0))),
-                np.concatenate((plan.shift, np.zeros((n, d)))),
-            )
-            fixed = (anchor[1],)
         mu_arr = np.array(mu)
         base = np.array(prob.base_point, dtype=float)
 
@@ -1148,11 +1131,10 @@ def minimize_energy(
             e_total = math.fsum(sq.tolist())
             per_class = (e_total,) if masks is None else tuple(math.fsum(sq[m].tolist()) for m in masks)
             norm = _weighted_sq_dist(mu_arr, x, base) ** (1.0 / p)
-            anchor_energy = None if anchor is None else _weighted_sq_dist(aw, x, x0)
-            return row(sweep, max_move, e_total, per_class, norm, anchor_energy)
+            return row(sweep, max_move, e_total, per_class, norm)
 
         values, obj, sweeps, converged, trace, rejected = _compiled_sweeps(
-            plan, phi.values, fixed, tol, max_sweeps, compiled_row, counts
+            plan, phi.values, tol, max_sweeps, compiled_row, counts
         )
     else:
         engine = "scalar"
@@ -1164,7 +1146,7 @@ def minimize_energy(
                 [t._replace(weight=scale_of[t.cls] * t.weight) for t in prob.terms if scale_of[t.cls] != 0.0],
                 len(mu),
             )
-        anchors = None if anchor is None else [(w, anchor[1]) for w in anchor_weights]
+        anchors = None if anchor is None else [(anchor[0] * m, anchor[1]) for m in mu]
         values = list(phi.values)
 
         def scalar_row(sweep, max_move) -> TraceRow:
@@ -1172,7 +1154,7 @@ def minimize_energy(
             e_total = energy(prob, cur)
             per_class = (e_total,) if len(classes) == 1 else tuple(energy(prob, cur, classes={c}) for c in classes)
             anchor_energy = None if anchor is None else math.fsum(
-                w * space.distance(v, anchor[1]) ** p for w, v in zip(anchor_weights, values)
+                w * space.distance(v, x0) ** p for (w, x0), v in zip(anchors, values)
             )
             return row(sweep, max_move, e_total, per_class, map_norm(p, cur, prob.base_point), anchor_energy)
 

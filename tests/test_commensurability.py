@@ -196,33 +196,26 @@ def test_translation_model_reports_non_uniqueness():
     assert rep.extras["parallel_orbits"] is True
 
 
-def test_single_restart_gives_no_uniqueness_verdict():
-    # on a Euclidean target the verdict is exact with or without the check:
-    # the flat translation model has one flat direction
+def test_two_starts_decide_uniqueness_on_flat_translation_loop():
+    # on a Euclidean target the verdict is exact: the flat translation model
+    # has one flat direction, and the check from the base point agrees
     m = comm_energy_model(translation_loop_model().problem)
-    for restarts in (1, 2):
-        rep = subgroup_harmonic(m, tol=1e-9, seed=5, restarts=restarts)
-        assert rep.extras["unique"] is False
-        assert rep.extras["flat_directions"] == 1
-        assert rep.extras["parallel_orbits"] is True
+    rep = subgroup_harmonic(m, tol=1e-9, seed=5)
+    assert rep.extras["unique"] is False
+    assert rep.extras["flat_directions"] == 1
+    assert rep.extras["parallel_orbits"] is True
     assert rep.extras["restart_gap"] == 0.0
-    # on other targets one restart compares nothing: the same loop in
-    # l_p(1, 3) used to report unique=True and gap 0.0 here
+    # on other targets the base-point and the random start disagree: the
+    # same loop in l_p(1, 3)
     lp = LpVector(1, 3.0)
     loop = Edge("c0", "c0", 1.0, translation(lp, (1.0,)))
     m = comm_energy_model(EquivariantProblem(MeasureModel(("c0",), (1.0,)), lp, (0.0,), (loop,)))
     assert m.arrays is None
-    rep = subgroup_harmonic(m, tol=1e-9, seed=5, restarts=1)
-    assert rep.extras["unique"] is None
-    assert rep.extras["restart_gap"] is None
+    rep = subgroup_harmonic(m, tol=1e-9, seed=5)
+    assert rep.extras["unique"] is False
+    assert rep.extras["restart_gap"] > 0.1
     assert rep.extras["parallel_orbits"] is True
     assert "flat_directions" not in rep.extras
-    two = subgroup_harmonic(m, tol=1e-9, seed=5, restarts=2)
-    assert two.extras["unique"] is False
-    assert two.extras["restart_gap"] > 0.1
-    for restarts in (0, -1):
-        with pytest.raises(DomainError):
-            subgroup_harmonic(m, tol=1e-9, seed=5, restarts=restarts)
 
 
 def test_fixed_point_model_norm_minimal_returns_base():
@@ -564,21 +557,19 @@ def scalar_copy(m):
     return copy
 
 
-def kernel_sweeps(m, values, tol, max_sweeps, anchor=None):
+def kernel_sweeps(m, values, tol, max_sweeps):
     """The sweeps of minimize_energy on a kernel model from ``values``, as
     (values, objective, sweeps, converged, trace, local_solves)."""
-    rep = minimize_energy(
-        m, EquivariantMap(m.model, m.target, tuple(values)), tol, max_sweeps, anchor=anchor
-    )
+    rep = minimize_energy(m, EquivariantMap(m.model, m.target, tuple(values)), tol, max_sweeps)
     return (
         list(rep.solution.values), rep.extras["objective"], rep.iterations, rep.converged,
         rep.trace, rep.extras["local_solves"],
     )
 
 
-def both_sweeps(m, start, anchor=None):
+def both_sweeps(m, start):
     """The kernel sweeps from ``start`` on the compiled and on the scalar engine."""
-    return [kernel_sweeps(model, start, 1e-9, 500, anchor) for model in (m, scalar_copy(m))]
+    return [kernel_sweeps(model, start, 1e-9, 500) for model in (m, scalar_copy(m))]
 
 
 def random_start(m, seed):
@@ -602,15 +593,6 @@ def test_array_sweeps_bit_identical_to_scalar_in_one_dimension(model):
     assert from_random[0][2] > 10
     for arrays, scalar in (from_random, both_sweeps(m, [m.base_point] * len(m.model.cells))):
         assert repr(arrays) == repr(scalar)  # repr tells -0.0 from 0.0
-
-
-def test_array_sweeps_bit_identical_on_anchored_stage():
-    # one stage of the norm-minimal homotopy: the anchor term enters the
-    # local sums last among the point terms
-    m = comm_energy_model(dihedral_line_problem(3))
-    arrays, scalar = both_sweeps(m, random_start(m, 5), anchor=(2.0 ** -3, (0.5,)))
-    assert arrays[2] > 10
-    assert repr(arrays) == repr(scalar)
 
 
 def test_weighted_squares_round_like_scalar_terms():
@@ -650,16 +632,15 @@ def test_array_sweeps_match_scalar_in_two_dimensions():
     # math.dist and a numpy norm may round differently in the last bit
     m = plane_model()
     assert m.arrays is not None
-    for anchor in (None, (0.25, (1.0, 2.0))):
-        arrays, scalar = both_sweeps(m, random_start(m, 6), anchor)
-        assert arrays[2] > 10
-        assert arrays[2:4] == scalar[2:4]
-        np.testing.assert_allclose(arrays[0], scalar[0], rtol=0.0, atol=1e-12)
-        assert arrays[1] == pytest.approx(scalar[1], rel=1e-12)
-        for ra, rs in zip(arrays[4], scalar[4]):
-            assert ra.sweep == rs.sweep
-            for field in ("energy_total", "norm", "max_move", "objective"):
-                assert getattr(ra, field) == pytest.approx(getattr(rs, field), rel=1e-12, abs=1e-12)
+    arrays, scalar = both_sweeps(m, random_start(m, 6))
+    assert arrays[2] > 10
+    assert arrays[2:4] == scalar[2:4]
+    np.testing.assert_allclose(arrays[0], scalar[0], rtol=0.0, atol=1e-12)
+    assert arrays[1] == pytest.approx(scalar[1], rel=1e-12)
+    for ra, rs in zip(arrays[4], scalar[4]):
+        assert ra.sweep == rs.sweep
+        for field in ("energy_total", "norm", "max_move", "objective"):
+            assert getattr(ra, field) == pytest.approx(getattr(rs, field), rel=1e-12, abs=1e-12)
 
 
 def test_array_path_only_for_euclidean_targets():
