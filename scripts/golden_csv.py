@@ -26,11 +26,12 @@ four explicit problems (``DIR/<name>/bcd/``):
   exact tree step);
 - ``lp23-translation-chain-4``: 4 cells in l_p(2, 3), a chain closed by a
   seeded translation, from a seeded start (the Newton step);
-- ``hub-reflection-leaves-32``: a hub cell on the line joined both ways to
-  32 leaf cells, back to the hub by the identity and out to a leaf by the
+- ``hub-reflection-leaves-64``: a hub cell on the line joined both ways to
+  64 leaf cells, back to the hub by the identity and out to a leaf by the
   identity (even leaves) or a seeded point reflection (odd leaves), with a
-  point-reflection self-loop on the hub, from a seeded start.  The hub has 65 term entries and each leaf 2, so one solve steps
-  on both compiled kernels (``harmonic.FLOAT_STEP_MAX`` is 64).
+  point-reflection self-loop on the hub, from a seeded start.  The hub has
+  129 term entries and each leaf 2, so one solve steps on both compiled
+  kernels (``harmonic.FLOAT_STEP_MAX`` is 128).
 
 and ``bcd``, ``norm-minimal`` and ``lexicographic`` run one explicit problem
 in the plane (``DIR/<name>/<method>/``), the one case of the compiled engine
@@ -151,7 +152,7 @@ def lp_translation_chain(seed: int, cells: int = 4) -> dict:
     }
 
 
-def hub_reflection_leaves(seed: int, leaves: int = 32) -> dict:
+def hub_reflection_leaves(seed: int, leaves: int = 64) -> dict:
     """Config of the explicit hub-and-leaves problem run by ``bcd``."""
     rng = np.random.default_rng([seed, 4])
     reflect = lambda: {"kind": "point-reflection", "center": [float(rng.uniform(-1.0, 1.0))]}
@@ -204,7 +205,7 @@ EXPLICIT = {
     "consensus-chain-20": consensus_chain,
     "star-tree-consensus-6": star_tree_consensus,
     "lp23-translation-chain-4": lp_translation_chain,
-    "hub-reflection-leaves-32": hub_reflection_leaves,
+    "hub-reflection-leaves-64": hub_reflection_leaves,
 }
 # the methods run on ``plane_turn_mirror``
 PLANE_METHODS = ("bcd", "norm-minimal", "lexicographic")

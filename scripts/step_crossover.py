@@ -17,7 +17,8 @@ exits 1 naming the first case where they differ, so the table only ever
 compares kernels that agree.  Every case runs once per round, the first
 round only warms up, and the table holds the best of ``--repeats`` rounds
 in microseconds per step (the time of a sweep over 2), so a slow spell of
-the machine does not land on one row.  BLAS is pinned to one
+the machine does not land on one row.  A last line names the largest entry
+count at which floats win both with and without a loop.  BLAS is pinned to one
 thread, as the benchmark pins it.
 """
 
@@ -112,6 +113,8 @@ def main() -> None:
     for entries in ENTRIES:
         cells = [best[entries, loop, threshold] for loop in (False, True) for threshold in (0, entries)]
         print(f"| {entries} | " + " | ".join(f"{t:.1f}" for t in cells) + " |")
+    wins = [e for e in ENTRIES if all(best[e, loop, e] < best[e, loop, 0] for loop in (False, True))]
+    print(f"largest entry count at which floats win in both columns: {max(wins, default='none')}")
 
 
 if __name__ == "__main__":

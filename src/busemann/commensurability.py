@@ -556,7 +556,6 @@ def subgroup_harmonic(
             "engine": win.extras["engine"],
             "stop_reason": win.extras["stop_reason"],
             "local_solves": win.extras["local_solves"],
-            "rejected_moves": win.extras["rejected_moves"],
             "kernel_terms": m.n_terms,
             "word_radius": m.word_radius,
             "truncation_residual": m.truncation_residual,

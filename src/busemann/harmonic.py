@@ -22,9 +22,7 @@ or by a convergent method: a linear solve on Euclidean targets, a closed
 form on each tree edge for cells without self-loops, and damped Newton steps
 on l_p targets and l_q products of Euclidean and l_p factors.
 :func:`_solve_local` lists every path and its fallbacks, and each report
-counts the local solves by path (``extras["local_solves"]``) and the moves
-that a sweep refused because they would raise a local objective
-(``extras["rejected_moves"]``).
+counts the local solves by path (``extras["local_solves"]``).
 
 There are two sweep engines.  The scalar engine works on any target and is
 the reference.  The compiled engine applies when the target is
@@ -659,14 +657,15 @@ def _descend(sweep_once, evaluate, best, tol: float, max_sweeps: int):
 
     ``evaluate(sweep, max_move)`` returns the trace row of the current map,
     ``sweep_once()`` runs one sweep in place and returns the largest cell
-    move and the number of moves refused, and ``best()`` gives the current
-    map for the :class:`SolverError` raised at the first non-finite
-    objective (its ``stop_reason`` is "non-finite"; a power or sum past the
-    float range, which ``evaluate`` raises as OverflowError, counts as
-    inf).  Stops when the decrease of the objective over a sweep falls
-    below tol * (1 + |obj|) and no cell moved more than tol.  Returns
-    (objective, sweeps, converged, trace, rejected), the last summed over
-    the sweeps.
+    move, and ``best()`` gives the current map for the :class:`SolverError`
+    raised at the first non-finite objective (its ``stop_reason`` is
+    "non-finite"; a power or sum past the float range, which ``evaluate``
+    raises as OverflowError, counts as inf).  Every sweep keeps every local
+    step, and no step raises its local objective, so a row's objective can
+    exceed the row before only by the rounding of its sum.  Stops when the
+    decrease of the objective over a sweep (negative after such a rise)
+    falls below tol * (1 + |obj|) and no cell moved more than tol.  Returns
+    (objective, sweeps, converged, trace).
     """
 
     def checked(sweep, max_move):
@@ -685,18 +684,17 @@ def _descend(sweep_once, evaluate, best, tol: float, max_sweeps: int):
     row = checked(0, 0.0)
     trace = [row]
     converged = False
-    sweeps = rejected = 0
+    sweeps = 0
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
-        max_move, refused = sweep_once()
-        rejected += refused
+        max_move = sweep_once()
         obj = row.objective
         row = checked(sweep, max_move)
         trace.append(row)
         if obj - row.objective < tol * (1.0 + abs(row.objective)) and max_move < tol:
             converged = True
             break
-    return row.objective, sweeps, converged, tuple(trace), rejected
+    return row.objective, sweeps, converged, tuple(trace)
 
 
 def _term_plans(terms, n_cells: int):
@@ -715,12 +713,13 @@ def _term_plans(terms, n_cells: int):
     return points, loops
 
 
-def _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts) -> tuple:
+def _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts) -> float:
     """One Gauss-Seidel sweep of the scalar engine, in place: each cell moves
-    to the minimizer of its local subproblem unless that raises the local
-    objective.  Local solves are counted by path in ``counts``.  Returns the
-    largest move and the number of moves refused."""
-    max_move, rejected = 0.0, 0
+    to the value of its local solve (:func:`_solve_local`), which never
+    raises the local objective: the exact paths minimize it, and the
+    searching paths return the current value unless they lower it.  Local
+    solves are counted by path in ``counts``.  Returns the largest move."""
+    max_move = 0.0
     for ci in range(len(values)):
         pts = [(w, t.apply(values[src])) for w, src, t in points[ci]]
         if anchors:
@@ -728,14 +727,9 @@ def _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts) -
         if not pts and not loops[ci]:
             continue
         znew = _solve_local(space, p, pts, loops[ci], values[ci], tol, seed, counts)
-        if _local_objective(space, p, pts, loops[ci], znew) <= _local_objective(
-            space, p, pts, loops[ci], values[ci]
-        ):
-            max_move = max(max_move, space.distance(values[ci], znew))
-            values[ci] = znew
-        else:
-            rejected += 1
-    return max_move, rejected
+        max_move = max(max_move, space.distance(values[ci], znew))
+        values[ci] = znew
+    return max_move
 
 
 # ---------------------------------------------------------------------------
@@ -819,11 +813,11 @@ def _solve_1d(n: float, r: float) -> float:
 # (others on numpy arrays).  A step in us by scripts/step_crossover.py
 # --sweeps 1000 --repeats 15 (2-vCPU VM, one BLAS thread):
 #   entries            2    8   16   32   48   64   96  128  256  512
-#   points: numpy   18.9 18.9 20.2 21.8 23.1 24.4 30.2 33.4 49.8 79.5
-#   points: floats   3.0  5.2  8.1 13.3 19.1 24.1 36.8 46.5 93.8  182
-#   a loop: numpy   22.0 24.0 25.0 27.0 27.7 29.5 36.8 37.2 53.8 85.5
-#   a loop: floats   3.6  6.3  8.8 14.1 18.9 25.4 38.4 46.6 95.0  191
-FLOAT_STEP_MAX = 64  # floats still win at 64 entries, not at 96
+#   points: numpy   15.0 13.4 13.2 12.7 13.7 13.0 13.9 14.0 16.3 19.5
+#   points: floats   1.5  2.1  2.7  3.7  5.1  6.0  9.0 11.0 20.2 41.8
+#   a loop: numpy   13.0 14.2 13.1 12.5 13.0 12.9 14.9 13.7 15.6 18.2
+#   a loop: floats   1.5  2.0  2.6  3.8  5.0  6.1  9.1 11.0 21.0 44.3
+FLOAT_STEP_MAX = 128  # floats still win at 128 entries, not at 256
 
 
 def _cell_steps(plan: KernelArrays, n_cells: int) -> tuple:
@@ -877,15 +871,14 @@ def _compiled_sweeps(plan: KernelArrays, values, tol, max_sweeps, evaluate, coun
     plan (:func:`_cell_steps`), on one state: a one-dimensional cell with
     at most :data:`FLOAT_STEP_MAX` entries on Python floats (values in a
     list beside x) from a per-solve table of its points (source, m, s, w),
-    loops (m, s, w, rhs) and summed normal; every other cell on numpy
-    arrays.  Both kernels sum in the scalar engine's
-    order (in sequence from zero; fsum is exactly rounded), solve 1 x 1
-    systems by :func:`_solve_1d` and larger ones by the same lstsq call,
-    and accept a move by the same ``<=`` of the local objectives, so in one
-    dimension they are bit-identical to the scalar engine.  Each cell step
-    is a linear solve, counted in ``counts``.  Returns (values, objective,
-    sweeps, converged, trace, rejected), the last the moves the ``<=``
-    refused.
+    loop right-hand sides and summed normal; every other cell on numpy
+    arrays.  Both kernels sum in the scalar engine's order (in sequence
+    from zero) and solve 1 x 1 systems by :func:`_solve_1d` and larger ones
+    by the same lstsq call, so in one dimension they are bit-identical to
+    the scalar engine.  Each cell step is a linear solve, counted in
+    ``counts``, and moves the cell to the exact minimizer of its local
+    objective, so a sweep never raises the objective beyond rounding.
+    Returns (values, objective, sweeps, converged, trace).
     """
     n = len(values)
     x = np.array(values, dtype=float)
@@ -895,57 +888,33 @@ def _compiled_sweeps(plan: KernelArrays, values, tol, max_sweeps, evaluate, coun
     xf = x[:, 0].tolist()
     if d == 1 and any(e1 - e0 <= FLOAT_STEP_MAX for _, e0, _, e1 in runs):
         cols = [a.ravel().tolist() for a in (src, matrix, shift, weight, rhs, normal)]
-        pts, loops = list(zip(*cols[:4])), list(zip(*cols[1:5]))
+        pts, loops = list(zip(*cols[:4])), cols[4]
 
-    def float_step(ci, e0, l0, e1, cell):
-        # the array step on floats: n1 * z0 + 0.0 rounds as the 1 x 1 matmul
-        # does, and (.) ** 2.0 as np.float_power (libm pow of |.|)
-        pt, lp, n1 = cell
-        z0, r, wu = xf[ci], 0.0, []
+    def float_step(ci, pt, lp, n1):
+        # the array step on floats: n1 * z0 + 0.0 rounds as the 1 x 1 matmul does
+        z0, r = xf[ci], 0.0
         for c, m, s, w in pt:
-            u = m * xf[c] + s
-            r += w * u
-            wu.append((w, u))
-        for *_, b in lp:
+            r += w * (m * xf[c] + s)
+        for b in lp:
             r += b
         z1 = z0 + _solve_1d(n1, r - (n1 * z0 + 0.0))
-        try:
-            f0 = math.fsum([w * (z0 - u) ** 2.0 for w, u in wu])
-            f1 = math.fsum([w * (z1 - u) ** 2.0 for w, u in wu])
-            if lp:  # else + 0.0, exact as point fsums are not -0.0
-                f0 += math.fsum([w * (m * z0 + s - z0) ** 2.0 for m, s, w, _ in lp])
-                f1 += math.fsum([w * (m * z1 + s - z1) ** 2.0 for m, s, w, _ in lp])
-        except OverflowError:  # a square past the float range, which numpy rounds to inf
-            return array_step(ci, e0, l0, e1, np.array([[n1]]))
-        if not f1 <= f0:
-            return None
         xf[ci] = x[ci, 0] = z1
         return abs(z0 - z1)
 
-    # the array steps' buffers: the right-hand side rows, cell c's run led by
-    # a zero row at e0 + c (loop rows keep their value, point rows take w u),
-    # the differences z - u and T z - z of a run at a pair of values z
+    # the array steps' right-hand side rows: cell c's run led by a zero row
+    # at e0 + c (loop rows keep their value, point rows take w u)
     r_rows = np.zeros((len(rhs) + n, d))
     r_rows[np.arange(len(rhs)) + np.repeat(np.arange(1, n + 1), np.diff(bounds[::2]))] = rhs
-    diff, pair, wcol = np.empty((2, len(rhs), d)), np.empty((2, d)), weight[:, None]
-    (z0, z1), zb = pair, pair[:, None, :]
 
     def array_step(ci, e0, l0, e1, normal_c):
-        z0[...] = x[ci]
+        z0 = x[ci].copy()
         u = _apply_rows(matrix[e0:l0], shift[e0:l0], x[src[e0:l0]])
-        rows, run, k = r_rows[e0 + ci : e1 + ci + 1], diff[:, e0:e1], l0 - e0
-        np.multiply(wcol[e0:l0], u, out=rows[1 : k + 1])
+        rows = r_rows[e0 + ci : e1 + ci + 1]
+        np.multiply(weight[e0:l0, None], u, out=rows[1 : l0 - e0 + 1])
         r = rows.cumsum(axis=0)[-1] - normal_c @ z0
-        np.add(z0, _solve_1d(normal_c[0, 0], r[0]) if d == 1 else np.linalg.lstsq(normal_c, r, rcond=None)[0], out=z1)
-        np.subtract(zb, u, out=run[:, :k])
-        if l0 < e1:
-            np.subtract(_apply_rows(matrix[l0:e1], shift[l0:e1], zb), zb, out=run[:, k:])
-        sq = _sq_terms(weight[e0:e1], run)
-        (p0, p1), (q0, q1) = sq[:, :k].tolist(), sq[:, k:].tolist()
-        if not math.fsum(p1) + math.fsum(q1) <= math.fsum(p0) + math.fsum(q0):
-            return None
-        x[ci], xf[ci] = z1, float(z1[0])
-        return math.dist(*pair.tolist())
+        x[ci] = z1 = z0 + (_solve_1d(normal_c[0, 0], r[0]) if d == 1 else np.linalg.lstsq(normal_c, r, rcond=None)[0])
+        xf[ci] = float(z1[0])
+        return math.dist(z0.tolist(), z1.tolist())
 
     steps = []
     for ci, e0, l0, e1 in runs:  # the normal matrix summed in sequence from zero
@@ -953,21 +922,20 @@ def _compiled_sweeps(plan: KernelArrays, values, tol, max_sweeps, evaluate, coun
             n1 = 0.0
             for v in cols[5][e0:e1]:
                 n1 += v
-            step, nc = float_step, (pts[e0:l0], loops[l0:e1], n1)
+            steps.append((float_step, (ci, pts[e0:l0], loops[l0:e1], n1)))
         else:
-            step, nc = array_step, np.cumsum(np.concatenate((np.zeros((1, d, d)), normal[e0:e1])), axis=0)[-1]
-        steps.append((step, ci, e0, l0, e1, nc))
+            normal_c = np.cumsum(np.concatenate((np.zeros((1, d, d)), normal[e0:e1])), axis=0)[-1]
+            steps.append((array_step, (ci, e0, l0, e1, normal_c)))
 
     def sweep_once():
-        moves = [step(ci, e0, l0, e1, nc) for step, ci, e0, l0, e1, nc in steps]
         counts["linear"] += len(steps)
-        return max([0.0] + [move for move in moves if move is not None]), moves.count(None)
+        return max([0.0] + [step(*args) for step, args in steps])
 
     current = lambda: [tuple(v) for v in x.tolist()]
-    obj, sweeps, converged, trace, rejected = _descend(
+    obj, sweeps, converged, trace = _descend(
         sweep_once, lambda sweep, move: evaluate(x, sweep, move), current, tol, max_sweeps
     )
-    return current(), obj, sweeps, converged, trace, rejected
+    return current(), obj, sweeps, converged, trace
 
 
 # A pivot of the pivoted Cholesky factorization at most this times the largest
@@ -1077,8 +1045,10 @@ def minimize_energy(
     """Cyclic block-coordinate descent on a term energy: the edge energy of
     an :class:`EquivariantProblem` or a commensurability kernel model.
 
-    Each sweep revisits every cell and moves it to the minimizer of its local
-    subproblem; the objective never increases.  Stops when the sweep decrease
+    Each sweep revisits every cell and moves it to the value of its local
+    solve, which never raises the cell's local objective, so the objective
+    never increases beyond the rounding of its sum (a row may exceed the row
+    before by a few ulps near a minimizer).  Stops when the sweep decrease
     falls below tol * (1 + |E|) and no cell moved more than tol.  ``anchor``
     is an optional pair (lam, x0) adding sum_c lam * mu_c * d(phi(c), x0)^p
     to the objective; ``class_weights`` rescales term weights per class
@@ -1093,9 +1063,8 @@ def minimize_energy(
     numbers (bit for bit in one dimension), and on the scalar engine
     otherwise.  ``extras`` records the ``objective``, the ``engine``
     ("compiled" or "scalar"), the ``stop_reason`` ("converged" or
-    "max_sweeps"), ``local_solves``, the local solves by path
-    (:data:`LOCAL_PATHS`, see :func:`_solve_local`), and
-    ``rejected_moves``, those whose value raised the local objective.
+    "max_sweeps") and ``local_solves``, the local solves by path
+    (:data:`LOCAL_PATHS`, see :func:`_solve_local`).
     """
     phi = phi_init if phi_init is not None else const_map(prob.model, prob.target, prob.base_point)
     if phi.model != prob.model or phi.target != prob.target:
@@ -1133,7 +1102,7 @@ def minimize_energy(
             norm = _weighted_sq_dist(mu_arr, x, base) ** (1.0 / p)
             return row(sweep, max_move, e_total, per_class, norm)
 
-        values, obj, sweeps, converged, trace, rejected = _compiled_sweeps(
+        values, obj, sweeps, converged, trace = _compiled_sweeps(
             plan, phi.values, tol, max_sweeps, compiled_row, counts
         )
     else:
@@ -1158,7 +1127,7 @@ def minimize_energy(
             )
             return row(sweep, max_move, e_total, per_class, map_norm(p, cur, prob.base_point), anchor_energy)
 
-        obj, sweeps, converged, trace, rejected = _descend(
+        obj, sweeps, converged, trace = _descend(
             lambda: _scalar_sweep(space, p, points, loops, values, anchors, tol, seed, counts),
             scalar_row, lambda: EquivariantMap(prob.model, space, tuple(values)), tol, max_sweeps,
         )
@@ -1176,7 +1145,6 @@ def minimize_energy(
             "engine": engine,
             "stop_reason": "converged" if converged else "max_sweeps",
             "local_solves": counts,
-            "rejected_moves": rejected,
         },
     )
 
@@ -1188,8 +1156,11 @@ PENALTY_SCHEDULE = tuple(2.0 ** (-n) for n in range(1, 41))
 def _staged_report(prob: TermEnergy, sol, e_total: float, reports, **extras) -> SolveReport:
     """The report of the stage solves ``reports`` returning ``sol`` (energy
     ``e_total``): energies and norm of ``sol``; trace, convergence, engine
-    and stop reason of the last stage; sweeps, local solves by path and
-    refused moves summed over all stages; and ``extras``."""
+    and stop reason of the last stage; sweeps and local solves by path
+    summed over all stages; and ``extras``.  Each stage's objective never
+    increases beyond rounding (:func:`minimize_energy`), but a later stage
+    solves another objective, so the energy need not fall from stage to
+    stage."""
     last = reports[-1]
     return SolveReport(
         solution=sol,
@@ -1204,7 +1175,6 @@ def _staged_report(prob: TermEnergy, sol, e_total: float, reports, **extras) -> 
             "engine": last.extras["engine"],
             "stop_reason": last.extras["stop_reason"],
             "local_solves": {k: sum(r.extras["local_solves"][k] for r in reports) for k in LOCAL_PATHS},
-            "rejected_moves": sum(r.extras["rejected_moves"] for r in reports),
         },
     )
 

@@ -187,10 +187,8 @@ class LpVector(_VectorSpace):
         return "lp"
 
     def distance(self, x, y) -> float:
-        """(sum |x_i - y_i|^p)^(1/p).  Where that power sum passes the float
-        range, or falls below the normal range for distinct points, the
-        differences are first scaled by the largest of them (Blue, ACM TOMS
-        4, 1978), so the distance is inf only when it is past the range."""
+        """(sum |x_i - y_i|^p)^(1/p), scaled where the power sum leaves the
+        normal range (:func:`_lq_norm`)."""
         self.check_point(x)
         self.check_point(y)
         p = self.p
@@ -198,17 +196,16 @@ class LpVector(_VectorSpace):
             s = math.fsum(abs(a - b) ** p for a, b in zip(x, y))
         except OverflowError:
             s = math.inf
-        if not _FLOAT_MIN <= s < math.inf:
-            m = max(abs(a - b) for a, b in zip(x, y))
-            if 0.0 < m < math.inf:
-                return m * math.fsum((abs(a - b) / m) ** p for a, b in zip(x, y)) ** (1.0 / p)
-        return s ** (1.0 / p)
+        if _FLOAT_MIN <= s < math.inf:
+            return s ** (1.0 / p)
+        return _lq_norm([abs(a - b) for a, b in zip(x, y)], p)
 
     def distance_batch(self, x, y) -> np.ndarray:
         """``distance`` over arrays of points (coordinates on the last axis);
         a power sum outside the normal range takes ``distance``'s scaling."""
         x, y = self._check_batch(x, y)
-        s = np.sum(np.float_power(np.abs(x - y), self.p), axis=-1)
+        with np.errstate(over="ignore"):  # the scaled rows replace those that overflow
+            s = np.sum(np.float_power(np.abs(x - y), self.p), axis=-1)
         out = np.float_power(s, 1.0 / self.p)
         sums = s.ravel().tolist()  # checked in Python, which maps no further numpy loops
         if sums and not (_FLOAT_MIN <= min(sums) and max(sums) < math.inf):
@@ -577,23 +574,32 @@ class Product:
             f.check_point(part)
 
     def distance(self, x, y) -> float:
+        """(sum_i d_i(x_i, y_i)^q)^(1/q), scaled where the power sum leaves
+        the normal range (:func:`_lq_norm`)."""
         self.check_point(x)
         self.check_point(y)
-        try:
-            total = math.fsum(f.distance(a, b) ** self.q for f, a, b in zip(self.factors, x, y))
-            return total ** (1.0 / self.q)
-        except OverflowError:  # a power past the float range: inf, as distance_batch rounds it
-            return math.inf
+        return _lq_norm([f.distance(a, b) for f, a, b in zip(self.factors, x, y)], self.q)
 
     def _check_batch(self, x, y) -> None:
         if len(x) != len(self.factors) or len(y) != len(self.factors):
             raise SpaceMismatchError(f"product batches of {self!r} need one batch per factor")
 
     def distance_batch(self, x, y) -> np.ndarray:
-        """``distance`` over tuples of factor batches, one batch per factor."""
+        """``distance`` over tuples of factor batches, one batch per factor;
+        a power sum outside the normal range takes ``distance``'s scaling."""
         self._check_batch(x, y)
-        terms = [np.float_power(f.distance_batch(a, b), self.q) for f, a, b in zip(self.factors, x, y)]
-        return np.float_power(sum(terms), 1.0 / self.q)
+        dists = [f.distance_batch(a, b) for f, a, b in zip(self.factors, x, y)]
+        with np.errstate(over="ignore"):  # the scaled rows replace those that overflow
+            s = sum(np.float_power(d, self.q) for d in dists)
+        out = np.float_power(s, 1.0 / self.q)
+        sums = np.ravel(s).tolist()  # checked in Python, as in LpVector.distance_batch
+        if sums and not (_FLOAT_MIN <= min(sums) and max(sums) < math.inf):
+            parts = zip(*(np.broadcast_to(d, np.shape(s)).ravel().tolist() for d in dists))
+            out = np.array([
+                d if _FLOAT_MIN <= v < math.inf else _lq_norm(row, self.q)
+                for d, v, row in zip(np.ravel(out).tolist(), sums, parts)
+            ]).reshape(np.shape(s))[()]
+        return out
 
     def geodesic_batch(self, x, y, t):
         """``geodesic`` factor by factor, as a tuple of factor batches."""
@@ -617,6 +623,22 @@ class Product:
 
     def origin(self):
         return tuple(f.origin() for f in self.factors)
+
+
+def _lq_norm(parts, q: float) -> float:
+    """(sum_i a_i^q)^(1/q) of the nonnegative ``parts``.  Where that power
+    sum passes the float range, or falls below the normal range while a
+    part is not 0, the parts are first scaled by the largest of them (Blue,
+    ACM TOMS 4, 1978), so the result is inf only when it is past the range."""
+    try:
+        s = math.fsum(a ** q for a in parts)
+    except OverflowError:
+        s = math.inf
+    if not _FLOAT_MIN <= s < math.inf:
+        m = max(parts)
+        if 0.0 < m < math.inf:
+            return m * math.fsum((a / m) ** q for a in parts) ** (1.0 / q)
+    return s ** (1.0 / q)
 
 
 def _check_param(t: float) -> None:

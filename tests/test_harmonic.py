@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -40,6 +41,7 @@ from busemann.harmonic import (
 from busemann.convexity import minimize_convex
 from busemann.mapspace import EquivariantMap, MeasureModel, map_distance, map_midpoint
 from busemann.models import (
+    GeneratedModel,
     consensus_model,
     dihedral_cover_model,
     dihedral_line_model,
@@ -186,7 +188,11 @@ def test_trace_monotone_and_exact_euclidean():
     gm = dihedral_line_model(3)
     rep = minimize_energy(gm.problem, gm.init, tol=1e-12, max_sweeps=2000)
     objs = [row.objective for row in rep.trace]
-    assert all(b <= a for a, b in zip(objs, objs[1:]))
+    # exact block minimization never raises the true energy, but a row is the
+    # fsum of rounded weighted squares, which lies within ~4u of it (u the
+    # float epsilon), so near the minimizer a row may read a few ulps above
+    # the row before
+    assert all(b <= a * (1 + 4 * sys.float_info.epsilon) for a, b in zip(objs, objs[1:]))
 
 
 def test_trace_monotone_tree():
@@ -538,7 +544,7 @@ def test_anchored_solve_runs_scalar_and_matches_normal_equations(gm):
     np.testing.assert_allclose([v[0] for v in rep.solution.values], want, rtol=0.0, atol=1e-8)
 
 
-def hub_problem(leaves=32):
+def hub_problem(leaves=64):
     """A hub on the line joined both ways to ``leaves`` leaves, out by the
     identity or a point reflection and back by the identity, with a
     reflection loop: one cell past FLOAT_STEP_MAX entries, the rest small."""
@@ -579,7 +585,7 @@ def kernel_cases():
 def test_float_kernel_bit_identical_to_array_kernel(monkeypatch):
     # every one-dimensional cell on the array kernel, at the threshold, and
     # every one on the float kernel: the comm-kernel cells have 119 entries,
-    # the hub 65 and its leaves 2, so the default mixes both in the hub solve
+    # the hub 129 and its leaves 2, so the default mixes both in the hub solve
     hub = hub_problem()
     bounds = harmonic._cell_steps(hub.arrays, len(hub.model.cells))[0]
     assert bounds[2] > harmonic.FLOAT_STEP_MAX >= max(b - a for a, b in zip(bounds[2:-1:2], bounds[4::2]))
@@ -601,7 +607,9 @@ def test_step_crossover_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     header = "| Entries | Points: numpy | Points: floats | With a loop: numpy | With a loop: floats |"
-    assert header in proc.stdout.splitlines()
+    lines = proc.stdout.splitlines()
+    assert header in lines
+    assert re.fullmatch(r"largest entry count at which floats win in both columns: (\d+|none)", lines[-1])
 
 
 def overflow_problem():
@@ -614,26 +622,32 @@ def overflow_problem():
     return prob, EquivariantMap(cells, E1, ((0.0,), (1.3e154,), (-1.3e154,)))
 
 
-def test_float_kernel_overflow_steps_on_arrays(monkeypatch):
-    # numpy rounds the square to inf and refuses the move, and the float
-    # kernel, whose ** raises, hands the step to the array kernel
+def converged_to_zero(rep):
+    return rep.converged and rep.iterations == 3 and rep.energy_total == 0.0
+
+
+def test_float_kernel_overflow_start_converges_as_on_arrays(monkeypatch):
+    # a step squares no distance, so both kernels keep the move and reach
+    # the finite minimizer, without an overflow
     prob, start = overflow_problem()
     runs = []
     for threshold in (0, 10 ** 9):
         monkeypatch.setattr(harmonic, "FLOAT_STEP_MAX", threshold)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             runs.append(minimize_energy(prob, start, max_sweeps=3))
     assert outcome(runs[0]) == outcome(runs[1])
-    assert runs[0].extras["rejected_moves"] >= 1
+    assert converged_to_zero(runs[0])
 
 
-def test_scalar_engine_counts_overflow_as_inf():
-    # the scalar engine's local objective takes the square past the float
-    # range as inf, as numpy does, so it refuses the same move
+def test_scalar_engine_overflow_start_converges():
+    # the scalar engine keeps the same move and ends bit for bit with the
+    # compiled engine
     prob, start = overflow_problem()
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         run = assert_same_run(prob, phi_init=start, max_sweeps=3)
-    assert run.extras["rejected_moves"] >= 1
+    assert converged_to_zero(run)
 
 
 def plane_problem(loop_class=1):
@@ -649,6 +663,24 @@ def plane_problem(loop_class=1):
         Edge("b", "b", 0.5, turn, loop_class),
     )
     return EquivariantProblem(cells, e2, (0.0, 0.0), edges)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: dihedral_line_model(200), lambda: dihedral_cover_model(2), lambda: GeneratedModel(plane_problem())],
+    ids=["dihedral-line-200", "dihedral-cover-2", "plane"],
+)
+def test_sweeps_resolve_the_exact_minimizer_below_sqrt_eps(build):
+    # every exact local step is kept, also where its decrease is below the
+    # rounding of the energy, so at tol 1e-12 the sweeps end near the unique
+    # minimizer (a guard on the rounded local objective stopped them ~3e-9
+    # away, at every tol, and called that converged)
+    prob = (gm := build()).problem
+    values, flat = quadratic_minimizer(prob.arrays, prob.model.weights, prob.base_point)
+    assert flat == 0
+    rep = minimize_energy(prob, gm.init, tol=1e-12, max_sweeps=2000)
+    assert rep.converged
+    assert max(math.dist(a, b) for a, b in zip(rep.solution.values, values)) < 1e-11
 
 
 @pytest.mark.parametrize(
@@ -686,10 +718,8 @@ def test_compiled_plan_equals_scalar_plan_in_two_dimensions(monkeypatch, kwargs)
 
 
 def test_compiled_engine_matches_scalar_in_two_dimensions():
-    # math.dist and a numpy norm may round differently in the last bit.  Near
-    # the minimum a move of 1e-9 changes a local objective by about 1e-18,
-    # below its rounding, so at tolerances much tighter than 1e-8 the two
-    # engines may accept different last moves and agree only to ~1e-9.
+    # math.dist and a numpy norm may round differently in the last bit, so
+    # the traces agree to rounding
     prob = plane_problem()
     for seed in (6, 7, 8):
         compiled, scalar = both_engines(prob, phi_init=random_map(prob, seed), tol=1e-8)
@@ -700,6 +730,19 @@ def test_compiled_engine_matches_scalar_in_two_dimensions():
             assert rc.sweep == rs.sweep
             for name in ("energy_total", "norm", "max_move", "objective"):
                 assert getattr(rc, name) == pytest.approx(getattr(rs, name), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-10, 1e-11])
+def test_engines_agree_in_two_dimensions_below_sqrt_eps(tol):
+    # every step is kept on both engines, so no decision on a rounded local
+    # objective (a change of ~1e-18 for a move of 1e-9) sets them apart: they
+    # run as many sweeps to the same values
+    prob = plane_problem()
+    for seed in (6, 7, 8):
+        compiled, scalar = both_engines(prob, phi_init=random_map(prob, seed), tol=tol)
+        assert compiled.iterations == scalar.iterations
+        assert compiled.converged and scalar.converged
+        np.testing.assert_allclose(compiled.solution.values, scalar.solution.values, rtol=0.0, atol=1e-12)
 
 
 def test_compiled_engine_only_where_it_applies():
@@ -797,35 +840,27 @@ def test_local_solve_counters_deterministic_and_by_path():
         assert r1.converged
         counts = r1.extras["local_solves"]
         assert counts == r2.extras["local_solves"]
-        assert r1.extras["rejected_moves"] == r2.extras["rejected_moves"] >= 0
         assert set(counts) == set(LOCAL_PATHS)
         assert counts[path] == len(prob.model.cells) * r1.iterations
         assert counts["pattern"] == counts["golden"] == 0
     # the compiled engine makes one linear solve per cell and sweep, and
     # every report counts every sweep it ran: all stages of the staged
-    # solvers, the sweeps from the exact minimizer of commensurability; each
-    # report also counts its refused moves, the same in a rerun
+    # solvers, the sweeps from the exact minimizer of commensurability
     gm = dihedral_line_model(3)
     m = comm_energy_model(gm.problem)
-    runs = {
-        "bcd": lambda: minimize_energy(gm.problem, gm.init),
-        "norm-minimal": lambda: norm_minimal_minimizer(gm.problem),
-        "lexicographic": lambda: lexicographic_minimize(gm.problem, gm.problem.classes),
-        "commensurability": lambda: subgroup_harmonic(m),
-        "commensurability-norm-minimal": lambda: subgroup_harmonic(m, norm_minimal=True),
+    reports = {
+        "bcd": minimize_energy(gm.problem, gm.init),
+        "norm-minimal": norm_minimal_minimizer(gm.problem),
+        "lexicographic": lexicographic_minimize(gm.problem, gm.problem.classes),
+        "commensurability": subgroup_harmonic(m),
+        "commensurability-norm-minimal": subgroup_harmonic(m, norm_minimal=True),
     }
-    reports = {name: run() for name, run in runs.items()}
     for name, rep in reports.items():
         assert rep.extras["engine"] == "compiled", name
         assert rep.extras["local_solves"]["linear"] == 3 * rep.iterations, name
-        rejected = rep.extras["rejected_moves"]
-        assert isinstance(rejected, int) and 0 <= rejected <= rep.extras["local_solves"]["linear"], name
-        assert runs[name]().extras["rejected_moves"] == rejected, name
-    # the homotopy (on an energy that does not compile) sums them over its
-    # stages, and refuses some
+    # the homotopy runs on an energy that does not compile
     homotopy = norm_minimal_minimizer(product_two_class_model().problem)
     assert homotopy.extras["engine"] == "scalar"
-    assert homotopy.extras["rejected_moves"] > 0
     # at least one sweep in each of 40 stages and the free solve
     assert homotopy.iterations >= 41
     # a commensurability solve of a Euclidean model counts the sweeps from

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,14 +240,13 @@ def test_distance_batch_matches_distance_vector(space, rng):
     "space, x, y",
     [
         (LpVector(2, 3.0), (1.5e308, 1.5e308), (0.0, 0.0)),
-        (Product((E1, E1), 3.0), ((1e160,), (0.0,)), ((-1e160,), (0.0,))),
+        (Product((E1, E1), 3.0), ((1.5e308,), (1.5e308,)), ((0.0,), (0.0,))),
     ],
     ids=["lp", "product"],
 )
 def test_distance_past_float_range_is_inf_as_in_batches(space, x, y):
-    # the distance passes the float range (on l_p 2^(1/3) * 1.5e308; on the
-    # product its power sum does): distance_batch rounds it to inf, and the
-    # scalar distance agrees instead of raising
+    # the distance 2^(1/3) * 1.5e308 passes the float range: distance_batch
+    # rounds it to inf, and the scalar distance agrees instead of raising
     with np.errstate(over="ignore"):
         batch = space.distance_batch(space.pack([x]), space.pack([y]))
     assert batch.tolist() == [math.inf]
@@ -265,6 +265,33 @@ def test_lp_distance_scales_a_power_sum_outside_the_float_range():
     with np.errstate(over="ignore"):
         batch = lp.distance_batch(np.array(cases), np.zeros((len(cases), 2)))
     assert batch.tolist() == [lp.distance(x, origin) for x in cases]
+
+
+def test_product_distance_scales_a_power_sum_outside_the_float_range():
+    # the cubes of the factor distances pass the float range at 1e150 (the
+    # pair 2e160 apart read inf) and leave the normal range at 1e-104
+    # (subnormal) and 1e-110 (0.0); the distance itself is in range
+    pr = Product((E1, E1), 3.0)
+    origin = ((0.0,), (0.0,))
+    assert pr.distance(((1e160,), (0.0,)), ((-1e160,), (0.0,))) == 2e160
+    assert pr.distance(((1e150,), (1e150,)), origin) == pytest.approx(2.0 ** (1.0 / 3.0) * 1e150, rel=1e-15, abs=0.0)
+    assert pr.distance(((1e-104,), (0.0,)), origin) == 1e-104
+    assert pr.distance(((0.0,), (-1e-110,)), origin) == 1e-110
+    cases = [((1e150,), (1e150,)), ((1e-104,), (0.0,)), ((0.0,), (-1e-110,)), ((3.0,), (-4.0,)), origin]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the scaled rows raise no overflow warning
+        batch = pr.distance_batch(pr.pack(cases), pr.pack([origin] * len(cases)))
+    assert batch.tolist() == [pr.distance(x, origin) for x in cases]
+
+
+def test_lp_distance_batch_scales_without_an_overflow_warning():
+    # the unscaled power sum of the row overflows, but the scaled row
+    # replaces it, so no warning is due
+    lp = LpVector(2, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = lp.distance_batch(np.array([(1e150, 1e150)]), np.zeros((1, 2)))
+    assert batch.tolist() == [lp.distance((1e150, 1e150), (0.0, 0.0))]
 
 
 def test_distance_batch_shape_mismatch_raises():
