@@ -671,10 +671,9 @@ def plane_problem(loop_class=1):
     ids=["dihedral-line-200", "dihedral-cover-2", "plane"],
 )
 def test_sweeps_resolve_the_exact_minimizer_below_sqrt_eps(build):
-    # every exact local step is kept, also where its decrease is below the
-    # rounding of the energy, so at tol 1e-12 the sweeps end near the unique
-    # minimizer (a guard on the rounded local objective stopped them ~3e-9
-    # away, at every tol, and called that converged)
+    # every exact local step is kept, also where its decrease lies below the
+    # rounding of the energy; a step refused on that rounding would stop the
+    # sweeps ~3e-9 from the unique minimizer at every tol
     prob = (gm := build()).problem
     values, flat = quadratic_minimizer(prob.arrays, prob.model.weights, prob.base_point)
     assert flat == 0
