@@ -4,15 +4,21 @@
         [--change REV] [--claim comm-kernel/wall_s]
 
 Run it from the repository root.  Both sides are git revs (the change side
-defaults to ``HEAD``; commit uncommitted work first), each exported with
-``git archive`` into a temporary directory that is removed at the end (an
-export leaves nothing behind in the repository, as a worktree would when a
-run is interrupted).  For each seed both sides run the benchmark command of
-``BENCHMARK.json`` with ``--workload all`` for its ``run_seconds``, one after
-the other, alternating which side runs first.
+defaults to ``HEAD``; commit uncommitted work first), resolved to commit SHAs
+with ``git rev-parse`` and exported with ``git archive`` into a temporary
+directory that is removed at the end (an export leaves nothing behind in the
+repository, as a worktree would when a run is interrupted).  For each seed
+both sides run the benchmark command of ``BENCHMARK.json`` with ``--workload
+all`` for its ``run_seconds``, one after the other, alternating which side
+runs first.  Each pair runs on its own exports, whose roots
+(:func:`pair_roots`) have one path length on both sides; the length cycles
+over four values, changing every two pairs, since the memory layout of a
+child, and with it ``peak_rss_mb``, moves with the path length of the code
+it compiles.
 
-The output holds every run (side, seed, order, exit code, elapsed time, the
-JSON result and the per-op medians) and, for each workload and end-to-end
+The output holds every run (side, seed, order, root path length, exit code,
+elapsed time, the JSON result and the per-op medians), ``peak_rss_mb`` of
+both sides at each root length, and, for each workload and end-to-end
 metric of ``BENCHMARK.json``, the medians and quartiles of both sides
 (``statistics.quantiles(n=4, method="inclusive")``), the number of pairs in
 which the change is lower, the median relative change and whether it lies
@@ -40,6 +46,24 @@ import time
 from pathlib import Path
 
 OP_LINE = re.compile(r"^(?P<workload>[\w-]+): op (?P<op>\S+) median (?P<t>\S+) s$")
+
+
+# Extra characters in the names of a pair's export roots, cycled over the pairs.
+ROOT_PADS = (0, 4, 8, 12)
+
+
+def pair_roots(tmp: Path, pair: int) -> dict:
+    """The export roots of pair number ``pair`` under ``tmp``, one per side,
+    both of one path length.  The length cycles over ``ROOT_PADS`` every two
+    pairs, so that each length sees both orders of the sides."""
+    pad = "_" * ROOT_PADS[pair // 2 % len(ROOT_PADS)]
+    return {side: tmp / f"{pair:03d}-{side}{pad}" for side in ("parent", "change")}
+
+
+def rev_parse(rev: str) -> str:
+    """The commit SHA of ``rev``."""
+    return subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          capture_output=True, text=True, check=True).stdout.strip()
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -120,6 +144,20 @@ def summarize(runs: list, bench: dict) -> dict:
     return summary
 
 
+def by_root_len(runs: list, bench: dict, metric: str) -> dict:
+    """Per root path length and workload, ``summarize``'s medians of
+    ``metric`` over the pairs run at that length."""
+    out: dict = {}
+    for length in sorted({run["root_len"] for run in runs}):
+        summary = summarize([run for run in runs if run["root_len"] == length], bench)
+        out[str(length)] = {
+            w["name"]: {key: summary[f"{w['name']}/{metric}"][key]
+                        for key in ("pairs", "parent_median", "change_median", "median_rel_change")}
+            for w in bench["workloads"]
+        }
+    return out
+
+
 def claim(summary: dict, metric: str) -> dict:
     """Whether a claimed gain on a lower-is-better metric holds: lower in at
     least nine of ten pairs run and in the median by more than the parent's
@@ -149,13 +187,14 @@ def main(argv=None) -> int:
         args.claim.endswith("/" + s["name"]) and s["better"] == "lower" for s in bench["end_to_end"]
     ):
         ap.error(f"--claim {args.claim}: not a lower-is-better end-to-end metric")
+    shas = {side: rev_parse(getattr(args, side)) for side in ("parent", "change")}
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        roots = {side: export(getattr(args, side), Path(tmp) / side) for side in ("parent", "change")}
         for k, seed in enumerate(range(first, last + 1)):
+            roots = {side: export(shas[side], root) for side, root in pair_roots(Path(tmp), k).items()}
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for position, side in enumerate(order, 1):
-                run = {"side": side, "seed": seed, "order": position,
+                run = {"side": side, "seed": seed, "order": position, "root_len": len(str(roots[side])),
                        **run_side(roots[side], side_command(bench, seed))}
                 runs.append(run)
                 print(f"seed {seed} {side}: exit {run['exit']} in {run['elapsed_s']} s", flush=True)
@@ -165,10 +204,11 @@ def main(argv=None) -> int:
         "machine": f"{meta.get('nproc')}-CPU, Python {meta.get('python')}, numpy {meta.get('numpy')} "
                    "(from the run metadata)",
         "design": f"{last - first + 1} pairs, seeds {first}-{last}, parent and change alternating "
-                  "which runs first; each side exported with git archive; quartiles by "
+                  "which runs first; each pair exported with git archive to roots of one path "
+                  f"length, cycling over {len(ROOT_PADS)} lengths; quartiles by "
                   "statistics.quantiles(n=4, method='inclusive')",
-        "parent": args.parent,
-        "change": args.change,
+        "parent": shas["parent"],
+        "change": shas["change"],
         # the sources measured on each side (the meta line's SHA-256 of src/busemann/*.py)
         "src_sha256": {side: next((r["meta"]["src_sha256"] for r in runs if r["side"] == side and r["meta"]), None)
                        for side in ("parent", "change")},
@@ -177,6 +217,7 @@ def main(argv=None) -> int:
     if args.claim:
         out["claim"] = claim(summary, args.claim)
     out["summary"] = summary
+    out["peak_rss_mb_by_root_len"] = by_root_len(runs, bench, "peak_rss_mb")
     out["runs"] = [{k: v for k, v in run.items() if k != "meta"} for run in runs]
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     print(json.dumps(out.get("claim", {})))

@@ -660,7 +660,8 @@ def _check_param_batch(t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EuclideanIsometry:
-    """x -> M x + b with M orthogonal."""
+    """x -> M x + b with M orthogonal: max |M^T M - I| <= 1e-8, so M moves
+    a length |v| by at most dim * 1e-8 * |v| / 2."""
 
     matrix: tuple
     shift: tuple
@@ -672,7 +673,7 @@ class EuclideanIsometry:
             raise ValidationError("isometry matrix/shift shapes do not match")
         if not (np.isfinite(m).all() and np.isfinite(b).all()):
             raise ValidationError("isometry matrix/shift entries must be finite")
-        if np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) > 1e-7:
+        if np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) > 1e-8:
             raise ValidationError("matrix is not orthogonal")
         object.__setattr__(self, "matrix", tuple(tuple(float(x) for x in row) for row in m))
         object.__setattr__(self, "shift", tuple(float(x) for x in b))
@@ -947,14 +948,29 @@ def perturb(space, x, rng: np.random.Generator, radius: float):
     return step_toward(space, x, z, float(rng.uniform(0.0, radius)))
 
 
-def isometry_defect(space, T, rng: np.random.Generator, samples: int = 32, scale: float = 1.0) -> float:
-    """Largest |d(Tx, Ty) - d(x, y)| over sampled pairs (0 for exact isometries)."""
-    worst = 0.0
-    for _ in range(samples):
-        x = space.sample(rng, scale)
-        y = space.sample(rng, scale)
-        worst = max(worst, abs(space.distance(T.apply(x), T.apply(y)) - space.distance(x, y)))
-    return worst
+def isometry_of(space, T) -> bool:
+    """Whether T is an isometry of ``space``, decided exactly from T's kind
+    and data, as each isometry class validates itself when built.  By
+    Mazur-Ulam and Lamperti the isometries of l_p, p != 2, are the signed
+    permutations plus a shift; an orthogonal matrix with entries exactly 0
+    or +-1 is one."""
+    if isinstance(space, Euclidean):
+        return isinstance(T, EuclideanIsometry) and T.dim == space.dim
+    if isinstance(space, LpVector):
+        if isinstance(T, SignedPermIsometry):
+            return T.dim == space.dim
+        return isinstance(T, EuclideanIsometry) and T.dim == space.dim and (
+            space.p == 2.0 or all(x in (0.0, 1.0, -1.0) for row in T.matrix for x in row)
+        )
+    if isinstance(space, MetricTree):
+        return isinstance(T, TreeIsometry) and T.tree == space
+    if isinstance(space, Product):
+        return (
+            isinstance(T, ProductIsometry)
+            and len(T.parts) == len(space.factors)
+            and all(isometry_of(f, part) for f, part in zip(space.factors, T.parts))
+        )
+    return False
 
 
 def is_identity(space, T, rng: np.random.Generator, samples: int = 8) -> bool:

@@ -673,6 +673,41 @@ def test_solve_non_integral_integer_field_exit_2_without_traceback(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+HALF = math.sqrt(0.5)
+ROTATION = {"kind": "linear", "matrix": [[HALF, -HALF], [HALF, HALF]], "shift": [0.0, 0.0]}
+SWAP = {"kind": "linear", "matrix": [[0.0, 1.0], [1.0, 0.0]], "shift": [0.0, 0.0]}
+TWIST_VERDICTS = [
+    # (case, space, twist on a self-loop next to an identity loop, exit code)
+    # these two used to end in an AttributeError and an IndexError
+    ("signed-perm-on-euclidean", {"kind": "euclidean", "dim": 2},
+     {"kind": "signed-perm", "perm": [1, 0], "signs": [1, -1], "shift": [0.0, 0.0]}, 2),
+    ("signed-perm-3-on-lp-2", LP2, {"kind": "signed-perm", "perm": [2, 0, 1], "signs": [1, 1, 1],
+                                    "shift": [0.0, 0.0, 0.0]}, 2),
+    ("rotation-on-lp-3", LP2, ROTATION, 2),
+    ("linear-2d-on-euclidean-1", {"kind": "euclidean", "dim": 1}, ROTATION, 2),
+    ("near-identity-1d", {"kind": "euclidean", "dim": 1},
+     {"kind": "linear", "matrix": [[1.00000004]], "shift": [0.0]}, 2),
+    ("rotation-on-lp-2", {**LP2, "p": 2.0}, ROTATION, 0),
+    ("swap-on-lp-3", LP2, SWAP, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "space, twist, code", [pytest.param(*case[1:], id=case[0]) for case in TWIST_VERDICTS]
+)
+def test_solve_twist_isometry_verdict_without_traceback(tmp_path, capsys, space, twist, code):
+    problem = explicit_problem(
+        edges=[twist_edge({"kind": "identity"}), twist_edge(twist)], base_point=[0.0] * space["dim"]
+    )
+    path = write_config(tmp_path, space=space, problem=problem, solver={"method": "bcd"})
+    assert main(["solve", str(path)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+
 def test_solve_accepts_integral_floats_for_integer_fields(tmp_path):
     path = write_config(
         tmp_path,

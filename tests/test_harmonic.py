@@ -256,7 +256,6 @@ def test_norm_minimal_translation_loop_returns_base():
     gaps = rep.extras["stage_gaps"][1:]
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-6
-    assert rep.extras["norm_check"]["violations"] == 0
 
 
 def test_norm_minimal_respects_base_point():

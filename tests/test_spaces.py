@@ -11,16 +11,20 @@ from busemann.spaces import (
     DomainError,
     Euclidean,
     EuclideanIsometry,
+    GeometryError,
     LpVector,
     MetricTree,
     Product,
+    ProductIsometry,
+    SignedPermIsometry,
     SpaceMismatchError,
     TreeIsometry,
     ValidationError,
     geodesic_point,
-    isometry_defect,
+    isometry_of,
     midpoint,
     point_reflection,
+    random_orthogonal,
     random_tree,
     rotation_2d,
     star_tree,
@@ -30,6 +34,17 @@ from busemann.spaces import (
 E1 = Euclidean(1)
 E2 = Euclidean(2)
 STAR = star_tree(3)
+
+
+def isometry_defect(space, T, rng, samples=32, scale=1.0):
+    """Largest |d(Tx, Ty) - d(x, y)| over sampled pairs (0 for exact
+    isometries): the sampled reference for :func:`isometry_of`."""
+    worst = 0.0
+    for _ in range(samples):
+        x = space.sample(rng, scale)
+        y = space.sample(rng, scale)
+        worst = max(worst, abs(space.distance(T.apply(x), T.apply(y)) - space.distance(x, y)))
+    return worst
 
 
 def coords(dim, bound=8.0):
@@ -578,8 +593,6 @@ def test_invert_roundtrip_all_kinds(rng):
         (LpVector(3, 3.0), translation(LpVector(3, 3.0), (1.0, 2.0, 3.0))),
         (STAR, TreeIsometry(STAR, {"c": "c", "l1": "l3", "l3": "l1", "l2": "l2"})),
     ]
-    from busemann.spaces import ProductIsometry
-
     pr = Product((E1, E1), 2.0)
     cases.append((pr, ProductIsometry((translation(E1, (1.0,)), point_reflection(E1, (0.5,))))))
     for space, iso in cases:
@@ -592,8 +605,6 @@ def test_invert_roundtrip_all_kinds(rng):
 
 
 def test_signed_perm_composition(rng):
-    from busemann.spaces import SignedPermIsometry
-
     lp = LpVector(3, 1.5)
     a = SignedPermIsometry((1, 2, 0), (1, -1, 1), (0.5, 0.0, -1.0))
     b = SignedPermIsometry((2, 0, 1), (-1, 1, -1), (1.0, 2.0, 3.0))
@@ -609,6 +620,69 @@ def test_signed_perm_composition(rng):
 def test_compose_mismatch_raises():
     with pytest.raises(SpaceMismatchError):
         translation(E1, (1.0,)).compose(translation(E2, (1.0, 0.0)))
+
+
+def seeded_twists(rng):
+    """(space, twist) pairs of every twist kind, each an isometry of its space."""
+    out = []
+    for dim in (1, 2, 3):
+        shift = tuple(rng.normal(0.0, 2.0, dim).tolist())
+        rot = EuclideanIsometry(tuple(map(tuple, random_orthogonal(dim, rng))), shift)
+        perm = tuple(rng.permutation(dim).tolist())
+        signs = tuple(rng.choice((-1, 1), dim).tolist())
+        signed = SignedPermIsometry(perm, signs, shift)
+        matrix = tuple(tuple(float(signs[i]) * (j == perm[i]) for j in range(dim)) for i in range(dim))
+        out += [
+            (Euclidean(dim), rot),
+            (LpVector(dim, 2.0), rot),
+            (LpVector(dim, 1.5), signed),
+            (LpVector(dim, 3.0), signed),
+            (LpVector(dim, 3.0), EuclideanIsometry(matrix, shift)),
+        ]
+    leaves = ["l1", "l2", "l3"]
+    out.append((STAR, TreeIsometry(STAR, {"c": "c", **dict(zip(leaves, rng.permutation(leaves).tolist()))})))
+    (e2, rot), (lp, signed), (tree, auto) = out[5], out[13], out[-1]
+    parts = ProductIsometry((rot, signed, auto))
+    return out + [(Product((e2, lp, tree), q), parts) for q in (2.0, 3.0)]
+
+
+def old_sampled_check_rejects(space, T):
+    """The check that problems ran before :func:`isometry_of`: 12 pairs
+    sampled at seed 20231, rejected above 1e-7 or on an error."""
+    try:
+        return isometry_defect(space, T, np.random.default_rng(20231), samples=12) > 1e-7
+    except (GeometryError, IndexError):
+        return True
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_isometry_of_agrees_with_the_sampled_defect(seed):
+    rng = np.random.default_rng(seed)
+    for space, twist in seeded_twists(rng):
+        assert isometry_of(space, twist), (space, twist)
+        assert isometry_defect(space, twist, rng, samples=40) <= 1e-9
+
+
+def test_isometry_of_rejects_what_the_sampled_check_rejected():
+    lp3 = LpVector(2, 3.0)
+    rotation = rotation_2d(0.7)
+    mutants = [
+        (lp3, rotation),
+        (E2, EuclideanIsometry(tuple(map(tuple, np.eye(3))), (0.0, 0.0, 0.0))),
+        (lp3, SignedPermIsometry((2, 0, 1), (1, 1, 1), (0.0, 0.0, 0.0))),
+        (Product((E2, lp3), 2.0), ProductIsometry((rotation, translation(lp3, (1.0, 0.0)), rotation))),
+    ]
+    for space, twist in mutants:
+        assert not isometry_of(space, twist), (space, twist)
+        assert old_sampled_check_rejects(space, twist), (space, twist)
+    # a 1-D scaling by 1 + 4e-8 is no longer built; the instance the old
+    # constructor accepted fails the old sampled check
+    with pytest.raises(ValidationError, match="not orthogonal"):
+        EuclideanIsometry(((1.0 + 4e-8,),), (0.0,))
+    scaling = object.__new__(EuclideanIsometry)
+    object.__setattr__(scaling, "matrix", ((1.0 + 4e-8,),))
+    object.__setattr__(scaling, "shift", (0.0,))
+    assert old_sampled_check_rejects(E1, scaling)
 
 
 def test_orthogonality_validated():
