@@ -36,13 +36,13 @@ E2 = Euclidean(2)
 STAR = star_tree(3)
 
 
-def isometry_defect(space, T, rng, samples=32, scale=1.0):
+def isometry_defect(space, T, rng, samples=32):
     """Largest |d(Tx, Ty) - d(x, y)| over sampled pairs (0 for exact
     isometries): the sampled reference for :func:`isometry_of`."""
     worst = 0.0
     for _ in range(samples):
-        x = space.sample(rng, scale)
-        y = space.sample(rng, scale)
+        x = space.sample(rng)
+        y = space.sample(rng)
         worst = max(worst, abs(space.distance(T.apply(x), T.apply(y)) - space.distance(x, y)))
     return worst
 
