@@ -17,7 +17,8 @@ child, and with it ``peak_rss_mb``, moves with the path length of the code
 it compiles.
 
 The output holds every run (side, seed, order, root path length, exit code,
-elapsed time, the JSON result and the per-op medians), ``peak_rss_mb`` of
+elapsed time, the JSON result and the per-op medians, scaled as ``wall_s``
+is in ``op_s`` and as printed in ``op_raw_s``), ``peak_rss_mb`` of
 both sides at each root length, and, for each workload and end-to-end
 metric of ``BENCHMARK.json``, the medians and quartiles of both sides
 (``statistics.quantiles(n=4, method="inclusive")``), the number of pairs in
@@ -46,6 +47,7 @@ import time
 from pathlib import Path
 
 OP_LINE = re.compile(r"^(?P<workload>[\w-]+): op (?P<op>\S+) median (?P<t>\S+) s$")
+RAW_WALL_LINE = re.compile(r"^(?P<workload>[\w-]+): wall_raw_s = (?P<t>\S+) s \(unscaled\)$")
 
 
 # Extra characters in the names of a pair's export roots, cycled over the pairs.
@@ -81,25 +83,45 @@ def side_command(bench: dict, seed) -> list:
             "--seconds", f"{bench['run_seconds']:g}"]
 
 
-def run_side(root: Path, command: list) -> dict:
-    """One run of ``command`` in ``root``."""
-    t0 = time.monotonic()
-    proc = subprocess.run([sys.executable, *command[1:]], cwd=root, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    op_s: dict = {}
+def parse_output(stdout: str) -> dict:
+    """The JSON result, the run metadata and the op medians of one run's
+    output.  ``op_raw_s`` holds the printed op medians; ``op_s`` scales each
+    workload's medians by its ``wall_s / wall_raw_s``, the factor that takes
+    ``wall_s`` to the nominal CPU speed, so that op medians of two runs
+    compare as their ``wall_s`` do (empty for a workload without both)."""
+    lines = stdout.strip().splitlines()
+    op_raw_s: dict = {}
+    wall_raw_s: dict = {}
     meta = None
     for line in lines:
         if line.startswith("meta "):
             meta = json.loads(line[5:])
         elif match := OP_LINE.match(line):
-            op_s.setdefault(match["workload"], {})[match["op"]] = float(match["t"])
+            op_raw_s.setdefault(match["workload"], {})[match["op"]] = float(match["t"])
+        elif match := RAW_WALL_LINE.match(line):
+            wall_raw_s[match["workload"]] = float(match["t"])
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = None
+    op_s: dict = {}
+    for workload, ops in op_raw_s.items():
+        try:
+            scale = result[workload]["metrics"]["wall_s"]["value"] / wall_raw_s[workload]
+        except (KeyError, TypeError):  # no result, or no wall_s for this workload
+            continue
+        op_s[workload] = {op: t * scale for op, t in ops.items()}
+    return {"result": result, "op_s": op_s, "op_raw_s": op_raw_s, "meta": meta}
+
+
+def run_side(root: Path, command: list) -> dict:
+    """One run of ``command`` in ``root``."""
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, *command[1:]], cwd=root, capture_output=True, text=True)
+    parsed = parse_output(proc.stdout)
+    if parsed["result"] is None:
         print(proc.stderr[-2000:], file=sys.stderr)
-    return {"exit": proc.returncode, "elapsed_s": round(time.monotonic() - t0, 1),
-            "result": result, "op_s": op_s, "meta": meta}
+    return {"exit": proc.returncode, "elapsed_s": round(time.monotonic() - t0, 1), **parsed}
 
 
 def quartiles(values: list) -> tuple:

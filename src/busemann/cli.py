@@ -238,11 +238,11 @@ def parse_twist(space, data: dict, where: str = "twist"):
         _take(data, {"kind", "parts"}, where)
         if not isinstance(space, Product):
             raise ConfigError(f"{where}: product twist on a non-product space")
+        parts = _list(_require(data, "parts", where), f"{where}.parts")
+        if len(parts) != len(space.factors):
+            raise ConfigError(f"{where}.parts: {len(parts)} parts for {len(space.factors)} factors")
         return ProductIsometry(
-            tuple(
-                parse_twist(f, d, f"{where}.parts[{i}]")
-                for i, (f, d) in enumerate(zip(space.factors, _list(_require(data, "parts", where), f"{where}.parts")))
-            )
+            tuple(parse_twist(f, d, f"{where}.parts[{i}]") for i, (f, d) in enumerate(zip(space.factors, parts)))
         )
     raise ConfigError(f"{where}: unknown twist kind {kind!r}")
 

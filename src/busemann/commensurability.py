@@ -27,13 +27,17 @@ objects and run on the scalar engine.  :func:`subgroup_harmonic` solves
 a compiled model exactly: the kernel energy is then a quadratic form (the
 discrete connection Laplacian of Kotani and Sunada), whose minimum-norm
 minimizer :func:`~busemann.harmonic.norm_minimal_minimizer` computes, and
-the null space of its normal matrix counts the flat directions, so the
-minimizer is unique exactly when there are none.  Other targets are solved
-from two starts, the base point and a random map, each a free
+the null space of its normal matrix counts the flat directions.  The
+minimizer is unique exactly when there are none, and some pair of orbits is
+parallel exactly when there are some: an isometry of a strictly convex
+space is affine, x -> Lx + b, segments [x, y] and [gx, gy] are parallel
+exactly when L(y - x) = y - x, and a null vector is a vector fixed by the
+linear part of every transport.  Other targets are solved from two starts,
+the base point and a random map, each a free
 :func:`~busemann.harmonic.minimize_energy` solve, and uniqueness is probed
-by their agreement, expected exactly when no sampled point pair is
-parallel under every generator; the norm-minimal selection runs once after
-them.
+by their agreement, expected exactly when no pair of points is parallel
+under every generator (decided exactly for signed permutations of l_p, by
+sampled pairs elsewhere); the norm-minimal selection runs once after them.
 """
 
 from __future__ import annotations
@@ -68,6 +72,8 @@ from busemann.spaces import (
     Euclidean,
     EuclideanIsometry,
     KEY_DECIMALS,
+    LpVector,
+    SignedPermIsometry,
     SolverError,
     SpaceMismatchError,
     ValidationError,
@@ -504,7 +510,10 @@ def subgroup_harmonic(
     selection whether or not ``norm_minimal`` is set, and its report gives
     the trace, ``converged``, the counters, ``iterations`` (the sweeps of
     that solve alone) and ``flat_directions``.  ``unique`` is
-    ``flat_directions == 0``, the exact count of the null space.  One
+    ``flat_directions == 0``, the exact count of the null space, and
+    ``parallel_orbits`` is ``flat_directions > 0``: a null vector is a
+    direction fixed by the linear part of every transport, so it spans a
+    flat strip between orbits (see the module docstring).  One
     check runs: the sweep engine from the base point, and ``restart_gap``
     is the largest cell distance between the result and the check; on a
     unique model a gap above 10 * tol raises :class:`SolverError`.
@@ -515,9 +524,12 @@ def subgroup_harmonic(
     :func:`~busemann.harmonic.norm_minimal_minimizer` call after them (the
     penalty homotopy, seed 0), with ``iterations`` and the counters of all
     its stages.  ``restart_gap`` is the largest cell distance between the
-    two solves, and ``unique`` means that it is at most 10 * tol; solves
-    that disagree although the sampled parallel-orbits check found no pair
-    of points parallel under every generator raise :class:`SolverError`.
+    two solves, and ``unique`` means that it is at most 10 * tol.
+    ``parallel_orbits`` is decided exactly when every generator is a signed
+    permutation of an l_p target (:func:`_signed_perm_fixed_direction`) and
+    by :func:`parallel_orbits_check`'s sampled pairs on other targets;
+    solves that disagree although no pair of points was found parallel under
+    every generator raise :class:`SolverError`.
 
     ``extras`` also records the model's ``kernel_terms``, ``word_radius``
     and ``truncation_residual``, and ``flat_directions`` on the exact path.
@@ -538,8 +550,13 @@ def subgroup_harmonic(
             win = min(results, key=lambda r: r.extras["objective"])
     first, second = (r.solution.values for r in results)
     gap = max(space.distance(a, b) for a, b in zip(first, second))
-    parallel = parallel_orbits_check(space, m.generators, seed=seed)
-    if gap > 10.0 * tol and (flat == 0 if exact else parallel is False):
+    if exact:
+        parallel = flat > 0
+    elif isinstance(space, LpVector) and all(isinstance(g, SignedPermIsometry) for g in m.generators):
+        parallel = _signed_perm_fixed_direction(space.dim, m.generators)
+    else:
+        parallel = parallel_orbits_check(space, m.generators, seed=seed)
+    if gap > 10.0 * tol and not parallel:
         raise SolverError(
             f"restart gap {gap:.3e} on a model with a unique minimizer", best=list(win.solution.values)
         )
@@ -646,6 +663,36 @@ def parallel_orbits_check(
         gy = space.pack([g.apply(p) for p in ys])
         witness &= parallel_check_batch(space, gx, gy, x, y, tol=max(tol, 1e-9))
     return bool(witness.any())
+
+
+def _signed_perm_fixed_direction(dim: int, generators: Sequence) -> bool:
+    """True when the linear parts v -> (s_i v_perm[i])_i of the signed
+    permutations ``generators`` fix a common nonzero vector of R^dim.
+
+    An isometry of a strictly convex space is affine, x -> Lx + b, so
+    [g x, g y] is parallel to [x, y] exactly when L(y - x) = y - x.  The
+    equations v_i = s_i v_perm[i] couple only the coordinates of one orbit
+    of the permutations, and on an orbit the value at one coordinate fixes
+    the rest: the orbit carries a fixed vector exactly when spreading the
+    value 1 along it meets no sign conflict.
+    """
+    sign = [0] * dim  # the spread value at each coordinate, 0 before it is reached
+    for root in range(dim):
+        if sign[root]:
+            continue
+        sign[root], stack, consistent = 1, [root], True
+        while stack:
+            i = stack.pop()
+            for g in generators:
+                j, want = g.perm[i], g.signs[i] * sign[i]  # v_perm[i] = s_i v_i
+                if not sign[j]:
+                    sign[j] = want
+                    stack.append(j)
+                elif sign[j] != want:
+                    consistent = False
+        if consistent:
+            return True
+    return False
 
 
 def _orbit_pairs(space, sample_pairs: int, seed: int):

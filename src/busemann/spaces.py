@@ -42,9 +42,8 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-# Relative tolerances for isometry and geodesic checks.  Double precision
-# with ~1e3 condition headroom.
-ISO_TOL = 1e-9
+# Relative tolerance for geodesic checks.  Double precision with ~1e3
+# condition headroom.
 GEO_TOL = 1e-9
 
 # Offsets within SNAP_TOL * edge_length of an endpoint collapse to the

@@ -263,6 +263,28 @@ def test_commensurability_norm_minimal_verdict_off_the_exact_path(tmp_path):
     assert summary["norm"] <= 1e-6
 
 
+def test_commensurability_signed_perm_flat_axis_is_parallel(tmp_path, capsys):
+    # l_p(2, 3) with the mirror (x, y) -> (x, -y): the model is flat along the
+    # first axis, a line that sampled pairs never lie on, so the sampled check
+    # found no parallel pair and the disagreeing restarts exited 3
+    mirror = {"kind": "signed-perm", "perm": [0, 1], "signs": [1, -1], "shift": [0.0, 0.0]}
+    path = write_config(
+        tmp_path,
+        space=LP2,
+        problem={
+            "cells": [{"id": "c0", "weight": 1.0}],
+            "edges": [{"src": "c0", "dst": "c0", "weight": 1.0, "twist": mirror}],
+            "base_point": [0.0, 0.0],
+        },
+        solver={"method": "commensurability"},
+    )
+    assert main(["solve", str(path)]) == 0, capsys.readouterr().err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["parallel_orbits"] is True
+    assert summary["unique"] is False
+    assert summary["restart_gap"] > 10 * 1e-9
+
+
 def test_plane_norm_minimal_exits_0_at_tol_1e_9(tmp_path):
     # the plane problem has no flat direction; the penalty homotopy exited 3
     # here ("not Cauchy; energy has unresolved flat directions")
@@ -705,6 +727,26 @@ def test_solve_twist_isometry_verdict_without_traceback(tmp_path, capsys, space,
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_parts, code", [(1, 2), (2, 0), (3, 2)])
+def test_solve_product_twist_needs_one_part_per_factor(tmp_path, capsys, n_parts, code):
+    # three parts on two factors used to parse silently, the third dropped
+    parts = [IDENTITY, SHIFT_1, {"kind": "translation", "by": [5.0]}][:n_parts]
+    space = {"kind": "product", "q": 2.0, "factors": [{"kind": "euclidean", "dim": 1}] * 2}
+    problem = {
+        "cells": [{"id": "a", "weight": 1.0}],
+        "edges": [{"src": "a", "dst": "a", "weight": 1.0, "twist": {"kind": "product", "parts": parts}}],
+        "base_point": [[0.0], [0.0]],
+    }
+    path = write_config(tmp_path, space=space, problem=problem, solver={"method": "bcd"})
+    assert main(["solve", str(path)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("config error:")
+        assert f"{n_parts} parts for 2 factors" in err
         assert not (tmp_path / "out").exists()
 
 

@@ -9,6 +9,7 @@ from busemann.commensurability import (
     _ball,
     _Stack,
     _orbit_pairs,
+    _signed_perm_fixed_direction,
     build_cover,
     coercivity_fit,
     comm_energy_model,
@@ -55,6 +56,7 @@ from busemann.spaces import (
     LpVector,
     Product,
     ProductIsometry,
+    SignedPermIsometry,
     SolverError,
     TreeIsometry,
     ValidationError,
@@ -187,6 +189,64 @@ def test_dihedral_harmonic_unique_and_matches_grid():
     assert rep.energy_total <= best[0] + 1e-6
     # the mirror-fixed middle cell sits at 0
     assert abs(rep.solution.values[1][0]) <= 1e-6
+
+
+def one_loop_model(space, twist):
+    """The kernel model of one cell with a self-loop by ``twist``."""
+    loop = Edge("c0", "c0", 1.0, twist)
+    base = (0.0,) * space.dim
+    return comm_energy_model(EquivariantProblem(MeasureModel(("c0",), (1.0,)), space, base, (loop,)))
+
+
+def test_exact_path_reads_parallel_orbits_off_the_null_space():
+    # the mirror diag(1, -1) of R^2 fixes the first axis: one flat direction,
+    # so orbits are parallel along it; sampled pairs never lie on that line,
+    # so the sampled check misses it (it is one-sided)
+    m = one_loop_model(Euclidean(2), EuclideanIsometry(((1.0, 0.0), (0.0, -1.0)), (0.0, 0.0)))
+    assert m.arrays is not None
+    rep = subgroup_harmonic(m, tol=1e-9, seed=3)
+    assert rep.extras["flat_directions"] == 1
+    assert rep.extras["unique"] is False
+    assert rep.extras["parallel_orbits"] is True
+    assert parallel_orbits_check(m.target, m.generators) is False
+
+
+@pytest.mark.parametrize(
+    "signs, parallel", [((1, -1), True), ((-1, -1), False), ((1, 1), True)]
+)
+def test_scalar_path_decides_parallel_orbits_of_signed_perms_exactly(signs, parallel):
+    # l_p(2, 3) with a diagonal signed permutation: a coordinate of sign +1 is
+    # a flat axis; the restarts disagree exactly on the flat models
+    m = one_loop_model(LpVector(2, 3.0), SignedPermIsometry((0, 1), signs, (0.0, 0.0)))
+    assert m.arrays is None
+    rep = subgroup_harmonic(m, tol=1e-9, seed=3)
+    assert rep.extras["parallel_orbits"] is parallel
+    assert rep.extras["unique"] is not parallel
+    assert "flat_directions" not in rep.extras
+    if signs == (1, -1):
+        assert parallel_orbits_check(m.target, m.generators) is False
+
+
+def test_signed_perm_fixed_direction_matches_the_null_space():
+    # against the rank of the stacked L - I over random signed permutations
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for _ in range(300):
+        dim = int(rng.integers(1, 6))
+        gens = [
+            SignedPermIsometry(tuple(rng.permutation(dim).tolist()), tuple(rng.choice((-1, 1), dim).tolist()),
+                               (0.0,) * dim)
+            for _ in range(int(rng.integers(0, 4)))
+        ]
+        stacked = np.zeros((0, dim))
+        for g in gens:
+            lin = np.zeros((dim, dim))
+            lin[np.arange(dim), g.perm] = g.signs
+            stacked = np.vstack((stacked, lin - np.eye(dim)))
+        want = np.linalg.matrix_rank(stacked) < dim
+        assert _signed_perm_fixed_direction(dim, gens) is bool(want), gens
+        verdicts.add(bool(want))
+    assert verdicts == {True, False}
 
 
 def test_translation_model_reports_non_uniqueness():
