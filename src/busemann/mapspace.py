@@ -56,13 +56,15 @@ __all__ = [
     "map_norm",
     "map_midpoint",
     "map_geodesic",
-    "map_distance_batch",
+    "p_mean",
     "banach_lp_modulus",
     "hilbert_modulus",
     "linear_modulus_bound",
     "UCWitnessReport",
     "uc_witness_check",
     "uc_witness_batch",
+    "uc_distances",
+    "uc_witness_of_distances",
     "mazur_map",
     "mazur_map_batch",
     "scalar_norm",
@@ -148,16 +150,11 @@ def map_distance(p: float, phi: EquivariantMap, psi: EquivariantMap) -> float:
     ) ** (1.0 / p)
 
 
-def map_distance_batch(p: float, target, weights, x, y) -> np.ndarray:
-    """``map_distance`` over a batch of map pairs: x and y hold one map per
-    sample, as point arrays of ``target`` with one column per cell."""
+def p_mean(p: float, weights, d: np.ndarray) -> np.ndarray:
+    """(sum_w mu_w d_w^p)^(1/p) over the last axis of d: ``map_distance`` of
+    map pairs from their cellwise ``distance_batch`` (see ``uc_witness_batch``)."""
     if not (1.0 < p < math.inf):
         raise DomainError("exponent p must lie in (1, inf)")
-    return _p_mean(p, weights, target.distance_batch(x, y))
-
-
-def _p_mean(p: float, weights, d: np.ndarray) -> np.ndarray:
-    """(sum_w mu_w d_w^p)^(1/p) over the last axis of d (see ``map_distance``)."""
     terms = np.asarray(weights, dtype=float) * np.float_power(d, p)
     return np.float_power(np.sum(terms, axis=-1), 1.0 / p)
 
@@ -328,34 +325,27 @@ def uc_witness_check(
 
 
 def uc_witness_batch(
-    p: float,
-    delta: Callable[[float], float],
-    target,
-    weights,
-    psi,
-    phi1,
-    phi2,
-    r,
+    p: float, delta: Callable[[float], float], target, weights, psi, phi1, phi2, r
 ) -> UCWitnessReport:
-    """``uc_witness_check`` on a batch of triples, one pass over arrays.
+    """``uc_witness_check`` on a batch of triples, one pass over arrays:
+    ``uc_witness_of_distances`` on their ``uc_distances``.
 
-    psi, phi1 and phi2 hold one map per sample (see ``map_distance_batch``)
-    into a Euclidean, l_p or tree target; r holds one radius per sample.
-    Returns a report whose fields are arrays with one entry per sample.
-    Raises when any triple violates the precondition rho(phi_i, psi) <= r.
+    psi, phi1 and phi2 hold one map per sample, as point arrays of a
+    Euclidean, l_p or tree target with one column per cell; r holds one
+    radius per sample.  Returns a report whose fields are arrays with one
+    entry per sample.  Raises when any triple violates the precondition
+    rho(phi_i, psi) <= r.
     """
-    if not (1.0 < p < math.inf):
-        raise DomainError("exponent p must lie in (1, inf)")
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("radius r must be positive")
+    return uc_witness_of_distances(p, delta, weights, uc_distances(target, psi, phi1, phi2), r)
+
+
+def uc_distances(target, psi, phi1, phi2) -> tuple:
+    """The cellwise distances d(phi1, psi), d(phi2, psi), d(phi1, phi2) and
+    d(mid(phi1, phi2), psi) of a batch of triples (see ``uc_witness_batch``).
+    None depends on p, so a caller checking one batch at several p computes
+    them once."""
     dist = target.distance_batch
-    d1, d2 = dist(phi1, psi), dist(phi2, psi)
-    tol = r * (1.0 + 1e-12)
-    if np.any(_p_mean(p, weights, d1) > tol) or np.any(_p_mean(p, weights, d2) > tol):
-        raise DomainError("precondition rho(phi_i, psi) <= r violated")
-    d12 = dist(phi1, phi2)
-    eps = _p_mean(p, weights, d12) / r
+    d1, d2, d12 = dist(phi1, psi), dist(phi2, psi), dist(phi1, phi2)
     if isinstance(target, MetricTree):
         # the R-tree midpoint identity; clipped, as rounding can leave it an
         # ulp below 0, where its p-th power is NaN
@@ -363,7 +353,23 @@ def uc_witness_batch(
     else:
         # the affine geodesic at t = 0.5, written as in ``geodesic``
         d_mid = dist((1.0 - 0.5) * np.asarray(phi1) + 0.5 * np.asarray(phi2), psi)
-    rho_mid = _p_mean(p, weights, d_mid)
+    return d1, d2, d12, d_mid
+
+
+def uc_witness_of_distances(
+    p: float, delta: Callable[[float], float], weights, distances, r
+) -> UCWitnessReport:
+    """The half of ``uc_witness_batch`` that depends on p, from the
+    ``uc_distances`` of the triples."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise DomainError("radius r must be positive")
+    d1, d2, d12, d_mid = distances
+    tol = r * (1.0 + 1e-12)
+    if np.any(p_mean(p, weights, d1) > tol) or np.any(p_mean(p, weights, d2) > tol):
+        raise DomainError("precondition rho(phi_i, psi) <= r violated")
+    eps = p_mean(p, weights, d12) / r
+    rho_mid = p_mean(p, weights, d_mid)
     d4 = _each(delta, eps / 4.0)
     d4_2, d4_4 = np.float_power(d4, 2.0), np.float_power(d4, 4.0)
     tau = np.where(eps > 0.0, _each(functools.partial(banach_lp_modulus, p), d4_4), 0.0)

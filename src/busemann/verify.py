@@ -32,9 +32,10 @@ from busemann.harmonic import minimize_energy
 from busemann.mapspace import (
     EquivariantMap,
     linear_modulus_bound,
-    map_distance_batch,
     mazur_map_batch,
-    uc_witness_batch,
+    p_mean,
+    uc_distances,
+    uc_witness_of_distances,
 )
 from busemann.models import (
     consensus_model,
@@ -175,12 +176,28 @@ def _where(mask, p, q):
     return np.where(mask.reshape(mask.shape + (1,) * (p.ndim - mask.ndim)), p, q)
 
 
-def _quadruple_block(space, size: int, rng):
-    """(a, b, x, y) point batches of ``size`` quadruples, each drawn as
-    ``_quadruple`` draws it, from the same random stream.  The per-sample
-    loop records only raw numbers (including the z1 = z2 resample, decided
-    on the snapped draws); the geodesic points are then computed on arrays."""
-    leaves = _leaves(space)
+def _draw_key(space) -> tuple:
+    """What a ``sample`` draw of space depends on: its tree factors and the
+    run lengths of the vector coordinates between them, as ``normal(0, 2, m)``
+    then ``normal(0, 2, n)`` draws the values and state of ``normal(0, 2, m + n)``."""
+    key = []
+    for leaf in _leaves(space):
+        if isinstance(leaf, MetricTree):
+            key.append(leaf)
+        elif key and not isinstance(key[-1], MetricTree):
+            key[-1] += leaf.dim
+        else:
+            key.append(leaf.dim)
+    return tuple(key)
+
+
+def _quadruple_blocks(spaces, size: int, rng):
+    """For spaces of one ``_draw_key``: the (a, b, x, y) point batches of each
+    space's ``size`` quadruples, drawn as ``_quadruple`` draws them, from one
+    stream.  The per-sample loop records only raw numbers (including the
+    z1 = z2 resample, decided on the snapped draws); the geodesic points of
+    each space are then computed on arrays."""
+    leaves = _leaves(spaces[0])
     draws, params = [], []
     for _ in range(size):
         pair = None
@@ -196,36 +213,38 @@ def _quadruple_block(space, size: int, rng):
         params.append((h, float(rng.uniform(0.0, 1.0 - h)), float(rng.uniform(0.0, 1.0 - h))))
         draws.append(pair + pair)
     block = np.array(draws, dtype=float).reshape(size, 4, -1)
-    points = [_assemble(space, block[:, s])[0] for s in range(4)]
     h, u1, u2 = np.array(params, dtype=float).reshape(size, 3).T
-    # rows outside the segment mode (h = 0) take t = 0 and keep their draws
-    return tuple(
-        _where(h > 0.0, space.geodesic_batch(points[0], points[1], t), p)
-        for t, p in zip((u1, u1 + h, u2, u2 + h), points)
-    )
+    out = []
+    for space in spaces:
+        points = [_assemble(space, block[:, s])[0] for s in range(4)]
+        # rows outside the segment mode (h = 0) take t = 0 and keep their draws
+        out.append(tuple(
+            _where(h > 0.0, space.geodesic_batch(points[0], points[1], t), p)
+            for t, p in zip((u1, u1 + h, u2, u2 + h), points)
+        ))
+    return out
 
 
 def suite_parallelogram(samples: int = 2000, seed: int = 0):
     """[a, b] parallel to [x, y] exactly when [a, x] is parallel to [b, y],
-    on ``samples`` quadruples per space at tol 1e-9."""
-    out = []
-    for name, space in _space_roster():
+    on ``samples`` quadruples per space at tol 1e-9, those of the space's own
+    ``default_rng(seed)``: spaces of one ``_draw_key`` share the one stream."""
+    roster = dict(_space_roster())
+    groups = {}
+    for name, space in roster.items():
+        groups.setdefault(_draw_key(space), []).append(name)
+    bad = dict.fromkeys(roster, 0)
+    for names in groups.values():
         rng = np.random.default_rng(seed)
-        bad = 0
         for start in range(0, samples, BLOCK):
-            a, b, x, y = _quadruple_block(space, min(BLOCK, samples - start), rng)
-            bad += int(
-                np.count_nonzero(
-                    parallel_check_batch(space, a, b, x, y, 1e-9)
-                    != parallel_check_batch(space, a, x, b, y, 1e-9)
-                )
-            )
-        out.append(
-            CheckResult(
-                f"parallelogram[{name}]", bad == 0, float(bad), f"{samples} quadruples"
-            )
-        )
-    return out
+            blocks = _quadruple_blocks([roster[n] for n in names], min(BLOCK, samples - start), rng)
+            for name, (a, b, x, y) in zip(names, blocks):
+                one = parallel_check_batch(roster[name], a, b, x, y, 1e-9)
+                bad[name] += int(np.count_nonzero(one != parallel_check_batch(roster[name], a, x, b, y, 1e-9)))
+    return [
+        CheckResult(f"parallelogram[{name}]", n == 0, float(n), f"{samples} quadruples")
+        for name, n in bad.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -313,36 +332,26 @@ def _triple_blocks(target, n, samples, rng):
 
 
 def suite_uc_witness(samples: int = 2000, seed: int = 0):
-    """The L^p uniform-convexity witness on ``samples`` triples per target, at p = 1.5, 2 and 3."""
+    """The L^p uniform-convexity witness on ``samples`` triples per target, at
+    p = 1.5, 2 and 3.  Every p checks the triples of ``default_rng(seed)``:
+    each block is drawn once, with the distances that do not depend on p."""
     out = []
     weights = (0.5, 0.3, 0.2)
     for tname, target in _uc_targets():
         delta = linear_modulus_bound(target)
-        for p in (1.5, 2.0, 3.0):
-            rng = np.random.default_rng(seed)
-            violations = 0
-            min_slack = math.inf
-            regime_fail = 0
-            for psi, phi1, phi2 in _triple_blocks(target, len(weights), samples, rng):
-                r = np.maximum(
-                    np.maximum(
-                        map_distance_batch(p, target, weights, phi1, psi),
-                        map_distance_batch(p, target, weights, phi2, psi),
-                    ),
-                    1e-9,
-                )
-                rep = uc_witness_batch(p, delta, target, weights, psi, phi1, phi2, r)
-                violations += int(np.count_nonzero(~rep.ok))
-                regime_fail += int(np.count_nonzero(~rep.small_modulus_regime))
-                min_slack = min(min_slack, float(rep.slack.min()))
-            out.append(
-                CheckResult(
-                    f"uc-witness[{tname},p={p}]",
-                    violations == 0,
-                    float(violations),
-                    f"min slack {min_slack:.3e}; off-regime reports {regime_fail}",
-                )
-            )
+        stats = {p: [0, math.inf, 0] for p in (1.5, 2.0, 3.0)}  # violations, min slack, off-regime reports
+        rng = np.random.default_rng(seed)
+        for psi, phi1, phi2 in _triple_blocks(target, len(weights), samples, rng):
+            d = uc_distances(target, psi, phi1, phi2)
+            for p, st in stats.items():
+                r = np.maximum(np.maximum(p_mean(p, weights, d[0]), p_mean(p, weights, d[1])), 1e-9)
+                rep = uc_witness_of_distances(p, delta, weights, d, r)
+                st[0] += int(np.count_nonzero(~rep.ok))
+                st[1] = min(st[1], float(rep.slack.min()))
+                st[2] += int(np.count_nonzero(~rep.small_modulus_regime))
+        for p, (bad, slack, off) in stats.items():
+            detail = f"min slack {slack:.3e}; off-regime reports {off}"
+            out.append(CheckResult(f"uc-witness[{tname},p={p}]", bad == 0, float(bad), detail))
     return out
 
 
@@ -478,60 +487,44 @@ def suite_commensurability(seed: int = 0):
 
 
 def suite_mazur(samples: int = 5000, seed: int = 0):
-    """The Mazur map on ``samples`` 8-cell fields for (p, q) = (2, 4) and (3, 1.5)."""
-    out = []
+    """The Mazur map on ``samples`` 8-cell fields for (p, q) = (2, 4) and
+    (3, 1.5), both on the fields of ``default_rng(seed)``, drawn once."""
     cells = 8
-    for p, q in ((2.0, 4.0), (3.0, 1.5)):
-        rng = np.random.default_rng(seed)
-        worst_rt = 0.0
-        worst_sphere = 0.0
-        inter_ok = True
-        cfit = 0.0
-        exponent = min(1.0, p / q)
-        for start in range(0, samples, BLOCK):
-            size = min(BLOCK, samples - start)
-            f = np.empty((size, cells))
-            g = np.empty((size, cells))
-            perm = np.empty((size, cells), dtype=np.intp)
-            for k in range(size):  # the draws interleave per sample
-                f[k] = rng.normal(0.0, 1.0, cells)
-                g[k] = rng.normal(0.0, 1.0, cells)
-                perm[k] = rng.permutation(cells)
-            f /= _field_norm(f, p)[:, None]  # normal draws are never all zero
-            g /= _field_norm(g, p)[:, None]
+    # worst round trip, worst sphere gap, intertwining, fitted continuity C
+    stats = {pair: [0.0, 0.0, True, 0.0] for pair in ((2.0, 4.0), (3.0, 1.5))}
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, BLOCK):
+        size = min(BLOCK, samples - start)
+        raw_f, raw_g = np.empty((size, cells)), np.empty((size, cells))
+        perm = np.empty((size, cells), dtype=np.intp)
+        for k in range(size):  # the draws interleave per sample
+            raw_f[k] = rng.normal(0.0, 1.0, cells)
+            raw_g[k] = rng.normal(0.0, 1.0, cells)
+            perm[k] = rng.permutation(cells)
+        for (p, q), st in stats.items():
+            f = raw_f / _field_norm(raw_f, p)[:, None]  # normal draws are never all zero
+            g = raw_g / _field_norm(raw_g, p)[:, None]
             mf, mg = mazur_map_batch(f, p, q), mazur_map_batch(g, p, q)
-            back = mazur_map_batch(mf, q, p)
-            worst_rt = max(worst_rt, float(np.max(np.abs(back - f))))
-            worst_sphere = max(
-                worst_sphere,
-                float(np.max(np.abs(_field_norm(mf, q) - np.float_power(_field_norm(f, p), p / q)))),
-            )
+            st[0] = max(st[0], float(np.max(np.abs(mazur_map_batch(mf, q, p) - f))))
+            st[1] = max(st[1], float(np.max(np.abs(_field_norm(mf, q) - np.float_power(_field_norm(f, p), p / q)))))
+            permuted = mazur_map_batch(np.take_along_axis(f, perm, axis=1), p, q)
+            st[2] &= np.array_equal(permuted, np.take_along_axis(mf, perm, axis=1))
             df = _field_norm(f - g, p)
             far = df > 1e-12
             if np.any(far):
-                cfit = max(cfit, float(np.max(_field_norm(mf - mg, q)[far] / np.float_power(df[far], exponent))))
-            if not np.array_equal(
-                mazur_map_batch(np.take_along_axis(f, perm, axis=1), p, q),
-                np.take_along_axis(mf, perm, axis=1),
-            ):
-                inter_ok = False
-        out.append(
+                ratio = _field_norm(mf - mg, q)[far] / np.float_power(df[far], min(1.0, p / q))
+                st[3] = max(st[3], float(np.max(ratio)))
+    out = []
+    for (p, q), (rt, sphere, inter, fit) in stats.items():
+        out += [
+            CheckResult(f"mazur-roundtrip[p={p},q={q}]", rt <= 1e-12, rt, f"{samples} fields"),
+            CheckResult(f"mazur-sphere[p={p},q={q}]", sphere <= 1e-12, sphere),
+            CheckResult(f"mazur-intertwine[p={p},q={q}]", inter, 0.0 if inter else 1.0),
             CheckResult(
-                f"mazur-roundtrip[p={p},q={q}]", worst_rt <= 1e-12, worst_rt, f"{samples} fields"
-            )
-        )
-        out.append(
-            CheckResult(f"mazur-sphere[p={p},q={q}]", worst_sphere <= 1e-12, worst_sphere)
-        )
-        out.append(CheckResult(f"mazur-intertwine[p={p},q={q}]", inter_ok, 0.0 if inter_ok else 1.0))
-        out.append(
-            CheckResult(
-                f"mazur-continuity[p={p},q={q}]",
-                math.isfinite(cfit) and cfit > 0.0,
-                cfit,
-                f"fitted C with exponent {exponent}",
-            )
-        )
+                f"mazur-continuity[p={p},q={q}]", math.isfinite(fit) and fit > 0.0, fit,
+                f"fitted C with exponent {min(1.0, p / q)}",
+            ),
+        ]
     return out
 
 

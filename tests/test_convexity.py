@@ -508,14 +508,14 @@ def test_parallel_check_batch_matches_parallel_check(rng):
 
 
 def test_quadruple_block_replays_quadruple():
-    from busemann.verify import _quadruple, _quadruple_block, _space_roster
+    from busemann.verify import _quadruple, _quadruple_blocks, _space_roster
 
     for name, space in _space_roster():
         batched, scalar = np.random.default_rng(8), np.random.default_rng(8)
         quads = [_quadruple(space, scalar) for _ in range(300)]
         rows = []
         for size in (130, 170):  # a block boundary inside the stream
-            block = _quadruple_block(space, size, batched)
+            (block,) = _quadruple_blocks([space], size, batched)
             rows += [tuple(_unpack(space, part, k) for part in block) for k in range(size)]
         for quad, row in zip(quads, rows):
             for want, got in zip(quad, row):
@@ -555,12 +555,12 @@ class ScriptedRng:
     ],
 )
 def test_quadruple_block_resample_branch(fractions, normals):
-    from busemann.verify import _quadruple, _quadruple_block, _space_roster
+    from busemann.verify import _quadruple, _quadruple_blocks, _space_roster
 
     for name, space in _space_roster():
         scalar, batched = ScriptedRng(fractions, normals), ScriptedRng(fractions, normals)
         quads = [_quadruple(space, scalar) for _ in range(40)]
-        block = _quadruple_block(space, 40, batched)
+        (block,) = _quadruple_blocks([space], 40, batched)
         assert batched.log == scalar.log, name
         for k, quad in enumerate(quads):
             for want, part in zip(quad, block):

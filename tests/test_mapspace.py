@@ -15,17 +15,19 @@ from busemann.mapspace import (
     hilbert_modulus,
     linear_modulus_bound,
     map_distance,
-    map_distance_batch,
     map_geodesic,
     map_midpoint,
     mazur_map,
     mazur_map_batch,
+    p_mean,
     permute_cells,
     sample_map,
     scalar_distance,
     scalar_norm,
+    uc_distances,
     uc_witness_batch,
     uc_witness_check,
+    uc_witness_of_distances,
 )
 from busemann.oracles import two_atom_modulus_search
 from busemann.spaces import (
@@ -395,7 +397,7 @@ def scalar_map(target, batch, k):
 def uc_radii(p, target, psi, phi1, phi2):
     w = UC_MODEL.weights
     return np.maximum(
-        np.maximum(map_distance_batch(p, target, w, phi1, psi), map_distance_batch(p, target, w, phi2, psi)),
+        np.maximum(p_mean(p, w, target.distance_batch(phi1, psi)), p_mean(p, w, target.distance_batch(phi2, psi))),
         1e-9,
     )
 
@@ -420,6 +422,20 @@ def test_uc_witness_batch_matches_scalar_check(target, p):
         assert rep.tau[k] == pytest.approx(ref.tau, rel=1e-12, abs=0.0)
         assert rep.ok[k] == ref.ok
         assert rep.small_modulus_regime[k] == ref.small_modulus_regime
+
+
+@pytest.mark.parametrize("target", UC_TARGETS.values(), ids=UC_TARGETS.keys())
+def test_uc_witness_halves_compose_to_the_batch_kernel(target):
+    # the distances are computed once and serve every p, bit for bit
+    triples = uc_triples(target, np.random.default_rng(23), 300)
+    d = uc_distances(target, *triples)
+    delta = linear_modulus_bound(target)
+    for p in (1.5, 2.0, 3.0):
+        r = uc_radii(p, target, *triples)
+        whole = uc_witness_batch(p, delta, target, UC_MODEL.weights, *triples, r)
+        halves = uc_witness_of_distances(p, delta, UC_MODEL.weights, d, r)
+        for name, value in vars(whole).items():
+            assert np.array_equal(getattr(halves, name), value), name
 
 
 @pytest.mark.parametrize("name", ["star-tree", "random-tree5", "random-tree9"])
