@@ -3,6 +3,7 @@ and of `busemann verify --suite all`.
 
     PYTHONPATH=src python scripts/golden_csv.py --write DIR   # record outputs
     PYTHONPATH=src python scripts/golden_csv.py --check DIR   # compare with them
+    PYTHONPATH=src python scripts/golden_csv.py --manifest tests/golden.sha256
 
 Every generator in ``busemann.models.GENERATORS`` is solved with its default
 parameters under every solver method (``bcd``, ``norm-minimal``,
@@ -57,12 +58,21 @@ stored seed in a temporary directory and compares the files byte for byte:
 it prints one line per difference and exits 1 if there is any.  A
 differing ``summary.json`` is listed with the keys that differ, as in
 ``differs: dihedral-line/norm-minimal/summary.json (sweeps)``.
+
+``--manifest FILE`` records instead the SHA-256 digest of every output
+file, one ``<digest>  <path>`` line each, under a header naming the Python
+and numpy versions and the seed.  The repository keeps this manifest as
+``tests/golden.sha256``, and a Tier-1 test (``tests/test_golden.py``)
+reruns every run and names each file whose digest differs.  A change that
+alters outputs on purpose re-records the manifest in the same commit.
 """
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -281,16 +291,59 @@ def summary_keys(expected: Path, actual: Path) -> str:
     return f" ({', '.join(keys)})" if keys else ""
 
 
+MANIFEST = Path(__file__).resolve().parents[1] / "tests" / "golden.sha256"
+
+
+def versions() -> str:
+    """The manifest's first line: the versions the outputs were made with."""
+    return f"# python {platform.python_version()} numpy {np.__version__}"
+
+
+def digests(root: Path) -> dict:
+    """The SHA-256 digest of every file under ``root``, by relative path."""
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def write_manifest(path: Path, seed: int) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        run_all(Path(tmp) / "runs", seed)
+        lines = [versions(), f"# seed {seed}"] + [f"{d}  {p}" for p, d in digests(Path(tmp) / "runs").items()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def read_manifest(path: Path) -> tuple:
+    """(versions line, seed, {path: digest}) of a manifest."""
+    head, seed, *rows = path.read_text().splitlines()
+    return head, int(seed.removeprefix("# seed ")), dict(reversed(row.split("  ", 1)) for row in rows)
+
+
+def digest_differences(want: dict, got: dict) -> list:
+    """One line per file missing, unexpected or differing, as ``--check``
+    prints them."""
+    diffs = [f"missing: {p}" for p in sorted(want.keys() - got.keys())]
+    diffs += [f"unexpected: {p}" for p in sorted(got.keys() - want.keys())]
+    return diffs + [f"differs: {p}" for p in sorted(want.keys() & got.keys()) if want[p] != got[p]]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", metavar="DIR", help="record the outputs in DIR (must not exist)")
     mode.add_argument("--check", metavar="DIR", help="compare fresh outputs with DIR")
-    ap.add_argument("--seed", type=int, default=7, help="seed of the recorded runs (--write)")
+    mode.add_argument("--manifest", metavar="FILE", help="record the digests of the outputs in FILE")
+    ap.add_argument("--seed", type=int, default=7, help="seed of the recorded runs (--write, --manifest)")
     args = ap.parse_args()
     if args.write:
         run_all(Path(args.write), args.seed)
         print(f"wrote {RUNS} runs to {args.write}")
+        return 0
+    if args.manifest:
+        write_manifest(Path(args.manifest), args.seed)
+        print(f"wrote the digests of {RUNS} runs to {args.manifest}")
         return 0
     expected = Path(args.check)
     with tempfile.TemporaryDirectory() as tmp:

@@ -153,7 +153,7 @@ class FiniteGroupAction:
         gens = tuple(self.generators)
         if not all(isometry_of(self.space, g) for g in gens):
             raise ValidationError("a generator is not an isometry of the space")
-        if not any(is_identity(self.space, g, np.random.default_rng(7)) for g in gens):
+        if not any(is_identity(self.space, g) for g in gens):
             warnings.warn("generating set does not contain the identity; adding it")
             gens = gens + (identity_isometry(self.space),)
         object.__setattr__(self, "generators", gens)

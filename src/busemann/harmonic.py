@@ -19,8 +19,8 @@ cell moves to the weighted Frechet mean of its transported neighbors
 (self-loops contribute displacement terms d(T z, z)^p, handled exactly inside
 the local subproblem).  At p = 2 most local subproblems are solved exactly
 or by a convergent method: a linear solve on Euclidean targets, a closed
-form on each tree edge for cells without self-loops, and damped Newton steps
-on l_p targets and l_q products of Euclidean and l_p factors.
+form on each tree edge, and damped Newton steps on l_p targets and l_q
+products of Euclidean and l_p factors.
 :func:`_solve_local` lists every path and its fallbacks, and each report
 counts the local solves by path (``extras["local_solves"]``).
 
@@ -49,10 +49,10 @@ on compiled terms, the vanishing-penalty homotopy toward the base point
 elsewhere.  The staged solvers report through :func:`_staged_report`:
 every report's ``iterations`` counts all the sweeps that its solve ran.
 
-Exponents p != 2 are accepted throughout and handled by the generic local
-search; treat those paths as experimental (the convexity of the energy
-still holds, but the closed-form local solvers and most oracle tests are
-p = 2).
+Exponents p != 2 are accepted throughout; off trees they are handled by
+the generic local search.  Treat those paths as experimental (the convexity
+of the energy still holds, but most closed-form local solvers and oracle
+tests are p = 2).
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ __all__ = [
     "harmonic_properties_check",
     "HarmonicFactsReport",
     "conjugate_problem",
-    "orbit_diameter_heuristic",
 ]
 
 
@@ -217,9 +216,7 @@ class EquivariantProblem(TermEnergy):
                 raise ValidationError("edge twist is not an isometry of the target")
         if classes and classes != set(range(1, max(classes) + 1)):
             raise ValidationError("edge class indices must be contiguous 1..k")
-        if edges and not any(
-            is_identity(self.target, e.twist, np.random.default_rng(5), samples=6) for e in edges
-        ):
+        if edges and not any(is_identity(self.target, e.twist) for e in edges):
             warnings.warn(
                 "edge twist set does not contain the identity isometry",
                 IdentityConventionWarning,
@@ -280,7 +277,7 @@ def _local_objective(space, p, point_terms, loop_terms, z) -> float:
 
 
 # The local-solve paths, the keys of the ``local_solves`` counter
-LOCAL_PATHS = ("linear", "tree-exact", "golden", "newton", "pattern")
+LOCAL_PATHS = ("linear", "tree-exact", "newton", "pattern")
 
 
 def _solve_local(space, p, point_terms, loop_terms, current, tol: float, seed: int = 0, counts=None):
@@ -291,11 +288,9 @@ def _solve_local(space, p, point_terms, loop_terms, current, tol: float, seed: i
     - ``linear``: Euclidean targets at p = 2, exact linear algebra (among
       minimizers, the one nearest the current value is returned, which
       freezes flat directions);
-    - ``tree-exact``: trees at p = 2 without loop terms, where the
-      objective on each edge is a quadratic in the offset
-      (:func:`_solve_local_tree_exact`);
-    - ``golden``: the other tree cells (loop terms, p != 2), golden-section
-      search on each edge plus a vertex scan;
+    - ``tree-exact``: trees, where each term on an edge is |alpha s + beta|
+      in the offset s: a closed form at p = 2, else safeguarded Newton
+      steps (:func:`_solve_local_tree_exact`);
     - l_2 products at p = 2 with factorwise loop transports split into one
       solve per factor, each counted under its own path;
     - ``newton``: :class:`LpVector` targets, and l_q products whose factors
@@ -308,17 +303,15 @@ def _solve_local(space, p, point_terms, loop_terms, current, tol: float, seed: i
       the largest distance to a point term and with an escape radius 1e6
       times that, so that it scales with the data.
 
-    ``counts``, when given, is a dict keyed by :data:`LOCAL_PATHS`; the path
-    that produced the result is incremented.
+    The searching paths keep the current value unless they lower the
+    objective (the Newton path hands over both values).  ``counts``, when
+    given, is a dict keyed by :data:`LOCAL_PATHS`; the path that produced
+    the result is incremented.
     """
-    path = z = None
     if isinstance(space, Euclidean) and p == 2.0:
         path, z = "linear", _solve_local_euclidean(space, point_terms, loop_terms, current)
     elif isinstance(space, MetricTree):
-        if p == 2.0 and not loop_terms:
-            path, z = "tree-exact", _solve_local_tree_exact(space, point_terms)
-        else:
-            path, z = "golden", _solve_local_tree(space, p, point_terms, loop_terms, current, tol)
+        path, z = "tree-exact", _solve_local_tree_exact(space, p, point_terms, loop_terms, current)
     elif (
         isinstance(space, Product)
         and space.q == 2.0
@@ -334,15 +327,17 @@ def _solve_local(space, p, point_terms, loop_terms, current, tol: float, seed: i
     else:
         f = lambda z: _local_objective(space, p, point_terms, loop_terms, z)
         blocks = _norm_blocks(space) if p == 2.0 else None
-        if blocks is not None:
-            path, z = "newton", _newton_local(space, blocks, point_terms, loop_terms, current, f, tol)
-        if z is None:
+        newton = blocks and _newton_local(space, blocks, point_terms, loop_terms, current, f, tol)
+        if newton:
+            path, (z, f0, fz) = "newton", newton
+        else:
             radius = 1.0 + max((space.distance(current, u) for _, u in point_terms), default=1.0)
             path, z = "pattern", minimize_convex(
                 space, f, current, tol=max(tol * 1e-2, 1e-12), seed=seed, radius0=radius,
                 escape_radius=1e6 * radius,
             )
-        if not f(z) < f(current):
+            f0, fz = f(current), f(z)
+        if not fz < f0:
             z = current
     if counts is not None:
         counts[path] += 1
@@ -366,71 +361,86 @@ def _solve_local_euclidean(space, point_terms, loop_terms, current):
     return tuple(float(c) for c in z0 + delta)
 
 
-def _golden_min(f, lo: float, hi: float, xtol: float):
-    """Golden-section minimum of a unimodal function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc, fe = f(c), f(e)
-    while b - a > xtol:
-        if fc < fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = f(e)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _form_argmin(p, forms, L, s):
+    """Minimizer over [0, L] of the convex sum w |alpha s + beta|^p from s:
+    Newton steps on its derivative in a shrinking bracket, bisecting where a
+    step leaves it or is not half the step before last (Brent 1973)."""
+
+    def slope(s):  # the first and second derivative over p
+        r = [(w, al, al * s + be) for w, al, be in forms if al]
+        g = math.fsum(w * al * math.copysign(abs(x) ** (p - 1.0), x) for w, al, x in r)
+        if p < 2.0 and not all(x for _, _, x in r):
+            return g, math.inf
+        return g, (p - 1.0) * math.fsum(w * al * al * abs(x) ** (p - 2.0) for w, al, x in r)
+
+    if slope(0.0)[0] >= 0.0:
+        return 0.0
+    if slope(L)[0] <= 0.0:
+        return L
+    lo, hi = 0.0, L
+    xtol = 4.0 * math.ulp(L)
+    dx = dx_old = L
+    while hi - lo > xtol and abs(dx) > xtol:
+        g, h = slope(s)
+        if g == 0.0:
+            break
+        lo, hi = (s, hi) if g < 0.0 else (lo, s)
+        step = -g / h if 0.0 < h < math.inf else math.inf
+        if not (lo < s + step < hi and abs(step) <= 0.5 * abs(dx_old)):
+            step = 0.5 * (lo + hi) - s
+        dx_old, dx = dx, step
+        s += step
+    return s
 
 
-def _solve_local_tree(tree: MetricTree, p, point_terms, loop_terms, current, tol):
-    def g(z):
-        return _local_objective(tree, p, point_terms, loop_terms, z)
-
-    best, fbest = current, g(current)
-    for v in tree.vertices:
-        z = tree.vertex_point(v)
-        fz = g(z)
-        if fz < fbest:
-            best, fbest = z, fz
-    for i, (_, _, L) in enumerate(tree.edges):
-        xtol = max(1e-13, min(tol, 1e-9) * L)
-        off, val = _golden_min(lambda s: g(tree.point(i, s)), 0.0, L, xtol)
-        if val < fbest:
-            best, fbest = tree.point(i, off), val
-    return best
-
-
-def _solve_local_tree_exact(tree: MetricTree, point_terms):
-    """Minimize sum w d(z, u)^2 over a tree, edge by edge, in closed form.
-
-    With z at offset s on edge (a, b, L), each point u sits at a signed
-    position x: its offset when it lies on the same edge, -d(a, u) when the
-    path to it leaves through a, and L + d(b, u) when it leaves through b.
-    Then d(z, u) = |s - x|, so the edge's minimizer is the weighted mean of
-    the positions clipped to [0, L] (the clip covers the vertices).  The
-    edge whose minimizer has the smallest objective wins.
-    """
+def _solve_local_tree_exact(tree: MetricTree, p, point_terms, loop_terms, current):
+    """Minimize the local objective over a tree edge by edge, with no
+    distance call.  On edge (a, b, L) each distance is |alpha s + beta| in
+    the offset s: a point at signed position x (-d(a, u) or L + d(b, u) off
+    the edge) has (1, -x); a loop T, carrying z to T z at s from T(a) on
+    edge j, fixes or reverses the edge when j = i, else its path leaves at
+    cost s or L - s and enters j at cost s or jL - s, by the topology.  The
+    edge's minimizer, -sum w alpha beta / sum w alpha^2 at p = 2 and
+    :func:`_form_argmin` from there elsewhere, is clipped and snapped; a
+    flat edge holding the current value keeps it, also on ties."""
     vdist = tree._vdist
     ports = [(w, u.edge, u.offset, tree._ports(u)) for w, u in point_terms]
-    total = math.fsum(w for w, *_ in ports)
     best = fbest = None
     for i, (a, b, L) in enumerate(tree.edges):
-        moments = []
+        forms = []
         for w, edge, offset, exits in ports:
             if edge == i:
-                x = offset
-            else:
-                da = min(c + vdist[(a, v)] for v, c in exits)
-                db = min(c + vdist[(b, v)] for v, c in exits)
-                x = -da if da < db else L + db
-            moments.append(w * x)
-        z = tree.point(i, min(max(math.fsum(moments) / total, 0.0), L))
-        fz = _local_objective(tree, 2.0, point_terms, (), z)
-        if best is None or fz < fbest:
+                forms.append((w, 1.0, -offset))
+                continue
+            da = min(c + vdist[(a, v)] for v, c in exits)
+            db = min(c + vdist[(b, v)] for v, c in exits)
+            forms.append((w, 1.0, da if da < db else -(L + db)))
+        for w, T in loop_terms:
+            ta = T._vmap[a]
+            j = tree.edge_between(ta, T._vmap[b])
+            ja, jb, jl = tree.edges[j]
+            if j == i:
+                forms.append((w, 0.0, 0.0) if ta == a else (w, 2.0, -L))
+                continue
+            near, out, c_out = (a, 1, 0.0) if vdist[(a, ja)] < vdist[(b, ja)] else (b, -1, L)
+            q = ja if vdist[(ja, a)] < vdist[(jb, a)] else jb
+            into, c_into = (1, 0.0) if q == ta else (-1, jl)
+            forms.append((w, float(out + into), c_out + vdist[(near, q)] + c_into))
+        den = math.fsum(w * al * al for w, al, _ in forms)
+        if den == 0.0:
+            z = current if current.edge == i or current.vertex in (a, b) else tree.vertex_point(a)
+        else:
+            s = min(max(-math.fsum(w * al * be for w, al, be in forms) / den, 0.0), L)
+            try:
+                z = tree.point(i, s if p == 2.0 else _form_argmin(p, forms, L, s))
+            except OverflowError:  # a power past the float range: the p = 2 point
+                z = tree.point(i, s)
+        s = z.offset if z.vertex is None else (0.0 if z.vertex == a else L)
+        try:
+            fz = math.fsum(w * abs(al * s + be) ** p for w, al, be in forms)
+        except OverflowError:  # inf, as in _local_objective
+            fz = math.inf
+        if best is None or fz < fbest or (fz == fbest and z is current):
             best, fbest = z, fz
     return best
 
@@ -522,7 +532,8 @@ def _solve_linear(m, rhs):
 
 def _newton_local(space, norm_blocks, point_terms, loop_terms, current, f, tol):
     """Damped Newton steps on sum_t w_t N(A_t z + c_t), N = ||.||^2, over
-    the flattened coordinates of z; None when the path gives up.
+    the flattened coordinates of z.  Returns (z, f(current), f(z)), or None
+    when the path gives up.
 
     Point terms have A = I and c = -u.  Every isometry of a normed space is
     affine (Mazur-Ulam), so a loop's map z -> M z + b is read off its
@@ -551,7 +562,7 @@ def _newton_local(space, norm_blocks, point_terms, loop_terms, current, f, tol):
         terms.append((w, a, b))
     floor = max(tol * 1e-2, 1e-12)
     z = flat(current)
-    fz = f(current)
+    fz = f0 = f(current)
     if not math.isfinite(fz):
         return None
     for _ in range(100):
@@ -599,7 +610,7 @@ def _newton_local(space, norm_blocks, point_terms, loop_terms, current, f, tol):
         else:
             break  # no step above the floor decreases f
         z, fz = cand, fc
-    return unflat(z)
+    return unflat(z), f0, fz
 
 
 def frechet_mean(space, pts: Sequence, weights: Sequence[float], p: float = 2.0, tol: float = 1e-9, seed: int = 0):
@@ -1353,24 +1364,3 @@ def conjugate_problem(prob: EquivariantProblem, cell_map: dict, lam) -> Equivari
         for e in prob.edges
     )
     return EquivariantProblem(MeasureModel(cells, tuple(new_weights)), prob.target, lam.apply(prob.base_point), edges, prob.p)
-
-
-def orbit_diameter_heuristic(prob: EquivariantProblem, x=None, word_length: int = 4) -> float:
-    """Diameter of the orbit of a point under words in the edge twists.
-
-    A boundedness heuristic only: reported, never asserted.
-    """
-    x = x if x is not None else prob.base_point
-    gens = list({id(e.twist): e.twist for e in prob.edges}.values())  # distinct objects, in order
-    gens += [g.invert() for g in gens]
-    orbit, frontier = [x], [x]
-    for _ in range(word_length):
-        nxt = []
-        for y in frontier:
-            for g in gens:
-                z = g.apply(y)
-                if all(prob.target.distance(z, o) > 1e-12 for o in orbit):
-                    orbit.append(z)
-                    nxt.append(z)
-        frontier = nxt
-    return max(prob.target.distance(a, b) for a in orbit for b in orbit) if len(orbit) > 1 else 0.0

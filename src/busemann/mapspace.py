@@ -357,16 +357,18 @@ def uc_distances(target, psi, phi1, phi2) -> tuple:
 
 
 def uc_witness_of_distances(
-    p: float, delta: Callable[[float], float], weights, distances, r
+    p: float, delta: Callable[[float], float], weights, distances, r=None
 ) -> UCWitnessReport:
     """The half of ``uc_witness_batch`` that depends on p, from the
-    ``uc_distances`` of the triples."""
-    r = np.asarray(r, dtype=float)
+    ``uc_distances`` of the triples.  Without ``r``, each radius is the
+    least one the precondition admits, max(rho(phi_1, psi), rho(phi_2,
+    psi), 1e-9), from the p-means that the check computes anyway."""
+    d1, d2, d12, d_mid = distances
+    rho = np.maximum(p_mean(p, weights, d1), p_mean(p, weights, d2))
+    r = np.maximum(rho, 1e-9) if r is None else np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("radius r must be positive")
-    d1, d2, d12, d_mid = distances
-    tol = r * (1.0 + 1e-12)
-    if np.any(p_mean(p, weights, d1) > tol) or np.any(p_mean(p, weights, d2) > tol):
+    if np.any(rho > r * (1.0 + 1e-12)):
         raise DomainError("precondition rho(phi_i, psi) <= r violated")
     eps = p_mean(p, weights, d12) / r
     rho_mid = p_mean(p, weights, d_mid)

@@ -574,9 +574,10 @@ class Product:
 
     def distance(self, x, y) -> float:
         """(sum_i d_i(x_i, y_i)^q)^(1/q), scaled where the power sum leaves
-        the normal range (:func:`_lq_norm`)."""
-        self.check_point(x)
-        self.check_point(y)
+        the normal range (:func:`_lq_norm`).  Each factor's ``distance``
+        checks its part."""
+        if not (isinstance(x, tuple) and isinstance(y, tuple) and len(x) == len(y) == len(self.factors)):
+            raise SpaceMismatchError(f"product point arity mismatch: {x!r}, {y!r}")
         return _lq_norm([f.distance(a, b) for f, a, b in zip(self.factors, x, y)], self.q)
 
     def _check_batch(self, x, y) -> None:
@@ -972,12 +973,11 @@ def isometry_of(space, T) -> bool:
     return False
 
 
-def is_identity(space, T, rng: np.random.Generator, samples: int = 8) -> bool:
-    """True when T moves none of ``samples`` sampled points by more than 1e-12."""
-    return all(
-        space.distance(T.apply(x), x) <= 1e-12
-        for x in (space.sample(rng) for _ in range(samples))
-    )
+def is_identity(space, T) -> bool:
+    """Whether T is the identity of ``space``, decided exactly from its data:
+    the identity matrix with shift 0, the identity permutation with signs +1
+    and shift 0, the identity vertex map, or a product of identities."""
+    return T == identity_isometry(space)
 
 
 def star_tree(leaves: int = 3, edge_length: float = 1.0) -> MetricTree:

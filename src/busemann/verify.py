@@ -33,7 +33,6 @@ from busemann.mapspace import (
     EquivariantMap,
     linear_modulus_bound,
     mazur_map_batch,
-    p_mean,
     uc_distances,
     uc_witness_of_distances,
 )
@@ -344,8 +343,7 @@ def suite_uc_witness(samples: int = 2000, seed: int = 0):
         for psi, phi1, phi2 in _triple_blocks(target, len(weights), samples, rng):
             d = uc_distances(target, psi, phi1, phi2)
             for p, st in stats.items():
-                r = np.maximum(np.maximum(p_mean(p, weights, d[0]), p_mean(p, weights, d[1])), 1e-9)
-                rep = uc_witness_of_distances(p, delta, weights, d, r)
+                rep = uc_witness_of_distances(p, delta, weights, d)
                 st[0] += int(np.count_nonzero(~rep.ok))
                 st[1] = min(st[1], float(rep.slack.min()))
                 st[2] += int(np.count_nonzero(~rep.small_modulus_regime))

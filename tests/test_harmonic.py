@@ -26,7 +26,6 @@ from busemann.harmonic import (
     lexicographic_minimize,
     minimize_energy,
     norm_minimal_minimizer,
-    orbit_diameter_heuristic,
     quadratic_minimizer,
     LOCAL_PATHS,
     _local_objective,
@@ -34,7 +33,6 @@ from busemann.harmonic import (
     _norm_blocks,
     _solve_1d,
     _solve_local,
-    _solve_local_tree,
     _solve_local_tree_exact,
     _term_plans,
 )
@@ -56,10 +54,12 @@ from busemann.spaces import (
     Euclidean,
     EuclideanIsometry,
     LpVector,
+    MetricTree,
     Product,
     ProductIsometry,
     SolverError,
     SpaceMismatchError,
+    TreeIsometry,
     identity_isometry,
     random_tree,
     point_reflection,
@@ -123,6 +123,12 @@ def test_energy_validates_classes():
 def test_identity_convention_warning():
     with pytest.warns(IdentityConventionWarning):
         EquivariantProblem(M1, E1, (0.0,), (Edge("a", "a", 1.0, T1),))
+    # a two-leaf swap on a 40-leaf star is not the identity, though six
+    # sampled points miss the two edges it moves
+    star40 = star_tree(40)
+    swap = TreeIsometry(star40, {**{v: v for v in star40.vertices}, "l7": "l8", "l8": "l7"})
+    with pytest.warns(IdentityConventionWarning):
+        EquivariantProblem(M1, star40, star40.vertex_point("c"), (Edge("a", "a", 1.0, swap),))
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +437,6 @@ def test_relabel_conjugate_optimal_energy_invariant():
     e1 = minimize_energy(gm.problem, tol=1e-12, max_sweeps=3000).energy_total
     e2 = minimize_energy(prob2, tol=1e-12, max_sweeps=3000).energy_total
     assert e2 == pytest.approx(e1, rel=1e-12)
-
-
-def test_orbit_diameter_heuristic_reported():
-    prob_flat = loop_problem(T1)
-    d_flat = orbit_diameter_heuristic(prob_flat, (0.0,), word_length=3)
-    assert d_flat == pytest.approx(6.0)
-    prob_refl = loop_problem(R0)
-    d_refl = orbit_diameter_heuristic(prob_refl, (1.0,), word_length=5)
-    assert d_refl == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +837,7 @@ def test_local_solve_counters_deterministic_and_by_path():
         assert counts == r2.extras["local_solves"]
         assert set(counts) == set(LOCAL_PATHS)
         assert counts[path] == len(prob.model.cells) * r1.iterations
-        assert counts["pattern"] == counts["golden"] == 0
+        assert counts["pattern"] == 0
     # the compiled engine makes one linear solve per cell and sweep, and
     # every report counts every sweep it ran: all stages of the staged
     # solvers, the sweeps from the exact minimizer of commensurability
@@ -915,18 +912,57 @@ def random_tree_terms(rng):
     return tree, pts
 
 
-def test_tree_exact_step_matches_golden_section():
+def symmetric_tree(rng):
+    """A random tree with two copies of a random branch, and the isometry
+    that swaps them: hung from one vertex of a random base tree (the swap
+    fixes the base), or joined root to root (the swap reverses that edge)."""
+    m = int(rng.integers(1, 4))
+    branch = [(int(rng.integers(0, k)), k, float(rng.uniform(0.2, 2.0))) for k in range(1, m)]
+    join = float(rng.uniform(0.2, 2.0))
+    copies = {f"{c}{k}": f"{'ba'[c == 'b']}{k}" for c in "ab" for k in range(m)}
+    edges = [(f"{c}{u}", f"{c}{v}", L) for c in "ab" for u, v, L in branch]
+    if rng.random() < 0.5:
+        edges.append(("a0", "b0", join))
+        verts = list(copies)
+    else:
+        base = random_tree(int(rng.integers(2, 6)), rng)
+        hub = base.vertices[int(rng.integers(len(base.vertices)))]
+        edges += list(base.edges) + [(hub, "a0", join), (hub, "b0", join)]
+        verts = list(base.vertices) + list(copies)
+    tree = MetricTree(tuple(verts), tuple(edges))
+    return tree, TreeIsometry(tree, {v: copies.get(v, v) for v in verts})
+
+
+def tree_cells(rng, count):
+    """Random tree cells with loop terms: a star with leaf permutations, or
+    a symmetric tree with its swap; point terms on all of them."""
+    for k in range(count):
+        if k % 2 == 0:
+            n = int(rng.integers(3, 7))
+            tree = star_tree(n, float(rng.uniform(0.5, 2.0)))
+            loops = []
+            for _ in range(int(rng.integers(1, 3))):
+                perm = rng.permutation(n) + 1
+                vmap = {"c": "c", **{f"l{i + 1}": f"l{perm[i]}" for i in range(n)}}
+                loops.append((float(rng.uniform(0.1, 2.0)), TreeIsometry(tree, vmap)))
+        else:
+            tree, swap = symmetric_tree(rng)
+            loops = [(float(rng.uniform(0.1, 2.0)), swap)]
+        pts = [(float(rng.uniform(0.1, 2.0)), tree.sample(rng)) for _ in range(int(rng.integers(1, 4)))]
+        if rng.random() < 0.3:  # a vertex term
+            pts.append((float(rng.uniform(0.1, 2.0)), tree.vertex_point(tree.vertices[int(rng.integers(len(tree.vertices)))])))
+        yield tree, pts, (loops if k < count // 2 else [])
+
+
+def test_tree_exact_step_matches_three_point_fit():
+    # on each edge every term is |alpha s + beta| in the offset s, so at
+    # p = 2 the objective is a quadratic: the minimizer of its fit through
+    # the values at both ends and the middle, on the best edge, is the step
     rng = np.random.default_rng(2024)
-    tol = 1e-9
-    for _ in range(60):
-        tree, pts = random_tree_terms(rng)
-        current = tree.sample(rng)
-        exact = _solve_local_tree_exact(tree, pts)
-        golden = _solve_local_tree(tree, 2.0, pts, [], current, tol)
-        f = lambda z: _local_objective(tree, 2.0, pts, [], z)
-        assert f(exact) <= f(golden) + 1e-12
-        # on each edge f is a quadratic in the offset: the minimizer of its
-        # fit through the values at both ends and the middle, on the best edge
+    cells = [random_tree_terms(rng) + ([],) for _ in range(30)] + list(tree_cells(rng, 120))
+    for tree, pts, loops in cells:
+        exact = _solve_local_tree_exact(tree, 2.0, pts, loops, tree.sample(rng))
+        f = lambda z: _local_objective(tree, 2.0, pts, loops, z)
         fits = []
         for i, (_, _, L) in enumerate(tree.edges):
             f0, fm, f1 = f(tree.point(i, 0.0)), f(tree.point(i, L / 2)), f(tree.point(i, L))
@@ -934,12 +970,58 @@ def test_tree_exact_step_matches_golden_section():
             z = tree.point(i, min(max(-b / (2.0 * a), 0.0), L))
             fits.append((f(z), tree.distance(z, exact)))
         assert min(fits)[1] <= 1e-12
-        # golden section stops at xtol or where f stops resolving offsets:
-        # f - f_min = W (s - s_min)^2 falls below the rounding of f within
-        # about sqrt(eps f / W) of the minimizer
-        xtol = max(max(1e-13, min(tol, 1e-9) * L) for _, _, L in tree.edges)
-        resolution = 2.0 * math.sqrt(np.finfo(float).eps * f(exact) / sum(w for w, _ in pts))
-        assert tree.distance(exact, golden) <= xtol + resolution
+        assert f(exact) <= min(fits)[0] + 1e-12 * (1.0 + f(exact))
+
+
+def grid_objective(tree, p, pts, loops, i, offsets):
+    """The local objective at the given offsets of edge i, over arrays: a
+    loop maps the edge onto the edge between the images of its ends."""
+    z = tree.point_batch(np.full(len(offsets), i), offsets)
+    total = sum(w * tree.distance_batch(z, tree.pack([u])) ** p for w, u in pts)
+    a, b, _ = tree.edges[i]
+    for w, T in loops:
+        ta, tb = (T.apply(tree.vertex_point(v)).vertex for v in (a, b))
+        j = tree.edge_between(ta, tb)
+        ja, _, jl = tree.edges[j]
+        image = offsets if ja == ta else jl - offsets
+        total = total + w * tree.distance_batch(tree.point_batch(np.full(len(offsets), j), image), z) ** p
+    return total
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_tree_step_beats_a_grid_off_p2(p):
+    rng = np.random.default_rng(99)
+    cells = [random_tree_terms(rng) + ([],) for _ in range(20)] + list(tree_cells(rng, 100))
+    grid = np.linspace(0.0, 1.0, 2001)
+    for tree, pts, loops in cells:
+        z = _solve_local_tree_exact(tree, p, pts, loops, tree.sample(rng))
+        f = lambda z: _local_objective(tree, p, pts, loops, z)
+        best = min(float(grid_objective(tree, p, pts, loops, i, grid * L).min()) for i, (_, _, L) in enumerate(tree.edges))
+        assert f(z) <= best + 1e-12 * (1.0 + best)
+        # the array objective is the scalar one
+        i, s = 0, 0.37 * tree.edges[0][2]
+        assert grid_objective(tree, p, pts, loops, i, np.array([s]))[0] == pytest.approx(f(tree.point(i, s)), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_tree_step_past_the_float_range_returns_a_point(p):
+    # powers of 1e200 overflow: the edge scores inf, as _local_objective
+    # does, and the step still returns a point of the tree
+    tree = star_tree(3, 1e200)
+    pts = [(1.0, tree.point(0, 0.5e200)), (1.0, tree.point(1, 0.7e200))]
+    tree.validate_point(_solve_local_tree_exact(tree, p, pts, [], tree.point(2, 1e199)))
+
+
+def test_tree_leafswap_cell_on_the_fixed_edge_stays():
+    # the swap fixes the center and the third edge pointwise: a cell there
+    # is a minimizer and its flat edge holds it
+    prob = tree_leafswap_model().problem
+    swap = prob.edges[0].twist
+    for start in (STAR.point(2, 0.3), STAR.vertex_point("l3"), STAR.vertex_point("c")):
+        assert _solve_local_tree_exact(STAR, 2.0, [], [(1.0, swap)], start) is start
+        rep = minimize_energy(prob, EquivariantMap(prob.model, STAR, (start,)))
+        assert rep.solution.values == (start,) and rep.energy_total == 0.0
+    assert _solve_local_tree_exact(STAR, 2.0, [], [(1.0, swap)], STAR.point(0, 0.6)) == STAR.vertex_point("c")
 
 
 def lp_cases():
@@ -970,8 +1052,8 @@ def test_newton_step_matches_pattern_search(case, loop):
         loops = [(float(rng.uniform(0.2, 1.5)), mirror(tuple(rng.normal(0.0, 1.0, 3).tolist())))] if loop else []
         current = flat_point(space, rng.normal(0.0, 1.0, 3).tolist())
         f = lambda z: _local_objective(space, 2.0, pts, loops, z)
-        z = _newton_local(space, _norm_blocks(space), pts, loops, current, f, tol)
-        assert z is not None
+        z, f0, fz = _newton_local(space, _norm_blocks(space), pts, loops, current, f, tol)
+        assert (f0, fz) == (f(current), f(z))
         radius = 1.0 + max(space.distance(current, u) for _, u in pts)
         ref = minimize_convex(space, f, current, tol=max(tol * 1e-2, 1e-12), radius0=radius)
         assert f(z) <= f(ref) + 1e-12

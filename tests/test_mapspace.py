@@ -434,8 +434,11 @@ def test_uc_witness_halves_compose_to_the_batch_kernel(target):
         r = uc_radii(p, target, *triples)
         whole = uc_witness_batch(p, delta, target, UC_MODEL.weights, *triples, r)
         halves = uc_witness_of_distances(p, delta, UC_MODEL.weights, d, r)
+        # without r, the radius is the least the precondition admits
+        least = uc_witness_of_distances(p, delta, UC_MODEL.weights, d)
         for name, value in vars(whole).items():
             assert np.array_equal(getattr(halves, name), value), name
+            assert np.array_equal(getattr(least, name), value), name
 
 
 @pytest.mark.parametrize("name", ["star-tree", "random-tree5", "random-tree9"])

@@ -19,8 +19,11 @@ from busemann.spaces import (
     SignedPermIsometry,
     SpaceMismatchError,
     TreeIsometry,
+    TreePoint,
     ValidationError,
     geodesic_point,
+    identity_isometry,
+    is_identity,
     isometry_of,
     midpoint,
     point_reflection,
@@ -229,6 +232,27 @@ def test_product_metric_exact_cases():
     a = ((0.0,), STAR.vertex_point("l1"))
     b = ((3.0,), STAR.vertex_point("l2"))
     assert prt.distance(a, b) ** 2 == pytest.approx(9.0 + 4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ((0.0,),),  # too few parts
+        ((0.0,), STAR.vertex_point("c"), (1.0,)),  # too many
+        [(0.0,), STAR.vertex_point("c")],  # not a tuple
+        ((0.0, 1.0), STAR.vertex_point("c")),  # a Euclidean part of the wrong length
+        (("x",), STAR.vertex_point("c")),  # a coordinate that is not a number
+        ((0.0,), (0.0,)),  # a tree part that is not a tree point
+        ((0.0,), TreePoint(None, 0.0, "nowhere")),  # an unknown vertex
+    ],
+)
+def test_product_distance_rejects_bad_points(bad):
+    # the product checks its arity; each factor's distance checks its part
+    prt = Product((E1, STAR), 2.0)
+    good = ((0.0,), STAR.vertex_point("l1"))
+    for x, y in ((bad, good), (good, bad)):
+        with pytest.raises(SpaceMismatchError):
+            prt.distance(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -690,3 +714,21 @@ def test_orthogonality_validated():
 
     with pytest.raises(ValidationError):
         EuclideanIsometry(((1.0, 0.5), (0.0, 1.0)), (0.0, 0.0))
+
+
+def test_is_identity_is_decided_exactly():
+    star40 = star_tree(40)
+    swap = TreeIsometry(star40, {**{v: v for v in star40.vertices}, "l7": "l8", "l8": "l7"})
+    assert not is_identity(star40, swap)
+    # six sampled points miss the swap's two edges (it moves 1/20 of the tree)
+    rng = np.random.default_rng(5)
+    assert all(star40.distance(swap.apply(x), x) == 0.0 for x in (star40.sample(rng) for _ in range(6)))
+    ident = lambda space: identity_isometry(space)
+    for space in (E2, LpVector(2, 3.0), STAR, Product((E1, STAR), 3.0)):
+        assert is_identity(space, ident(space))
+    assert is_identity(E2, EuclideanIsometry(((1.0, -0.0), (0.0, 1.0)), (0.0, -0.0)))
+    assert not is_identity(E2, rotation_2d(1e-12))
+    assert not is_identity(E2, translation(E2, (0.0, 1e-300)))
+    assert not is_identity(LpVector(2, 3.0), SignedPermIsometry((0, 1), (1, -1), (0.0, 0.0)))
+    assert not is_identity(LpVector(2, 3.0), SignedPermIsometry((1, 0), (1, 1), (0.0, 0.0)))
+    assert not is_identity(Product((E1, STAR), 3.0), ProductIsometry((ident(E1), TreeIsometry(STAR, {"c": "c", "l1": "l2", "l2": "l1", "l3": "l3"}))))
