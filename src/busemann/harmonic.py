@@ -84,6 +84,7 @@ from busemann.spaces import (
     ProductIsometry,
     SolverError,
     SpaceMismatchError,
+    TreePoint,
     ValidationError,
     is_identity,
     isometry_of,
@@ -304,9 +305,8 @@ def _solve_local(space, p, point_terms, loop_terms, current, tol: float, seed: i
       times that, so that it scales with the data.
 
     The searching paths keep the current value unless they lower the
-    objective (the Newton path hands over both values).  ``counts``, when
-    given, is a dict keyed by :data:`LOCAL_PATHS`; the path that produced
-    the result is incremented.
+    objective, whose two values the Newton path hands over.  ``counts``, a
+    dict keyed by :data:`LOCAL_PATHS`, counts the path of the result.
     """
     if isinstance(space, Euclidean) and p == 2.0:
         path, z = "linear", _solve_local_euclidean(space, point_terms, loop_terms, current)
@@ -396,25 +396,29 @@ def _form_argmin(p, forms, L, s):
 def _solve_local_tree_exact(tree: MetricTree, p, point_terms, loop_terms, current):
     """Minimize the local objective over a tree edge by edge, with no
     distance call.  On edge (a, b, L) each distance is |alpha s + beta| in
-    the offset s: a point at signed position x (-d(a, u) or L + d(b, u) off
-    the edge) has (1, -x); a loop T, carrying z to T z at s from T(a) on
-    edge j, fixes or reverses the edge when j = i, else its path leaves at
-    cost s or L - s and enters j at cost s or jL - s, by the topology.  The
-    edge's minimizer, -sum w alpha beta / sum w alpha^2 at p = 2 and
-    :func:`_form_argmin` from there elsewhere, is clipped and snapped; a
-    flat edge holding the current value keeps it, also on ties."""
+    the offset s: (1, -x) for a point at signed position x (-d(a, u) or L +
+    d(b, u) off the edge); a loop T onto edge j fixes (0) or reverses (2) the
+    edge when j = i, else alpha sums the signs of its exit and entry costs (s
+    or L - s, s or jL - s).  The p = 2 minimizer -sum w alpha beta / sum w
+    alpha^2, or :func:`_form_argmin`'s from there, is clipped and snapped;
+    a flat edge holding the current value keeps it, also on ties."""
     vdist = tree._vdist
-    ports = [(w, u.edge, u.offset, tree._ports(u)) for w, u in point_terms]
+    weights = [w for w, _ in point_terms]
+    total = math.fsum(weights)
+    held = (current.edge, current.offset, current.vertex)  # candidates are snap triples
+    # each point's edge, offset, and first and last exit (a vertex has one)
+    points = [(u.edge, u.offset, *e[0], *e[-1]) for u, e in ((u, tree._ports(u)) for _, u in point_terms)]
     best = fbest = None
     for i, (a, b, L) in enumerate(tree.edges):
-        forms = []
-        for w, edge, offset, exits in ports:
+        betas, forms = [], []  # the points' betas (alpha 1), the loops' forms
+        for edge, offset, v1, c1, v2, c2 in points:
             if edge == i:
-                forms.append((w, 1.0, -offset))
+                betas.append(-offset)
                 continue
-            da = min(c + vdist[(a, v)] for v, c in exits)
-            db = min(c + vdist[(b, v)] for v, c in exits)
-            forms.append((w, 1.0, da if da < db else -(L + db)))
+            da, x = c1 + vdist[(a, v1)], c2 + vdist[(a, v2)]
+            db, y = c1 + vdist[(b, v1)], c2 + vdist[(b, v2)]
+            da, db = x if x < da else da, y if y < db else db
+            betas.append(da if da < db else -(L + db))
         for w, T in loop_terms:
             ta = T._vmap[a]
             j = tree.edge_between(ta, T._vmap[b])
@@ -426,23 +430,29 @@ def _solve_local_tree_exact(tree: MetricTree, p, point_terms, loop_terms, curren
             q = ja if vdist[(ja, a)] < vdist[(jb, a)] else jb
             into, c_into = (1, 0.0) if q == ta else (-1, jl)
             forms.append((w, float(out + into), c_out + vdist[(near, q)] + c_into))
-        den = math.fsum(w * al * al for w, al, _ in forms)
+        den = math.fsum(weights + [w * al * al for w, al, _ in forms]) if forms else total
         if den == 0.0:
-            z = current if current.edge == i or current.vertex in (a, b) else tree.vertex_point(a)
+            z = held if current.edge == i or current.vertex in (a, b) else (None, 0.0, a)
         else:
-            s = min(max(-math.fsum(w * al * be for w, al, be in forms) / den, 0.0), L)
+            num = math.fsum([w * be for w, be in zip(weights, betas)] + [w * al * be for w, al, be in forms])
+            s = min(max(-num / den, 0.0), L)
             try:
-                z = tree.point(i, s if p == 2.0 else _form_argmin(p, forms, L, s))
+                if p != 2.0:
+                    s = _form_argmin(p, [(w, 1.0, be) for w, be in zip(weights, betas)] + forms, L, s)
             except OverflowError:  # a power past the float range: the p = 2 point
-                z = tree.point(i, s)
-        s = z.offset if z.vertex is None else (0.0 if z.vertex == a else L)
+                pass
+            z = tree.snap(i, s)
+        s = z[1] if z[2] is None else (0.0 if z[2] == a else L)
         try:
-            fz = math.fsum(w * abs(al * s + be) ** p for w, al, be in forms)
+            fz = math.fsum(
+                [w * abs(s + be) ** p for w, be in zip(weights, betas)]
+                + [w * abs(al * s + be) ** p for w, al, be in forms]
+            )
         except OverflowError:  # inf, as in _local_objective
             fz = math.inf
-        if best is None or fz < fbest or (fz == fbest and z is current):
+        if best is None or fz < fbest or (fz == fbest and z is held):
             best, fbest = z, fz
-    return best
+    return current if best is held else TreePoint(*best)
 
 
 def _norm_blocks(space):

@@ -361,8 +361,7 @@ def uc_witness_of_distances(
 ) -> UCWitnessReport:
     """The half of ``uc_witness_batch`` that depends on p, from the
     ``uc_distances`` of the triples.  Without ``r``, each radius is the
-    least one the precondition admits, max(rho(phi_1, psi), rho(phi_2,
-    psi), 1e-9), from the p-means that the check computes anyway."""
+    least the precondition admits, max(rho(phi_1, psi), rho(phi_2, psi), 1e-9)."""
     d1, d2, d12, d_mid = distances
     rho = np.maximum(p_mean(p, weights, d1), p_mean(p, weights, d2))
     r = np.maximum(rho, 1e-9) if r is None else np.asarray(r, dtype=float)

@@ -574,8 +574,7 @@ class Product:
 
     def distance(self, x, y) -> float:
         """(sum_i d_i(x_i, y_i)^q)^(1/q), scaled where the power sum leaves
-        the normal range (:func:`_lq_norm`).  Each factor's ``distance``
-        checks its part."""
+        the normal range (:func:`_lq_norm`); each factor's distance checks its part."""
         if not (isinstance(x, tuple) and isinstance(y, tuple) and len(x) == len(y) == len(self.factors)):
             raise SpaceMismatchError(f"product point arity mismatch: {x!r}, {y!r}")
         return _lq_norm([f.distance(a, b) for f, a, b in zip(self.factors, x, y)], self.q)
@@ -974,9 +973,8 @@ def isometry_of(space, T) -> bool:
 
 
 def is_identity(space, T) -> bool:
-    """Whether T is the identity of ``space``, decided exactly from its data:
-    the identity matrix with shift 0, the identity permutation with signs +1
-    and shift 0, the identity vertex map, or a product of identities."""
+    """Whether T is the identity of ``space``, exactly from its data: matrix I,
+    identity permutation and signs +1, shift 0, identity vertex map, or parts of these."""
     return T == identity_isometry(space)
 
 
