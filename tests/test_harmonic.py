@@ -934,8 +934,9 @@ def symmetric_tree(rng):
 
 
 def tree_cells(rng, count):
-    """Random tree cells with loop terms: a star with leaf permutations, or
-    a symmetric tree with its swap; point terms on all of them."""
+    """Random tree cells (tree, point terms, loop terms): a star with leaf
+    permutations, or a symmetric tree with its swap; the first half keep the
+    loops, the second half only the point terms."""
     for k in range(count):
         if k % 2 == 0:
             n = int(rng.integers(3, 7))
