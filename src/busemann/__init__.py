@@ -10,7 +10,6 @@ from busemann.spaces import (
     MetricTree,
     Product,
     TreePoint,
-    geodesic_point,
     midpoint,
     star_tree,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "Product",
     "TreePoint",
     "energy",
-    "geodesic_point",
     "map_distance",
     "midpoint",
     "minimize_energy",

@@ -1,30 +1,24 @@
 """Convexity toolkit for geodesic metric spaces.
 
 Everything here only uses the metric/midpoint structure of a space:
-modulus-of-convexity estimation, nearest-point projections onto convex
-sets, minimax circumcenters, iterated midpoint hulls, derivative-free
-convex minimization, linear-growth certificates for coercive convex
-functions, displacement functions of finite isometry sets, parallelism
-of segments, and detection of Clifford isometries (constant displacement).
+modulus-of-convexity estimation, minimax circumcenters, iterated midpoint
+hulls, derivative-free convex minimization, parallelism of segments, and
+detection of Clifford isometries (constant displacement).
 
-The derivative-free searches share two private primitives.
-:func:`_shrinking_search` is the one best-of-candidates loop: it scores the
+:func:`minimize_convex` and the polish of :func:`circumcenter` share one
+shrinking-radius search, :func:`_shrinking_search`: it scores the
 candidates around the incumbent, moves to the best one that is strictly
-lower, and otherwise halves the radius.  :func:`minimize_convex`, the
-midpoint-hull and sublevel-set projections and the polish of
-:func:`circumcenter` supply only their candidates, start radius and floor.
-:func:`_bisect` is the one 60-step bisection, behind the boundary snap of
-the sublevel-set projection and :func:`linear_growth_bound`.  The pair
-search of :func:`modulus_estimate` is separate: it accepts each improving
-candidate in turn.
+lower, and otherwise halves the radius; each caller supplies only its
+candidates, start radius and floor.  The pair search of
+:func:`modulus_estimate` is separate: it accepts each improving candidate
+in turn.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,148 +29,23 @@ from busemann.spaces import (
     LpVector,
     MetricTree,
     SolverError,
-    ValidationError,
-    identity_isometry,
-    is_identity,
-    isometry_of,
     midpoint,
     perturb,
     step_toward,
 )
 
 __all__ = [
-    "Ball",
-    "MidpointHull",
-    "AffineSubspace",
-    "Subtree",
-    "SublevelSet",
-    "ConvexFunction",
-    "FiniteGroupAction",
     "ModulusEstimate",
-    "GrowthBound",
     "CliffordReport",
-    "sampled_convexity_defect",
-    "member",
     "modulus_estimate",
-    "project",
     "circumcenter",
     "hull_iterate",
     "farthest_point_subsample",
     "minimize_convex",
-    "linear_growth_bound",
-    "displacement",
     "parallel_check",
     "parallel_check_batch",
     "clifford_check",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Convex sets and convex functions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: object
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0.0:
-            raise ValidationError("ball radius must be nonnegative")
-
-
-@dataclass(frozen=True)
-class MidpointHull:
-    """Closed convex hull of finitely many generators, approximated by the
-    midpoint-closure recursion at the given depth."""
-
-    generators: tuple
-    depth: int = 6
-
-
-@dataclass(frozen=True)
-class AffineSubspace:
-    """Affine subspace of a Euclidean space: base point + orthonormal rows."""
-
-    base: tuple
-    directions: tuple  # tuple of orthonormal direction tuples
-
-    def __post_init__(self):
-        d = np.asarray(self.directions, dtype=float)
-        if d.size and np.max(np.abs(d @ d.T - np.eye(d.shape[0]))) > 1e-9:
-            raise ValidationError("spanning directions must be orthonormal")
-
-
-@dataclass(frozen=True)
-class Subtree:
-    """Convex subtree of a metric tree, given by a path-closed vertex set."""
-
-    vertices: frozenset
-
-    def __init__(self, vertices):
-        object.__setattr__(self, "vertices", frozenset(vertices))
-
-
-@dataclass(frozen=True)
-class SublevelSet:
-    f: "ConvexFunction"
-    level: float
-
-
-@dataclass(frozen=True)
-class ConvexFunction:
-    """Evaluation oracle declared convex, with its certificate mode."""
-
-    fn: Callable
-    certificate: str = "sampled"  # "exact-by-construction" | "sampled"
-    name: str = ""
-
-    def __call__(self, x) -> float:
-        return float(self.fn(x))
-
-
-@dataclass(frozen=True)
-class FiniteGroupAction:
-    """A finite set of generating isometries acting on a space, each an
-    isometry of it by :func:`busemann.spaces.isometry_of`.
-
-    The generating set is required to contain the identity; if it does not,
-    the identity is appended (with a warning) so displacement computations
-    follow the usual convention.
-    """
-
-    space: object
-    generators: tuple
-
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        if not all(isometry_of(self.space, g) for g in gens):
-            raise ValidationError("a generator is not an isometry of the space")
-        if not any(is_identity(self.space, g) for g in gens):
-            warnings.warn("generating set does not contain the identity; adding it")
-            gens = gens + (identity_isometry(self.space),)
-        object.__setattr__(self, "generators", gens)
-
-
-def sampled_convexity_defect(
-    space, f, rng: np.random.Generator, samples: int = 200, tol: float = GEO_TOL
-) -> float:
-    """Worst midpoint-convexity violation of f along sampled geodesics.
-
-    Nonpositive (up to tol * scale) when the declared convexity certificate
-    of a :class:`ConvexFunction` holds on the sample.
-    """
-    worst = -math.inf
-    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
-    for _ in range(samples):
-        x = space.sample(rng)
-        y = space.sample(rng)
-        vals = [float(f(space.geodesic(x, y, t))) for t in grid]
-        scale = 1.0 + max(abs(v) for v in vals)
-        for i in range(1, len(grid) - 1):
-            worst = max(worst, (vals[i] - 0.5 * (vals[i - 1] + vals[i + 1])) / scale)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +68,6 @@ def _shrinking_search(f, x, fx, rho, floor, candidates):
         else:
             x, fx = best, fbest
     return x, fx
-
-
-def _bisect(pred, good: float, bad: float) -> float:
-    """60 halvings of the interval between ``good`` (where ``pred`` holds)
-    and ``bad`` (where it fails); returns the good end."""
-    for _ in range(60):
-        mid = 0.5 * (good + bad)
-        if pred(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
 
 
 def minimize_convex(
@@ -396,147 +253,6 @@ def modulus_estimate(space, x, eps: float, r: float, budget: int = 10_000, seed:
 
 
 # ---------------------------------------------------------------------------
-# Projections
-# ---------------------------------------------------------------------------
-
-
-def member(space, y, cset, tol: float = 1e-9) -> bool:
-    """Approximate membership test for the convex-set variants."""
-    if isinstance(cset, Ball):
-        return space.distance(y, cset.center) <= cset.radius + tol
-    if isinstance(cset, AffineSubspace):
-        return space.distance(y, _affine_project(space, y, cset)) <= tol
-    if isinstance(cset, Subtree):
-        return _subtree_contains(space, y, cset)
-    if isinstance(cset, SublevelSet):
-        return cset.f(y) <= cset.level + tol
-    if isinstance(cset, MidpointHull):
-        cloud = hull_iterate(space, list(cset.generators), cset.depth)
-        return min(space.distance(y, c) for c in cloud) <= max(
-            tol, _cloud_spacing(space, cloud)
-        )
-    raise DomainError(f"unknown convex set {cset!r}")
-
-
-def _cloud_spacing(space, cloud) -> float:
-    if len(cloud) < 2:
-        return 0.0
-    diam = max(space.distance(cloud[0], c) for c in cloud)
-    return 2.0 * diam / math.sqrt(max(len(cloud), 1))
-
-
-def _affine_project(space, x, cset: AffineSubspace):
-    base = np.asarray(cset.base)
-    dirs = np.asarray(cset.directions, dtype=float)
-    v = np.asarray(x, dtype=float) - base
-    if dirs.size == 0:
-        return tuple(float(c) for c in base)
-    return tuple(float(c) for c in base + dirs.T @ (dirs @ v))
-
-
-def _subtree_contains(tree: MetricTree, y, cset: Subtree) -> bool:
-    if y.vertex is not None:
-        return y.vertex in cset.vertices
-    u, v, _ = tree.edges[y.edge]
-    return u in cset.vertices and v in cset.vertices
-
-
-def project(space, x, cset, tol: float = 1e-6, seed: int = 0, check_uniqueness: bool = False):
-    """Nearest point of a convex set (exact for balls, affine subspaces and
-    subtrees; iterative for midpoint hulls and sublevel sets).
-
-    With ``check_uniqueness`` the iterative variants re-run from an
-    independent start and require agreement within 10 * tol.
-    """
-    if isinstance(cset, Ball):
-        d = space.distance(x, cset.center)
-        if d <= cset.radius:
-            return x
-        if cset.radius == 0.0:
-            return cset.center
-        # radial projection is exact in any uniquely geodesic space
-        return space.geodesic(cset.center, x, cset.radius / d)
-    if isinstance(cset, AffineSubspace):
-        if not isinstance(space, Euclidean):
-            raise DomainError("affine subspaces are supported in Euclidean spaces only")
-        return _affine_project(space, x, cset)
-    if isinstance(cset, Subtree):
-        return _project_subtree(space, x, cset)
-    if isinstance(cset, (MidpointHull, SublevelSet)):
-        search = _project_hull if isinstance(cset, MidpointHull) else _project_sublevel
-        p = search(space, x, cset, tol, seed)
-        if check_uniqueness and space.distance(p, search(space, x, cset, tol, seed + 1)) > 10.0 * tol:
-            raise SolverError("projection restarts disagree", best=p)
-        return p
-    raise DomainError(f"unknown convex set {cset!r}")
-
-
-def _project_subtree(tree: MetricTree, x, cset: Subtree):
-    verts = cset.vertices
-    if not verts:
-        raise DomainError("empty subtree")
-    for v in verts:
-        if v not in tree._adj:
-            raise DomainError(f"subtree vertex {v!r} not in tree")
-    # path-closure <=> the induced subgraph is connected
-    if len(verts) > 1:
-        seen = {next(iter(verts))}
-        stack = [next(iter(verts))]
-        while stack:
-            w = stack.pop()
-            for n, _ in tree._adj[w]:
-                if n in verts and n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        if seen != verts:
-            raise ValidationError("subtree vertex set is not path-closed")
-    if _subtree_contains(tree, x, cset):
-        return x
-    best_v = min(verts, key=lambda v: (tree.distance(x, tree.vertex_point(v)), str(v)))
-    return tree.vertex_point(best_v)
-
-
-def _project_hull(space, x, cset: MidpointHull, tol: float, seed: int):
-    cloud = hull_iterate(space, list(cset.generators), cset.depth)
-    rng = np.random.default_rng(seed)
-    p = min(cloud, key=lambda c: space.distance(x, c))
-
-    def candidates(cur, rho):
-        out = [step_toward(space, cur, g, rho) for g in cset.generators]
-        return out + [step_toward(space, cur, cloud[int(rng.integers(0, len(cloud)))], rho) for _ in range(4)]
-
-    fx = space.distance(x, p)
-    return _shrinking_search(lambda y: space.distance(x, y), p, fx, max(fx, 1e-3), tol * 0.05, candidates)[0]
-
-
-def _project_sublevel(space, x, cset: SublevelSet, tol: float, seed: int):
-    f, level = cset.f, cset.level
-    if f(x) <= level:
-        return x
-    # locate an interior anchor by minimizing f; detects empty sublevel sets
-    anchor = minimize_convex(space, f, x, tol=min(tol, 1e-6), seed=seed, radius0=1.0)
-    if f(anchor) > level:
-        raise DomainError(f"sublevel set at level {level} appears to be empty")
-
-    def snap(y):
-        # geodesic bisection from y toward the anchor, onto the boundary
-        if f(y) <= level:
-            return y
-        t = _bisect(lambda t: f(space.geodesic(y, anchor, t)) <= level, 1.0, 0.0)
-        return space.geodesic(y, anchor, t)
-
-    rng = np.random.default_rng(seed)
-
-    def candidates(cur, rho):
-        out = [snap(perturb(space, cur, rng, rho)) for _ in range(8)]
-        return out + [snap(step_toward(space, cur, x, min(rho, space.distance(cur, x))))]
-
-    p = snap(x)
-    fx = space.distance(x, p)
-    return _shrinking_search(lambda y: space.distance(x, y), p, fx, max(fx, 1e-3), tol * 0.05, candidates)[0]
-
-
-# ---------------------------------------------------------------------------
 # Circumcenters
 # ---------------------------------------------------------------------------
 
@@ -694,64 +410,8 @@ def farthest_point_subsample(space, pts: Sequence, k: int):
 
 
 # ---------------------------------------------------------------------------
-# Linear growth of coercive convex functions
+# Parallel segments, Clifford isometries
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class GrowthBound:
-    b: float
-    witness: object
-    margin: float
-
-
-def linear_growth_bound(
-    space,
-    f,
-    x0,
-    sample_radius: float,
-    budget: int = 512,
-    seed: int = 0,
-) -> GrowthBound:
-    """Largest b (from a bisection grid) with f(x) >= b * d(x, x0) - 1/b on
-    all sampled points within ``sample_radius`` of x0.
-
-    The requirement strengthens monotonically with b, so bisection applies.
-    Raises if no positive b passes (f is then not positive/coercive on the
-    sample).  When even the cap b = 1e6 passes, the cap is returned.
-    """
-    b_cap = 1e6
-    rng = np.random.default_rng(seed)
-    samples = [x0] + [perturb(space, x0, rng, sample_radius) for _ in range(budget - 1)]
-    data = [(space.distance(s, x0), float(f(s)), s) for s in samples]
-
-    def ok(b):
-        worst, wit = math.inf, None
-        for d, fv, s in data:
-            margin = fv - (b * d - 1.0 / b)
-            if margin < worst:
-                worst, wit = margin, s
-        return worst >= -1e-12, worst, wit
-
-    lo = 1e-9
-    good, worst, _ = ok(lo)
-    if not good:
-        raise SolverError("no positive b satisfies the linear growth bound", best=worst)
-    while lo < b_cap and ok(min(lo * 4.0, b_cap))[0]:
-        lo = min(lo * 4.0, b_cap)
-    b = lo if lo >= b_cap else _bisect(lambda b: ok(b)[0], lo, min(lo * 4.0, b_cap))
-    _, worst, wit = ok(b)
-    return GrowthBound(b, wit, worst)
-
-
-# ---------------------------------------------------------------------------
-# Displacement, parallel segments, Clifford isometries
-# ---------------------------------------------------------------------------
-
-
-def displacement(action: FiniteGroupAction, x) -> float:
-    """max over the generating set of d(g x, x)."""
-    return max(action.space.distance(g.apply(x), x) for g in action.generators)
 
 
 def parallel_check(space, a, b, x, y, tol: float = GEO_TOL) -> bool:

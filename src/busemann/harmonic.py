@@ -39,15 +39,13 @@ solves use the scalar engine.  On compiled terms the energy is a quadratic
 form, and :func:`quadratic_minimizer` gives its minimum-norm minimizer and
 its number of flat directions without sweeps.
 
-Besides the plain minimizer this module provides the norm-minimal selection,
-lexicographic minimization across edge classes, and report-style checks of
-the structure shared by all minimizers (midpoints of minimizers minimize;
-transported edge segments of two minimizers are parallel).  The
-norm-minimal selection is one function, :func:`norm_minimal_minimizer`,
-also called by :func:`busemann.commensurability.subgroup_harmonic`: exact
-on compiled terms, the vanishing-penalty homotopy toward the base point
-elsewhere.  The staged solvers report through :func:`_staged_report`:
-every report's ``iterations`` counts all the sweeps that its solve ran.
+Besides the plain minimizer this module provides the norm-minimal selection
+and lexicographic minimization across edge classes.  The norm-minimal
+selection is one function, :func:`norm_minimal_minimizer`, also called by
+:func:`busemann.commensurability.subgroup_harmonic`: exact on compiled
+terms, the vanishing-penalty homotopy toward the base point elsewhere.
+The staged solvers report through :func:`_staged_report`: every report's
+``iterations`` counts all the sweeps that its solve ran.
 
 Exponents p != 2 are accepted throughout; off trees they are handled by
 the generic local search.  Treat those paths as experimental (the convexity
@@ -65,13 +63,12 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from busemann.convexity import minimize_convex, parallel_check
+from busemann.convexity import minimize_convex
 from busemann.mapspace import (
     EquivariantMap,
     MeasureModel,
     const_map,
     map_distance,
-    map_midpoint,
     map_norm,
 )
 from busemann.spaces import (
@@ -86,7 +83,7 @@ from busemann.spaces import (
     SpaceMismatchError,
     TreePoint,
     ValidationError,
-    is_identity,
+    identity_isometry,
     isometry_of,
 )
 
@@ -100,13 +97,10 @@ __all__ = [
     "IdentityConventionWarning",
     "energy",
     "energy_by_class",
-    "frechet_mean",
     "minimize_energy",
     "norm_minimal_minimizer",
     "quadratic_minimizer",
     "lexicographic_minimize",
-    "harmonic_properties_check",
-    "HarmonicFactsReport",
     "conjugate_problem",
 ]
 
@@ -181,25 +175,17 @@ class TermEnergy:
 class EquivariantProblem(TermEnergy):
     """Finite weighted quotient graph with isometry-labeled edges.  Every
     edge twist must be an isometry of the target by
-    :func:`busemann.spaces.isometry_of`.
-
-    ``symmetry`` optionally declares a cell bijection (dict) under which the
-    model is invariant; report-style checks use it to test constancy of edge
-    distances across symmetric cells.
-    """
+    :func:`busemann.spaces.isometry_of`."""
 
     model: MeasureModel
     target: object
     base_point: object
     edges: tuple
     p: float = 2.0
-    symmetry: Optional[tuple] = None
 
     def __post_init__(self):
         edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
-        if self.symmetry is not None and not isinstance(self.symmetry, tuple):
-            object.__setattr__(self, "symmetry", tuple(sorted(dict(self.symmetry).items(), key=str)))
         self.target.validate_point(self.base_point)
         if not (1.0 < self.p < math.inf):
             raise ValidationError("energy exponent p must lie in (1, inf)")
@@ -217,7 +203,8 @@ class EquivariantProblem(TermEnergy):
                 raise ValidationError("edge twist is not an isometry of the target")
         if classes and classes != set(range(1, max(classes) + 1)):
             raise ValidationError("edge class indices must be contiguous 1..k")
-        if edges and not any(is_identity(self.target, e.twist) for e in edges):
+        identity = identity_isometry(self.target)
+        if edges and not any(e.twist == identity for e in edges):
             warnings.warn(
                 "edge twist set does not contain the identity isometry",
                 IdentityConventionWarning,
@@ -621,23 +608,6 @@ def _newton_local(space, norm_blocks, point_terms, loop_terms, current, f, tol):
             break  # no step above the floor decreases f
         z, fz = cand, fc
     return unflat(z), f0, fz
-
-
-def frechet_mean(space, pts: Sequence, weights: Sequence[float], p: float = 2.0, tol: float = 1e-9, seed: int = 0):
-    """Minimizer of sum_i w_i d(z, pt_i)^p.
-
-    For Euclidean targets with p = 2 this is the weighted arithmetic mean,
-    computed exactly; other targets use the same local machinery as the
-    energy minimizer.
-    """
-    pts = list(pts)
-    weights = [float(w) for w in weights]
-    if not pts or len(pts) != len(weights):
-        raise DomainError("points/weights mismatch or empty input")
-    if any(w < 0 for w in weights) or not any(w > 0 for w in weights):
-        raise DomainError("weights must be nonnegative and not all zero")
-    terms = [(w, u) for w, u in zip(weights, pts) if w > 0.0]
-    return _solve_local(space, p, terms, [], terms[0][1], tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1079,7 +1049,10 @@ def minimize_energy(
     (:attr:`TermEnergy.arrays`: Euclidean target, p = 2, Euclidean
     transports) and no ``anchor`` is given, with the scalar engine's
     numbers (bit for bit in one dimension), and on the scalar engine
-    otherwise.  ``extras`` records the ``objective``, the ``engine``
+    otherwise.  A compiled solve raises :class:`SolverError` when, at the
+    map it would return, a nonzero shift component b of some term loses
+    more than half its value to rounding, |((M x + b) - M x) - b| > |b|/2.
+    ``extras`` records the ``objective``, the ``engine``
     ("compiled" or "scalar"), the ``stop_reason`` ("converged" or
     "max_sweeps") and ``local_solves``, the local solves by path
     (:data:`LOCAL_PATHS`, see :func:`_solve_local`).
@@ -1123,6 +1096,17 @@ def minimize_energy(
         values, obj, sweeps, converged, trace = _compiled_sweeps(
             plan, phi.values, tol, max_sweeps, compiled_row, counts
         )
+        # a shift that rounding takes out of M x + b drops out of its term, and
+        # the energy then misses it
+        moved = _apply_rows(k.matrix, np.zeros_like(k.shift), np.array(values)[k.c2])
+        lost = np.abs((moved + k.shift) - moved - k.shift) > 0.5 * np.abs(k.shift)
+        if lost.any():
+            t, i = np.argwhere(lost)[0]
+            raise SolverError(
+                f"absorbed shift: the shift {float(k.shift[t, i])!r} of term {t} is lost to"
+                f" rounding at the coordinate {float(moved[t, i])!r}",
+                best=EquivariantMap(prob.model, space, tuple(values)),
+            )
     else:
         engine = "scalar"
         if scales is None:
@@ -1289,70 +1273,6 @@ def lexicographic_minimize(
         phi = rep.solution
         minima[cls] = energy(prob, phi, classes={cls})
     return _staged_report(prob, phi, energy(prob, phi), reports, stage_minima=dict(minima))
-
-
-# ---------------------------------------------------------------------------
-# Structure checks for pairs of minimizers
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class HarmonicFactsReport:
-    energies: tuple
-    midpoint_energy: float
-    midpoint_ok: bool
-    parallel_failures: tuple
-    parallel_checked: int
-    symmetry_spread: Optional[float]
-    symmetry_ok: Optional[bool]
-
-
-def harmonic_properties_check(
-    prob: EquivariantProblem,
-    phi: EquivariantMap,
-    psi: EquivariantMap,
-    tol: float = 1e-7,
-) -> HarmonicFactsReport:
-    """Report-style check of the facts shared by energy minimizers.
-
-    (a) the cellwise midpoint of two minimizers is again a minimizer (its
-    energy does not exceed the larger of the two); (b) for every edge, the
-    twist-transported segments of the two maps are parallel; (c) when the
-    problem declares a cell symmetry, transported edge distances agree across
-    symmetric edges.
-    """
-    e1, e2 = energy(prob, phi), energy(prob, psi)
-    if abs(e1 - e2) > max(tol, 1e-9 * (1.0 + max(e1, e2))):
-        raise DomainError("maps are not energy-comparable minimizer candidates")
-    mid = map_midpoint(phi, psi)
-    em = energy(prob, mid)
-    space = prob.target
-    idx = {c: i for i, c in enumerate(prob.model.cells)}
-    # the transported edge segment (T f(src), f(dst)) of a map f
-    ends = lambda e, f: (e.twist.apply(f.values[idx[e.src]]), f.values[idx[e.dst]])
-    failures = [
-        k for k, e in enumerate(prob.edges)
-        if not parallel_check(space, *ends(e, phi), *ends(e, psi), tol=max(tol, 1e-9))
-    ]
-    spread = sym_ok = None
-    if prob.symmetry is not None:
-        sym = dict(prob.symmetry)
-        by_key = {}
-        for e in prob.edges:
-            by_key.setdefault((e.src, e.dst, e.cls, e.twist.key()), []).append(e)
-        images = [(e, by_key.get((sym.get(e.src), sym.get(e.dst), e.cls, e.twist.key()))) for e in prob.edges]
-        length = lambda e: space.distance(*ends(e, phi))
-        spread = max([0.0] + [abs(length(e) - length(img[0])) for e, img in images if img])
-        sym_ok = spread <= tol
-    return HarmonicFactsReport(
-        energies=(e1, e2),
-        midpoint_energy=em,
-        midpoint_ok=em <= max(e1, e2) + tol,
-        parallel_failures=tuple(failures),
-        parallel_checked=len(prob.edges),
-        symmetry_spread=spread,
-        symmetry_ok=sym_ok,
-    )
 
 
 def conjugate_problem(prob: EquivariantProblem, cell_map: dict, lam) -> EquivariantProblem:

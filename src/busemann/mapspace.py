@@ -17,13 +17,14 @@ target.  ``uc_witness_check`` certifies this numerically; ``mazur_map``
 implements the sphere-preserving map between scalar L_p and L_q fields.
 
 The sampled verify suites run the array kernels beside them:
-``uc_witness_batch`` checks a block of triples and ``mazur_map_batch`` maps
-a block of fields in one pass over numpy arrays (map batches are point
-arrays with one row per sample, in the form the target's ``distance_batch``
-takes), with no object per sample.  On a tree the kernel never builds the
-midpoint map: in an R-tree d(z, mid(x, y)) = max(d(x, z), d(y, z)) -
-d(x, y)/2, so three distance batches give rho(mid, psi).  The scalar
-functions stay the reference the kernels are tested against.
+``uc_distances`` and ``uc_witness_of_distances`` check a block of triples
+and ``mazur_map_batch`` maps a block of fields in one pass over numpy
+arrays (map batches are point arrays with one row per sample, in the form
+the target's ``distance_batch`` takes), with no object per sample.  On a
+tree the kernel never builds the midpoint map: in an R-tree
+d(z, mid(x, y)) = max(d(x, z), d(y, z)) - d(x, y)/2, so three distance
+batches give rho(mid, psi).  The scalar functions stay the reference the
+kernels are tested against.
 """
 
 from __future__ import annotations
@@ -55,14 +56,12 @@ __all__ = [
     "map_distance",
     "map_norm",
     "map_midpoint",
-    "map_geodesic",
     "p_mean",
     "banach_lp_modulus",
     "hilbert_modulus",
     "linear_modulus_bound",
     "UCWitnessReport",
     "uc_witness_check",
-    "uc_witness_batch",
     "uc_distances",
     "uc_witness_of_distances",
     "mazur_map",
@@ -152,7 +151,7 @@ def map_distance(p: float, phi: EquivariantMap, psi: EquivariantMap) -> float:
 
 def p_mean(p: float, weights, d: np.ndarray) -> np.ndarray:
     """(sum_w mu_w d_w^p)^(1/p) over the last axis of d: ``map_distance`` of
-    map pairs from their cellwise ``distance_batch`` (see ``uc_witness_batch``)."""
+    map pairs from their cellwise ``distance_batch`` (see ``uc_distances``)."""
     if not (1.0 < p < math.inf):
         raise DomainError("exponent p must lie in (1, inf)")
     terms = np.asarray(weights, dtype=float) * np.float_power(d, p)
@@ -168,12 +167,6 @@ def map_midpoint(phi: EquivariantMap, psi: EquivariantMap) -> EquivariantMap:
     _check_compatible(phi, psi)
     t = phi.target
     return phi.with_values(midpoint(t, a, b) for a, b in zip(phi.values, psi.values))
-
-
-def map_geodesic(phi: EquivariantMap, psi: EquivariantMap, s: float) -> EquivariantMap:
-    _check_compatible(phi, psi)
-    t = phi.target
-    return phi.with_values(t.geodesic(a, b, s) for a, b in zip(phi.values, psi.values))
 
 
 # ---------------------------------------------------------------------------
@@ -324,26 +317,12 @@ def uc_witness_check(
     return UCWitnessReport(eps, tau, bound, rho_mid, slack, slack >= -1e-12 * r, regime)
 
 
-def uc_witness_batch(
-    p: float, delta: Callable[[float], float], target, weights, psi, phi1, phi2, r
-) -> UCWitnessReport:
-    """``uc_witness_check`` on a batch of triples, one pass over arrays:
-    ``uc_witness_of_distances`` on their ``uc_distances``.
-
-    psi, phi1 and phi2 hold one map per sample, as point arrays of a
-    Euclidean, l_p or tree target with one column per cell; r holds one
-    radius per sample.  Returns a report whose fields are arrays with one
-    entry per sample.  Raises when any triple violates the precondition
-    rho(phi_i, psi) <= r.
-    """
-    return uc_witness_of_distances(p, delta, weights, uc_distances(target, psi, phi1, phi2), r)
-
-
 def uc_distances(target, psi, phi1, phi2) -> tuple:
     """The cellwise distances d(phi1, psi), d(phi2, psi), d(phi1, phi2) and
-    d(mid(phi1, phi2), psi) of a batch of triples (see ``uc_witness_batch``).
-    None depends on p, so a caller checking one batch at several p computes
-    them once."""
+    d(mid(phi1, phi2), psi) of a batch of triples.  psi, phi1 and phi2 hold
+    one map per sample, as point arrays of a Euclidean, l_p or tree target
+    with one column per cell.  None of the distances depends on p, so a
+    caller checking one batch at several p computes them once."""
     dist = target.distance_batch
     d1, d2, d12 = dist(phi1, psi), dist(phi2, psi), dist(phi1, phi2)
     if isinstance(target, MetricTree):
@@ -359,9 +338,12 @@ def uc_distances(target, psi, phi1, phi2) -> tuple:
 def uc_witness_of_distances(
     p: float, delta: Callable[[float], float], weights, distances, r=None
 ) -> UCWitnessReport:
-    """The half of ``uc_witness_batch`` that depends on p, from the
-    ``uc_distances`` of the triples.  Without ``r``, each radius is the
-    least the precondition admits, max(rho(phi_1, psi), rho(phi_2, psi), 1e-9)."""
+    """``uc_witness_check`` on a batch of triples from their
+    ``uc_distances``: a report whose fields are arrays with one entry per
+    sample.  ``r`` holds one radius per sample; without it, each radius is
+    the least the precondition admits, max(rho(phi_1, psi), rho(phi_2, psi),
+    1e-9).  Raises when any triple violates the precondition
+    rho(phi_i, psi) <= r."""
     d1, d2, d12, d_mid = distances
     rho = np.maximum(p_mean(p, weights, d1), p_mean(p, weights, d2))
     r = np.maximum(rho, 1e-9) if r is None else np.asarray(r, dtype=float)

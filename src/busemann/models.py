@@ -83,7 +83,7 @@ def consensus_model(cells: int = 4, spread: float = 1.0) -> GeneratedModel:
 def dihedral_line_problem(cells: int = 3) -> EquivariantProblem:
     """Cells discretizing [0, 1) for the line with a mirror at 0: chain edges
     with a translation wrap, plus translation and reflection loops with
-    h-weights on every cell.  The symmetry c_i -> c_{cells-1-i} is declared."""
+    h-weights on every cell."""
     if cells < 2:
         raise DomainError("dihedral-line needs at least 2 cells")
     e1 = Euclidean(1)
@@ -99,10 +99,7 @@ def dihedral_line_problem(cells: int = 3) -> EquivariantProblem:
     for n in names:
         edges.append(Edge(n, n, 1.0, t1))
         edges.append(Edge(n, n, 1.0, r0))
-    symmetry = {names[i]: names[cells - 1 - i] for i in range(cells)}
-    return EquivariantProblem(
-        m, e1, (0.0,), tuple(edges), symmetry=tuple(sorted(symmetry.items()))
-    )
+    return EquivariantProblem(m, e1, (0.0,), tuple(edges))
 
 
 def dihedral_line_model(cells: int = 3) -> GeneratedModel:

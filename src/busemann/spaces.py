@@ -916,11 +916,6 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def geodesic_point(space, x, y, t: float):
-    """The point z on the geodesic [x, y] with d(x, z) = t * d(x, y)."""
-    return space.geodesic(x, y, t)
-
-
 def midpoint(space, x, y):
     return space.geodesic(x, y, 0.5)
 
@@ -970,12 +965,6 @@ def isometry_of(space, T) -> bool:
             and all(isometry_of(f, part) for f, part in zip(space.factors, T.parts))
         )
     return False
-
-
-def is_identity(space, T) -> bool:
-    """Whether T is the identity of ``space``, exactly from its data: matrix I,
-    identity permutation and signs +1, shift 0, identity vertex map, or parts of these."""
-    return T == identity_isometry(space)
 
 
 def star_tree(leaves: int = 3, edge_length: float = 1.0) -> MetricTree:

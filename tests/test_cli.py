@@ -119,6 +119,28 @@ def test_solve_lp_distance_past_float_range_exit_3_without_traceback(tmp_path, c
     assert "Traceback" not in err
 
 
+def test_solve_absorbed_shift_exit_3_without_traceback(tmp_path, capsys):
+    # started at (1e16, -1e16), x + 1 rounds to x: this used to exit 0 with
+    # energy 0.0, though the minimum energy is 0.25
+    path = write_config(
+        tmp_path,
+        space={"kind": "euclidean", "dim": 1},
+        problem={
+            "cells": [{"id": "a", "weight": 0.5}, {"id": "b", "weight": 0.5}],
+            "edges": [
+                {"src": "a", "dst": "b", "weight": 1.0, "twist": {"kind": "identity"}},
+                {"src": "b", "dst": "a", "weight": 1.0, "twist": SHIFT_1},
+            ],
+            "base_point": [0.0],
+            "init": [[1e16], [-1e16]],
+        },
+    )
+    assert main(["solve", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: absorbed shift")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("v", [1e10, 1e40])
 def test_solve_lp_far_from_origin_exit_0(tmp_path, v):
     # the pattern fallback of the local solve escapes only at 1e6 times its

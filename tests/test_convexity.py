@@ -5,25 +5,14 @@ import numpy as np
 import pytest
 
 from busemann.convexity import (
-    AffineSubspace,
-    Ball,
-    ConvexFunction,
-    FiniteGroupAction,
-    MidpointHull,
-    SublevelSet,
-    Subtree,
     circumcenter,
     clifford_check,
-    displacement,
     farthest_point_subsample,
     hull_iterate,
-    linear_growth_bound,
-    member,
     minimize_convex,
     modulus_estimate,
     parallel_check,
     parallel_check_batch,
-    project,
 )
 from busemann.oracles import (
     smallest_enclosing_ball_bruteforce,
@@ -35,7 +24,6 @@ from busemann.spaces import (
     LpVector,
     MetricTree,
     Product,
-    geodesic_point,
     identity_isometry,
     midpoint,
     point_reflection,
@@ -111,71 +99,6 @@ def test_modulus_scale_invariance():
             for r in (0.1, 1.0, 10.0)
         ]
         assert max(vals) - min(vals) <= 0.05 * max(vals)
-
-
-# ---------------------------------------------------------------------------
-# projections
-# ---------------------------------------------------------------------------
-
-
-def test_project_ball_radial():
-    assert project(E2, (2.0, 0.0), Ball((0.0, 0.0), 1.0)) == (1.0, 0.0)
-    inside = (0.3, 0.1)
-    assert project(E2, inside, Ball((0.0, 0.0), 1.0)) == inside
-
-
-def test_project_subtree():
-    p = project(STAR, STAR.vertex_point("l1"), Subtree({"c", "l2"}))
-    assert p == STAR.vertex_point("c")
-
-
-def test_project_affine():
-    p = project(E2, (1.0, 1.0), AffineSubspace((0.0, 0.0), ((1.0, 0.0),)))
-    assert p == (1.0, 0.0)
-
-
-def test_project_sublevel_and_uniqueness():
-    f = ConvexFunction(lambda z: math.dist(z, (0.0, 0.0)), "exact")
-    cset = SublevelSet(f, 1.0)
-    p = project(E2, (3.0, 0.0), cset, tol=1e-7, check_uniqueness=True)
-    assert math.dist(p, (1.0, 0.0)) <= 1e-4
-    assert member(E2, p, cset, tol=1e-6)
-
-
-def test_project_empty_sublevel_errors():
-    f = ConvexFunction(lambda z: math.dist(z, (0.0, 0.0)) + 5.0, "exact")
-    from busemann.spaces import DomainError
-
-    with pytest.raises(DomainError):
-        project(E2, (3.0, 0.0), SublevelSet(f, 1.0))
-
-
-def test_project_optimality_sampled(rng):
-    # d(x, p) <= d(x, y) + tol for random members y
-    ball = Ball((0.0, 0.0), 2.0)
-    x = (5.0, 1.0)
-    p = project(E2, x, ball)
-    for _ in range(1000):
-        y = E2.sample(rng, 3.0)
-        d = E2.distance(y, (0.0, 0.0))
-        if d > 2.0:
-            y = geodesic_point(E2, (0.0, 0.0), y, 2.0 / d)
-        assert E2.distance(x, p) <= E2.distance(x, y) + 1e-9
-    sub = Subtree({"c", "l2"})
-    xq = STAR.point(0, 0.8)
-    pq = project(STAR, xq, sub)
-    for _ in range(1000):
-        t = rng.uniform(0.0, 1.0)
-        y = STAR.point(1, float(t)) if rng.uniform() < 0.5 else STAR.vertex_point("c")
-        assert STAR.distance(xq, pq) <= STAR.distance(xq, y) + 1e-9
-
-
-def test_project_hull_membership():
-    gens = [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)]
-    cset = MidpointHull(tuple(gens), depth=6)
-    p = project(E2, (3.0, 3.0), cset, tol=1e-5)
-    assert triangle_contains(gens, p, tol=1e-6)
-    assert math.dist(p, (1.0, 1.0)) <= 1e-2  # true projection onto the hypotenuse
 
 
 # ---------------------------------------------------------------------------
@@ -263,52 +186,19 @@ def test_farthest_point_subsample_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# convex minimization and growth bounds
+# convex minimization
 # ---------------------------------------------------------------------------
 
 
-def test_sampled_convexity_certificate(rng):
-    from busemann.convexity import sampled_convexity_defect
-
-    f = ConvexFunction(lambda z: math.dist(z, (1.0, 2.0)) ** 2, "sampled")
-    assert sampled_convexity_defect(E2, f, rng) <= 1e-9
-    g = ConvexFunction(lambda z: STAR.distance(z, STAR.vertex_point("l1")), "sampled")
-    assert sampled_convexity_defect(STAR, g, rng) <= 1e-9
-    bad = ConvexFunction(lambda z: -math.dist(z, (0.0, 0.0)) ** 2, "sampled")
-    assert sampled_convexity_defect(E2, bad, rng) > 1e-3
-
-
-def test_membership_closed_under_midpoints(rng):
-    ball = Ball((0.0, 0.0), 1.5)
-    sub = Subtree({"c", "l1", "l3"})
-    for _ in range(200):
-        x, y = E2.sample(rng), E2.sample(rng)
-        x = project(E2, x, ball)
-        y = project(E2, y, ball)
-        assert member(E2, midpoint(E2, x, y), ball)
-    for _ in range(200):
-        x = project(STAR, STAR.sample(rng), sub)
-        y = project(STAR, STAR.sample(rng), sub)
-        assert member(STAR, midpoint(STAR, x, y), sub)
-
-
-def test_zero_radius_ball_valid():
-    b = Ball((1.0, 1.0), 0.0)
-    assert project(E2, (5.0, 5.0), b) == (1.0, 1.0)
-    assert member(E2, (1.0, 1.0), b)
-
-
 def test_minimize_convex_absolute_value():
-    f = ConvexFunction(lambda z: abs(z[0] - 3.0), "exact")
+    f = lambda z: abs(z[0] - 3.0)
     x = minimize_convex(E1, f, (0.0,), tol=1e-8, radius0=8.0)
     assert abs(x[0] - 3.0) <= 1e-6
 
 
 def test_minimize_convex_tree_vs_grid_oracle():
     l1, l2 = STAR.vertex_point("l1"), STAR.vertex_point("l2")
-    f = ConvexFunction(
-        lambda z: STAR.distance(z, l1) ** 2 + STAR.distance(z, l2) ** 2
-    )
+    f = lambda z: STAR.distance(z, l1) ** 2 + STAR.distance(z, l2) ** 2
     x = minimize_convex(STAR, f, STAR.vertex_point("l3"), tol=1e-8)
     # dense grid over all edges
     best = min(
@@ -321,7 +211,7 @@ def test_minimize_convex_tree_vs_grid_oracle():
 
 
 def test_minimize_convex_minimax_vs_grid_oracle():
-    f = ConvexFunction(lambda z: max(z[0] + z[1], -z[0]), "exact")
+    f = lambda z: max(z[0] + z[1], -z[0])
     x = minimize_convex(E2, f, (2.0, 2.0), tol=1e-8, radius0=4.0)
     xs = np.linspace(-3, 3, 301)
     grid_best = min(max(a + b, -a) for a in xs for b in xs)
@@ -331,40 +221,9 @@ def test_minimize_convex_minimax_vs_grid_oracle():
 def test_minimize_convex_divergence_error():
     from busemann.spaces import SolverError
 
-    f = ConvexFunction(lambda z: -z[0], "sampled")  # not coercive
+    f = lambda z: -z[0]  # not coercive
     with pytest.raises(SolverError):
         minimize_convex(E1, f, (0.0,), tol=1e-8, radius0=10.0, escape_radius=100.0)
-
-
-def test_linear_growth_bound_absolute_value():
-    f = ConvexFunction(lambda z: abs(z[0]), "exact")
-    gb = linear_growth_bound(E1, f, (0.0,), sample_radius=10.0, budget=512)
-    assert gb.b >= 0.9
-    assert gb.margin >= -1e-12
-
-
-def test_linear_growth_adding_constant_helps():
-    f = ConvexFunction(lambda z: abs(z[0]), "exact")
-    g = ConvexFunction(lambda z: abs(z[0]) + 5.0, "exact")
-    bf = linear_growth_bound(E1, f, (0.0,), 10.0, budget=512).b
-    bg = linear_growth_bound(E1, g, (0.0,), 10.0, budget=512).b
-    assert bg >= bf
-
-
-def test_linear_growth_quadratic():
-    # x^2 >= b x - 1/b for all x iff b^3 <= 4; sampling can only loosen this
-    f = ConvexFunction(lambda z: z[0] ** 2, "exact")
-    gb = linear_growth_bound(E1, f, (0.0,), 10.0, budget=2048, seed=5)
-    assert gb.b == pytest.approx(4.0 ** (1.0 / 3.0), rel=0.1)
-
-
-def test_linear_growth_negative_errors():
-    from busemann.spaces import SolverError
-
-    # so negative that even the smallest grid b fails the -1/b rescue
-    f = ConvexFunction(lambda z: -1.0e12, "sampled")
-    with pytest.raises(SolverError):
-        linear_growth_bound(E1, f, (0.0,), 10.0, budget=64)
 
 
 # ---------------------------------------------------------------------------
@@ -374,38 +233,27 @@ def test_linear_growth_negative_errors():
 
 def search_results():
     l1, l2 = STAR.vertex_point("l1"), STAR.vertex_point("l2")
-    disk = SublevelSet(ConvexFunction(lambda z: math.dist(z, (0.0, 0.0))), 1.0)
-    triangle = MidpointHull(((0.0, 0.0), (2.0, 0.0), (0.0, 2.0)), depth=6)
     out = {
-        "minimize E1": minimize_convex(E1, ConvexFunction(lambda z: abs(z[0] - 3.0)), (0.0,), tol=1e-8, radius0=8.0),
+        "minimize E1": minimize_convex(E1, lambda z: abs(z[0] - 3.0), (0.0,), tol=1e-8, radius0=8.0),
         "minimize E2": minimize_convex(
-            E2, ConvexFunction(lambda z: max(z[0] + z[1], -z[0])), (2.0, 2.0), tol=1e-8, radius0=4.0
+            E2, lambda z: max(z[0] + z[1], -z[0]), (2.0, 2.0), tol=1e-8, radius0=4.0
         ),
         "minimize star": minimize_convex(
             STAR,
-            ConvexFunction(lambda z: STAR.distance(z, l1) ** 2 + STAR.distance(z, l2) ** 2),
+            lambda z: STAR.distance(z, l1) ** 2 + STAR.distance(z, l2) ** 2,
             STAR.vertex_point("l3"),
             tol=1e-8,
         ),
-        "project hull": project(E2, (2.9, 1.7), triangle, tol=1e-5, check_uniqueness=True),
-        "project sublevel": project(E2, (3.0, 0.0), disk, tol=1e-7, check_uniqueness=True),
         "circumcenter": circumcenter(E2, [(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)], tol=1e-9),
         "relative circumcenter": circumcenter(
             E2, [(0.0, 0.0), (2.0, 0.5), (0.5, 1.5)], relative=True, tol=1e-8, depth=4
         ),
         "tree circumcenter": circumcenter(STAR, [STAR.point(0, 0.3), l2, STAR.point(2, 0.8)], tol=1e-9),
-        "growth": linear_growth_bound(E1, ConvexFunction(lambda z: z[0] ** 2), (0.0,), 10.0, budget=2048, seed=5),
-        "growth at the cap": linear_growth_bound(
-            E1, ConvexFunction(lambda z: abs(z[0]) + 1e12), (0.0,), 10.0, budget=64
-        ),
     }
     from busemann.spaces import SolverError
 
-    with pytest.raises(SolverError) as fail:
-        linear_growth_bound(E1, ConvexFunction(lambda z: -1.0e12), (0.0,), 10.0, budget=64)
-    out["growth failure best"] = fail.value.best
     with pytest.raises(SolverError) as escape:
-        minimize_convex(E1, ConvexFunction(lambda z: -z[0]), (0.0,), tol=1e-8, radius0=10.0, escape_radius=100.0)
+        minimize_convex(E1, lambda z: -z[0], (0.0,), tol=1e-8, radius0=10.0, escape_radius=100.0)
     out["escape best"] = escape.value.best
     return {name: repr(value) for name, value in out.items()}
 
@@ -417,14 +265,9 @@ def test_search_results_are_pinned():
         "minimize E1": "(2.9999999999484253,)",
         "minimize E2": "(21.09802334105078, -42.19604668098702)",
         "minimize star": "TreePoint(edge=1, offset=4.742398991806242e-09, vertex=None)",
-        "project hull": "(1.6000002422845485, 0.3999997577154514)",
-        "project sublevel": "(1.0, -1.808863510769246e-09)",
         "circumcenter": "((1.0, 0.0), 1.0)",
         "relative circumcenter": "((0.9318181818266654, 0.522727272716348), 1.0684235703355267)",
         "tree circumcenter": "(TreePoint(edge=1, offset=0.09999999999999998, vertex=None), 0.9)",
-        "growth": "GrowthBound(b=1.5874104795356634, witness=(0.797055463175671,), margin=-9.999778782798785e-13)",
-        "growth at the cap": "GrowthBound(b=1000000.0, witness=(-23.250307746388344,), margin=999976749715.504)",
-        "growth failure best": "-999000000000.0",
         "escape best": "(106.09951885345859,)",
     }
 
@@ -434,31 +277,27 @@ def test_search_results_are_pinned():
 # ---------------------------------------------------------------------------
 
 
+def displacement(space, isometries, x) -> float:
+    """The displacement function max_g d(g x, x) of a finite set of isometries."""
+    return max(space.distance(g.apply(x), x) for g in isometries)
+
+
 def test_displacement_examples():
     ident = identity_isometry(E1)
     t1 = translation(E1, (1.0,))
     r0 = point_reflection(E1, (0.0,))
-    assert displacement(FiniteGroupAction(E1, (ident, t1)), (0.0,)) == 1.0
-    assert displacement(FiniteGroupAction(E1, (ident, r0)), (3.0,)) == 6.0
-    assert displacement(FiniteGroupAction(E1, (ident, r0, t1)), (-5.0,)) == 10.0
-
-
-def test_action_adds_identity_with_warning():
-    t1 = translation(E1, (1.0,))
-    with pytest.warns(UserWarning):
-        act = FiniteGroupAction(E1, (t1,))
-    assert len(act.generators) == 2
+    assert displacement(E1, (ident, t1), (0.0,)) == 1.0
+    assert displacement(E1, (ident, r0), (3.0,)) == 6.0
+    assert displacement(E1, (ident, r0, t1), (-5.0,)) == 10.0
 
 
 def test_displacement_convex_along_geodesics(rng):
     ident = identity_isometry(E1)
-    act = FiniteGroupAction(
-        E1, (ident, translation(E1, (1.0,)), point_reflection(E1, (0.5,)))
-    )
+    gens = (ident, translation(E1, (1.0,)), point_reflection(E1, (0.5,)))
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
     for _ in range(200):
         x, y = E1.sample(rng, 4.0), E1.sample(rng, 4.0)
-        vals = [displacement(act, geodesic_point(E1, x, y, t)) for t in grid]
+        vals = [displacement(E1, gens, E1.geodesic(x, y, t)) for t in grid]
         for i in range(1, len(grid) - 1):
             assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-9 * (1 + max(vals))
 

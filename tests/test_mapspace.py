@@ -15,7 +15,6 @@ from busemann.mapspace import (
     hilbert_modulus,
     linear_modulus_bound,
     map_distance,
-    map_geodesic,
     map_midpoint,
     mazur_map,
     mazur_map_batch,
@@ -25,7 +24,6 @@ from busemann.mapspace import (
     scalar_distance,
     scalar_norm,
     uc_distances,
-    uc_witness_batch,
     uc_witness_check,
     uc_witness_of_distances,
 )
@@ -146,12 +144,16 @@ def test_map_midpoint_bisects_rho(rng):
 
 def test_map_space_bnpc_sampled(rng):
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    def geodesic(phi, psi, t):  # the cellwise geodesic of two maps
+        return phi.with_values(phi.target.geodesic(a, b, t) for a, b in zip(phi.values, psi.values))
+
     for p, target in ((2.0, STAR), (1.5, E1), (3.0, LpVector(2, 3.0))):
         for _ in range(100):
             phi1, phi2 = sample_map(M2, target, rng), sample_map(M2, target, rng)
             psi1, psi2 = sample_map(M2, target, rng), sample_map(M2, target, rng)
             vals = [
-                map_distance(p, map_geodesic(phi1, phi2, t), map_geodesic(psi1, psi2, t))
+                map_distance(p, geodesic(phi1, phi2, t), geodesic(psi1, psi2, t))
                 for t in grid
             ]
             for i in range(1, len(grid) - 1):
@@ -409,7 +411,7 @@ def test_uc_witness_batch_matches_scalar_check(target, p):
     triples = uc_triples(target, rng, 300)
     delta = linear_modulus_bound(target)
     r = uc_radii(p, target, *triples)
-    rep = uc_witness_batch(p, delta, target, UC_MODEL.weights, *triples, r)
+    rep = uc_witness_of_distances(p, delta, UC_MODEL.weights, uc_distances(target, *triples), r)
     for k in range(300):
         psi, phi1, phi2 = (scalar_map(target, b, k) for b in triples)
         assert r[k] == pytest.approx(
@@ -432,12 +434,10 @@ def test_uc_witness_halves_compose_to_the_batch_kernel(target):
     delta = linear_modulus_bound(target)
     for p in (1.5, 2.0, 3.0):
         r = uc_radii(p, target, *triples)
-        whole = uc_witness_batch(p, delta, target, UC_MODEL.weights, *triples, r)
-        halves = uc_witness_of_distances(p, delta, UC_MODEL.weights, d, r)
+        whole = uc_witness_of_distances(p, delta, UC_MODEL.weights, d, r)
         # without r, the radius is the least the precondition admits
         least = uc_witness_of_distances(p, delta, UC_MODEL.weights, d)
         for name, value in vars(whole).items():
-            assert np.array_equal(getattr(halves, name), value), name
             assert np.array_equal(getattr(least, name), value), name
 
 
@@ -448,7 +448,8 @@ def test_tree_midpoint_identity_matches_map_midpoint(name):
     target = UC_TARGETS[name]
     rng = np.random.default_rng(5)
     triples = uc_triples(target, rng, 200)
-    rep = uc_witness_batch(2.0, hilbert_modulus, target, UC_MODEL.weights, *triples, uc_radii(2.0, target, *triples))
+    r = uc_radii(2.0, target, *triples)
+    rep = uc_witness_of_distances(2.0, hilbert_modulus, UC_MODEL.weights, uc_distances(target, *triples), r)
     for k in range(200):
         psi, phi1, phi2 = (scalar_map(target, b, k) for b in triples)
         assert rep.rho_mid[k] == pytest.approx(map_distance(2.0, map_midpoint(phi1, phi2), psi), rel=1e-12, abs=1e-14)
@@ -458,9 +459,9 @@ def test_uc_witness_batch_precondition():
     psi = np.zeros((2, 2, 1))
     phi = np.full((2, 2, 1), 5.0)
     with pytest.raises(DomainError):
-        uc_witness_batch(2.0, hilbert_modulus, E1, (0.5, 0.5), psi, phi, phi, np.ones(2))
+        uc_witness_of_distances(2.0, hilbert_modulus, (0.5, 0.5), uc_distances(E1, psi, phi, phi), np.ones(2))
     with pytest.raises(DomainError):
-        uc_witness_batch(2.0, hilbert_modulus, E1, (0.5, 0.5), psi, phi, phi, np.zeros(2))
+        uc_witness_of_distances(2.0, hilbert_modulus, (0.5, 0.5), uc_distances(E1, psi, phi, phi), np.zeros(2))
 
 
 @pytest.mark.parametrize("target", [E1, LpVector(3, 3.0), STAR], ids=["line", "lp(3,3)", "star-tree"])
@@ -474,7 +475,7 @@ def test_uc_witness_batch_counts_violations_of_an_inflated_modulus(target):
     triples = uc_triples(target, rng, 400)
     for p in (1.5, 2.0, 3.0):
         r = uc_radii(p, target, *triples)
-        rep = uc_witness_batch(p, inflated, target, UC_MODEL.weights, *triples, r)
+        rep = uc_witness_of_distances(p, inflated, UC_MODEL.weights, uc_distances(target, *triples), r)
         scalar = [
             uc_witness_check(p, inflated, *(scalar_map(target, b, k) for b in triples), float(r[k]))
             for k in range(400)

@@ -21,9 +21,7 @@ from busemann.spaces import (
     TreeIsometry,
     TreePoint,
     ValidationError,
-    geodesic_point,
     identity_isometry,
-    is_identity,
     isometry_of,
     midpoint,
     point_reflection,
@@ -126,31 +124,31 @@ def test_operations_carry_non_finite_points(space):
 
 
 def test_geodesic_euclidean_midpoint():
-    assert geodesic_point(E1, (0.0,), (4.0,), 0.5) == (2.0,)
+    assert E1.geodesic((0.0,), (4.0,), 0.5) == (2.0,)
 
 
 def test_geodesic_star_tree_midpoint_is_center():
     l1, l2 = STAR.vertex_point("l1"), STAR.vertex_point("l2")
-    assert geodesic_point(STAR, l1, l2, 0.5) == STAR.vertex_point("c")
+    assert STAR.geodesic(l1, l2, 0.5) == STAR.vertex_point("c")
 
 
 def test_geodesic_product_factorwise():
     pr = Product((E1, E1), 2.0)
-    z = geodesic_point(pr, ((0.0,), (0.0,)), ((2.0,), (4.0,)), 0.25)
+    z = pr.geodesic(((0.0,), (0.0,)), ((2.0,), (4.0,)), 0.25)
     assert z == ((0.5,), (1.0,))
 
 
 def test_geodesic_param_out_of_range():
     with pytest.raises(DomainError):
-        geodesic_point(E1, (0.0,), (1.0,), 1.5)
+        E1.geodesic((0.0,), (1.0,), 1.5)
 
 
 @given(coords(2), coords(2), st.floats(0, 1), st.floats(0, 1))
 def test_geodesic_consistency_euclidean(x, y, t1, t2):
     t1, t2 = min(t1, t2), max(t1, t2)
     d = E2.distance(x, y)
-    z1 = geodesic_point(E2, x, y, t1)
-    z2 = geodesic_point(E2, x, y, t2)
+    z1 = E2.geodesic(x, y, t1)
+    z2 = E2.geodesic(x, y, t2)
     assert E2.distance(z1, z2) == pytest.approx((t2 - t1) * d, abs=1e-9 * (1 + d))
 
 
@@ -167,8 +165,8 @@ def test_geodesic_consistency_sampled_all_spaces(rng):
             x, y = space.sample(rng), space.sample(rng)
             d = space.distance(x, y)
             t1, t2 = sorted(rng.uniform(0, 1, 2))
-            z1 = geodesic_point(space, x, y, float(t1))
-            z2 = geodesic_point(space, x, y, float(t2))
+            z1 = space.geodesic(x, y, float(t1))
+            z2 = space.geodesic(x, y, float(t2))
             assert space.distance(z1, z2) == pytest.approx(
                 (t2 - t1) * d, abs=1e-9 * (1 + d)
             )
@@ -195,7 +193,7 @@ def test_busemann_convexity_sampled(rng):
         for _ in range(150):
             x, y, u, v = (space.sample(rng) for _ in range(4))
             vals = [
-                space.distance(geodesic_point(space, x, y, t), geodesic_point(space, u, v, t))
+                space.distance(space.geodesic(x, y, t), space.geodesic(u, v, t))
                 for t in grid
             ]
             scale = 1.0 + max(vals)
@@ -717,18 +715,21 @@ def test_orthogonality_validated():
 
 
 def test_is_identity_is_decided_exactly():
+    # EquivariantProblem's identity convention compares a twist with
+    # identity_isometry by ==, which decides it exactly from the data
     star40 = star_tree(40)
     swap = TreeIsometry(star40, {**{v: v for v in star40.vertices}, "l7": "l8", "l8": "l7"})
-    assert not is_identity(star40, swap)
+    assert swap != identity_isometry(star40)
     # six sampled points miss the swap's two edges (it moves 1/20 of the tree)
     rng = np.random.default_rng(5)
     assert all(star40.distance(swap.apply(x), x) == 0.0 for x in (star40.sample(rng) for _ in range(6)))
-    ident = lambda space: identity_isometry(space)
     for space in (E2, LpVector(2, 3.0), STAR, Product((E1, STAR), 3.0)):
-        assert is_identity(space, ident(space))
-    assert is_identity(E2, EuclideanIsometry(((1.0, -0.0), (0.0, 1.0)), (0.0, -0.0)))
-    assert not is_identity(E2, rotation_2d(1e-12))
-    assert not is_identity(E2, translation(E2, (0.0, 1e-300)))
-    assert not is_identity(LpVector(2, 3.0), SignedPermIsometry((0, 1), (1, -1), (0.0, 0.0)))
-    assert not is_identity(LpVector(2, 3.0), SignedPermIsometry((1, 0), (1, 1), (0.0, 0.0)))
-    assert not is_identity(Product((E1, STAR), 3.0), ProductIsometry((ident(E1), TreeIsometry(STAR, {"c": "c", "l1": "l2", "l2": "l1", "l3": "l3"}))))
+        assert identity_isometry(space) == identity_isometry(space)
+    assert EuclideanIsometry(((1.0, -0.0), (0.0, 1.0)), (0.0, -0.0)) == identity_isometry(E2)
+    assert rotation_2d(1e-12) != identity_isometry(E2)
+    assert translation(E2, (0.0, 1e-300)) != identity_isometry(E2)
+    l3 = LpVector(2, 3.0)
+    assert SignedPermIsometry((0, 1), (1, -1), (0.0, 0.0)) != identity_isometry(l3)
+    assert SignedPermIsometry((1, 0), (1, 1), (0.0, 0.0)) != identity_isometry(l3)
+    leaf_swap = TreeIsometry(STAR, {"c": "c", "l1": "l2", "l2": "l1", "l3": "l3"})
+    assert ProductIsometry((identity_isometry(E1), leaf_swap)) != identity_isometry(Product((E1, STAR), 3.0))

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from busemann import verify
-from busemann.mapspace import linear_modulus_bound, mazur_map_batch, p_mean, uc_witness_batch
+from busemann.mapspace import (
+    linear_modulus_bound,
+    mazur_map_batch,
+    p_mean,
+    uc_distances,
+    uc_witness_of_distances,
+)
 from busemann.spaces import Euclidean, Product, star_tree
 from busemann.verify import (
     BLOCK,
@@ -134,7 +140,7 @@ def uc_reference(samples, seed):
                 d1 = p_mean(p, weights, target.distance_batch(phi1, psi))
                 d2 = p_mean(p, weights, target.distance_batch(phi2, psi))
                 r = np.maximum(np.maximum(d1, d2), 1e-9)
-                rep = uc_witness_batch(p, delta, target, weights, psi, phi1, phi2, r)
+                rep = uc_witness_of_distances(p, delta, weights, uc_distances(target, psi, phi1, phi2), r)
                 violations += int(np.count_nonzero(~rep.ok))
                 regime_fail += int(np.count_nonzero(~rep.small_modulus_regime))
                 min_slack = min(min_slack, float(rep.slack.min()))
