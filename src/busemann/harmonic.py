@@ -1098,7 +1098,7 @@ def minimize_energy(
         )
         # a shift that rounding takes out of M x + b drops out of its term, and
         # the energy then misses it
-        moved = _apply_rows(k.matrix, np.zeros_like(k.shift), np.array(values)[k.c2])
+        moved = _apply_rows(k.matrix, 0.0, np.array(values)[k.c2])
         lost = np.abs((moved + k.shift) - moved - k.shift) > 0.5 * np.abs(k.shift)
         if lost.any():
             t, i = np.argwhere(lost)[0]
