@@ -1020,6 +1020,13 @@ def _triangular_solve(low, b, upper: bool = False):
 # Minimizers
 # ---------------------------------------------------------------------------
 
+# A shift component at most this times the largest shift of a compiled solve's
+# terms is a rounding residue, not data.  Composed and inverted isometries
+# leave residues below 2^-52 times the largest shift (word balls of radius 5
+# of a rotation about a point and a translation on R^2); the cut sits 4096
+# times above that.
+ABSORB_SCALE = 2.0 ** -40
+
 
 def minimize_energy(
     prob: TermEnergy,
@@ -1050,8 +1057,9 @@ def minimize_energy(
     transports) and no ``anchor`` is given, with the scalar engine's
     numbers (bit for bit in one dimension), and on the scalar engine
     otherwise.  A compiled solve raises :class:`SolverError` when, at the
-    map it would return, a nonzero shift component b of some term loses
-    more than half its value to rounding, |((M x + b) - M x) - b| > |b|/2.
+    map it would return, a shift component b of some kept term loses more
+    than half its value to rounding, |((M x + b) - M x) - b| > |b|/2, and
+    |b| exceeds :data:`ABSORB_SCALE` times the largest |b| of the kept terms.
     ``extras`` records the ``objective``, the ``engine``
     ("compiled" or "scalar"), the ``stop_reason`` ("converged" or
     "max_sweeps") and ``local_solves``, the local solves by path
@@ -1097,13 +1105,17 @@ def minimize_energy(
             plan, phi.values, tol, max_sweeps, compiled_row, counts
         )
         # a shift that rounding takes out of M x + b drops out of its term, and
-        # the energy then misses it
-        moved = _apply_rows(k.matrix, 0.0, np.array(values)[k.c2])
-        lost = np.abs((moved + k.shift) - moved - k.shift) > 0.5 * np.abs(k.shift)
+        # the energy then misses it.  Components at most ABSORB_SCALE times the
+        # largest kept shift are rounding residues of composed isometries
+        # (6.1e-17 in rotation_2d(pi/2) after a unit translation) and do not count
+        moved = _apply_rows(plan.matrix, 0.0, np.array(values)[plan.c2])
+        size = np.abs(plan.shift)
+        lost = np.abs((moved + plan.shift) - moved - plan.shift) > 0.5 * size
+        lost &= size > ABSORB_SCALE * size.max(initial=0.0)
         if lost.any():
             t, i = np.argwhere(lost)[0]
             raise SolverError(
-                f"absorbed shift: the shift {float(k.shift[t, i])!r} of term {t} is lost to"
+                f"absorbed shift: the shift {float(plan.shift[t, i])!r} is lost to"
                 f" rounding at the coordinate {float(moved[t, i])!r}",
                 best=EquivariantMap(prob.model, space, tuple(values)),
             )

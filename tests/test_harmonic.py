@@ -61,6 +61,7 @@ from busemann.spaces import (
     identity_isometry,
     random_tree,
     point_reflection,
+    rotation_2d,
     star_tree,
     translation,
 )
@@ -232,6 +233,33 @@ def test_absorbed_shift_is_a_solver_error(s):
         minimize_energy(prob, emap(M2, [s, -s]))
     # at unit scale the same problem solves to its minimum
     assert minimize_energy(prob, emap(M2, [1.0, -1.0]), tol=1e-12).energy_total == pytest.approx(0.25)
+
+
+def test_shift_residues_are_not_absorbed_shifts():
+    # rotation_2d(pi/2) after the unit translation has the shift (6.1e-17, 1.0),
+    # whose first component is a rounding residue that any coordinate of size
+    # 1 takes out; the fixed point (-0.5, 0.5) is still the solution
+    E2 = Euclidean(2)
+    twist = rotation_2d(math.pi / 2).compose(translation(E2, (1.0, 0.0)))
+    assert 0.0 < twist.shift[0] < 1e-16
+    prob = EquivariantProblem(M1, E2, (0.0, 0.0), (Edge("a", "a", 1.0, twist),))
+    for start in [(0.0, 0.0), (3.0, 5.0), (-2.0e3, 7.0)]:
+        rep = minimize_energy(prob, EquivariantMap(M1, E2, (start,)), tol=1e-12)
+        assert rep.converged and rep.extras["engine"] == "compiled"
+        assert rep.solution.values[0] == pytest.approx((-0.5, 0.5), abs=1e-12)
+        assert rep.energy_total <= 1e-24
+
+
+def test_absorbed_shift_check_skips_dropped_classes():
+    # class weights drop the translation: the kept identity edge is at its
+    # minimum at (1e16, 1e16), where the dropped shift would be absorbed
+    prob = EquivariantProblem(
+        M2, E1, (0.0,), (Edge("a", "b", 1.0, IDENT, 1), Edge("b", "a", 1.0, T1, 2))
+    )
+    rep = minimize_energy(prob, emap(M2, [1e16, 1e16]), class_weights={1: 1.0})
+    assert rep.converged and rep.solution.values == ((1e16,), (1e16,))
+    with pytest.raises(SolverError, match="absorbed shift"):
+        minimize_energy(prob, emap(M2, [1e16, 1e16]))
 
 
 def test_problem_rejects_non_finite_base_point():

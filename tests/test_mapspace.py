@@ -428,14 +428,15 @@ def test_uc_witness_batch_matches_scalar_check(target, p):
 
 @pytest.mark.parametrize("target", UC_TARGETS.values(), ids=UC_TARGETS.keys())
 def test_uc_witness_halves_compose_to_the_batch_kernel(target):
-    # the distances are computed once and serve every p, bit for bit
+    # the two halves, uc_distances and uc_witness_of_distances, with the
+    # distances computed once for every p: without r, the radius is the
+    # least the precondition admits, bit for bit
     triples = uc_triples(target, np.random.default_rng(23), 300)
     d = uc_distances(target, *triples)
     delta = linear_modulus_bound(target)
     for p in (1.5, 2.0, 3.0):
         r = uc_radii(p, target, *triples)
         whole = uc_witness_of_distances(p, delta, UC_MODEL.weights, d, r)
-        # without r, the radius is the least the precondition admits
         least = uc_witness_of_distances(p, delta, UC_MODEL.weights, d)
         for name, value in vars(whole).items():
             assert np.array_equal(getattr(least, name), value), name

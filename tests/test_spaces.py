@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from busemann.harmonic import Edge, EquivariantProblem, IdentityConventionWarning
+from busemann.mapspace import MeasureModel
 from busemann.oracles import tree_distance_graph_oracle
 from busemann.spaces import (
     DomainError,
@@ -723,8 +725,13 @@ def test_is_identity_is_decided_exactly():
     # six sampled points miss the swap's two edges (it moves 1/20 of the tree)
     rng = np.random.default_rng(5)
     assert all(star40.distance(swap.apply(x), x) == 0.0 for x in (star40.sample(rng) for _ in range(6)))
+    # a twist set holding identity_isometry meets the convention on every kind
+    one = MeasureModel(("a",), (1.0,))
     for space in (E2, LpVector(2, 3.0), STAR, Product((E1, STAR), 3.0)):
-        assert identity_isometry(space) == identity_isometry(space)
+        edges = (Edge("a", "a", 1.0, identity_isometry(space)),)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IdentityConventionWarning)
+            EquivariantProblem(one, space, space.sample(rng), edges)
     assert EuclideanIsometry(((1.0, -0.0), (0.0, 1.0)), (0.0, -0.0)) == identity_isometry(E2)
     assert rotation_2d(1e-12) != identity_isometry(E2)
     assert translation(E2, (0.0, 1e-300)) != identity_isometry(E2)
