@@ -21,6 +21,7 @@ in the summary.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -542,21 +543,25 @@ def verify_command(config_path: str, suite: str, out_override=None, seed_overrid
     return 0 if all(r.passed for r in results) else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="busemann",
         description="Geometry and equivariant energy minimization in convex metric spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_solve = sub.add_parser("solve", help="run a solver on a config")
-    p_solve.add_argument("config")
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("config")
     p_verify.add_argument("--suite", default="all")
     for p in (p_solve, p_verify):
+        p.add_argument("config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", default=None, type=int, help="seed (overrides config)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "solve":
         return solve_command(args.config, args.out, args.seed)
     return verify_command(args.config, args.suite, args.out, args.seed)

@@ -129,7 +129,8 @@ class CoverSpec:
         for perm in self.permutations:
             if sorted(perm) != list(range(k)):
                 raise ValidationError(f"{perm} is not a permutation of 0..{k - 1}")
-        keyed = {g.key(): i for i, g in enumerate(self.generators)}
+        keyed = {g.key(): perm for g, perm in zip(self.generators, self.permutations)}
+        object.__setattr__(self, "_perm_by_key", keyed)
         for e in self.base.edges:
             if e.twist.key() not in keyed:
                 raise ValidationError("an edge twist is missing from the generator list")
@@ -155,10 +156,10 @@ class CoverSpec:
             frontier = nxt
 
     def generator_permutation(self, twist) -> tuple:
-        for g, perm in zip(self.generators, self.permutations):
-            if g.key() == twist.key():
-                return perm
-        raise DomainError("twist not among the cover generators")
+        perm = self._perm_by_key.get(twist.key())
+        if perm is None:
+            raise DomainError("twist not among the cover generators")
+        return perm
 
 
 def build_cover(spec: CoverSpec) -> EquivariantProblem:
@@ -226,8 +227,9 @@ def lift_map(spec: CoverSpec, phi: EquivariantMap, cover_prob: Optional[Equivari
 class _Stack:
     """Euclidean isometries x -> matrix[t] x + shift[t], stacked, with the
     arithmetic of :class:`EuclideanIsometry` row by row: ``compose`` and
-    ``invert`` multiply in its order and ``keys`` round as its ``key()``
-    (Python's ``round`` on each value)."""
+    ``invert`` multiply in its order and ``keys`` round as its ``key()``:
+    rint(x 10^9) / 10^9 is Python's ``round(x, 9)`` where x 10^9 < 2^40 lies
+    over 1e-3 from a half-integer, and ``round`` rounds the rest."""
 
     def __init__(self, matrix, shift):
         self.matrix, self.shift = matrix, shift
@@ -263,7 +265,12 @@ class _Stack:
     def keys(self) -> list:
         d = self.shift.shape[1]
         rows = np.concatenate([self.matrix.reshape(len(self), d * d), self.shift], axis=1)
-        return [tuple(round(x, KEY_DECIMALS) + 0.0 for x in row) for row in rows.tolist()]
+        with np.errstate(over="ignore", invalid="ignore"):  # |x| past 1e299: ``round`` takes it
+            scaled = rows * 10.0 ** KEY_DECIMALS
+            slow = (np.abs(scaled) >= 2.0 ** 40) | (np.abs(scaled % 1.0 - 0.5) <= 1e-3)
+        keys = np.rint(scaled) / 10.0 ** KEY_DECIMALS + 0.0
+        keys[slow] = [round(x, KEY_DECIMALS) + 0.0 for x in rows[slow].tolist()]
+        return list(map(tuple, keys.tolist()))
 
 
 class _Objects(tuple):
@@ -413,10 +420,10 @@ def comm_energy_model(
     Euclidean target the ball and the transports are built as stacked
     arrays (:class:`_Stack`), with the numbers of the isometry objects.
     """
-    gens = []
+    first = {}
     for e in prob.edges:
-        if not any(t.key() == e.twist.key() for t in gens):
-            gens.append(e.twist)
+        first.setdefault(e.twist.key(), e.twist)
+    gens = list(first.values())
     norm_gens = list(norm_generators) if norm_generators is not None else gens
     radius = 1
     while _kernel(radius) >= cutoff and radius < max_radius:

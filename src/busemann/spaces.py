@@ -660,7 +660,8 @@ def _check_param_batch(t) -> np.ndarray:
 @dataclass(frozen=True)
 class EuclideanIsometry:
     """x -> M x + b with M orthogonal: max |M^T M - I| <= 1e-8, so M moves
-    a length |v| by at most dim * 1e-8 * |v| / 2."""
+    a length |v| by at most dim * 1e-8 * |v| / 2.  Every construction,
+    composites included, checks this in plain Python on the (small) rows."""
 
     matrix: tuple
     shift: tuple
@@ -670,12 +671,13 @@ class EuclideanIsometry:
         b = np.asarray(self.shift, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != b.shape[0]:
             raise ValidationError("isometry matrix/shift shapes do not match")
-        if not (np.isfinite(m).all() and np.isfinite(b).all()):
+        rows, b, cols = m.tolist(), b.tolist(), list(enumerate(m.T.tolist()))
+        if not all(map(math.isfinite, b + sum(rows, []))):
             raise ValidationError("isometry matrix/shift entries must be finite")
-        if np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) > 1e-8:
+        if any(abs(sum(map(float.__mul__, u, v)) - (i == j)) > 1e-8 for i, u in cols for j, v in cols):
             raise ValidationError("matrix is not orthogonal")
-        object.__setattr__(self, "matrix", tuple(tuple(float(x) for x in row) for row in m))
-        object.__setattr__(self, "shift", tuple(float(x) for x in b))
+        object.__setattr__(self, "matrix", tuple(map(tuple, rows)))
+        object.__setattr__(self, "shift", tuple(b))
 
     @property
     def dim(self) -> int:
@@ -689,16 +691,12 @@ class EuclideanIsometry:
 
     def compose(self, other: "EuclideanIsometry") -> "EuclideanIsometry":
         _check_same_kind(self, other)
-        m1 = np.asarray(self.matrix)
-        m2 = np.asarray(other.matrix)
-        b1 = np.asarray(self.shift)
-        b2 = np.asarray(other.shift)
-        return EuclideanIsometry(tuple(map(tuple, m1 @ m2)), tuple(m1 @ b2 + b1))
+        m = np.asarray(self.matrix)
+        return EuclideanIsometry(m @ np.asarray(other.matrix), m @ np.asarray(other.shift) + self.shift)
 
     def invert(self) -> "EuclideanIsometry":
-        m = np.asarray(self.matrix)
-        b = np.asarray(self.shift)
-        return EuclideanIsometry(tuple(map(tuple, m.T)), tuple(-(m.T @ b)))
+        m_t = np.asarray(self.matrix).T
+        return EuclideanIsometry(m_t, -(m_t @ np.asarray(self.shift)))
 
     def key(self):
         return (
