@@ -228,8 +228,8 @@ class _Stack:
     """Euclidean isometries x -> matrix[t] x + shift[t], stacked, with the
     arithmetic of :class:`EuclideanIsometry` row by row: ``compose`` and
     ``invert`` multiply in its order and ``keys`` round as its ``key()``:
-    rint(x 10^9) / 10^9 is Python's ``round(x, 9)`` where x 10^9 < 2^40 lies
-    over 1e-3 from a half-integer, and ``round`` rounds the rest."""
+    rint(x 10^9) / 10^9 equals Python's ``round(x, 9)`` where |x 10^9| < 2^40
+    and lies over 1e-3 from a half-integer; ``round`` itself takes the rest."""
 
     def __init__(self, matrix, shift):
         self.matrix, self.shift = matrix, shift

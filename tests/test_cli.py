@@ -823,6 +823,29 @@ def test_negative_seed_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_main_calls_in_one_process_share_no_arguments(tmp_path, capsys):
+    # the parser is built once per process: no value of one call leaks into the next
+    path = write_config(tmp_path, verify={"samples": 200, "budget": 1500, "count": 4,
+                                          "euclid_instances": 8, "tree_instances": 4})
+    seeds = []
+    for extra in (["--seed", "5"], []):
+        assert main(["solve", str(path), *extra]) == 0
+        seeds.append(json.loads((tmp_path / "out" / "summary.json").read_text())["seed"])
+    assert seeds == [5, 7]
+    assert main(["verify", str(path), "--suite", "parallelogram", "--out", str(tmp_path / "one")]) == 0
+    assert main(["verify", str(path), "--out", str(tmp_path / "all")]) == 0
+    one = (tmp_path / "one" / "report.csv").read_text().splitlines()[1:]
+    every = (tmp_path / "all" / "report.csv").read_text().splitlines()[1:]
+    assert all(row.startswith('"parallelogram[') for row in one)
+    assert set(one) < set(every) and not all(row.startswith('"parallelogram[') for row in every)
+    with pytest.raises(SystemExit) as bad:
+        main(["solve", str(path), "--seed", "five"])
+    assert bad.value.code == 2
+    assert main(["solve", str(path)]) == 0
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["seed"] == 7
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # config fuzzing: a mutated config gets an exit code, never a traceback
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from busemann.commensurability import (
     CommEnergyModel,
@@ -53,6 +55,7 @@ from busemann.spaces import (
     DomainError,
     Euclidean,
     EuclideanIsometry,
+    KEY_DECIMALS,
     LpVector,
     Product,
     ProductIsometry,
@@ -879,6 +882,85 @@ def test_array_word_ball_matches_word_ball(space, generators, radius):
     assert stack.keys() == [g.key()[1] + g.key()[2] for g, _ in ref]
     np.testing.assert_allclose(stack.matrix, [g.matrix for g, _ in ref], rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(stack.shift, [g.shift for g, _ in ref], rtol=0.0, atol=1e-15)
+
+
+def python_keys(rows):
+    """The keys of ``EuclideanIsometry.key()``: Python's ``round`` on each value."""
+    return [tuple(round(x, KEY_DECIMALS) + 0.0 for x in row) for row in rows]
+
+
+def stack_of_rows(rows):
+    """A 1-dimensional stack whose key rows are the (matrix, shift) pairs ``rows``."""
+    a = np.array(rows, dtype=float).reshape(-1, 2)
+    return _Stack(a[:, :1].reshape(-1, 1, 1), a[:, 1:].copy())
+
+
+def beside(x):
+    """x and its two neighbouring floats."""
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+def test_stack_keys_round_as_python():
+    # one ulp either side of 9-decimal halfway points, where rounding the
+    # product x * 1e9 (as np.round does) can land on the other side
+    halfway = [v for h in (1.0000000005, 2.5e-9, -0.1234567895, -7.0000000015) for v in beside(h)]
+    large = [1e7, -1e7 - 0.5e-9, 1e300, -1e300, 1099.5116277755]  # x * 1e9 near or past 2^40
+    values = halfway + large + [-0.0, -1e-17, 1e-17, 0.5, -2.5]
+    rows = list(zip(values, values[::-1]))
+    assert stack_of_rows(rows).keys() == python_keys(rows)
+    assert np.round(1.0000000005, 9) != round(1.0000000005, 9)  # a case np.round misses
+    # residues of -1e-17 and -0.0 give +0.0, as key() does
+    zeros = stack_of_rows([(-0.0, -1e-17)]).keys()
+    assert zeros == [(0.0, 0.0)] and all(math.copysign(1.0, k) == 1.0 for k in zeros[0])
+    assert stack_of_rows([]).keys() == []
+
+
+HALF_INTEGERS = st.integers(-10**12, 10**12).map(lambda n: (n + 0.5) / 1e9)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(-1e12, 1e12),
+            HALF_INTEGERS,
+            st.tuples(HALF_INTEGERS, st.sampled_from((-math.inf, math.inf))).map(lambda t: np.nextafter(*t)),
+        ),
+        min_size=2,
+        max_size=24,
+    )
+)
+def test_stack_keys_round_as_python_property(values):
+    rows = list(zip(values[::2], values[1::2]))
+    assert stack_of_rows(rows).keys() == python_keys(rows)
+
+
+def first_appearance(edges):
+    """Twists de-duplicated by ``key()``, by a linear search, in first-appearance order."""
+    gens = []
+    for e in edges:
+        if not any(t.key() == e.twist.key() for t in gens):
+            gens.append(e.twist)
+    return gens
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_generators_in_first_appearance_order(name):
+    prob = generate(name).problem
+    m = comm_energy_model(prob)
+    assert [g.key() for g in m.generators] == [g.key() for g in first_appearance(prob.edges)]
+
+
+def test_repeated_twists_keep_their_first_appearance():
+    a, b, c = T1, R0, point_reflection(E1, (0.5,))
+    a_again = translation(E1, (1.0 + 1e-12,))  # another object with the key of a
+    cells = ("c0", "c1", "c2")
+    twists = (a, b, a_again, c, b)
+    edges = tuple(Edge(cells[i % 3], cells[(i + 1) % 3], 1.0, t) for i, t in enumerate(twists))
+    prob = EquivariantProblem(MeasureModel(cells, (1 / 3,) * 3), E1, (0.0,), edges)
+    gens = comm_energy_model(prob).generators
+    assert [g.key() for g in gens] == [g.key() for g in first_appearance(edges)]
+    assert [g.key() for g in gens] == [a.key(), b.key(), c.key()]
+    assert gens[0] is a
 
 
 @pytest.mark.parametrize(

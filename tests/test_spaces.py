@@ -716,6 +716,60 @@ def test_orthogonality_validated():
         EuclideanIsometry(((1.0, 0.5), (0.0, 1.0)), (0.0, 0.0))
 
 
+NOT_ORTHOGONAL = "matrix is not orthogonal"
+BAD_SHAPES = "isometry matrix/shift shapes do not match"
+NOT_FINITE = "isometry matrix/shift entries must be finite"
+
+
+def nested_lists(a):
+    return [nested_lists(x) for x in a] if isinstance(a, tuple) else a
+
+
+@pytest.mark.parametrize("form", [lambda a: a, nested_lists, np.array], ids=["tuples", "lists", "arrays"])
+@pytest.mark.parametrize(
+    "matrix, shift, message",
+    [
+        (((1,),), (0,), None),
+        (((0, -1), (1, 0)), (2, -3), None),
+        (((0.6, -0.8), (0.8, 0.6)), (0.5, 0.25), None),
+        (((1.0 + 4e-9,),), (0.0,), None),
+        (((1.0 + 6e-9,),), (0.0,), NOT_ORTHOGONAL),
+        (((1, 1), (0, 1)), (0, 0), NOT_ORTHOGONAL),
+        (((1.0, 0.0),), (0.0,), BAD_SHAPES),
+        (((1.0,), (0.0,)), (0.0, 0.0), BAD_SHAPES),
+        (((1.0, 0.0), (0.0, 1.0)), (0.0,), BAD_SHAPES),
+        (((1,),), (0, 0), BAD_SHAPES),
+        ((1.0,), (0.0,), BAD_SHAPES),
+        ((((1.0,),),), (0.0,), BAD_SHAPES),
+        (((NAN,),), (0.0,), NOT_FINITE),
+        (((1.0,),), (INF,), NOT_FINITE),
+        (((1.0, 0.0), (0.0, -INF)), (0.0, 0.0), NOT_FINITE),
+        (((NAN, 0.0), (0.0, 1.0)), (0.0, NAN), NOT_FINITE),
+    ],
+)
+def test_euclidean_isometry_verdicts(form, matrix, shift, message):
+    if message is not None:
+        with pytest.raises(ValidationError) as raised:
+            EuclideanIsometry(form(matrix), form(shift))
+        assert str(raised.value) == message
+        return
+    iso = EuclideanIsometry(form(matrix), form(shift))
+    assert iso.matrix == tuple(tuple(float(x) for x in row) for row in matrix)
+    assert iso.shift == tuple(float(x) for x in shift)
+    assert all(type(x) is float for row in iso.matrix for x in row + iso.shift)
+
+
+def test_composites_are_checked():
+    # each factor lies within the 1e-8 tolerance, their product outside it
+    near = EuclideanIsometry(((1.0 + 4e-9,),), (0.0,))  # (1 + 4e-9)^2 - 1 = 8e-9
+    with pytest.raises(ValidationError, match=NOT_ORTHOGONAL):
+        near.compose(near)  # (1 + 8e-9)^2 - 1 = 1.6e-8
+    plane = EuclideanIsometry(((0.0, -(1.0 + 4e-9)), (1.0, 0.0)), (1.0, 0.0))
+    assert plane.invert().compose(identity_isometry(E2)).matrix == ((0.0, 1.0), (-(1.0 + 4e-9), 0.0))
+    with pytest.raises(ValidationError, match=NOT_ORTHOGONAL):
+        plane.compose(plane.compose(plane))
+
+
 def test_is_identity_is_decided_exactly():
     # EquivariantProblem's identity convention compares a twist with
     # identity_isometry by ==, which decides it exactly from the data
