@@ -46,6 +46,18 @@ in more than one dimension:
   stops at ``max_sweeps`` in the stiff second stage and exits 3 with its
   files written.
 
+The two commensurability methods run two explicit problems with a
+``cover`` section, the only runs that parse one
+(``DIR/<name>/<method>/``):
+
+- ``translation-cover-3``: the ``dihedral-line`` problem on 3 cells and its
+  index-2 translation subgroup, the mirror swapping the cosets, represented
+  by the identity and the mirror (``models.translation_cover_spec``); its
+  kernel energy has a flat direction;
+- ``cyclic-cover-3``: the ``translation-loop`` problem and its index-3
+  subgroup of translations by multiples of 3, the unit translation moving
+  coset j to j - 1, represented by translations by 0, 1 and 2.
+
 Last, ``busemann verify --suite all`` runs at the stored seed and the
 default budgets (about 5 s) into ``DIR/verify/all/``, which holds its
 ``report.csv`` and ``exit_code``.
@@ -91,6 +103,8 @@ METHODS = {
     "commensurability-norm-minimal": {"method": "commensurability", "norm_minimal": True},
 }
 IDENTITY = {"kind": "identity"}
+SHIFT_1 = {"kind": "translation", "by": [1.0]}
+MIRROR_0 = {"kind": "point-reflection", "center": [0.0]}
 
 
 def chain_edges(cells: int) -> list:
@@ -210,6 +224,57 @@ def plane_turn_mirror(seed: int) -> dict:
     }
 
 
+def translation_cover(seed: int) -> dict:
+    """Config of the index-2 translation cover of the 3-cell dihedral line."""
+    cells = ["c0", "c1", "c2"]
+    edges = [
+        {"src": "c0", "dst": "c1", "weight": 1.0, "twist": IDENTITY},
+        {"src": "c1", "dst": "c2", "weight": 1.0, "twist": IDENTITY},
+        {"src": "c2", "dst": "c0", "weight": 1.0, "twist": SHIFT_1},
+    ]
+    for c in cells:
+        edges += [
+            {"src": c, "dst": c, "weight": 1.0, "twist": SHIFT_1},
+            {"src": c, "dst": c, "weight": 1.0, "twist": MIRROR_0},
+        ]
+    return {
+        "schema": 1,
+        "seed": seed,
+        "space": {"kind": "euclidean", "dim": 1},
+        "problem": {
+            "cells": [{"id": c, "weight": 1.0 / 3.0} for c in cells],
+            "edges": edges,
+            "base_point": [0.0],
+            "cover": {
+                "index": 2,
+                "generators": [IDENTITY, SHIFT_1, MIRROR_0],
+                "permutations": [[0, 1], [0, 1], [1, 0]],
+                "coset_reps": [IDENTITY, MIRROR_0],
+            },
+        },
+    }
+
+
+def cyclic_cover(seed: int) -> dict:
+    """Config of the index-3 cyclic cover of the translation loop."""
+    return {
+        "schema": 1,
+        "seed": seed,
+        "space": {"kind": "euclidean", "dim": 1},
+        "problem": {
+            "cells": [{"id": "c0", "weight": 1.0}],
+            "edges": [{"src": "c0", "dst": "c0", "weight": 1.0, "twist": SHIFT_1}],
+            "base_point": [0.0],
+            "cover": {
+                "index": 3,
+                "generators": [SHIFT_1],
+                "permutations": [[2, 0, 1]],
+                "coset_reps": [IDENTITY, SHIFT_1, {"kind": "translation", "by": [2.0]}],
+            },
+        },
+    }
+
+
 # explicit problems solved by ``bcd``: run directory -> config builder
 EXPLICIT = {
     "consensus-chain-20": consensus_chain,
@@ -219,7 +284,13 @@ EXPLICIT = {
 }
 # the methods run on ``plane_turn_mirror``
 PLANE_METHODS = ("bcd", "norm-minimal", "lexicographic")
-RUNS = len(GENERATORS) * len(METHODS) + len(EXPLICIT) + len(PLANE_METHODS) + 1
+# explicit problems with a cover section: run directory -> config builder,
+# each run under COVER_METHODS
+COVERS = {"translation-cover-3": translation_cover, "cyclic-cover-3": cyclic_cover}
+COVER_METHODS = ("commensurability", "commensurability-norm-minimal")
+RUNS = (
+    len(GENERATORS) * len(METHODS) + len(EXPLICIT) + len(PLANE_METHODS) + len(COVERS) * len(COVER_METHODS) + 1
+)
 
 
 def run_cli(out: Path, config: dict, command: str, *options: str) -> None:
@@ -260,6 +331,11 @@ def run_all(root: Path, seed: int) -> None:
         config = plane_turn_mirror(seed)
         config["solver"].update(METHODS[run])
         solve(root / "plane-turn-mirror-3" / run, config)
+    for name, build in COVERS.items():
+        for run in COVER_METHODS:
+            config = build(seed)
+            config["solver"] = METHODS[run]
+            solve(root / name / run, config)
     # verify reads only the seed and budgets; the problem is parsed and unused
     verify = {"schema": 1, "seed": seed, "problem": {"generator": "consensus"}}
     run_cli(root / "verify" / "all", verify, "verify", "--suite", "all")

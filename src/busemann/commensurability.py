@@ -5,6 +5,9 @@ group generated by a problem's twists: each twist generator permutes the
 cosets, and explicit coset-representative isometries are carried so that
 maps can be lifted.  ``build_cover`` unfolds a problem to its cover (edges
 routed by the coset permutations, twists conjugated into the subgroup).
+Membership in the subgroup is read off the permutations alone: the one word
+search, :func:`_ball`, carries the permutation of every word and rejects
+permutations that two words of one isometry disagree on.
 
 The commensurability energy is the kernel-weighted all-pairs sum
 
@@ -13,8 +16,11 @@ The commensurability energy is the kernel-weighted all-pairs sum
 
 where gamma runs over the word ball of the twist group, |gamma| is the word
 norm and h(n) = exp(-n^2 + 1); the ball radius is chosen so the truncated
-tail of h is negligible.  A :class:`CommEnergyModel` holds this sum in the
-form of the edge energy (one term per cell pair and gamma, p = 2, one
+tail of h is negligible.  On a cover the ball runs over words delta in the
+base generators, the term from c2 (coset j2) to c1 (coset j1) transports by
+rep_j1 delta rep_j2^-1 with the kernel of |delta|, and it is kept exactly
+when delta maps coset j2 to coset j1.  A :class:`CommEnergyModel` holds this
+sum in the form of the edge energy (one term per cell pair and gamma, p = 2, one
 class), so :func:`energy` and :func:`minimize_energy` of
 :mod:`busemann.harmonic` evaluate and minimize it.  On a Euclidean target
 the word ball and the transports are built as stacked (matrix, shift)
@@ -106,10 +112,15 @@ def cover_cell(cell, coset: int):
 class CoverSpec:
     """Finite-index subgroup data over a base problem.
 
-    ``generators`` lists the distinct twist isometries of the base problem;
-    ``permutations[i]`` tells how generator i permutes the cosets 1..k
-    (0-indexed); ``coset_reps`` are isometries representing each coset, used
-    to conjugate twists into the subgroup and to lift maps.
+    ``generators`` lists the distinct twist isometries of the base problem,
+    every one of them and no other isometry;
+    ``permutations[i]`` tells how generator i permutes the cosets 0..k-1;
+    ``coset_reps`` are isometries representing each coset, used to
+    conjugate twists into the subgroup and to lift maps: the twist of g out
+    of coset j, rep_pi(j) g rep_j^-1, lies in the subgroup when rep_j maps
+    coset j to coset 0.  Words of length <= 4 in the generators and their
+    inverses that are one isometry must permute the cosets alike
+    (:func:`_ball`), or :class:`ValidationError` is raised.
     """
 
     base: EquivariantProblem
@@ -131,35 +142,25 @@ class CoverSpec:
                 raise ValidationError(f"{perm} is not a permutation of 0..{k - 1}")
         keyed = {g.key(): perm for g, perm in zip(self.generators, self.permutations)}
         object.__setattr__(self, "_perm_by_key", keyed)
-        for e in self.base.edges:
-            if e.twist.key() not in keyed:
-                raise ValidationError("an edge twist is missing from the generator list")
-        # consistency: words of length <= 4 that agree as isometries must
-        # agree on cosets
-        seen = {identity_isometry(self.base.target).key(): tuple(range(k))}
-        frontier = [(identity_isometry(self.base.target), tuple(range(k)))]
-        for _ in range(4):
-            nxt = []
-            for t, perm in frontier:
-                for g, gperm in zip(self.generators, self.permutations):
-                    t2 = g.compose(t)
-                    perm2 = tuple(gperm[perm[j]] for j in range(k))
-                    key = t2.key()
-                    if key in seen:
-                        if seen[key] != perm2:
-                            raise ValidationError(
-                                "coset permutations are inconsistent with the twists"
-                            )
-                    else:
-                        seen[key] = perm2
-                        nxt.append((t2, perm2))
-            frontier = nxt
+        twists = {e.twist.key() for e in self.base.edges}
+        if not twists <= keyed.keys():
+            raise ValidationError("an edge twist is missing from the generator list")
+        if not keyed.keys() <= twists:
+            raise ValidationError("a cover generator is not an edge twist")
+        # words of length <= 4 that agree as isometries must agree on cosets
+        space = self.base.target
+        _ball(_kind(space, (*self.generators, *self.coset_reps)), space, self.generators, _perm_array(self), 4)
 
     def generator_permutation(self, twist) -> tuple:
         perm = self._perm_by_key.get(twist.key())
         if perm is None:
             raise DomainError("twist not among the cover generators")
         return perm
+
+
+def _perm_array(spec: CoverSpec) -> np.ndarray:
+    """The coset permutations of ``spec`` as a (generators, index) array."""
+    return np.array(spec.permutations, dtype=np.intp).reshape(len(spec.generators), spec.index)
 
 
 def build_cover(spec: CoverSpec) -> EquivariantProblem:
@@ -295,41 +296,66 @@ class _Objects(tuple):
         return [g.key() for g in self]
 
 
-def _ball(kind, space, generators: Sequence, radius: int):
+def _kind(space, isometries) -> type:
+    """:class:`_Stack` on a Euclidean target whose isometries are all
+    :class:`EuclideanIsometry` objects, :class:`_Objects` otherwise."""
+    euclidean = isinstance(space, Euclidean) and all(isinstance(g, EuclideanIsometry) for g in isometries)
+    return _Stack if euclidean else _Objects
+
+
+def _ball(kind, space, generators: Sequence, permutations, radius: int):
     """The word ball of :func:`word_ball` as a ``kind`` (:class:`_Stack` or
-    :class:`_Objects`) and the list of word norms.  Each radius composes
+    :class:`_Objects`), the list of word norms and the coset permutation of
+    every element.  ``permutations`` is a (generators, k) integer array: row
+    i permutes the cosets 0..k-1 under generator i, an inverse permutes them
+    back and the word g t permutes them as g after t.  Each radius composes
     every generator with every frontier element (frontier-major,
-    generator-minor) and keeps each candidate whose key is new."""
-    gens, seen = [], set()
-    for g in generators:
-        for h in (g, g.invert()):
-            if h.key() not in seen:
-                seen.add(h.key())
+    generator-minor) and keeps each candidate whose key is new; a candidate
+    with the key of an element already found but another permutation raises
+    :class:`ValidationError`, so every word of length <= radius is checked."""
+    perms = np.asarray(permutations, dtype=np.intp)
+    k = perms.shape[1]
+    gens, gperms, seen = [], [], {}
+    for g, perm in zip(generators, perms):
+        for h, hperm in ((g, perm), (g.invert(), np.argsort(perm))):
+            key, hperm = h.key(), tuple(hperm.tolist())
+            if key not in seen:
+                seen[key] = hperm
                 gens.append(h)
-    frontier = kind.of([identity_isometry(space)])
+                gperms.append(hperm)
+            elif seen[key] != hperm:
+                raise ValidationError("coset permutations are inconsistent with the twists")
+    frontier, fperms = kind.of([identity_isometry(space)]), np.arange(k)[None, :]
     if not gens:  # the trivial group: the ball is the identity alone
-        return frontier, [0]
-    gens = kind.of(gens)
-    seen = set(frontier.keys())
-    parts, norms = [frontier], [0]
+        return frontier, [0], fperms
+    gens, gperms = kind.of(gens), np.array(gperms, dtype=np.intp)
+    seen = {frontier.keys()[0]: tuple(range(k))}
+    parts, norms, cosets = [frontier], [0], [fperms]
     for n in range(1, radius + 1):
         rows = np.repeat(np.arange(len(frontier)), len(gens))
-        cand = gens.take(np.tile(np.arange(len(gens)), len(frontier))).compose(frontier.take(rows))
+        cols = np.tile(np.arange(len(gens)), len(frontier))
+        cand = gens.take(cols).compose(frontier.take(rows))
+        cand_perms = gperms[cols[:, None], fperms[rows]]
         new = []
-        for i, key in enumerate(cand.keys()):
-            if key not in seen:
-                seen.add(key)
+        for i, (key, perm) in enumerate(zip(cand.keys(), map(tuple, cand_perms.tolist()))):
+            found = seen.get(key)
+            if found is None:
+                seen[key] = perm
                 new.append(i)
-        frontier = cand.take(np.array(new, dtype=np.intp))
+            elif found != perm:
+                raise ValidationError("coset permutations are inconsistent with the twists")
+        new = np.array(new, dtype=np.intp)
+        frontier, fperms = cand.take(new), cand_perms[new]
         parts.append(frontier)
+        cosets.append(fperms)
         norms += [n] * len(new)
-    return kind.cat(parts), norms
+    return kind.cat(parts), norms, np.concatenate(cosets)
 
 
 def word_ball(space, generators: Sequence, radius: int):
     """Distinct isometries reachable as words of length <= radius in the
     generators and their inverses, with their word norms."""
-    ball, norms = _ball(_Objects, space, generators, radius)
+    ball, norms, _ = _ball(_Objects, space, generators, np.zeros((len(generators), 1), dtype=np.intp), radius)
     return list(zip(ball, norms))
 
 
@@ -395,75 +421,17 @@ def _kernel_model(model, target, base_point, generators, radius, residual, c1, c
     return CommEnergyModel(model, target, base_point, terms, generators, radius, residual)
 
 
-def comm_energy_model(
-    prob: EquivariantProblem,
-    cutoff: float = 1e-12,
-    max_radius: int = 8,
-    positions: Optional[dict] = None,
-    norm_generators: Optional[Sequence] = None,
-) -> CommEnergyModel:
+def comm_energy_model(prob: EquivariantProblem, cutoff: float = 1e-12, max_radius: int = 8) -> CommEnergyModel:
     """Build the all-pairs kernel model of a problem's twist group.
 
     The word ball is truncated at the radius R where h(R) = e^(1 - R^2)
     falls below ``cutoff``; the stored residual bounds the truncated tail
-    relative to the total kernel mass.
-
-    ``positions`` (cell -> isometry) places each cell inside the group; the
-    kernel between cells c1, c2 under a group element gamma is weighted by
-    the word norm of pos(c1)^-1 gamma pos(c2), measured in
-    ``norm_generators`` (default: the problem's own twists).  Cover models
-    built by :func:`cover_comm_energy_model` use the coset representatives
-    as positions and the base generators as the norm, which makes the
-    unfolded model agree with the base model term by term.
-
-    Terms run over (c1, c2, word ball element) in that nesting.  On a
-    Euclidean target the ball and the transports are built as stacked
+    relative to the total kernel mass.  Terms run over (c1, c2, word ball
+    element) in that nesting, without the identity from a cell to itself.
+    On a Euclidean target the ball and the transports are built as stacked
     arrays (:class:`_Stack`), with the numbers of the isometry objects.
     """
-    first = {}
-    for e in prob.edges:
-        first.setdefault(e.twist.key(), e.twist)
-    gens = list(first.values())
-    norm_gens = list(norm_generators) if norm_generators is not None else gens
-    radius = 1
-    while _kernel(radius) >= cutoff and radius < max_radius:
-        radius += 1
-    cells = prob.model.cells
-    ident = identity_isometry(prob.target)
-    euclidean = isinstance(prob.target, Euclidean) and all(
-        isinstance(g, EuclideanIsometry) for g in gens + norm_gens + list((positions or {}).values())
-    )
-    kind = _Stack if euclidean else _Objects
-    ball, norms = _ball(kind, prob.target, norm_gens, radius)
-    size = len(norms)
-    c1, c2, b = (a.ravel() for a in np.indices((len(cells), len(cells), size)))
-    if positions is None:
-        transports = ball.take(b)
-        keep = (c1 != c2) | (np.array(norms)[b] != 0)  # no zero-distance terms
-    else:
-        # group elements available in the model: words in the problem's own
-        # twists (generous radius, so membership below is not truncated)
-        own_keys = set(_ball(kind, prob.target, gens, radius + 4)[0].keys())
-        ident_key = kind.of([ident]).keys()[0]
-        at = kind.of([positions.get(c, ident) for c in cells])
-        i, k = (a.ravel() for a in np.indices((len(cells), size)))
-        moved = at.take(i).compose(ball.take(k))  # pos_i delta, per (i, delta)
-        transports = moved.take(c1 * size + b).compose(at.invert().take(c2))
-        keep = np.array([
-            key in own_keys and not (ci == cj and key == ident_key)
-            for key, ci, cj in zip(transports.keys(), c1.tolist(), c2.tolist())
-        ], dtype=bool)
-    idx = np.flatnonzero(keep)
-    mu = np.array(prob.model.weights)
-    weight = (mu[c1] * mu[c2] * np.array([_kernel(n) for n in norms])[b])[idx]
-    # superexponential decay of h against at-most-exponential word growth
-    growth = max(2 * len(norm_gens), 2)
-    tail = math.fsum(_kernel(n) * growth ** n for n in range(radius + 1, radius + 30))
-    mass = math.fsum(weight.tolist()) or 1.0
-    return _kernel_model(
-        prob.model, prob.target, prob.base_point, gens, radius, tail / mass,
-        c1[idx], c2[idx], weight, transports.take(idx),
-    )
+    return _comm_model(prob, cutoff, max_radius)
 
 
 def cover_comm_energy_model(
@@ -472,23 +440,54 @@ def cover_comm_energy_model(
     cutoff: float = 1e-12,
     max_radius: int = 8,
 ) -> CommEnergyModel:
-    """Kernel model of a cover problem, with coset representatives as cell
-    positions and word norms measured in the base generators (so folding a
-    lifted map reproduces the base model's energy up to the 1/k weight)."""
+    """Kernel model of a cover problem: the ball runs over words delta in the
+    base generators, and the term from c2 (coset j2) to c1 (coset j1)
+    transports by rep_j1 delta rep_j2^-1 with the kernel of |delta|, kept
+    exactly when delta maps coset j2 to coset j1 (so the transport lies in
+    the subgroup).  Folding a lifted map reproduces the base model's energy
+    up to the 1/k weight."""
     cover_prob = cover_prob if cover_prob is not None else build_cover(spec)
     if spec.index == 1:
         return comm_energy_model(cover_prob, cutoff, max_radius)
-    positions = {
-        cell: spec.coset_reps[j]
-        for cell, (_, j) in zip(cover_prob.model.cells, _cover_cosets(spec, cover_prob))
-    }
-    return comm_energy_model(
-        cover_prob,
-        cutoff,
-        max_radius,
-        positions=positions,
-        norm_generators=spec.generators,
-    )
+    return _comm_model(cover_prob, cutoff, max_radius, spec)
+
+
+def _comm_model(prob, cutoff, max_radius, spec=None) -> CommEnergyModel:
+    """The kernel model of ``prob``, or of the cover ``prob`` of ``spec``: a
+    plain model is the index-1 case, its ball in the problem's own twists
+    and its transports the ball elements themselves."""
+    first = {}
+    for e in prob.edges:
+        first.setdefault(e.twist.key(), e.twist)
+    gens = list(first.values())
+    radius = 1
+    while _kernel(radius) >= cutoff and radius < max_radius:
+        radius += 1
+    cells = prob.model.cells
+    if spec is None:
+        ball_gens, perms, reps = gens, np.zeros((len(gens), 1), dtype=np.intp), ()
+        coset = np.zeros(len(cells), dtype=np.intp)
+    else:
+        ball_gens, perms, reps = list(spec.generators), _perm_array(spec), spec.coset_reps
+        coset = np.array([j for _, j in _cover_cosets(spec, prob)], dtype=np.intp)
+    kind = _kind(prob.target, gens + ball_gens + list(reps))
+    ball, norms, cosets = _ball(kind, prob.target, ball_gens, perms, radius)
+    kernel = np.array([_kernel(n) for n in norms])
+    c1, c2, b = (a.ravel() for a in np.indices((len(cells), len(cells), len(norms))))
+    # delta maps coset(c2) to coset(c1); no zero-distance terms
+    keep = (cosets[b, coset[c2]] == coset[c1]) & ((c1 != c2) | (np.array(norms)[b] != 0))
+    c1, c2, b = c1[keep], c2[keep], b[keep]
+    transports = ball.take(b)
+    if spec is not None:
+        at = kind.of(reps)
+        transports = at.take(coset[c1]).compose(transports).compose(at.invert().take(coset[c2]))
+    mu = np.array(prob.model.weights)
+    weight = mu[c1] * mu[c2] * kernel[b]
+    # superexponential decay of h against at-most-exponential word growth
+    growth = max(2 * len(ball_gens), 2)
+    tail = math.fsum(_kernel(n) * growth ** n for n in range(radius + 1, radius + 30))
+    mass = math.fsum(weight.tolist()) or 1.0
+    return _kernel_model(prob.model, prob.target, prob.base_point, gens, radius, tail / mass, c1, c2, weight, transports)
 
 
 def commensurability_energy(m: CommEnergyModel, phi: EquivariantMap) -> float:

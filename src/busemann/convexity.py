@@ -1,9 +1,9 @@
 """Convexity toolkit for geodesic metric spaces.
 
 Everything here only uses the metric/midpoint structure of a space:
-modulus-of-convexity estimation, minimax circumcenters, iterated midpoint
-hulls, derivative-free convex minimization, parallelism of segments, and
-detection of Clifford isometries (constant displacement).
+modulus-of-convexity estimation, minimax circumcenters, derivative-free
+convex minimization, parallelism of segments, and detection of Clifford
+isometries (constant displacement).
 
 :func:`minimize_convex` and the polish of :func:`circumcenter` share one
 shrinking-radius search, :func:`_shrinking_search`: it scores the
@@ -39,8 +39,6 @@ __all__ = [
     "CliffordReport",
     "modulus_estimate",
     "circumcenter",
-    "hull_iterate",
-    "farthest_point_subsample",
     "minimize_convex",
     "parallel_check",
     "parallel_check_batch",
@@ -257,20 +255,8 @@ def modulus_estimate(space, x, eps: float, r: float, budget: int = 10_000, seed:
 # ---------------------------------------------------------------------------
 
 
-def circumcenter(
-    space,
-    pts: Sequence,
-    relative: bool = False,
-    tol: float = 1e-8,
-    depth: int = 6,
-    cap: int = 256,
-    seed: int = 0,
-):
+def circumcenter(space, pts: Sequence, tol: float = 1e-8, seed: int = 0):
     """Minimax center: the point minimizing the largest distance to ``pts``.
-
-    With ``relative=True`` the center is constrained to the midpoint hull of
-    the points (approximated at ``depth``); all search moves then run along
-    geodesics toward hull members, which keeps iterates inside the hull.
 
     Returns ``(center, radius)``.
     """
@@ -288,11 +274,6 @@ def circumcenter(
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             cands0.append(midpoint(space, pts[i], pts[j]))
-    if relative:
-        cloud = hull_iterate(space, pts, depth, cap=cap)
-        cands0.extend(cloud)
-    else:
-        cloud = None
     c = min(cands0, key=maxdist)
     fc = maxdist(c)
 
@@ -319,94 +300,11 @@ def circumcenter(
             if len(ranked) >= 3:
                 m3 = midpoint(space, m2, ranked[2])
                 cands.append(step_toward(space, c, m3, min(rho, space.distance(c, m3))))
-        if relative:
-            for _ in range(4):
-                cands.append(step_toward(space, c, cloud[int(rng.integers(0, len(cloud)))], rho))
-        else:
-            for _ in range(6):
-                cands.append(perturb(space, c, rng, rho))
+        for _ in range(6):
+            cands.append(perturb(space, c, rng, rho))
         return cands
 
     return _shrinking_search(maxdist, c, fc, max(fc, tol), tol * 0.02, candidates)
-
-
-# ---------------------------------------------------------------------------
-# Iterated midpoint hulls
-# ---------------------------------------------------------------------------
-
-
-def hull_iterate(space, pts: Sequence, n: int, cap: int = 256):
-    """n midpoint-closure steps starting from ``pts``.
-
-    Each step appends the midpoints of all pairs (the previous cloud is kept,
-    so the cloud only grows before thinning); clouds above ``cap`` points are
-    thinned by farthest-point subsampling.
-    """
-    if n < 0:
-        raise DomainError("hull_iterate needs n >= 0")
-    cloud = list(pts)
-    for _ in range(n):
-        nxt = list(cloud)
-        m = len(cloud)
-        for i in range(m):
-            for j in range(i + 1, m):
-                nxt.append(midpoint(space, cloud[i], cloud[j]))
-        seen = set()
-        deduped = []
-        for q in nxt:
-            if q not in seen:
-                seen.add(q)
-                deduped.append(q)
-        nxt = deduped
-        if len(nxt) > cap:
-            nxt = farthest_point_subsample(space, nxt, cap)
-        cloud = nxt
-    return cloud
-
-
-def farthest_point_subsample(space, pts: Sequence, k: int):
-    """Deterministic farthest-point thinning; ties go to the lowest index.
-
-    Very large candidate lists are first decimated by a uniform index stride
-    (keeping ~8k points) so the greedy stage stays tractable.
-    """
-    pts = list(pts)
-    if len(pts) <= k:
-        return pts
-    limit = max(8 * k, 64)
-    if len(pts) > limit:
-        stride = int(math.ceil(len(pts) / limit))
-        pts = pts[::stride]
-        if len(pts) <= k:
-            return pts
-    if isinstance(space, (Euclidean, LpVector)):
-        coords = np.asarray(pts, dtype=float)
-        if isinstance(space, Euclidean):
-            def dists(c):
-                return np.sqrt(((coords - c) ** 2).sum(axis=1))
-        else:
-            p = space.p
-            def dists(c):
-                return (np.abs(coords - c) ** p).sum(axis=1) ** (1.0 / p)
-        chosen = [0]
-        nearest = dists(coords[0])
-        for _ in range(k - 1):
-            i = int(np.argmax(nearest))  # argmax returns the lowest tied index
-            chosen.append(i)
-            nearest = np.minimum(nearest, dists(coords[i]))
-        chosen = sorted(set(chosen))
-        return [pts[i] for i in chosen]
-    chosen = [0]
-    nearest = [space.distance(pts[0], q) for q in pts]
-    for _ in range(k - 1):
-        i = max(range(len(pts)), key=lambda j: (nearest[j], -j))
-        chosen.append(i)
-        for j, q in enumerate(pts):
-            d = space.distance(pts[i], q)
-            if d < nearest[j]:
-                nearest[j] = d
-    chosen = sorted(set(chosen))
-    return [pts[i] for i in chosen]
 
 
 # ---------------------------------------------------------------------------

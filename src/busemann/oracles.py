@@ -383,15 +383,3 @@ def euclidean_modulus_1d(eps: float, r: float = 1.0) -> float:
     """True modulus of the real line: eps * r / 2 (the extremal pair sits on
     one side of the ball, at chord distance exactly eps * r)."""
     return 0.5 * min(eps, 2.0) * r
-
-
-def triangle_contains(vertices, q, tol: float = 1e-12) -> bool:
-    """Barycentric membership test for a planar triangle."""
-    a, b, c = (np.asarray(v, dtype=float) for v in vertices)
-    q = np.asarray(q, dtype=float)
-    m = np.column_stack([b - a, c - a])
-    try:
-        lam = np.linalg.solve(m, q - a)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(lam[0] >= -tol and lam[1] >= -tol and lam.sum() <= 1.0 + tol)

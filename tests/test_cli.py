@@ -395,6 +395,34 @@ def test_explicit_cover_section_matches_generator(tmp_path, method):
         assert (tmp_path / "explicit" / name).read_bytes() == (tmp_path / "generated" / name).read_bytes()
 
 
+def two_loop_cover_problem(shift):
+    """One cell with loops t and s (translations by 1 and ``shift``) and an
+    index-2 cover in which t swaps the cosets and s fixes them."""
+    s = {"kind": "translation", "by": [shift]}
+    return {
+        "cells": [{"id": "a", "weight": 1.0}],
+        "edges": [twist_edge(SHIFT_1), twist_edge(s)],
+        "base_point": [0.0],
+        "cover": {"index": 2, "generators": [SHIFT_1, s], "permutations": [[1, 0], [0, 1]],
+                  "coset_reps": [IDENTITY, SHIFT_1]},
+    }
+
+
+@pytest.mark.filterwarnings("ignore::busemann.harmonic.IdentityConventionWarning")
+@pytest.mark.parametrize("shift, method", [(5.0, "bcd"), (5.0, "commensurability"), (9.0, "commensurability")])
+def test_solve_inconsistent_cover_exit_2_without_traceback(tmp_path, capsys, shift, method):
+    # s = t^5 is caught by the cover's check (s t^-3 = t^2), s = t^9 only by
+    # the kernel model's ball (t^6 = s t^-3, at radius 6)
+    path = write_config(
+        tmp_path, space={"kind": "euclidean", "dim": 1}, problem=two_loop_cover_problem(shift),
+        solver={"method": method},
+    )
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: coset permutations are inconsistent with the twists\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_seed_override_changes_nothing_deterministic(tmp_path):
     # deterministic solvers: a different seed may not change the outcome,
     # but the flag must be accepted and recorded

@@ -381,6 +381,56 @@ def test_cover_spec_inconsistent_permutations_rejected():
         )
 
 
+def two_loop_spec(shift):
+    """One cell on the line with loops t (translation by 1) and s
+    (translation by ``shift``), index 2, t swapping the cosets and s fixing
+    them: consistent exactly when ``shift`` is even."""
+    s = translation(E1, (shift,))
+    prob = EquivariantProblem(
+        MeasureModel(("a",), (1.0,)), E1, (0.0,), (Edge("a", "a", 1.0, T1), Edge("a", "a", 1.0, s))
+    )
+    return CoverSpec(prob, 2, (T1, s), ((1, 0), (0, 1)), (IDENT, T1))
+
+
+@pytest.mark.filterwarnings("ignore::busemann.harmonic.IdentityConventionWarning")
+def test_cover_spec_checks_inverse_words():
+    # s t^-3 = t^2, but s t^-3 swaps the cosets and t^2 fixes them: a word
+    # with inverses, of length 4
+    with pytest.raises(ValidationError, match="inconsistent with the twists"):
+        two_loop_spec(5.0)
+
+
+@pytest.mark.filterwarnings("ignore::busemann.harmonic.IdentityConventionWarning")
+def test_kernel_build_checks_words_up_to_its_radius():
+    # t^6 = s t^-3 needs radius 6: the spec passes its radius-4 check, and
+    # the kernel model's ball rejects it
+    spec = two_loop_spec(9.0)
+    with pytest.raises(ValidationError, match="inconsistent with the twists"):
+        cover_comm_energy_model(spec)
+    # an even shift is consistent: s lies in the subgroup of even translations
+    m = cover_comm_energy_model(two_loop_spec(4.0))
+    assert m.n_terms > 0
+
+
+def test_cover_generators_are_the_edge_twists():
+    prob = EquivariantProblem(MeasureModel(("a",), (1.0,)), E1, (0.0,), (Edge("a", "a", 1.0, IDENT),))
+    with pytest.raises(ValidationError, match="not an edge twist"):
+        CoverSpec(prob, 2, (IDENT, T1), ((0, 1), (1, 0)), (IDENT, T1))
+    with pytest.raises(ValidationError, match="missing from the generator list"):
+        CoverSpec(base_problem(), 2, (IDENT, T1), ((0, 1), (1, 0)), (IDENT, T1))
+
+
+def test_ball_carries_the_coset_permutations():
+    # t moves coset j to j - 1 mod 3, so t^n moves it to j - n
+    ball, norms, cosets = _ball(_Stack, E1, (T1,), np.array([(2, 0, 1)]), 4)
+    for shift, perm in zip(ball.shift[:, 0].tolist(), cosets.tolist()):
+        assert perm == [(j - int(shift)) % 3 for j in range(3)]
+    assert norms == [0, 1, 1, 2, 2, 3, 3, 4, 4]
+    # an involution must permute the cosets by an involution
+    with pytest.raises(ValidationError):
+        _ball(_Stack, E1, (R0,), np.array([(1, 2, 0)]), 1)
+
+
 # ---------------------------------------------------------------------------
 # parallel orbits
 # ---------------------------------------------------------------------------
@@ -498,9 +548,12 @@ def test_normal_cover_coincidence_translation_subgroup_norm_minimal():
     assert gap <= 1e-5
 
 
-def tower_cover():
+def tower_spec():
     """The index-2 mirror cover of the base, refined by its own index-2
-    mirror subgroup: the problem and its tower positions."""
+    mirror subgroup, as one index-4 spec over the base: coset j1 + 2 j2 is
+    coset j2 of the second level over coset j1 of the first, represented by
+    rep2_j2 rep1_j1, and a generator g moves it to p1(j1) + 2 p2(j2), where
+    p1 is the permutation of g and p2 that of g's twist out of coset j1."""
     spec1 = dihedral_cover_model(2).cover_spec  # reps (id, t)
     cov1 = build_cover(spec1)
     t2 = translation(E1, (2.0,))
@@ -516,14 +569,17 @@ def tower_cover():
         else:
             perms1.append((0, 1) if shift % 4 == 0 else (1, 0))
     spec2 = CoverSpec(cov1, 2, tuple(gens1), tuple(perms1), (IDENT, t2))
-    cov2 = build_cover(spec2)
-    # tower positions are the accumulated representatives
-    positions = {}
-    for cell in cov2.model.cells:
-        rest, j2 = cell.rsplit("@", 1)
-        _, j1 = rest.rsplit("@", 1)
-        positions[cell] = spec2.coset_reps[int(j2)].compose(spec1.coset_reps[int(j1)])
-    return cov2, positions
+    reps1 = spec1.coset_reps
+    perms = []
+    for g in spec1.generators:
+        p1, perm = spec1.generator_permutation(g), [0] * 4
+        for j1 in range(2):
+            p2 = spec2.generator_permutation(reps1[p1[j1]].compose(g).compose(reps1[j1].invert()))
+            for j2 in range(2):
+                perm[j1 + 2 * j2] = p1[j1] + 2 * p2[j2]
+        perms.append(tuple(perm))
+    reps = tuple(spec2.coset_reps[j2].compose(reps1[j1]) for j2 in range(2) for j1 in range(2))
+    return CoverSpec(spec1.base, 4, spec1.generators, tuple(perms), reps)
 
 
 def test_two_subgroup_coincidence_on_common_cover():
@@ -531,16 +587,15 @@ def test_two_subgroup_coincidence_on_common_cover():
     # with the mirror).  Route A: the base's index-2 mirror cover, refined by
     # its own index-2 mirror subgroup.  Route B: the index-4 cover built
     # directly from the base.  The harmonic maps must agree on the common
-    # cover once cells are matched (tower cell (c@i)@j <-> direct cell
-    # c@(i + 2j), both representing the group piece t^(i+2j) Omega_c).
+    # cover: both list cell c of coset j as c@j, tower coset j = i + 2k being
+    # coset k of the second level over coset i of the first, both
+    # representing the group piece t^j Omega_c.
     base = base_problem()
     t2 = translation(E1, (2.0,))
-    cov2, positions = tower_cover()
+    tower = tower_spec()
+    cov_tower = build_cover(tower)
     # the kernel is measured in the base generators so both routes share one kernel
-    m_tower = comm_energy_model(
-        cov2, positions=positions, norm_generators=(IDENT, T1, R0)
-    )
-    rep_tower = subgroup_harmonic(m_tower, tol=1e-9, seed=11)
+    rep_tower = subgroup_harmonic(cover_comm_energy_model(tower, cov_tower), tol=1e-9, seed=11)
     t3 = translation(E1, (3.0,))
     spec_direct = CoverSpec(
         base,
@@ -552,19 +607,8 @@ def test_two_subgroup_coincidence_on_common_cover():
     cov_direct = build_cover(spec_direct)
     m_direct = cover_comm_energy_model(spec_direct, cov_direct)
     rep_direct = subgroup_harmonic(m_direct, tol=1e-9, seed=12)
-    gap = 0.0
-    didx = {c: i for i, c in enumerate(cov_direct.model.cells)}
-    for k, cell in enumerate(cov2.model.cells):
-        rest, j2 = cell.rsplit("@", 1)
-        name, j1 = rest.rsplit("@", 1)
-        direct_cell = f"{name}@{int(j1) + 2 * int(j2)}"
-        gap = max(
-            gap,
-            E1.distance(
-                rep_tower.solution.values[k],
-                rep_direct.solution.values[didx[direct_cell]],
-            ),
-        )
+    assert cov_tower.model.cells == cov_direct.model.cells
+    gap = max(E1.distance(a, b) for a, b in zip(rep_tower.solution.values, rep_direct.solution.values))
     assert gap <= 1e-5
 
 
@@ -787,10 +831,13 @@ def cover_case(spec):
     return cover_comm_energy_model(spec, cov), cov, positions, spec.generators
 
 
-def tower_case():
-    cov2, positions = tower_cover()
-    norm = (IDENT, T1, R0)
-    return comm_energy_model(cov2, positions=positions, norm_generators=norm), cov2, positions, norm
+def cyclic_spec():
+    """The index-3 cyclic cover of the translation loop: the subgroup of
+    translations by multiples of 3, cosets represented by t^0, t^1, t^2 (the
+    generator t moves coset j to j - 1, its twist from coset 0 is t^3)."""
+    return CoverSpec(
+        translation_loop_model().problem, 3, (T1,), ((2, 0, 1),), (IDENT, T1, translation(E1, (2.0,)))
+    )
 
 
 def plane_case():
@@ -809,7 +856,8 @@ MODEL_CASES = {
     "dihedral-12": (lambda: plain_case(dihedral_line_problem(12)), 3444),
     "dihedral-cover-2": (lambda: cover_case(dihedral_cover_model(2).cover_spec), 426),
     "translation-cover-3": (lambda: cover_case(translation_cover_spec(3)), 426),
-    "tower": (tower_case, 852),
+    "tower": (lambda: cover_case(tower_spec()), 852),
+    "cyclic-cover-3": (lambda: cover_case(cyclic_spec()), 36),
     "plane": (plane_case, 249),
     "no-edges": (no_edge_case, 2),
 }
@@ -874,11 +922,12 @@ def test_array_model_equals_object_model(name):
 def test_array_word_ball_matches_word_ball(space, generators, radius):
     ref = reference_ball(space, generators, radius)
     ball = word_ball(space, generators, radius)
-    stack, norms = _ball(_Stack, space, generators, radius)
+    stack, norms, cosets = _ball(_Stack, space, generators, np.zeros((len(generators), 1), dtype=np.intp), radius)
     if space.dim == 1:
         assert len(ball) == 24
     assert [(g.key(), n) for g, n in ball] == [(g.key(), n) for g, n in ref]
     assert norms == [n for _, n in ref]
+    assert cosets.tolist() == [[0]] * len(ref)
     assert stack.keys() == [g.key()[1] + g.key()[2] for g, _ in ref]
     np.testing.assert_allclose(stack.matrix, [g.matrix for g, _ in ref], rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(stack.shift, [g.shift for g, _ in ref], rtol=0.0, atol=1e-15)
@@ -1046,7 +1095,7 @@ def test_flat_directions_agree_with_parallel_orbits():
         _, flat[name] = quadratic_minimizer(m.arrays, m.model.weights, m.base_point)
         assert (flat[name] > 0) is parallel_orbits_check(m.target, m.generators), name
     assert {name for name, count in flat.items() if count} == {
-        "consensus", "translation-loop", "translation-cover-3", "no-edges",
+        "consensus", "translation-loop", "translation-cover-3", "cyclic-cover-3", "no-edges",
     }
     assert max(flat.values()) == 1
 
@@ -1071,7 +1120,7 @@ def test_exact_solve_of_generator_models(name):
     assert reports[0].energy_total == pytest.approx(bcd.energy_total, rel=1e-9, abs=1e-9)
 
 
-@pytest.mark.parametrize("name", [name for name in MODEL_CASES if name not in ("translation-cover-3", "no-edges")])
+@pytest.mark.parametrize("name", [name for name in MODEL_CASES if name not in ("translation-cover-3", "cyclic-cover-3", "no-edges")])
 def test_exact_point_is_the_unique_minimizer(name):
     # without flat directions the descent from a random start ends at the
     # exact point, also in two dimensions

@@ -7,8 +7,6 @@ import pytest
 from busemann.convexity import (
     circumcenter,
     clifford_check,
-    farthest_point_subsample,
-    hull_iterate,
     minimize_convex,
     modulus_estimate,
     parallel_check,
@@ -17,7 +15,6 @@ from busemann.convexity import (
 from busemann.oracles import (
     smallest_enclosing_ball_bruteforce,
     tree_one_center,
-    triangle_contains,
 )
 from busemann.spaces import (
     Euclidean,
@@ -133,58 +130,6 @@ def test_circumcenter_star_tree_vs_oracle():
     assert r == pytest.approx(1.0, abs=1e-8)
 
 
-def test_relative_circumcenter_stays_in_hull():
-    pts = [(0.0, 0.0), (1.0, 0.0)]
-    c, r = circumcenter(E2, pts, relative=True, tol=1e-8, depth=5)
-    assert abs(c[1]) <= 1e-9 and 0.0 <= c[0] <= 1.0
-    assert r == pytest.approx(0.5, abs=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# iterated midpoint hulls
-# ---------------------------------------------------------------------------
-
-
-def test_hull_dyadic_line():
-    cloud = hull_iterate(E1, [(0.0,), (1.0,)], 2)
-    assert sorted(x[0] for x in cloud) == [0.0, 0.25, 0.5, 0.75, 1.0]
-
-
-def test_hull_n0_identity():
-    pts = [STAR.vertex_point("l1"), STAR.vertex_point("l2")]
-    assert hull_iterate(STAR, pts, 0) == pts
-
-
-def test_hull_monotone_before_thinning():
-    pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    prev = hull_iterate(E2, pts, 3, cap=10_000)
-    nxt = hull_iterate(E2, pts, 4, cap=10_000)
-    assert nxt[: len(prev)] == prev
-
-
-def test_hull_triangle_hausdorff():
-    tri = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    diam = math.sqrt(2.0)
-    bound = diam / 64.0
-    cloud = hull_iterate(E2, tri, 6, cap=2500)
-    # direction 1: the cloud lies inside the filled triangle
-    for q in cloud:
-        assert triangle_contains(tri, q, tol=1e-9)
-    # direction 2: a dense sample of the triangle is covered within the bound
-    arr = np.asarray(cloud)
-    for a in np.linspace(0, 1, 40):
-        for b in np.linspace(0, 1 - a, max(2, int(40 * (1 - a)) + 1)):
-            q = np.array([a, b])
-            assert np.min(np.linalg.norm(arr - q, axis=1)) <= bound
-
-
-def test_farthest_point_subsample_deterministic():
-    pts = [(float(i), 0.0) for i in range(10)]
-    s1 = farthest_point_subsample(E2, pts, 4)
-    s2 = farthest_point_subsample(E2, pts, 4)
-    assert s1 == s2 and s1[0] == (0.0, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # convex minimization
 # ---------------------------------------------------------------------------
@@ -245,9 +190,6 @@ def search_results():
             tol=1e-8,
         ),
         "circumcenter": circumcenter(E2, [(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)], tol=1e-9),
-        "relative circumcenter": circumcenter(
-            E2, [(0.0, 0.0), (2.0, 0.5), (0.5, 1.5)], relative=True, tol=1e-8, depth=4
-        ),
         "tree circumcenter": circumcenter(STAR, [STAR.point(0, 0.3), l2, STAR.point(2, 0.8)], tol=1e-9),
     }
     from busemann.spaces import SolverError
@@ -266,7 +208,6 @@ def test_search_results_are_pinned():
         "minimize E2": "(21.09802334105078, -42.19604668098702)",
         "minimize star": "TreePoint(edge=1, offset=4.742398991806242e-09, vertex=None)",
         "circumcenter": "((1.0, 0.0), 1.0)",
-        "relative circumcenter": "((0.9318181818266654, 0.522727272716348), 1.0684235703355267)",
         "tree circumcenter": "(TreePoint(edge=1, offset=0.09999999999999998, vertex=None), 0.9)",
         "escape best": "(106.09951885345859,)",
     }
